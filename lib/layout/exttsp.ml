@@ -18,7 +18,7 @@ let default_params =
 (* Score contribution of one arc given the layout byte offsets of its
    endpoints.  [src_end] is the address just past the source block; [dst]
    the address of the target block. *)
-let arc_score params ~weight ~src_end ~dst =
+let[@inline] arc_score params ~weight ~src_end ~dst =
   if dst = src_end then weight
   else if dst > src_end then begin
     let gap = dst - src_end in
@@ -55,7 +55,7 @@ let score ?(params = default_params) cfg order =
     order;
   Array.fold_left
     (fun acc (a : Cfg.arc) ->
-      if a.src = a.dst then acc (* self-loops always score as backward jump of size src *)
+      if a.src = a.dst then acc (* self-loops score 0 under any order *)
       else acc +. arc_score params ~weight:a.weight ~src_end:stop.(a.src) ~dst:start.(a.dst))
     0. (Cfg.arcs cfg)
 
@@ -69,32 +69,25 @@ type chain = {
   mutable alive : bool;
 }
 
-(* Evaluate the Ext-TSP score restricted to arcs internal to a hypothetical
-   ordered block sequence. *)
-let seq_score params cfg block_sizes in_seq seq =
-  (* offsets within the sequence *)
-  let start = Hashtbl.create (Array.length seq * 2) in
-  let stop = Hashtbl.create (Array.length seq * 2) in
-  let off = ref 0 in
-  Array.iter
-    (fun id ->
-      Hashtbl.replace start id !off;
-      off := !off + block_sizes.(id);
-      Hashtbl.replace stop id !off)
-    seq;
-  let acc = ref 0. in
-  Array.iter
-    (fun id ->
-      List.iter
-        (fun (a : Cfg.arc) ->
-          if a.src <> a.dst && in_seq a.dst then
-            acc :=
-              !acc
-              +. arc_score params ~weight:a.weight ~src_end:(Hashtbl.find stop a.src)
-                   ~dst:(Hashtbl.find start a.dst))
-        (Cfg.succs cfg id))
-    seq;
-  !acc
+(* Every merge candidate of chains x (receiver) and y is
+   [x[0,cut) · y · x[cut,len x)]: [cut = len x] is x·y, [cut = 0] is y·x and
+   the cuts in between split x.  [block_at xs ys cut k] is the block at
+   position [k] of that sequence, so candidates are scored without being
+   built. *)
+let block_at xs ys cut k =
+  if k < cut then xs.(k)
+  else
+    let ly = Array.length ys in
+    if k < cut + ly then ys.(k - cut) else xs.(k - ly)
+
+(* The cached [best_merge] of one connected chain pair; [cut < 0] when no
+   candidate gains. *)
+type pair = {
+  mutable fresh : bool;
+  mutable cut : int;
+  mutable gain : float;
+  mutable merged_score : float;  (** internal score of the winning sequence *)
+}
 
 let layout ?(params = default_params) cfg =
   let blocks = Cfg.blocks cfg in
@@ -104,98 +97,123 @@ let layout ?(params = default_params) cfg =
   else begin
     let entry = Cfg.entry cfg in
     let block_sizes = Array.map (fun b -> b.Cfg.size) blocks in
+    (* non-self-loop successor arcs of each block, in [Cfg.succs] order *)
+    let succ_arcs =
+      Array.init n (fun id ->
+          Array.of_list (List.filter (fun (a : Cfg.arc) -> a.src <> a.dst) (Cfg.succs cfg id)))
+    in
     let chains = Array.init n (fun i ->
         { cid = i; blocks_seq = [| i |]; size = blocks.(i).Cfg.size; weight = blocks.(i).Cfg.weight; alive = true })
     in
     let chain_of = Array.init n (fun i -> i) in
     let member = Array.make n false in
-    (* score of a chain's internal arcs, cached *)
+    let start = Array.make n 0 in
+    (* score of a chain's internal arcs, cached; a singleton has none *)
     let chain_score = Array.make n 0. in
-    let compute_chain_score c =
-      Array.iter (fun id -> member.(id) <- true) c.blocks_seq;
-      let s = seq_score params cfg block_sizes (fun id -> member.(id)) c.blocks_seq in
-      Array.iter (fun id -> member.(id) <- false) c.blocks_seq;
-      s
+    (* Ext-TSP score of the arcs internal to candidate [cut] of x and y, whose
+       blocks are marked in [member]: blocks in sequence order, arcs in
+       [Cfg.succs] order. *)
+    let candidate_score xs ys cut =
+      let len = Array.length xs + Array.length ys in
+      let off = ref 0 in
+      for k = 0 to len - 1 do
+        let id = block_at xs ys cut k in
+        start.(id) <- !off;
+        off := !off + block_sizes.(id)
+      done;
+      let acc = ref 0. in
+      for k = 0 to len - 1 do
+        let id = block_at xs ys cut k in
+        let src_end = start.(id) + block_sizes.(id) in
+        let arcs = succ_arcs.(id) in
+        for j = 0 to Array.length arcs - 1 do
+          let a = arcs.(j) in
+          if member.(a.dst) then
+            acc := !acc +. arc_score params ~weight:a.weight ~src_end ~dst:start.(a.dst)
+        done
+      done;
+      !acc
     in
-    (* candidate merged sequences of chains x (receiver) and y *)
-    let merge_candidates x y =
+    (* Best candidate for the pair, in the order x·y, y·x, then cuts from
+       [len x - 1] down to 1; a later candidate wins only with a strictly
+       higher score.  The entry block must stay first: candidates placing
+       anything before it are skipped. *)
+    let best_merge x y p =
       let xs = x.blocks_seq and ys = y.blocks_seq in
-      let base = [ Array.append xs ys; Array.append ys xs ] in
-      let with_splits =
-        if Array.length xs <= params.max_chain_split && Array.length xs > 1 then begin
-          (* insert y at each interior split point of x *)
-          let variants = ref [] in
-          for cut = 1 to Array.length xs - 1 do
-            let x1 = Array.sub xs 0 cut and x2 = Array.sub xs cut (Array.length xs - cut) in
-            variants := Array.concat [ x1; ys; x2 ] :: !variants
-          done;
-          !variants
+      let lx = Array.length xs in
+      Array.iter (fun id -> member.(id) <- true) xs;
+      Array.iter (fun id -> member.(id) <- true) ys;
+      let has_entry = member.(entry) in
+      let best_cut = ref (-1) and best_score = ref 0. in
+      let consider cut =
+        if (not has_entry) || block_at xs ys cut 0 = entry then begin
+          let s = candidate_score xs ys cut in
+          if !best_cut < 0 || not (!best_score >= s) then begin
+            best_cut := cut;
+            best_score := s
+          end
         end
-        else []
       in
-      base @ with_splits
+      consider lx;
+      consider 0;
+      if lx <= params.max_chain_split && lx > 1 then
+        for cut = lx - 1 downto 1 do
+          consider cut
+        done;
+      Array.iter (fun id -> member.(id) <- false) xs;
+      Array.iter (fun id -> member.(id) <- false) ys;
+      p.fresh <- true;
+      p.cut <- -1;
+      if !best_cut >= 0 then begin
+        let gain = !best_score -. chain_score.(x.cid) -. chain_score.(y.cid) in
+        if gain > 1e-9 then begin
+          p.cut <- !best_cut;
+          p.gain <- gain;
+          p.merged_score <- !best_score
+        end
+      end
     in
-    (* entry block must stay first: reject candidates placing anything before it *)
-    let valid_seq seq = if Array.exists (fun id -> id = entry) seq then seq.(0) = entry else true in
-    let best_merge x y =
-      let joint_member id = member.(id) in
-      Array.iter (fun id -> member.(id) <- true) x.blocks_seq;
-      Array.iter (fun id -> member.(id) <- true) y.blocks_seq;
-      let best = ref None in
-      List.iter
-        (fun seq ->
-          if valid_seq seq then begin
-            let s = seq_score params cfg block_sizes joint_member seq in
-            match !best with
-            | Some (bs, _) when bs >= s -> ()
-            | _ -> best := Some (s, seq)
-          end)
-        (merge_candidates x y);
-      Array.iter (fun id -> member.(id) <- false) x.blocks_seq;
-      Array.iter (fun id -> member.(id) <- false) y.blocks_seq;
-      match !best with
-      | None -> None
-      | Some (s, seq) ->
-        let gain = s -. chain_score.(x.cid) -. chain_score.(y.cid) in
-        if gain > 1e-9 then Some (gain, seq) else None
-    in
-    Array.iter (fun c -> chain_score.(c.cid) <- compute_chain_score c) chains;
-    (* Only chain pairs connected by at least one arc are merge candidates. *)
+    (* Only chain pairs connected by at least one arc are merge candidates.
+       Pairs are never removed: the scan order of this table decides ties. *)
     let connected = Hashtbl.create 64 in
-    let note_pair a b = if a <> b then Hashtbl.replace connected (min a b, max a b) () in
+    let note_pair a b =
+      if a <> b then
+        Hashtbl.replace connected (min a b, max a b) { fresh = false; cut = -1; gain = 0.; merged_score = 0. }
+    in
     Array.iter (fun (a : Cfg.arc) -> note_pair chain_of.(a.src) chain_of.(a.dst)) (Cfg.arcs cfg);
     let rec iterate () =
-      (* find the best gain over all connected alive chain pairs *)
+      (* find the best gain over all connected alive chain pairs; only pairs
+         whose chains changed since their last evaluation are re-evaluated *)
       let best = ref None in
       Hashtbl.iter
-        (fun (ca, cb) () ->
+        (fun (ca, cb) p ->
           let x = chains.(ca) and y = chains.(cb) in
-          if x.alive && y.alive && x.cid <> y.cid then
-            match best_merge x y with
-            | None -> ()
-            | Some (gain, seq) -> (
+          if x.alive && y.alive then begin
+            if not p.fresh then best_merge x y p;
+            if p.cut >= 0 then
               match !best with
-              | Some (bg, _, _, _) when bg >= gain -> ()
-              | _ -> best := Some (gain, x, y, seq)))
+              | Some (bg, _, _, _) when bg >= p.gain -> ()
+              | _ -> best := Some (p.gain, x, y, p)
+          end)
         connected;
       match !best with
       | None -> ()
-      | Some (_, x, y, seq) ->
+      | Some (_, x, y, p) ->
         (* merge y into x with the winning sequence *)
+        let xs = x.blocks_seq and ys = y.blocks_seq in
+        let seq = Array.init (Array.length xs + Array.length ys) (block_at xs ys p.cut) in
         x.blocks_seq <- seq;
         x.size <- x.size + y.size;
         x.weight <- x.weight +. y.weight;
         y.alive <- false;
         Array.iter (fun id -> chain_of.(id) <- x.cid) seq;
-        chain_score.(x.cid) <- compute_chain_score x;
-        (* re-point connectivity of y to x *)
+        chain_score.(x.cid) <- p.merged_score;
+        (* x changed, so its pairs are stale; re-point connectivity of y to x *)
         let to_add = ref [] in
         Hashtbl.iter
-          (fun (ca, cb) () ->
-            if ca = y.cid || cb = y.cid then begin
-              let other = if ca = y.cid then cb else ca in
-              if other <> x.cid then to_add := other :: !to_add
-            end)
+          (fun (ca, cb) q ->
+            if ca = x.cid || cb = x.cid then q.fresh <- false
+            else if ca = y.cid || cb = y.cid then to_add := (if ca = y.cid then cb else ca) :: !to_add)
           connected;
         List.iter (fun other -> note_pair x.cid other) !to_add;
         iterate ()

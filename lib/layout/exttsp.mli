@@ -7,12 +7,20 @@
 
     - fall-through (gap 0): full arc weight;
     - forward jump with gap [0 < d <= 1024]: [0.1 * w * (1 - d/1024)];
-    - backward jump with gap [0 < d <= 640]:  [0.1 * w * (1 - d/640)].
+    - backward jump with gap [0 < d <= 640]:  [0.1 * w * (1 - d/640)];
+    - self-loop: 0 under any order.
 
     The optimizer greedily merges chains of blocks, considering both
     concatenation orders and splitting the receiving chain, until no merge
     improves the score; remaining chains are emitted entry-chain first, then
-    by decreasing density. *)
+    by decreasing density.  Each connected chain pair's best merge is cached
+    and recomputed only after one of its chains changed, so a merge costs a
+    re-score of the merged chain's pairs, not of every pair.
+
+    Ties are broken deterministically: among equal gains the first pair in
+    the scan order of the connected-pair table wins, and within a pair the
+    earlier candidate wins, in the order x·y, y·x, then y inserted into x at
+    cuts from [len x - 1] down to 1. *)
 
 (** Scoring parameters; {!default_params} matches the published constants. *)
 type params = {

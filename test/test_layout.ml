@@ -110,6 +110,79 @@ let test_layout_improves_on_random_cfgs () =
   done;
   Alcotest.(check bool) "usually improves" true (!better >= 15)
 
+(* The optimizer caches each chain pair's best merge; it must return exactly
+   the order of the reference that re-scores every pair on every merge.  The
+   CFGs are tie-heavy (small-integer weights and sizes), have self-loops and
+   duplicate arcs and any entry, and reach 200 blocks under a small split
+   limit, so chains both short enough and too long to split occur. *)
+let equivalence_cfg =
+  let gen =
+    QCheck.Gen.(
+      frequency [ (4, int_range 2 24); (1, int_range 25 200) ] >>= fun n ->
+      let block = int_range 0 (n - 1) in
+      triple (int_range 0 (n - 1)) (int_range 1 12)
+        (array_repeat n (pair (oneofl [ 0; 4; 8; 16; 24 ]) (int_range 0 3)))
+      >>= fun (entry, max_chain_split, blocks) ->
+      list_size (int_range 0 (2 * n)) (triple block block (int_range 0 4)) >>= fun arcs ->
+      list_size (int_range 0 (1 + (n / 4))) (pair block (int_range 0 4)) >>= fun loops ->
+      list_size (int_range 0 (1 + (n / 4))) (oneofl ((0, 0, 0) :: arcs)) >>= fun dups ->
+      let arcs = arcs @ List.map (fun (b, w) -> (b, b, w)) loops @ dups in
+      return (entry, max_chain_split, blocks, arcs))
+  in
+  QCheck.make gen ~print:(fun (entry, split, blocks, arcs) ->
+      Printf.sprintf "n=%d entry=%d max_chain_split=%d arcs=%d" (Array.length blocks) entry split
+        (List.length arcs))
+
+let prop_layout_matches_reference =
+  QCheck.Test.make ~name:"layout equals the uncached reference" ~count:150 equivalence_cfg
+    (fun (entry, max_chain_split, blocks, arcs) ->
+      let cfg =
+        mk_cfg
+          (List.map (fun (size, w) -> (size, float_of_int w)) (Array.to_list blocks))
+          (List.map (fun (s, d, w) -> (s, d, float_of_int w)) arcs)
+          entry
+      in
+      let params = { Exttsp.default_params with max_chain_split } in
+      Exttsp.layout ~params cfg = Exttsp_ref.layout ~params cfg)
+
+(* Production-shaped CFGs: the hot/cold arranged block orders of every
+   translation of a seeded package of the tiny app, hashed and pinned to the
+   orders the reference optimizer produced. *)
+let test_golden_tiny_orders () =
+  let app = Workload.Codegen.generate Workload.App_spec.tiny in
+  let options = { Jumpstart.Options.default with Jumpstart.Options.validate_packages = false } in
+  let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
+  let traffic seed engine =
+    let rng = Js_util.Rng.create seed in
+    for _ = 1 to 200 do
+      ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+    done
+  in
+  let pkg =
+    match
+      Jumpstart.Seeder.run app.Workload.Codegen.repo options ~profile_traffic:(traffic 1)
+        ~optimized_traffic:(traffic 2) ~region:0 ~bucket:0 ~seeder_id:0 ()
+    with
+    | Ok outcome -> outcome.Jumpstart.Seeder.package
+    | Error msg -> Alcotest.fail ("seeder failed: " ^ msg)
+  in
+  let config = Jit.Compiler.default_config in
+  let buf = Buffer.create 4096 and multi_block = ref 0 in
+  List.iter
+    (fun (fid, vf) ->
+      let cfg = Jit.Vasm_profile.to_cfg pkg.Jumpstart.Package.vasm vf in
+      let order, n_hot =
+        Hotcold.arrange cfg ~threshold:config.Jit.Compiler.hot_threshold ~order_hot:Exttsp.layout
+      in
+      if n_hot > 2 then incr multi_block;
+      Buffer.add_string buf (Printf.sprintf "%d/%d:" fid n_hot);
+      Array.iter (fun b -> Buffer.add_string buf (Printf.sprintf " %d" b)) order;
+      Buffer.add_char buf '\n')
+    (Jit.Compiler.lower_all app.Workload.Codegen.repo pkg.Jumpstart.Package.counters config);
+  Alcotest.(check bool) "translations with real layout work" true (!multi_block >= 10);
+  Alcotest.(check string) "block orders md5" "38c2d7eed11a592fcc42968580d8074d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- hot/cold --- *)
 
 let test_hotcold_split () =
@@ -209,7 +282,9 @@ let () =
           Alcotest.test_case "entry first" `Quick test_layout_entry_first;
           Alcotest.test_case "hot fallthrough" `Quick test_layout_prefers_hot_fallthrough;
           Alcotest.test_case "loop bodies" `Quick test_layout_loop_rotation;
-          Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs
+          Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs;
+          QCheck_alcotest.to_alcotest prop_layout_matches_reference;
+          Alcotest.test_case "golden tiny-app orders" `Quick test_golden_tiny_orders
         ] );
       ( "hotcold",
         [ Alcotest.test_case "split" `Quick test_hotcold_split;
