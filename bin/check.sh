@@ -133,6 +133,27 @@ if [ "$epoch_digest" != "$par_digest" ]; then
   echo "  parallel: $par_digest" >&2
   exit 1
 fi
+# The merged run (every region on one shared queue) is the reference the
+# barrier loop is checked against: same scenario, same digest.
+merged_digest=$(dune exec bin/push_sim.exe -- --servers 12 --duration 300 --push-at 60 \
+  --regions 3 --spillover --spill-latency 15 --epoch 15 \
+  --lose-region 1 --lose-at 120 --mode merged --digest | grep 'global digest')
+if [ "$epoch_digest" != "$merged_digest" ]; then
+  echo "merged smoke: digest diverged from epoch mode" >&2
+  echo "  epoch:  $epoch_digest" >&2
+  echo "  merged: $merged_digest" >&2
+  exit 1
+fi
+
+# A config the simulator rejects (here a non-finite duration) is a usage
+# error: exit status 2, never a hang or a run over NaN times.
+status=0
+dune exec bin/push_sim.exe -- --servers 8 --duration nan --regions 2 --epoch 15 \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "push_sim: non-finite duration exited $status, expected 2" >&2
+  exit 1
+fi
 
 # Churn smoke test: a package seeded on build 0 must be salvaged against a
 # churned build through the stale-profile matcher (nonzero match.* counters,
@@ -144,10 +165,10 @@ grep -q '"churn0_digest_identical": true' BENCH_churn.quick.json
 grep -q '"smallest_churn_salvaged": true' BENCH_churn.quick.json
 grep -q '"salvage_beats_nojs_tts": true' BENCH_churn.quick.json
 
-# Quick scale bench: flat engine must reproduce the closure engine's event
-# sequence faster, epoch-barrier multi-region runs must match merged AND
-# parallel runs byte-for-byte, and arrival batching must be digest-neutral;
-# validates its own JSON and must emit the parallel section.
+# Quick scale bench: a global fleet run on the barrier loop must match the
+# merged queue and the parallel run byte-for-byte, and arrival batching must
+# be digest-neutral; validates its own JSON and must emit the parallel and
+# batching sections.
 dune exec bench/main.exe -- scale --quick
 test -s BENCH_scale.quick.json
 grep -q '"parallel"' BENCH_scale.quick.json

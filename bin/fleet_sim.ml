@@ -4,10 +4,12 @@
      dune exec bin/fleet_sim.exe -- push [--servers N] [--seeders N]
          [--bad-rate P] [--validation P] [--minutes N] [--telemetry text|json]
 
-   Invoked with no subcommand, runs `push` with its defaults, so
-   `fleet_sim --telemetry json` dumps a machine-readable trace of a
-   default push.  With `--telemetry json` the JSON document is the only
-   output (the human-readable report is suppressed).
+   `push` runs the macro fleet model; the request-level discrete-event
+   simulation of a push is `push_sim`.  Invoked with no subcommand, runs
+   `push` with its defaults, so `fleet_sim --telemetry json` dumps a
+   machine-readable trace of a default push.  With `--telemetry json` the
+   JSON document is the only output (the human-readable report is
+   suppressed).
 *)
 
 open Cmdliner
@@ -109,14 +111,6 @@ let push_term, push_cmd =
       & info [ "cross-region" ]
           ~doc:"simulate 3 replica regions and allow cross-region fallback fetches")
   in
-  let des =
-    Arg.(
-      value & flag
-      & info [ "push" ]
-          ~doc:
-            "simulate the push with the discrete-event engine (request-level queueing, \
-             warmup-aware routing, staged rolling restarts) instead of the macro fleet model")
-  in
   let home_region =
     Arg.(
       value & opt int 0
@@ -124,7 +118,7 @@ let push_term, push_cmd =
           ~doc:"replica region this fleet's consumers fetch from first (needs --cross-region)")
   in
   let action servers seeders bad_rate validation verifier minutes seed fetch_fail fetch_timeout
-      fetch_latency stale_rate cross_region des home_region telemetry_fmt =
+      fetch_latency stale_rate cross_region home_region telemetry_fmt =
     let app =
       Workload.Macro_app.generate
         { Workload.Macro_app.default_params with
@@ -163,82 +157,41 @@ let push_term, push_cmd =
       | None -> None
       | Some _ -> Some (Js_telemetry.create ())
     in
-    if des then begin
-      (* delegate to the discrete-event engine: request-level queueing with
-         warmup-aware routing over the same fleet/network configuration *)
-      let duration = float_of_int (minutes * 60) in
-      let warm_rps = 50. in
-      let utilization = 0.7 in
-      let des_cfg =
-        { Js_sim.Push.default_config with
-          Js_sim.Push.fleet =
-            { cfg with
-              Cluster.Fleet.server =
-                { S.default_config with
-                  S.profile_request_target = 600;
-                  init_seconds_sequential = 30.;
-                  init_seconds_parallel = 12.;
-                  traffic_ramp_seconds = 90.;
-                  cold_decay_seconds = 40.
-                }
-            };
-          warm_rps;
-          arrival =
-            { Js_sim.Arrival.default_config with
-              Js_sim.Arrival.base_rps = float_of_int servers *. warm_rps *. utilization
-            };
-          bad_package_rate = bad_rate;
-          push_at = duration /. 5.;
-          duration
-        }
-      in
-      let stats = Js_sim.Push.run ?telemetry:tel des_cfg app ~seed in
-      match (telemetry_fmt, tel) with
-      | Some `Json, Some t ->
-        print_string (Js_telemetry.to_json t);
-        print_newline ()
-      | _ ->
-        Format.printf "%a@." Js_sim.Push.pp_stats stats;
-        (match (telemetry_fmt, tel) with
-        | Some `Text, Some t -> Format.printf "@.%a@." Js_telemetry.pp_text t
-        | _ -> ())
-    end
-    else
-      let stats =
-        Cluster.Fleet.simulate_push ?telemetry:tel cfg app ~seed ~bad_package_rate:bad_rate
-          ~thin_profile_rate:0. ~duration:(float_of_int (minutes * 60))
-      in
-      match (telemetry_fmt, tel) with
-      | Some `Json, Some t ->
-        (* machine-readable mode: the JSON document is the entire output *)
-        print_string (Js_telemetry.to_json t);
-        print_newline ()
-      | _ ->
-        Format.printf "%a@." Cluster.Fleet.pp_stats stats;
-        (let q = Js_util.Stats.Quantile.of_series stats.Cluster.Fleet.fleet_rps in
-         if Js_util.Stats.Quantile.count q > 0 then
-           Printf.printf "\nfleet RPS p50/p95/p99 = %.0f/%.0f/%.0f (peak %.0f)\n"
-             (Js_util.Stats.Quantile.p50 q) (Js_util.Stats.Quantile.p95 q)
-             (Js_util.Stats.Quantile.p99 q) stats.Cluster.Fleet.fleet_peak_rps);
-        Printf.printf "\nfleet RPS (normalized to aggregate peak):\n";
-        let until = minutes * 60 in
-        let steps = max 1 (until / 15) in
-        let t = ref steps in
-        while !t <= until do
-          Printf.printf "  t=%5ds %6.2f\n" !t
-            (Series.value_at stats.Cluster.Fleet.fleet_rps (float_of_int !t)
-            /. stats.Cluster.Fleet.fleet_peak_rps);
-          t := !t + steps
-        done;
-        (match (telemetry_fmt, tel) with
-        | Some `Text, Some t -> Format.printf "@.%a@." Js_telemetry.pp_text t
-        | _ -> ())
+    let stats =
+      Cluster.Fleet.simulate_push ?telemetry:tel cfg app ~seed ~bad_package_rate:bad_rate
+        ~thin_profile_rate:0. ~duration:(float_of_int (minutes * 60))
+    in
+    match (telemetry_fmt, tel) with
+    | Some `Json, Some t ->
+      (* machine-readable mode: the JSON document is the entire output *)
+      print_string (Js_telemetry.to_json t);
+      print_newline ()
+    | _ ->
+      Format.printf "%a@." Cluster.Fleet.pp_stats stats;
+      (let q = Js_util.Stats.Quantile.of_series stats.Cluster.Fleet.fleet_rps in
+       if Js_util.Stats.Quantile.count q > 0 then
+         Printf.printf "\nfleet RPS p50/p95/p99 = %.0f/%.0f/%.0f (peak %.0f)\n"
+           (Js_util.Stats.Quantile.p50 q) (Js_util.Stats.Quantile.p95 q)
+           (Js_util.Stats.Quantile.p99 q) stats.Cluster.Fleet.fleet_peak_rps);
+      Printf.printf "\nfleet RPS (normalized to aggregate peak):\n";
+      let until = minutes * 60 in
+      let steps = max 1 (until / 15) in
+      let t = ref steps in
+      while !t <= until do
+        Printf.printf "  t=%5ds %6.2f\n" !t
+          (Series.value_at stats.Cluster.Fleet.fleet_rps (float_of_int !t)
+          /. stats.Cluster.Fleet.fleet_peak_rps);
+        t := !t + steps
+      done;
+      (match (telemetry_fmt, tel) with
+      | Some `Text, Some t -> Format.printf "@.%a@." Js_telemetry.pp_text t
+      | _ -> ())
   in
   let term =
     Term.(
       const action $ servers $ seeders $ bad_rate $ validation $ verifier $ minutes_arg $ seed
-      $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region $ des
-      $ home_region $ telemetry_arg)
+      $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region $ home_region
+      $ telemetry_arg)
   in
   ( term,
     Cmd.v

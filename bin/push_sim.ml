@@ -61,10 +61,19 @@ let telemetry_arg =
           "emit collected telemetry: $(b,text) appends a report, $(b,json) prints only the \
            JSON document")
 
+(* The simulator validates its config before it runs anything and rejects a
+   bad one with [Invalid_argument]: report that as a usage error. *)
+let or_usage_error f =
+  match f () with
+  | x -> x
+  | exception Invalid_argument msg ->
+    Printf.eprintf "push_sim: %s\n" msg;
+    exit 2
+
 let report ?(show_digest = false) stats =
-  Format.printf "%a@." Js_sim.Push.pp_stats stats;
+  Format.printf "%a@." Js_sim.Region.pp_stats stats;
   let until =
-    match Stats.Series.to_array stats.Js_sim.Push.capacity_series with
+    match Stats.Series.to_array stats.Js_sim.Region.capacity_series with
     | [||] -> 0.
     | a -> fst a.(Array.length a - 1)
   in
@@ -74,14 +83,14 @@ let report ?(show_digest = false) stats =
     let t = ref steps in
     while !t <= until do
       Printf.printf "  t=%5.0fs %6.2f  (%.2f)\n" !t
-        (Stats.Series.value_at stats.Js_sim.Push.capacity_series !t
-        /. stats.Js_sim.Push.fleet_warm_rps)
-        (Stats.Series.value_at stats.Js_sim.Push.served_series !t
-        /. stats.Js_sim.Push.fleet_warm_rps);
+        (Stats.Series.value_at stats.Js_sim.Region.capacity_series !t
+        /. stats.Js_sim.Region.fleet_warm_rps)
+        (Stats.Series.value_at stats.Js_sim.Region.served_series !t
+        /. stats.Js_sim.Region.fleet_warm_rps);
       t := !t +. steps
     done
   end;
-  if show_digest then Printf.printf "\ndigest: %s\n" (Digest.to_hex (Digest.string (Js_sim.Push.digest stats)))
+  if show_digest then Printf.printf "\ndigest: %s\n" (Digest.to_hex (Digest.string (Js_sim.Region.digest stats)))
 
 let report_global ?(show_digest = false) gs =
   Format.printf "%a@." Js_sim.Region.pp_global_stats gs;
@@ -99,7 +108,9 @@ let report_classified cfg app ~seed ~n_seeds =
   let module H = Js_exp.Harness in
   let module C = Js_exp.Classify in
   let seeds = H.derive_seeds ~seed ~n:n_seeds in
-  let results = H.run ~configs:[ ("push", H.of_push cfg app) ] ~seeds () in
+  let results =
+    or_usage_error (fun () -> H.run ~configs:[ ("push", H.of_push cfg app) ] ~seeds ())
+  in
   let s = List.hd (H.summarize results) in
   Printf.printf "classified %d server runs over %d seed(s) (root seed %d)\n\n"
     s.H.runs n_seeds seed;
@@ -159,8 +170,8 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     }
   in
   let cfg =
-    { Js_sim.Push.default_config with
-      Js_sim.Push.fleet;
+    { Js_sim.Region.default_config with
+      Js_sim.Region.fleet;
       warm_rps;
       concurrency;
       queue_capacity = queue;
@@ -191,7 +202,9 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     report_classified cfg (Lazy.force app) ~seed ~n_seeds
   end
   else if regions <= 1 then begin
-    let stats = Js_sim.Push.run ?telemetry:tel cfg (Lazy.force app) ~seed in
+    let stats =
+      or_usage_error (fun () -> Js_sim.Region.run ?telemetry:tel cfg (Lazy.force app) ~seed)
+    in
     match (telemetry_fmt, tel) with
     | Some `Json, Some t ->
       print_string (Js_telemetry.to_json t);
@@ -240,7 +253,10 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
         `Parallel d
       | (`Epoch | `Merged) as m -> m
     in
-    let gs = Js_sim.Region.run_global ?telemetry:tel ~mode gcfg (Lazy.force app) ~seed in
+    let gs =
+      or_usage_error (fun () ->
+          Js_sim.Region.run_global ?telemetry:tel ~mode gcfg (Lazy.force app) ~seed)
+    in
     match (telemetry_fmt, tel) with
     | Some `Json, Some t ->
       print_string (Js_telemetry.to_json t);

@@ -40,8 +40,8 @@ let bin_series ~bin samples =
   end
 
 let of_push cfg app ~seed =
-  let s = Js_sim.Push.run { cfg with Js_sim.Push.record_latency = true } app ~seed in
-  Array.map Stats.Series.to_array s.Js_sim.Push.server_latency
+  let s = Js_sim.Region.run { cfg with Js_sim.Region.record_latency = true } app ~seed in
+  Array.map Stats.Series.to_array s.Js_sim.Region.server_latency
 
 type run_result = {
   config : string;

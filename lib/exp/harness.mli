@@ -27,7 +27,7 @@ val bin_series : bin:float -> (float * float) array -> (float * float) array
     simulator: runs it with [record_latency] forced on and returns the
     per-server (completion time, latency) streams. *)
 val of_push :
-  Js_sim.Push.config ->
+  Js_sim.Region.config ->
   Workload.Macro_app.t ->
   seed:int ->
   (float * float) array array

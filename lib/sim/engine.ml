@@ -2,7 +2,7 @@ type 'ev t = {
   mutable now : float;
   mutable dispatched : int;
   mutable horizon : float;  (* [until] bound of the in-progress/last [run] *)
-  queue : 'ev Js_util.Pqueue.Flat.t;
+  queue : 'ev Js_util.Pqueue.t;
   telemetry : Js_telemetry.t option;
 }
 
@@ -11,15 +11,15 @@ let create ?telemetry ~dummy () =
     now = 0.;
     dispatched = 0;
     horizon = 0.;
-    queue = Js_util.Pqueue.Flat.create ~dummy ();
+    queue = Js_util.Pqueue.create ~dummy ();
     telemetry;
   }
 
 let now t = t.now
 let dispatched t = t.dispatched
-let pending t = Js_util.Pqueue.Flat.length t.queue
+let pending t = Js_util.Pqueue.length t.queue
 let horizon t = t.horizon
-let next_event_at t = Js_util.Pqueue.Flat.min_priority t.queue
+let next_event_at t = Js_util.Pqueue.min_priority t.queue
 
 let step_to t ~at =
   if Float.is_nan at then invalid_arg "Engine.step_to: NaN time";
@@ -34,7 +34,7 @@ let schedule t ~at ev =
   (* Events scheduled "in the past" fire immediately-next: the queue is a
      min-heap, so clamping to [now] keeps time monotone without reordering
      same-time events (insertion order breaks ties). *)
-  Js_util.Pqueue.Flat.push t.queue ~priority:(Float.max at t.now) ev
+  Js_util.Pqueue.push t.queue ~priority:(Float.max at t.now) ev
 
 let after t ~delay ev = schedule t ~at:(t.now +. Float.max 0. delay) ev
 
@@ -46,9 +46,9 @@ let run t ~until ~dispatch =
     (* Hot path: no telemetry sync, no option probing per event. *)
     let continue = ref true in
     while !continue do
-      let at = Js_util.Pqueue.Flat.min_priority q in
+      let at = Js_util.Pqueue.min_priority q in
       if at <= until then begin
-        let ev = Js_util.Pqueue.Flat.pop_exn q in
+        let ev = Js_util.Pqueue.pop_exn q in
         if at > t.now then t.now <- at;
         t.dispatched <- t.dispatched + 1;
         dispatch t ev
@@ -59,9 +59,9 @@ let run t ~until ~dispatch =
     let clock = Js_telemetry.clock tel in
     let continue = ref true in
     while !continue do
-      let at = Js_util.Pqueue.Flat.min_priority q in
+      let at = Js_util.Pqueue.min_priority q in
       if at <= until then begin
-        let ev = Js_util.Pqueue.Flat.pop_exn q in
+        let ev = Js_util.Pqueue.pop_exn q in
         if at > t.now then t.now <- at;
         Js_telemetry.Clock.set clock t.now;
         t.dispatched <- t.dispatched + 1;
@@ -73,48 +73,3 @@ let run t ~until ~dispatch =
   match t.telemetry with
   | Some tel -> Js_telemetry.Clock.set (Js_telemetry.clock tel) t.now
   | None -> ()
-
-module Closure = struct
-  (* The pre-flat engine, kept verbatim as the `bench scale` baseline and for
-     callers that prefer closure events over a variant type. *)
-  type t = {
-    mutable now : float;
-    mutable dispatched : int;
-    queue : (unit -> unit) Js_util.Pqueue.t;
-    telemetry : Js_telemetry.t option;
-  }
-
-  let create ?telemetry () =
-    { now = 0.; dispatched = 0; queue = Js_util.Pqueue.create (); telemetry }
-
-  let now t = t.now
-  let dispatched t = t.dispatched
-  let pending t = Js_util.Pqueue.length t.queue
-
-  let schedule t ~at f =
-    if Float.is_nan at then invalid_arg "Engine.schedule: NaN time";
-    Js_util.Pqueue.push t.queue ~priority:(Float.max at t.now) f
-
-  let after t ~delay f = schedule t ~at:(t.now +. Float.max 0. delay) f
-
-  let run t ~until =
-    let continue = ref true in
-    while !continue do
-      match Js_util.Pqueue.peek t.queue with
-      | Some (at, _) when at <= until ->
-        (match Js_util.Pqueue.pop t.queue with
-        | Some (at, f) ->
-          t.now <- Float.max t.now at;
-          (match t.telemetry with
-          | Some tel -> Js_telemetry.Clock.set (Js_telemetry.clock tel) t.now
-          | None -> ());
-          t.dispatched <- t.dispatched + 1;
-          f ()
-        | None -> continue := false)
-      | _ -> continue := false
-    done;
-    t.now <- Float.max t.now until;
-    match t.telemetry with
-    | Some tel -> Js_telemetry.Clock.set (Js_telemetry.clock tel) t.now
-    | None -> ()
-end

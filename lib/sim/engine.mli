@@ -1,17 +1,16 @@
 (** Discrete-event simulation core.
 
     A monotone simulated clock plus a flat event queue
-    ({!Js_util.Pqueue.Flat}: struct-of-arrays binary min-heap keyed by event
+    ({!Js_util.Pqueue}: struct-of-arrays binary min-heap keyed by event
     time, ties broken by insertion order), so a run is a deterministic
     function of the scheduled events and the seeds their handlers consume.
 
     Events are values of a caller-chosen variant type ['ev] rather than
     closures: scheduling an immediate-carrying variant allocates at most the
-    variant block itself (nothing for constant constructors), where the old
-    closure representation allocated a closure plus heap entry per event.
-    At fleet scale — 100k servers x millions of events — that difference is
-    the allocation churn the flat engine exists to avoid; {!Closure} keeps
-    the original representation for comparison benches and small sims.
+    variant block itself (nothing for constant constructors), where a
+    closure per event would allocate a closure plus a heap entry.  At fleet
+    scale — 100k servers x millions of events — that difference is the
+    allocation churn the flat engine exists to avoid.
 
     When a telemetry sink is attached, its simulated clock is kept in sync
     with the engine clock at every dispatch, so spans and events recorded
@@ -65,18 +64,3 @@ val after : 'ev t -> delay:float -> 'ev -> unit
     current time.  Resumable: successive [run] calls with increasing [until]
     advance the same simulation epoch by epoch. *)
 val run : 'ev t -> until:float -> dispatch:('ev t -> 'ev -> unit) -> unit
-
-(** The original closure-per-event engine, preserved as the baseline for
-    [bench scale] and for small closures-are-convenient simulations.  Same
-    clock/ordering semantics as the flat engine. *)
-module Closure : sig
-  type t
-
-  val create : ?telemetry:Js_telemetry.t -> unit -> t
-  val now : t -> float
-  val dispatched : t -> int
-  val pending : t -> int
-  val schedule : t -> at:float -> (unit -> unit) -> unit
-  val after : t -> delay:float -> (unit -> unit) -> unit
-  val run : t -> until:float -> unit
-end

@@ -201,15 +201,15 @@ type region = {
      [record_latency] is set and [| |] otherwise.  Recording draws no RNG and
      the field is excluded from {!digest}, so it is digest-neutral. *)
   r_server_latency : Stats.Series.t array;
-  (* This region's telemetry sink.  In epoch/merged mode every region shares
-     the caller's registry; in parallel mode each region owns a private shard
+  (* This region's telemetry sink.  In the merged run every region shares
+     the caller's registry; in barrier runs each region owns a private shard
      (with its own clock — no cross-domain clock pushes) that is merged into
      the caller's registry after the run. *)
   r_tel : Js_telemetry.t option;
-  (* Per-destination spill mailboxes, used only in parallel mode: a domain
-     never touches a foreign engine mid-epoch; it posts (at, ev) here and the
+  (* Per-destination spill mailboxes of arrival times, used by barrier runs:
+     a region never touches a foreign engine mid-epoch; it posts here and the
      barrier phase drains every (src, dst) pair in index order. *)
-  outbox : (float * ev) Js_util.Par.Mailbox.t array;
+  outbox : float Js_util.Par.Mailbox.t array;
 }
 
 type g = {
@@ -223,7 +223,6 @@ type g = {
   demand_sigma : float;
   fleet_warm : float;  (* per region *)
   loss_at : float array;  (* Region_loss schedule; infinity = never *)
-  par : bool;  (* parallel mode: spills go via mailboxes, telemetry is sharded *)
   regions : region array;
   mutable seeding : Fleet.seeding option;
 }
@@ -231,13 +230,18 @@ type g = {
 let tel reg f = match reg.r_tel with Some t -> f t | None -> ()
 
 let validate cfg =
-  if cfg.warm_rps <= 0. then invalid_arg "Push: warm_rps must be positive";
-  if cfg.concurrency <= 0 then invalid_arg "Push: concurrency must be positive";
-  if cfg.queue_capacity < 0 then invalid_arg "Push: queue_capacity must be >= 0";
-  if cfg.request_timeout <= 0. then invalid_arg "Push: request_timeout must be positive";
-  if cfg.drain_cap <= 0 then invalid_arg "Push: drain_cap must be positive";
-  if cfg.tick <= 0. then invalid_arg "Push: tick must be positive";
-  if cfg.duration <= cfg.push_at then invalid_arg "Push: duration must exceed push_at"
+  if cfg.warm_rps <= 0. then invalid_arg "Region: warm_rps must be positive";
+  if cfg.concurrency <= 0 then invalid_arg "Region: concurrency must be positive";
+  if cfg.queue_capacity < 0 then invalid_arg "Region: queue_capacity must be >= 0";
+  if cfg.request_timeout <= 0. then invalid_arg "Region: request_timeout must be positive";
+  if cfg.drain_cap <= 0 then invalid_arg "Region: drain_cap must be positive";
+  (* NaN fails every comparison and infinity never reaches a barrier, so the
+     three times are checked for finiteness before they are compared *)
+  if not (Float.is_finite cfg.tick && cfg.tick > 0.) then
+    invalid_arg "Region: tick must be positive and finite";
+  if not (Float.is_finite cfg.push_at) then invalid_arg "Region: push_at must be finite";
+  if not (Float.is_finite cfg.duration) then invalid_arg "Region: duration must be finite";
+  if cfg.duration <= cfg.push_at then invalid_arg "Region: duration must exceed push_at"
 
 let validate_global gc =
   validate gc.base;
@@ -534,11 +538,16 @@ let route_local g reg ~arrived =
   | None -> shed_no_server g reg
   | Some six -> offer g reg reg.servers.(six) ~arrived
 
+let schedule_spill g q ~arrived =
+  Engine.schedule g.regions.(q).eng
+    ~at:(arrived +. g.gcfg.spill_latency)
+    (Ev_spill { r = q; arrived })
+
 (* Cross-region spillover: a region with no accepting servers (or degraded
    below [spill_threshold] of its fleet) forwards the marginal share of its
    arrivals to an up foreign region, arriving [spill_latency] later.  The
    decision reads only region-local and pure-function-of-time state. *)
-let try_spill g reg ~now ~arrived =
+let try_spill g reg ~now =
   if (not g.gcfg.spillover) || g.gcfg.n_regions <= 1 then false
   else
     match
@@ -551,14 +560,13 @@ let try_spill g reg ~now ~arrived =
       reg.spill_cursor <- cursor;
       reg.r_spilled_out <- reg.r_spilled_out + 1;
       tel reg (fun t -> Js_telemetry.incr t "sim.spill_out");
-      let at = now +. g.gcfg.spill_latency in
-      (* In parallel mode a domain must not push into a foreign engine's
-         queue mid-epoch; the spill goes into this region's per-destination
-         mailbox and the barrier phase delivers it.  [spill_latency >= epoch]
-         guarantees [at] lies beyond the current barrier, so delivery at the
-         barrier is never late. *)
-      if g.par then Js_util.Par.Mailbox.post reg.outbox.(q) (at, Ev_spill { r = q; arrived })
-      else Engine.schedule g.regions.(q).eng ~at (Ev_spill { r = q; arrived });
+      (* A region never pushes into a foreign engine's queue mid-epoch: the
+         spill goes into this region's mailbox for [q] and the barrier phase
+         delivers it.  [spill_latency >= epoch] puts its arrival beyond the
+         current barrier, so delivery there is never late.  Only the merged
+         run, where every region shares one queue, schedules directly. *)
+      if g.regions.(q).eng == reg.eng then schedule_spill g q ~arrived:now
+      else Js_util.Par.Mailbox.post reg.outbox.(q) now;
       true
 
 (* One arrival at the engine's current time, then schedule — or inline — the
@@ -574,7 +582,7 @@ let rec arrival_ev g reg =
   let now = Engine.now reg.eng in
   reg.r_arrived <- reg.r_arrived + 1;
   (if reg.acc_len = 0 then begin
-     if not (try_spill g reg ~now ~arrived:now) then shed_no_server g reg
+     if not (try_spill g reg ~now) then shed_no_server g reg
    end
    else begin
      let frac =
@@ -585,7 +593,7 @@ let rec arrival_ev g reg =
        && g.gcfg.n_regions > 1
        && frac < g.gcfg.spill_threshold
        && R.float reg.rng_route 1. < 1. -. (frac /. g.gcfg.spill_threshold)
-       && try_spill g reg ~now ~arrived:now
+       && try_spill g reg ~now
      then ()
      else route_local g reg ~arrived:now
    end);
@@ -797,7 +805,6 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
       | Seeder_outage { at } -> Dist_net.set_region_down net ~region:0 ~from_:at)
     gcfg.disasters;
   let root = R.create seed in
-  let par = match mode with `Parallel _ -> true | `Epoch | `Merged -> false in
   let merged_eng =
     match mode with
     | `Merged -> Some (Engine.create ?telemetry ~dummy:Ev_none ())
@@ -809,20 +816,17 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   let warm_scale = Float.max 1e-9 (Warmup_curve.peak_rps warm_curve) /. cfg.warm_rps in
   let regions =
     Array.init n_regions (fun rix ->
-        (* Parallel mode gives each region a private telemetry shard with its
-           own clock: no two domains ever push the same registry (or the same
-           clock) concurrently.  Shards merge into the caller's registry
-           after the run.  Sequential modes share the caller's registry
-           directly, as before. *)
-        let r_tel =
-          match telemetry with
-          | Some _ when par -> Some (Js_telemetry.create ())
-          | t -> t
-        in
-        let eng =
+        (* In barrier runs each region owns an engine and a private
+           telemetry shard with its own clock, so no two domains ever push
+           the same registry (or the same clock) concurrently; the shards
+           merge into the caller's registry after the run.  The merged run
+           shares one engine and the caller's registry. *)
+        let eng, r_tel =
           match merged_eng with
-          | Some e -> e
-          | None -> Engine.create ?telemetry:r_tel ~dummy:Ev_none ()
+          | Some e -> (e, telemetry)
+          | None ->
+            let r_tel = Option.map (fun _ -> Js_telemetry.create ()) telemetry in
+            (Engine.create ?telemetry:r_tel ~dummy:Ev_none (), r_tel)
         in
         let rng_route = R.split root in
         let rng_service = R.split root in
@@ -912,7 +916,6 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
       demand_sigma;
       fleet_warm = float_of_int n_servers *. cfg.warm_rps;
       loss_at;
-      par;
       regions;
       seeding = None;
     }
@@ -929,52 +932,41 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
     regions;
   let dispatch_ev = fun _eng ev -> dispatch g ev in
   let epochs = ref 0 in
-  (match mode with
-  | `Merged ->
-    (match merged_eng with
-    | Some e -> Engine.run e ~until:cfg.duration ~dispatch:dispatch_ev
-    | None -> assert false);
+  (match merged_eng with
+  | Some e ->
+    Engine.run e ~until:cfg.duration ~dispatch:dispatch_ev;
     epochs := 1
-  | `Epoch ->
+  | None ->
     (* Lockstep epoch barriers: every region is advanced to barrier k before
-       any region advances past it, regions in index order within an epoch.
-       Cross-region events (spills) carry latency >= epoch, so they always
-       land strictly after the next barrier — no region ever receives an
-       event in its past, and the per-region event sequences are identical
-       to the merged run's projections. *)
-    let k = ref 1 in
-    let continue = ref true in
-    while !continue do
-      let b = Float.min (float_of_int !k *. gcfg.epoch) cfg.duration in
-      Array.iter (fun reg -> Engine.run reg.eng ~until:b ~dispatch:dispatch_ev) regions;
-      incr epochs;
-      if b >= cfg.duration then continue := false else incr k
-    done
-  | `Parallel domains ->
-    (* Same barriers as [`Epoch], but between barriers the regions advance on
-       [domains] concurrent domains (round-robin assignment: domain d owns
-       regions d, d+domains, ...).  Three rules keep the digest byte-identical
-       to the sequential modes:
-       - the epoch in which region 0's push fires runs sequentially — seeding
-         writes shared state (the replica store, [g.seeding]) and
-         [prewarm_curves] then freezes the curve cache, so all of it is
-         read-only for every later epoch;
-       - spills cross domains through per-(src, dst) mailboxes drained at the
+       any region advances past it.  Between barriers the regions run on
+       [domains] domains, round-robin (domain i owns regions i, i+domains,
+       ...); [`Epoch] is one domain, which runs them in index order, so it
+       and [`Parallel 1] are the same run.  Three rules keep the digest
+       byte-identical to the merged queue's:
+       - on more than one domain, the epoch in which region 0's push fires
+         runs on the calling domain — seeding writes shared state (the
+         replica store, [g.seeding]) and [prewarm_curves] then freezes the
+         curve cache, so all of it is read-only for every later epoch (one
+         domain runs every epoch that way already);
+       - spills cross regions through per-(src, dst) mailboxes drained at the
          barrier in index order; [spill_latency >= epoch] (validated) puts
          every spill beyond the next barrier, so barrier delivery is never
-         late, and spill timestamps are continuous draws, so cross-mode
-         insertion-order differences are tie-breaks on measure-zero events;
+         late, and spill timestamps are continuous draws, so insertion-order
+         differences against the merged queue are tie-breaks on measure-zero
+         events;
        - everything else a handler writes is region-partitioned (engine,
          RNG streams, stats, telemetry shard, dist-net counter shard) and
          the fork/join edges publish those writes between rounds. *)
-    let domains = max 1 (min domains n_regions) in
+    let domains =
+      match mode with `Parallel d -> max 1 (min d n_regions) | `Epoch | `Merged -> 1
+    in
     let k = ref 1 in
     let continue = ref true in
     while !continue do
       let lo = float_of_int (!k - 1) *. gcfg.epoch in
       let b = Float.min (float_of_int !k *. gcfg.epoch) cfg.duration in
       let push_epoch = cfg.push_at <= b && (cfg.push_at > lo || !k = 1) in
-      if push_epoch then begin
+      if push_epoch && domains > 1 then begin
         Array.iter (fun reg -> Engine.run reg.eng ~until:b ~dispatch:dispatch_ev) regions;
         prewarm_curves g
       end
@@ -985,32 +977,26 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
               Engine.run regions.(!i).eng ~until:b ~dispatch:dispatch_ev;
               i := !i + domains
             done);
-      (* Barrier phase: deliver cross-region spills posted during this epoch,
-         (src, dst) pairs in index order — a deterministic insertion order. *)
+      (* barrier phase: deliver this epoch's spills, (src, dst) in index order *)
       Array.iter
         (fun src ->
           Array.iteri
             (fun q mb ->
               List.iter
-                (fun (at, ev) -> Engine.schedule regions.(q).eng ~at ev)
+                (fun arrived -> schedule_spill g q ~arrived)
                 (Js_util.Par.Mailbox.drain mb))
             src.outbox)
         regions;
       incr epochs;
       if b >= cfg.duration then continue := false else incr k
-    done);
-  (* Parallel telemetry shards fold into the caller's registry in region
-     order: counters and histograms commutatively, so totals match a shared
-     single-registry run counter-for-counter. *)
-  (match telemetry with
-  | Some t when par ->
-    Array.iter
-      (fun reg ->
-        match reg.r_tel with
-        | Some shard -> Js_telemetry.merge ~into:t shard
-        | None -> ())
-      regions
-  | _ -> ());
+    done;
+    (* The shards fold into the caller's registry in region order: counters
+       and histograms commutatively, so totals match a shared
+       single-registry run counter-for-counter. *)
+    Option.iter
+      (fun t ->
+        Array.iter (fun reg -> Option.iter (Js_telemetry.merge ~into:t) reg.r_tel) regions)
+      telemetry);
   (match telemetry with
   | Some t ->
     let arrived = Array.fold_left (fun a reg -> a + reg.r_arrived) 0 regions in

@@ -1,21 +1,47 @@
-(** Multi-region discrete-event fleet simulation.
+(** Discrete-event simulation of a staged rolling deployment ("push") over a
+    warm fleet of one or more regions — the tool behind the capacity-loss
+    comparisons of paper Fig. 1 and the §VI guardrails, at request
+    granularity.
 
-    Generalizes the single-region push simulator ({!Push} is now a thin
-    wrapper over this module) to a global fleet: [n_regions] regional fleets,
-    each with its own servers, balancer, RNG streams and phase-offset diurnal
+    {b The model.}  An open-loop Poisson stream ({!Arrival}) is routed by a
+    pluggable load balancer ({!Balancer}) over a fleet of queueing servers.
+    Each server has [concurrency] worker slots, a bounded FIFO run queue
+    with timeout-based shedding, and a per-request service time of
+    [concurrency / warm_rps * demand * multiplier], where [demand] is
+    lognormal with unit mean matched to the workload's per-request
+    instruction variance and [multiplier] follows the server's warmup state
+    through a {!Warmup_curve} keyed by requests served — so a freshly
+    restarted server is slow exactly as long as the macro model says it
+    should be, and recovers faster when it boots as a Jump-Start consumer.
+
+    At [push_at] the push orchestrator runs the C2 seeding gates
+    ({!Cluster.Fleet.run_seeders}: fault injection, validation, coverage and
+    verifier checks), publishes the surviving packages through the
+    distribution network ({!Cluster.Dist_net}), and rolls the fleet in
+    batches of at most [drain_cap] concurrently drained servers.  Restarted
+    consumers fetch through the network's retry/fallback ladder; bad
+    packages crash their consumers after [crash_delay_seconds] and the
+    §VI-A crash-spike guardrail aborts the remaining rollout when
+    [abort_threshold] crashes land within [abort_window] seconds.
+
+    {b Regions.}  A global fleet is [n_regions] regional fleets, each with
+    its own servers, balancer, RNG streams and phase-offset diurnal
     {!Arrival} curve, sharing one {!Cluster.Dist_net} (region [r] fetches
     from replica region [r]; region 0 is the seeder region that runs C2
     seeding and publishes).  Pushes roll region by region, [push_stagger]
-    seconds apart — the global push train.
+    seconds apart — the global push train.  {!run} is the single-region
+    case.
 
     {b Execution modes.}  [`Merged] runs every region on one shared engine —
-    a plain single event queue, trivially correct.  [`Epoch] gives each
-    region its own {!Engine} and advances them in lockstep to barriers
-    [k * epoch] (regions in index order within an epoch).
-    [`Parallel domains] keeps the same barriers but advances the regions
-    between them on [domains] concurrent OCaml domains (round-robin region
-    assignment, clamped to [\[1, n_regions\]]).  All three produce
-    byte-identical {!global_digest}s for the same seed because:
+    a plain single event queue, trivially correct, and the reference the
+    other modes are checked against.  The barrier modes give each region
+    its own {!Engine} and advance them in lockstep to barriers
+    [k * epoch]; between barriers [`Epoch] runs the regions in index order
+    on the calling domain and [`Parallel domains] runs them on [domains]
+    concurrent OCaml domains (round-robin region assignment, clamped to
+    [\[1, n_regions\]]) — one loop, so [`Parallel 1] {e is} [`Epoch].  All
+    modes produce byte-identical {!global_digest}s for the same seed
+    because:
     {ul
     {- every event belongs to exactly one region, and a region's events are
        dispatched in the same (time, insertion) order in every mode — the
@@ -25,18 +51,18 @@
        time-gated (replica visibility, disaster windows — pure functions of
        the simulated clock), or carried by spill events whose latency is
        validated [>= epoch], so they land strictly after the next barrier
-       (in parallel mode they travel via per-(src, dst) mailboxes drained at
-       the barrier in index order — fork/join edges are the only
+       (barrier runs carry them in per-(src, dst) mailboxes drained at the
+       barrier in index order — fork/join edges are the only
        synchronization);}
     {- seeding happens in region 0's push event, which every mode orders
-       before every logically-later fetch ([`Parallel] runs the push's whole
-       epoch sequentially and pre-warms the shared warmup-curve cache at
-       that barrier, after which shared state is read-only).}}
+       before every logically-later fetch (barrier runs execute the push's
+       whole epoch sequentially and pre-warm the shared warmup-curve cache
+       at that barrier, after which shared state is read-only).}}
 
-    In parallel mode each region also gets a private telemetry shard (own
+    In barrier runs each region also gets a private telemetry shard (own
     clock — no cross-domain clock writes) merged into the caller's registry
     after the run: counters and histograms fold commutatively, so they match
-    a sequential shared-registry run counter-for-counter.
+    a merged shared-registry run counter-for-counter.
 
     {b Arrival batching.}  When [batch] is on (the default), a same-tick
     burst of pre-drawn arrivals is coalesced: an arrival whose successor is
@@ -60,32 +86,37 @@
     All are schedules fixed before the run — reachability is a pure function
     of time, part of the determinism argument above. *)
 
-(** Identical to the historical [Push.config]; [fleet.n_servers] is {e per
-    region}. *)
+(** Per-region configuration; [fleet.n_servers] is {e per region}. *)
 type config = {
   fleet : Cluster.Fleet.config;
-  warm_rps : float;
-  concurrency : int;
-  queue_capacity : int;
-  request_timeout : float;
-  arrival : Arrival.config;
+      (** servers, buckets, seeding gates, boot-attempt ladder and the
+          distribution network all come from the macro fleet config *)
+  warm_rps : float;  (** steady-state capacity of one warm server *)
+  concurrency : int;  (** worker slots per server *)
+  queue_capacity : int;  (** run-queue bound; overflow is shed *)
+  request_timeout : float;  (** queued longer than this is shed at dequeue *)
+  arrival : Arrival.config;  (** offered load per region *)
   policy : Balancer.policy;
   jumpstart : bool;
-  push_at : float;
-  drain_cap : int;
-  abort_window : float;
-  abort_threshold : int;
-  bad_package_rate : float;
-  thin_profile_rate : float;
-  duration : float;
-  curve_horizon : float;
-  tick : float;
+      (** [false]: the push restarts every server without packages (no
+          seeding, no publication) — the no-Jump-Start baseline *)
+  push_at : float;  (** when the rolling push starts, seconds; finite *)
+  drain_cap : int;  (** max servers concurrently drained/booting *)
+  abort_window : float;  (** guardrail: crash-spike window, seconds *)
+  abort_threshold : int;  (** crashes within the window that abort *)
+  bad_package_rate : float;  (** seeder fault injection (§VI-A) *)
+  thin_profile_rate : float;  (** drained-seeder injection (§VI-B) *)
+  duration : float;  (** total simulated seconds; finite, past [push_at] *)
+  curve_horizon : float;  (** reference-run length for warmup curves *)
+  tick : float;  (** capacity/served sampling period; positive, finite *)
   record_latency : bool;
       (** record per-server (time, latency) samples into
           [stats.server_latency].  Off by default; turning it on draws no RNG
           and changes no digest — it only spends memory. *)
 }
 
+(** 24 servers x 50 rps at 70% utilization, warmup-aware routing, push at
+    120 s, 900 s horizon. *)
 val default_config : config
 
 type disaster =
@@ -114,10 +145,10 @@ type global_config = {
     batching on. *)
 val default_global_config : global_config
 
-(** Per-region results — the historical [Push.stats] plus [region],
-    [spilled_out]/[spilled_in] and [lost].  Seeding fields
-    ([packages_*], [dist]) are populated on region 0 (the seeder region)
-    and zero/[None] elsewhere. *)
+(** Per-region results.  Seeding fields ([packages_*], [dist]) are
+    populated on region 0 (the seeder region) and zero/[None] elsewhere;
+    single-region runs have [spilled_out = spilled_in = 0] and
+    [lost = false]. *)
 type stats = {
   region : int;
   policy : Balancer.policy;
@@ -127,10 +158,10 @@ type stats = {
   shed_queue_full : int;
   shed_timeout : int;
   shed_no_server : int;
-  shed_drain : int;
+  shed_drain : int;  (** lost to server drains (queued + in-flight) *)
   crashes : int;
-  jump_started : int;
-  fallbacks : int;
+  jump_started : int;  (** first-attempt consumer boots *)
+  fallbacks : int;  (** no-Jump-Start boots while Jump-Start was on *)
   spilled_out : int;  (** arrivals this region forwarded cross-region *)
   spilled_in : int;  (** spilled arrivals received from other regions *)
   bucket_jump_started : int array;
@@ -138,23 +169,29 @@ type stats = {
   packages_published : int;
   packages_rejected : int;
   bad_packages_published : int;
-  aborted : bool;
+  aborted : bool;  (** crash-spike guardrail fired *)
   lost : bool;  (** a {!Region_loss} fired for this region *)
-  push_started : float;
-  push_done : float;
+  push_started : float;  (** -1 if the push never started *)
+  push_done : float;  (** all batches dispatched and booted; -1 if never *)
   time_to_full_capacity : float;
+      (** seconds from push start until every server accepts and estimated
+          capacity is back to 95% of warm; -1 if never *)
   capacity_loss_integral : float;
+      (** integral of max(0, warm - estimated capacity) over the push
+          window, in requests (rps * seconds) — Fig. 1's area above the
+          curve, un-normalized *)
   fleet_warm_rps : float;
-  latency : Js_util.Stats.Quantile.t;
+  latency : Js_util.Stats.Quantile.t;  (** whole run, all servers merged *)
   latency_push : Js_util.Stats.Quantile.t;
-  capacity_series : Js_util.Stats.Series.t;
-  served_series : Js_util.Stats.Series.t;
+      (** completions between push start and capacity recovery *)
+  capacity_series : Js_util.Stats.Series.t;  (** estimated capacity per tick *)
+  served_series : Js_util.Stats.Series.t;  (** completion rate per tick *)
   server_latency : Js_util.Stats.Series.t array;
       (** per-server (completion time, latency) sample streams, indexed by
           server; length [fleet.n_servers] when [config.record_latency] was
           set and [| |] otherwise.  Excluded from {!digest}. *)
   events_dispatched : int;
-  dist : Cluster.Dist_net.counters option;
+  dist : Cluster.Dist_net.counters option;  (** [None] if network inactive *)
 }
 
 type global_stats = {
@@ -171,12 +208,14 @@ type global_stats = {
 
 (** [run_global ?telemetry ?mode gcfg app ~seed] — deterministic: same
     inputs produce identical {!global_digest}s across [`Epoch] (the
-    default), [`Merged] and [`Parallel domains] (see above; the domain count
-    is clamped to [\[1, n_regions\]], so [`Parallel 1] is an exact
-    sequential replay of the barrier schedule).  With [n_regions > 1] the
-    dist-net config is widened to cover every region with [cross_region]
-    forced on.  @raise Invalid_argument on invalid configs, including
-    [spillover] with [spill_latency < epoch]. *)
+    default), [`Merged] and [`Parallel domains] (see above).  With
+    [n_regions > 1] the dist-net config is widened to cover every region
+    with [cross_region] forced on.  With [telemetry]: [sim.*] counters, boot
+    spans per restart, push start/abort and region-loss marks; each sink's
+    clock tracks simulation time.  @raise Invalid_argument on invalid
+    configs: non-positive capacities or caps, a non-finite [tick],
+    [push_at] or [duration], a duration not past [push_at], or [spillover]
+    with [spill_latency < epoch]. *)
 val run_global :
   ?telemetry:Js_telemetry.t ->
   ?mode:[ `Epoch | `Merged | `Parallel of int ] ->
@@ -185,12 +224,14 @@ val run_global :
   seed:int ->
   global_stats
 
-(** Single-region convenience: [run cfg app ~seed] is
-    [run_global { default_global_config with base = cfg }] on the shared
-    engine, returning region 0's stats — the historical [Push.run]. *)
+(** Single-region run: [run cfg app ~seed] is
+    [run_global ~mode:`Merged { default_global_config with base = cfg }],
+    returning region 0's stats. *)
 val run : ?telemetry:Js_telemetry.t -> config -> Workload.Macro_app.t -> seed:int -> stats
 
-(** Full-precision canonical rendering of every per-region stats field. *)
+(** Full-precision canonical rendering of every per-region stats field
+    (quantiles at p50/p95/p99, series lengths and integrals) — equal digests
+    mean the runs were indistinguishable. *)
 val digest : stats -> string
 
 (** Canonical rendering of a whole global run: every region's {!digest} plus

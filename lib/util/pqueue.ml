@@ -1,195 +1,109 @@
-type 'a entry = { priority : float; seq : int; value : 'a }
-
+(* Struct-of-arrays min-heap: priorities live in an unboxed [float array],
+   tie-break sequences in an [int array], payloads in an ['a array] padded
+   with a caller-supplied dummy.  Push/pop allocate nothing (amortized), and
+   the sift loops shift entries into the hole instead of swapping. *)
 type 'a t = {
-  mutable heap : 'a entry array;
+  mutable prio : float array;
+  mutable seq : int array;
+  mutable vals : 'a array;
   mutable len : int;
   mutable next_seq : int;
-  dummy : 'a entry;
-      (* Filler for vacated slots so popped entries become collectible.  The
-         [value] field is an immediate smuggled in with [Obj.magic]; it is
-         never read — every live slot in [0, len) is overwritten before use. *)
+  dummy : 'a;
 }
 
-let make_dummy () : 'a entry = { priority = nan; seq = -1; value = Obj.magic 0 }
+let create ~dummy () =
+  { prio = [||]; seq = [||]; vals = [||]; len = 0; next_seq = 0; dummy }
 
-let create () = { heap = [||]; len = 0; next_seq = 0; dummy = make_dummy () }
 let length t = t.len
 let is_empty t = t.len = 0
-let capacity t = Array.length t.heap
+let capacity t = Array.length t.prio
+let min_priority t = if t.len = 0 then infinity else Array.unsafe_get t.prio 0
 
-(* [before a b] orders by priority and then insertion sequence. *)
-let before a b = a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+let grow t =
+  let cap = max 64 (2 * Array.length t.prio) in
+  let prio = Array.make cap infinity in
+  let seq = Array.make cap 0 in
+  let vals = Array.make cap t.dummy in
+  Array.blit t.prio 0 prio 0 t.len;
+  Array.blit t.seq 0 seq 0 t.len;
+  Array.blit t.vals 0 vals 0 t.len;
+  t.prio <- prio;
+  t.seq <- seq;
+  t.vals <- vals
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.len && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t ~priority value =
-  let entry = { priority; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
-  if t.len = Array.length t.heap then begin
-    let cap = max 16 (2 * Array.length t.heap) in
-    let heap = Array.make cap t.dummy in
-    Array.blit t.heap 0 heap 0 t.len;
-    t.heap <- heap
-  end;
-  t.heap.(t.len) <- entry;
+let push t ~priority v =
+  if Float.is_nan priority then invalid_arg "Pqueue.push: NaN priority";
+  if t.len = Array.length t.prio then grow t;
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let prio = t.prio and seq = t.seq and vals = t.vals in
+  (* Sift the hole up: the new entry has the largest seq, so on priority
+     ties the incumbent parent stays put. *)
+  let i = ref t.len in
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
-
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.heap.(0) <- t.heap.(t.len);
-      t.heap.(t.len) <- t.dummy;
-      sift_down t 0
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prio parent in
+    if priority < pp then begin
+      Array.unsafe_set prio !i pp;
+      Array.unsafe_set seq !i (Array.unsafe_get seq parent);
+      Array.unsafe_set vals !i (Array.unsafe_get vals parent);
+      i := parent
     end
-    else t.heap.(0) <- t.dummy;
-    (* Shrink when occupancy drops below a quarter so a drained queue does not
-       pin its high-water-mark capacity forever. *)
-    let cap = Array.length t.heap in
-    if cap > 16 && 4 * t.len < cap then begin
-      let cap' = max 16 (cap / 2) in
-      let heap = Array.make cap' t.dummy in
-      Array.blit t.heap 0 heap 0 t.len;
-      t.heap <- heap
-    end;
-    Some (top.priority, top.value)
+    else continue := false
+  done;
+  Array.unsafe_set prio !i priority;
+  Array.unsafe_set seq !i s;
+  Array.unsafe_set vals !i v
+
+let pop_exn t =
+  if t.len = 0 then invalid_arg "Pqueue.pop_exn: empty";
+  let prio = t.prio and seq = t.seq and vals = t.vals in
+  let top = Array.unsafe_get vals 0 in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n = 0 then begin
+    Array.unsafe_set prio 0 infinity;
+    Array.unsafe_set vals 0 t.dummy
   end
-
-let peek t = if t.len = 0 then None else Some (t.heap.(0).priority, t.heap.(0).value)
-
-module Flat = struct
-  (* Struct-of-arrays min-heap: priorities live in an unboxed [float array],
-     tie-break sequences in an [int array], payloads in an ['a array] padded
-     with a caller-supplied dummy.  Push/pop allocate nothing (amortized), and
-     the sift loops shift entries into the hole instead of swapping. *)
-  type 'a t = {
-    mutable prio : float array;
-    mutable seq : int array;
-    mutable vals : 'a array;
-    mutable len : int;
-    mutable next_seq : int;
-    dummy : 'a;
-  }
-
-  let create ~dummy () =
-    { prio = [||]; seq = [||]; vals = [||]; len = 0; next_seq = 0; dummy }
-
-  let length t = t.len
-  let is_empty t = t.len = 0
-  let capacity t = Array.length t.prio
-  let min_priority t = if t.len = 0 then infinity else Array.unsafe_get t.prio 0
-
-  let grow t =
-    let cap = max 64 (2 * Array.length t.prio) in
-    let prio = Array.make cap infinity in
-    let seq = Array.make cap 0 in
-    let vals = Array.make cap t.dummy in
-    Array.blit t.prio 0 prio 0 t.len;
-    Array.blit t.seq 0 seq 0 t.len;
-    Array.blit t.vals 0 vals 0 t.len;
-    t.prio <- prio;
-    t.seq <- seq;
-    t.vals <- vals
-
-  let push t ~priority v =
-    if Float.is_nan priority then invalid_arg "Pqueue.Flat.push: NaN priority";
-    if t.len = Array.length t.prio then grow t;
-    let s = t.next_seq in
-    t.next_seq <- s + 1;
-    let prio = t.prio and seq = t.seq and vals = t.vals in
-    (* Sift the hole up: the new entry has the largest seq, so on priority
-       ties the incumbent parent stays put. *)
-    let i = ref t.len in
-    t.len <- t.len + 1;
+  else begin
+    (* Sift the displaced last entry down into the hole at the root. *)
+    let lp = Array.unsafe_get prio n in
+    let ls = Array.unsafe_get seq n in
+    let lv = Array.unsafe_get vals n in
+    Array.unsafe_set prio n infinity;
+    Array.unsafe_set vals n t.dummy;
+    let i = ref 0 in
     let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      let pp = Array.unsafe_get prio parent in
-      if priority < pp then begin
-        Array.unsafe_set prio !i pp;
-        Array.unsafe_set seq !i (Array.unsafe_get seq parent);
-        Array.unsafe_set vals !i (Array.unsafe_get vals parent);
-        i := parent
-      end
-      else continue := false
-    done;
-    Array.unsafe_set prio !i priority;
-    Array.unsafe_set seq !i s;
-    Array.unsafe_set vals !i v
-
-  let pop_exn t =
-    if t.len = 0 then invalid_arg "Pqueue.Flat.pop_exn: empty";
-    let prio = t.prio and seq = t.seq and vals = t.vals in
-    let top = Array.unsafe_get vals 0 in
-    let n = t.len - 1 in
-    t.len <- n;
-    if n = 0 then begin
-      Array.unsafe_set prio 0 infinity;
-      Array.unsafe_set vals 0 t.dummy
-    end
-    else begin
-      (* Sift the displaced last entry down into the hole at the root. *)
-      let lp = Array.unsafe_get prio n in
-      let ls = Array.unsafe_get seq n in
-      let lv = Array.unsafe_get vals n in
-      Array.unsafe_set prio n infinity;
-      Array.unsafe_set vals n t.dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l >= n then continue := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if r < n then begin
-              let pl = Array.unsafe_get prio l and pr = Array.unsafe_get prio r in
-              if
-                pr < pl
-                || (pr = pl && Array.unsafe_get seq r < Array.unsafe_get seq l)
-              then r
-              else l
-            end
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let pl = Array.unsafe_get prio l and pr = Array.unsafe_get prio r in
+            if
+              pr < pl
+              || (pr = pl && Array.unsafe_get seq r < Array.unsafe_get seq l)
+            then r
             else l
-          in
-          let cp = Array.unsafe_get prio c in
-          if cp < lp || (cp = lp && Array.unsafe_get seq c < ls) then begin
-            Array.unsafe_set prio !i cp;
-            Array.unsafe_set seq !i (Array.unsafe_get seq c);
-            Array.unsafe_set vals !i (Array.unsafe_get vals c);
-            i := c
           end
-          else continue := false
+          else l
+        in
+        let cp = Array.unsafe_get prio c in
+        if cp < lp || (cp = lp && Array.unsafe_get seq c < ls) then begin
+          Array.unsafe_set prio !i cp;
+          Array.unsafe_set seq !i (Array.unsafe_get seq c);
+          Array.unsafe_set vals !i (Array.unsafe_get vals c);
+          i := c
         end
-      done;
-      Array.unsafe_set prio !i lp;
-      Array.unsafe_set seq !i ls;
-      Array.unsafe_set vals !i lv
-    end;
-    top
-end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set prio !i lp;
+    Array.unsafe_set seq !i ls;
+    Array.unsafe_set vals !i lv
+  end;
+  top

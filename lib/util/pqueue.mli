@@ -1,62 +1,34 @@
-(** Mutable binary min-heap keyed by float priority.
+(** Flat struct-of-arrays binary min-heap keyed by float priority — the event
+    queue of the discrete-event simulator.
 
-    Used as the event queue of the discrete-event cluster simulator.  Ties are
-    broken by insertion order, which makes simulations deterministic.
-
-    Popped slots are cleared so the queue never retains references to values
-    it no longer holds, and the backing array shrinks once occupancy drops
-    below a quarter of capacity — a long-lived queue that briefly spikes does
-    not pin its high-water mark (or the closures/payloads stored at it). *)
+    Ties are broken by insertion order (FIFO), which makes simulations
+    deterministic.  Priorities are kept in an unboxed [float array] and
+    payloads in a preallocated ['a array] padded with a caller-supplied
+    [dummy], so [push]/[pop_exn] allocate nothing once the arrays have grown
+    to the workload's high-water mark (the slot pool is deliberately not
+    shrunk — it {e is} the event pool).  Popped payload slots are reset to
+    [dummy], so the queue never retains values it no longer holds. *)
 
 type 'a t
 
-val create : unit -> 'a t
+(** [create ~dummy ()] — [dummy] fills empty payload slots and must be a
+    value the caller treats as inert (e.g. an [Ev_none] variant). *)
+val create : dummy:'a -> unit -> 'a t
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-(** Current backing-array capacity (for tests/introspection). *)
+(** Current slot-pool capacity (for tests/introspection). *)
 val capacity : 'a t -> int
 
-(** [push t ~priority v] inserts [v]. *)
+(** Priority of the minimum entry, or [infinity] when empty — lets the
+    event loop test "next event before horizon?" without an option
+    allocation. *)
+val min_priority : 'a t -> float
+
+(** @raise Invalid_argument on NaN priority. *)
 val push : 'a t -> priority:float -> 'a -> unit
 
-(** [pop t] removes and returns the minimum-priority element with its
-    priority, or [None] when empty.  The vacated slot is cleared. *)
-val pop : 'a t -> (float * 'a) option
-
-(** [peek t] returns the minimum without removing it. *)
-val peek : 'a t -> (float * 'a) option
-
-(** Flat struct-of-arrays min-heap for allocation-free event queues.
-
-    Priorities are kept in an unboxed [float array] and payloads in a
-    preallocated ['a array] padded with a caller-supplied [dummy], so
-    [push]/[pop_exn] allocate nothing once the arrays have grown to the
-    workload's high-water mark (the slot pool is deliberately not shrunk —
-    it {e is} the event pool).  Same deterministic FIFO tie-breaking as the
-    boxed heap above.  Popped payload slots are reset to [dummy]. *)
-module Flat : sig
-  type 'a t
-
-  (** [create ~dummy ()] — [dummy] fills empty payload slots and must be a
-      value the caller treats as inert (e.g. an [Ev_none] variant). *)
-  val create : dummy:'a -> unit -> 'a t
-
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-
-  (** Current slot-pool capacity (for tests/introspection). *)
-  val capacity : 'a t -> int
-
-  (** Priority of the minimum entry, or [infinity] when empty — lets the
-      event loop test "next event before horizon?" without an option
-      allocation. *)
-  val min_priority : 'a t -> float
-
-  (** @raise Invalid_argument on NaN priority. *)
-  val push : 'a t -> priority:float -> 'a -> unit
-
-  (** Removes and returns the minimum-priority payload (FIFO on ties).
-      @raise Invalid_argument when empty — guard with [min_priority]. *)
-  val pop_exn : 'a t -> 'a
-end
+(** Removes and returns the minimum-priority payload (FIFO on ties).
+    @raise Invalid_argument when empty — guard with [min_priority]. *)
+val pop_exn : 'a t -> 'a

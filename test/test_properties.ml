@@ -105,15 +105,20 @@ let prop_rng_split_reproducible =
 (* --- pqueue sorts --- *)
 
 let prop_pqueue_sorts =
+  (* priorities from a small set force ties; the payload is the insertion
+     index, so draining must equal a stable sort by priority — FIFO on ties *)
   QCheck.Test.make ~name:"pqueue drains in sorted order" ~count:200
-    QCheck.(list (float_range (-1000.) 1000.))
-    (fun xs ->
-      let q = Js_util.Pqueue.create () in
-      List.iter (fun x -> Js_util.Pqueue.push q ~priority:x x) xs;
-      let rec drain acc =
-        match Js_util.Pqueue.pop q with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
+    QCheck.(list (map float_of_int (int_range 0 7)))
+    (fun prios ->
+      let q = Js_util.Pqueue.create ~dummy:(-1) () in
+      List.iteri (fun i p -> Js_util.Pqueue.push q ~priority:p i) prios;
+      let drained = List.init (List.length prios) (fun _ -> Js_util.Pqueue.pop_exn q) in
+      let expected =
+        List.mapi (fun i p -> (p, i)) prios
+        |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+        |> List.map snd
       in
-      drain [] = List.stable_sort compare xs)
+      drained = expected && Js_util.Pqueue.is_empty q)
 
 (* --- layout --- *)
 
@@ -451,8 +456,8 @@ let des_push_cfg ~fail10 ~stale10 ~cross ~policy ~jumpstart =
       dist
     }
   in
-  { Js_sim.Push.default_config with
-    Js_sim.Push.fleet;
+  { Js_sim.Region.default_config with
+    Js_sim.Region.fleet;
     warm_rps = 30.;
     concurrency = 4;
     arrival =
@@ -476,8 +481,8 @@ let prop_push_sim_deterministic =
           ~cross:(seed mod 2 = 0) ~policy ~jumpstart
       in
       let app = Lazy.force dist_fleet_app in
-      Js_sim.Push.digest (Js_sim.Push.run cfg app ~seed)
-      = Js_sim.Push.digest (Js_sim.Push.run cfg app ~seed))
+      Js_sim.Region.digest (Js_sim.Region.run cfg app ~seed)
+      = Js_sim.Region.digest (Js_sim.Region.run cfg app ~seed))
 
 let prop_push_sim_dist_ladder =
   QCheck.Test.make
@@ -488,17 +493,17 @@ let prop_push_sim_dist_ladder =
         des_push_cfg ~fail10 ~stale10 ~cross:(seed mod 2 = 0)
           ~policy:Js_sim.Balancer.Warmup_weighted ~jumpstart:true
       in
-      let stats = Js_sim.Push.run cfg (Lazy.force dist_fleet_app) ~seed:(seed + 1) in
-      let restarted = stats.Js_sim.Push.jump_started + stats.Js_sim.Push.fallbacks in
-      let n_servers = cfg.Js_sim.Push.fleet.Cluster.Fleet.n_servers in
+      let stats = Js_sim.Region.run cfg (Lazy.force dist_fleet_app) ~seed:(seed + 1) in
+      let restarted = stats.Js_sim.Region.jump_started + stats.Js_sim.Region.fallbacks in
+      let n_servers = cfg.Js_sim.Region.fleet.Cluster.Fleet.n_servers in
       (* every server restarts exactly once — unless the guardrail aborted
          or a slow-fetch seed leaves the push still rolling at the horizon *)
       restarted <= n_servers
-      && (stats.Js_sim.Push.aborted
-         || stats.Js_sim.Push.push_done < 0.
+      && (stats.Js_sim.Region.aborted
+         || stats.Js_sim.Region.push_done < 0.
          || restarted = n_servers)
       &&
-      match stats.Js_sim.Push.dist with
+      match stats.Js_sim.Region.dist with
       | None -> false (* nonzero fault rates always activate the network *)
       | Some c ->
         c.Cluster.Dist_net.attempts
@@ -530,7 +535,7 @@ let prop_epoch_barrier_equals_merged =
      two concurrent domains; arrival batching is digest-neutral on top *)
   QCheck.Test.make
     ~name:"epoch == merged == parallel run (global digest), batching neutral" ~count:3
-    QCheck.(pair small_nat (int_range 2 3))
+    QCheck.(pair small_nat (int_range 1 3))
     (fun (seed, n_regions) ->
       let gcfg = region_prop_gcfg ~seed ~n_regions in
       let app = Lazy.force dist_fleet_app in
@@ -543,22 +548,23 @@ let prop_epoch_barrier_equals_merged =
       && e = digest `Epoch { gcfg with Js_sim.Region.batch = false })
 
 let prop_parallel_telemetry_merge_equals_shared =
-  (* per-domain telemetry shards folded at the barriers must reproduce what
-     one shared registry counted in the sequential run — counter-for-counter
-     and bucket-for-bucket (gauges/events are ordering-sensitive by contract
-     and compared via counters' superset, the digest property above) *)
+  (* per-region telemetry shards folded after a barrier run must reproduce
+     what the merged run's one shared registry counted — counter-for-counter
+     and bucket-for-bucket, on one domain and on two (gauges/events are
+     ordering-sensitive by contract and compared via counters' superset, the
+     digest property above) *)
   QCheck.Test.make ~name:"parallel shard-merged telemetry == shared registry" ~count:2
     QCheck.(pair small_nat (int_range 2 3))
     (fun (seed, n_regions) ->
       let gcfg = region_prop_gcfg ~seed ~n_regions in
       let app = Lazy.force dist_fleet_app in
-      let t_seq = Js_telemetry.create () in
-      let t_par = Js_telemetry.create () in
-      ignore (Js_sim.Region.run_global ~telemetry:t_seq ~mode:`Epoch gcfg app ~seed);
-      ignore
-        (Js_sim.Region.run_global ~telemetry:t_par ~mode:(`Parallel 2) gcfg app ~seed);
-      Js_telemetry.counters t_seq = Js_telemetry.counters t_par
-      && Js_telemetry.histograms t_seq = Js_telemetry.histograms t_par)
+      let telemetry mode =
+        let t = Js_telemetry.create () in
+        ignore (Js_sim.Region.run_global ~telemetry:t ~mode gcfg app ~seed);
+        (Js_telemetry.counters t, Js_telemetry.histograms t)
+      in
+      let shared = telemetry `Merged in
+      shared = telemetry `Epoch && shared = telemetry (`Parallel 2))
 
 let prop_quantile_region_merge =
   (* per-region sketches merged == one sketch fed the concatenated stream *)

@@ -5,7 +5,7 @@ module Engine = Js_sim.Engine
 module Arrival = Js_sim.Arrival
 module Balancer = Js_sim.Balancer
 module Warmup_curve = Js_sim.Warmup_curve
-module Push = Js_sim.Push
+module Region = Js_sim.Region
 module S = Cluster.Server
 module MA = Workload.Macro_app
 
@@ -30,51 +30,7 @@ let small_cfg =
       cold_decay_seconds = 30.
     }
 
-(* --- engine (closure baseline) --- *)
-
-let test_engine_order () =
-  let eng = Engine.Closure.create () in
-  let fired = ref [] in
-  let mark tag () = fired := (tag, Engine.Closure.now eng) :: !fired in
-  Engine.Closure.schedule eng ~at:5. (mark "c");
-  Engine.Closure.schedule eng ~at:1. (mark "a");
-  Engine.Closure.schedule eng ~at:3. (mark "b");
-  (* same-time events fire in insertion order *)
-  Engine.Closure.schedule eng ~at:3. (mark "b2");
-  Engine.Closure.run eng ~until:10.;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "time order with fifo ties"
-    [ ("a", 1.); ("b", 3.); ("b2", 3.); ("c", 5.) ]
-    (List.rev !fired);
-  Alcotest.(check (float 1e-9)) "clock at horizon" 10. (Engine.Closure.now eng)
-
-let test_engine_cascade_and_clamp () =
-  let eng = Engine.Closure.create () in
-  let fired = ref [] in
-  Engine.Closure.schedule eng ~at:2. (fun () ->
-      (* events scheduled in the past fire at the current time, not before *)
-      Engine.Closure.schedule eng ~at:1. (fun () ->
-          fired := ("late", Engine.Closure.now eng) :: !fired);
-      Engine.Closure.after eng ~delay:1. (fun () ->
-          fired := ("next", Engine.Closure.now eng) :: !fired));
-  Engine.Closure.run eng ~until:10.;
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "clamped then cascaded"
-    [ ("late", 2.); ("next", 3.) ]
-    (List.rev !fired);
-  Alcotest.(check int) "all dispatched" 3 (Engine.Closure.dispatched eng);
-  Alcotest.(check int) "queue drained" 0 (Engine.Closure.pending eng)
-
-let test_engine_run_stops_at_until () =
-  let eng = Engine.Closure.create () in
-  let fired = ref 0 in
-  Engine.Closure.schedule eng ~at:5. (fun () -> incr fired);
-  Engine.Closure.run eng ~until:4.;
-  Alcotest.(check int) "not yet" 0 !fired;
-  Engine.Closure.run eng ~until:6.;
-  Alcotest.(check int) "fired on resume" 1 !fired
-
-(* --- engine (flat event representation) --- *)
+(* --- engine --- *)
 
 type flat_ev = Fnone | Mark of string | Cascade
 
@@ -369,8 +325,8 @@ let push_cfg =
          server = Lazy.force small_cfg
        }
      in
-     { Push.default_config with
-       Push.fleet;
+     { Region.default_config with
+       Region.fleet;
        warm_rps = 30.;
        arrival =
          { Arrival.default_config with Arrival.base_rps = 8. *. 30. *. 0.7 };
@@ -381,67 +337,67 @@ let push_cfg =
      })
 
 let test_push_conservation () =
-  let stats = Push.run (Lazy.force push_cfg) (Lazy.force small_app) ~seed:1 in
+  let stats = Region.run (Lazy.force push_cfg) (Lazy.force small_app) ~seed:1 in
   let shed =
-    stats.Push.shed_queue_full + stats.Push.shed_timeout + stats.Push.shed_no_server
-    + stats.Push.shed_drain
+    stats.Region.shed_queue_full + stats.Region.shed_timeout + stats.Region.shed_no_server
+    + stats.Region.shed_drain
   in
   (* every arrival either completed, was shed, or is still in the system *)
-  let in_system = stats.Push.arrived - stats.Push.completed - shed in
+  let in_system = stats.Region.arrived - stats.Region.completed - shed in
   Alcotest.(check bool)
     (Printf.sprintf "in-system requests bounded (%d)" in_system)
     true
     (in_system >= 0 && in_system <= 8 * (8 + 64));
-  Alcotest.(check int) "everyone restarted jump-started" 8 stats.Push.jump_started;
-  Alcotest.(check int) "no fallbacks" 0 stats.Push.fallbacks;
-  Alcotest.(check int) "no crashes" 0 stats.Push.crashes;
-  Alcotest.(check int) "bucket jump-start sum" stats.Push.jump_started
-    (Array.fold_left ( + ) 0 stats.Push.bucket_jump_started);
-  Alcotest.(check bool) "push completed" true (stats.Push.push_done >= 0.);
-  Alcotest.(check bool) "capacity recovered" true (stats.Push.time_to_full_capacity >= 0.);
+  Alcotest.(check int) "everyone restarted jump-started" 8 stats.Region.jump_started;
+  Alcotest.(check int) "no fallbacks" 0 stats.Region.fallbacks;
+  Alcotest.(check int) "no crashes" 0 stats.Region.crashes;
+  Alcotest.(check int) "bucket jump-start sum" stats.Region.jump_started
+    (Array.fold_left ( + ) 0 stats.Region.bucket_jump_started);
+  Alcotest.(check bool) "push completed" true (stats.Region.push_done >= 0.);
+  Alcotest.(check bool) "capacity recovered" true (stats.Region.time_to_full_capacity >= 0.);
   Alcotest.(check bool) "latency recorded" true
-    (Js_util.Stats.Quantile.count stats.Push.latency > 0);
+    (Js_util.Stats.Quantile.count stats.Region.latency > 0);
   Alcotest.(check bool) "push-window latency recorded" true
-    (Js_util.Stats.Quantile.count stats.Push.latency_push > 0)
+    (Js_util.Stats.Quantile.count stats.Region.latency_push > 0)
 
 let test_push_jumpstart_beats_baseline () =
   let cfg = Lazy.force push_cfg in
   let app = Lazy.force small_app in
-  let js = Push.run cfg app ~seed:7 in
-  let nojs = Push.run { cfg with Push.jumpstart = false } app ~seed:7 in
+  let js = Region.run cfg app ~seed:7 in
+  let nojs = Region.run { cfg with Region.jumpstart = false } app ~seed:7 in
   Alcotest.(check bool)
-    (Printf.sprintf "smaller capacity loss (%.0f < %.0f)" js.Push.capacity_loss_integral
-       nojs.Push.capacity_loss_integral)
+    (Printf.sprintf "smaller capacity loss (%.0f < %.0f)" js.Region.capacity_loss_integral
+       nojs.Region.capacity_loss_integral)
     true
-    (js.Push.capacity_loss_integral < nojs.Push.capacity_loss_integral);
-  let ttfc s = if s.Push.time_to_full_capacity >= 0. then s.Push.time_to_full_capacity else infinity in
+    (js.Region.capacity_loss_integral < nojs.Region.capacity_loss_integral);
+  let ttfc s = if s.Region.time_to_full_capacity >= 0. then s.Region.time_to_full_capacity else infinity in
   Alcotest.(check bool) "faster back to full capacity" true (ttfc js < ttfc nojs);
-  Alcotest.(check int) "baseline never jump-starts" 0 nojs.Push.jump_started
+  Alcotest.(check int) "baseline never jump-starts" 0 nojs.Region.jump_started
 
 let test_push_deterministic () =
   let cfg = Lazy.force push_cfg in
   let app = Lazy.force small_app in
-  let a = Push.run cfg app ~seed:3 and b = Push.run cfg app ~seed:3 in
-  Alcotest.(check string) "same digest" (Push.digest a) (Push.digest b);
-  let c = Push.run cfg app ~seed:4 in
-  Alcotest.(check bool) "different seed differs" true (Push.digest a <> Push.digest c)
+  let a = Region.run cfg app ~seed:3 and b = Region.run cfg app ~seed:3 in
+  Alcotest.(check string) "same digest" (Region.digest a) (Region.digest b);
+  let c = Region.run cfg app ~seed:4 in
+  Alcotest.(check bool) "different seed differs" true (Region.digest a <> Region.digest c)
 
 let test_push_record_latency_digest_neutral () =
   let cfg = Lazy.force push_cfg in
   let app = Lazy.force small_app in
-  let off = Push.run cfg app ~seed:3 in
-  let on_ = Push.run { cfg with Push.record_latency = true } app ~seed:3 in
+  let off = Region.run cfg app ~seed:3 in
+  let on_ = Region.run { cfg with Region.record_latency = true } app ~seed:3 in
   (* recording draws no randomness and is excluded from the digest: the
      simulation must be bit-for-bit unchanged *)
-  Alcotest.(check string) "same digest with recording on" (Push.digest off) (Push.digest on_);
-  Alcotest.(check int) "off: no per-server series" 0 (Array.length off.Push.server_latency);
-  Alcotest.(check int) "on: one series per server" 8 (Array.length on_.Push.server_latency);
+  Alcotest.(check string) "same digest with recording on" (Region.digest off) (Region.digest on_);
+  Alcotest.(check int) "off: no per-server series" 0 (Array.length off.Region.server_latency);
+  Alcotest.(check int) "on: one series per server" 8 (Array.length on_.Region.server_latency);
   let total =
     Array.fold_left
       (fun acc s -> acc + Js_util.Stats.Series.length s)
-      0 on_.Push.server_latency
+      0 on_.Region.server_latency
   in
-  Alcotest.(check int) "per-server samples cover every completion" on_.Push.completed total;
+  Alcotest.(check int) "per-server samples cover every completion" on_.Region.completed total;
   Array.iter
     (fun s ->
       let a = Js_util.Stats.Series.to_array s in
@@ -450,7 +406,7 @@ let test_push_record_latency_digest_neutral () =
           if t < 0. || t > 240. || l <= 0. then
             Alcotest.failf "sample out of range: t=%g latency=%g" t l)
         a)
-    on_.Push.server_latency
+    on_.Region.server_latency
 
 let test_push_bad_packages_crash_and_guardrail () =
   let cfg = Lazy.force push_cfg in
@@ -461,34 +417,32 @@ let test_push_bad_packages_crash_and_guardrail () =
   in
   let cfg =
     { cfg with
-      Push.fleet =
-        { cfg.Push.fleet with Cluster.Fleet.validation_catch_rate = 0.; server };
+      Region.fleet =
+        { cfg.Region.fleet with Cluster.Fleet.validation_catch_rate = 0.; server };
       bad_package_rate = 1.0;
       abort_window = 120.;
       abort_threshold = 2
     }
   in
-  let stats = Push.run cfg app ~seed:2 in
-  Alcotest.(check bool) "consumers crashed" true (stats.Push.crashes > 0);
-  Alcotest.(check bool) "guardrail aborted the push" true stats.Push.aborted;
-  Alcotest.(check int) "bucket fallback sum" stats.Push.fallbacks
-    (Array.fold_left ( + ) 0 stats.Push.bucket_fallbacks)
+  let stats = Region.run cfg app ~seed:2 in
+  Alcotest.(check bool) "consumers crashed" true (stats.Region.crashes > 0);
+  Alcotest.(check bool) "guardrail aborted the push" true stats.Region.aborted;
+  Alcotest.(check int) "bucket fallback sum" stats.Region.fallbacks
+    (Array.fold_left ( + ) 0 stats.Region.bucket_fallbacks)
 
 let test_push_telemetry () =
   let tel = Js_telemetry.create () in
-  let stats = Push.run ~telemetry:tel (Lazy.force push_cfg) (Lazy.force small_app) ~seed:1 in
-  Alcotest.(check int) "sim.requests counter" stats.Push.arrived
+  let stats = Region.run ~telemetry:tel (Lazy.force push_cfg) (Lazy.force small_app) ~seed:1 in
+  Alcotest.(check int) "sim.requests counter" stats.Region.arrived
     (Js_telemetry.counter tel "sim.requests");
-  Alcotest.(check int) "sim.completed counter" stats.Push.completed
+  Alcotest.(check int) "sim.completed counter" stats.Region.completed
     (Js_telemetry.counter tel "sim.completed");
-  Alcotest.(check int) "sim.jump_started counter" stats.Push.jump_started
+  Alcotest.(check int) "sim.jump_started counter" stats.Region.jump_started
     (Js_telemetry.counter tel "sim.jump_started");
   Alcotest.(check bool) "json exports" true
     (Js_telemetry.Json.parses (Js_telemetry.to_json tel))
 
 (* --- multi-region --- *)
-
-module Region = Js_sim.Region
 
 let global_cfg =
   lazy
@@ -584,13 +538,53 @@ let test_multiregion_validates () =
     (Invalid_argument "Region: spill_latency must be >= epoch") (fun () ->
       ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1))
 
+(* Non-finite times slip past ordered comparisons (NaN fails all of them), so
+   without an explicit finiteness check a NaN duration ran to all-NaN stats,
+   a NaN or infinite one never reached the last barrier, and a NaN push_at
+   died inside the engine.  Each must be a config error up front. *)
+let check_rejects name msg run =
+  Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (run ()))
+
+let test_rejects_nan_duration () =
+  let cfg = { (Lazy.force push_cfg) with Region.duration = Float.nan } in
+  check_rejects "nan duration" "Region: duration must be finite" (fun () ->
+      Region.run cfg (Lazy.force small_app) ~seed:1)
+
+let barrier_run base =
+  let gcfg =
+    { Region.default_global_config with Region.base; n_regions = 2; epoch = 15. }
+  in
+  fun () -> Region.run_global ~mode:`Epoch gcfg (Lazy.force small_app) ~seed:1
+
+let test_rejects_nan_duration_barrier () =
+  let base = { (Lazy.force push_cfg) with Region.duration = Float.nan } in
+  check_rejects "nan duration, 2 regions" "Region: duration must be finite"
+    (barrier_run base)
+
+let test_rejects_inf_duration_barrier () =
+  let base = { (Lazy.force push_cfg) with Region.duration = Float.infinity } in
+  check_rejects "infinite duration, 2 regions" "Region: duration must be finite"
+    (barrier_run base)
+
+let test_rejects_nan_push_at () =
+  let cfg = { (Lazy.force push_cfg) with Region.push_at = Float.nan } in
+  check_rejects "nan push_at" "Region: push_at must be finite" (fun () ->
+      Region.run cfg (Lazy.force small_app) ~seed:1)
+
+let test_rejects_non_finite_tick () =
+  List.iter
+    (fun tick ->
+      let cfg = { (Lazy.force push_cfg) with Region.tick } in
+      check_rejects
+        (Printf.sprintf "tick %g" tick)
+        "Region: tick must be positive and finite"
+        (fun () -> Region.run cfg (Lazy.force small_app) ~seed:1))
+    [ Float.nan; Float.infinity ]
+
 let () =
   Alcotest.run "sim"
     [ ( "engine",
-        [ Alcotest.test_case "event order + fifo ties" `Quick test_engine_order;
-          Alcotest.test_case "cascade + past clamp" `Quick test_engine_cascade_and_clamp;
-          Alcotest.test_case "run stops at until" `Quick test_engine_run_stops_at_until;
-          Alcotest.test_case "flat: order + fifo ties" `Quick test_flat_engine_order;
+        [ Alcotest.test_case "flat: order + fifo ties" `Quick test_flat_engine_order;
           Alcotest.test_case "flat: cascade/clamp/resume" `Quick
             test_flat_engine_cascade_clamp_resume;
           Alcotest.test_case "flat: slot-pool churn" `Quick test_flat_engine_churn;
@@ -634,6 +628,13 @@ let () =
             test_multiregion_parallel_equals_epoch;
           Alcotest.test_case "arrival batching digest-neutral" `Quick
             test_multiregion_batching_digest_neutral;
-          Alcotest.test_case "validation" `Quick test_multiregion_validates
+          Alcotest.test_case "validation" `Quick test_multiregion_validates;
+          Alcotest.test_case "rejects nan duration" `Quick test_rejects_nan_duration;
+          Alcotest.test_case "rejects nan duration in a barrier run" `Quick
+            test_rejects_nan_duration_barrier;
+          Alcotest.test_case "rejects infinite duration in a barrier run" `Quick
+            test_rejects_inf_duration_barrier;
+          Alcotest.test_case "rejects nan push_at" `Quick test_rejects_nan_push_at;
+          Alcotest.test_case "rejects non-finite tick" `Quick test_rejects_non_finite_tick
         ] )
     ]

@@ -420,126 +420,57 @@ let test_crc32_known () =
 
 (* --- pqueue --- *)
 
-let test_pqueue_order () =
-  let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.push q ~priority:p v) [ (3., "c"); (1., "a"); (2., "b") ];
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] [ first; second; third ];
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q)
-
-let test_pqueue_fifo_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.push q ~priority:1. v) [ 1; 2; 3 ];
-  let pop () = match Pqueue.pop q with Some (_, v) -> v | None -> -1 in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3 ] [ first; second; third ]
-
-let test_pqueue_peek () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "peek empty" true (Pqueue.peek q = None);
-  Pqueue.push q ~priority:5. "x";
-  Alcotest.(check bool) "peek keeps" true (Pqueue.peek q = Some (5., "x"));
-  Alcotest.(check int) "length" 1 (Pqueue.length q)
-
-let test_pqueue_popped_values_collectible () =
-  (* space-leak regression: a popped value must not stay reachable from the
-     queue's backing array.  Finalisers on boxed payloads tell us when the GC
-     can actually reclaim them. *)
-  let q = Pqueue.create () in
-  let finalised = ref 0 in
-  let n = 64 in
-  for i = 0 to n - 1 do
-    let v = ref i in
-    (* keep a couple of live entries to prove clearing is per-slot *)
-    Gc.finalise (fun _ -> incr finalised) v;
-    Pqueue.push q ~priority:(float_of_int i) v
-  done;
-  for _ = 1 to n - 2 do
-    ignore (Pqueue.pop q)
-  done;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check int)
-    (Printf.sprintf "popped payloads reclaimed (%d/%d)" !finalised (n - 2))
-    (n - 2) !finalised;
-  Alcotest.(check int) "live entries stay" 2 (Pqueue.length q)
-
-let test_pqueue_capacity_shrinks () =
-  let q = Pqueue.create () in
-  for i = 0 to 1023 do
-    Pqueue.push q ~priority:(float_of_int i) i
-  done;
-  let high_water = Pqueue.capacity q in
-  Alcotest.(check bool) "grew past 1024" true (high_water >= 1024);
-  for _ = 1 to 1020 do
-    ignore (Pqueue.pop q)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "shrank after drain (%d < %d)" (Pqueue.capacity q) high_water)
-    true
-    (Pqueue.capacity q < high_water / 4);
-  (* the queue still works after shrinking *)
-  Pqueue.push q ~priority:0.5 (-1);
-  Alcotest.(check bool) "min first after shrink" true (Pqueue.pop q = Some (0.5, -1))
-
-(* --- flat pqueue --- *)
-
-let test_flat_pqueue_order_and_ties () =
-  let q = Pqueue.Flat.create ~dummy:"" () in
+let test_pqueue_order_and_ties () =
+  let q = Pqueue.create ~dummy:"" () in
   Alcotest.(check bool) "empty min is infinity" true
-    (Pqueue.Flat.min_priority q = infinity);
+    (Pqueue.min_priority q = infinity);
   List.iter
-    (fun (p, v) -> Pqueue.Flat.push q ~priority:p v)
+    (fun (p, v) -> Pqueue.push q ~priority:p v)
     [ (3., "c"); (1., "a1"); (2., "b"); (1., "a2"); (1., "a3") ];
-  Alcotest.(check int) "length" 5 (Pqueue.Flat.length q);
-  check_float "min priority" 1. (Pqueue.Flat.min_priority q);
-  let drained = List.init 5 (fun _ -> Pqueue.Flat.pop_exn q) in
+  Alcotest.(check int) "length" 5 (Pqueue.length q);
+  check_float "min priority" 1. (Pqueue.min_priority q);
+  let drained = List.init 5 (fun _ -> Pqueue.pop_exn q) in
   Alcotest.(check (list string)) "sorted, fifo on ties"
     [ "a1"; "a2"; "a3"; "b"; "c" ] drained;
-  Alcotest.(check bool) "drained" true (Pqueue.Flat.is_empty q)
+  Alcotest.(check bool) "drained" true (Pqueue.is_empty q)
 
-let test_flat_pqueue_errors () =
-  let q = Pqueue.Flat.create ~dummy:0 () in
+let test_pqueue_errors () =
+  let q = Pqueue.create ~dummy:0 () in
   Alcotest.check_raises "NaN priority"
-    (Invalid_argument "Pqueue.Flat.push: NaN priority") (fun () ->
-      Pqueue.Flat.push q ~priority:Float.nan 1);
+    (Invalid_argument "Pqueue.push: NaN priority") (fun () ->
+      Pqueue.push q ~priority:Float.nan 1);
   Alcotest.check_raises "pop of empty"
-    (Invalid_argument "Pqueue.Flat.pop_exn: empty") (fun () ->
-      ignore (Pqueue.Flat.pop_exn q))
+    (Invalid_argument "Pqueue.pop_exn: empty") (fun () ->
+      ignore (Pqueue.pop_exn q))
 
-let test_flat_pqueue_pool_reuse () =
+let test_pqueue_pool_reuse () =
   (* steady-state churn must not grow the slot pool: push/pop at a bounded
      live count reuses the same slots *)
-  let q = Pqueue.Flat.create ~dummy:(-1) () in
+  let q = Pqueue.create ~dummy:(-1) () in
   for i = 0 to 99 do
-    Pqueue.Flat.push q ~priority:(float_of_int i) i
+    Pqueue.push q ~priority:(float_of_int i) i
   done;
-  let cap = Pqueue.Flat.capacity q in
+  let cap = Pqueue.capacity q in
   let t = ref 100. in
   for _ = 1 to 10_000 do
-    let v = Pqueue.Flat.pop_exn q in
+    let v = Pqueue.pop_exn q in
     Alcotest.(check bool) "payload is live, not dummy" true (v >= 0);
-    Pqueue.Flat.push q ~priority:!t v;
+    Pqueue.push q ~priority:!t v;
     t := !t +. 1.
   done;
-  Alcotest.(check int) "capacity unchanged under churn" cap (Pqueue.Flat.capacity q);
-  Alcotest.(check int) "length preserved" 100 (Pqueue.Flat.length q)
+  Alcotest.(check int) "capacity unchanged under churn" cap (Pqueue.capacity q);
+  Alcotest.(check int) "length preserved" 100 (Pqueue.length q)
 
-let test_flat_pqueue_popped_slots_cleared () =
-  let q = Pqueue.Flat.create ~dummy:(ref (-1)) () in
+let test_pqueue_popped_slots_cleared () =
+  let q = Pqueue.create ~dummy:(ref (-1)) () in
   let finalised = ref 0 in
   for i = 0 to 31 do
     let v = ref i in
     Gc.finalise (fun _ -> incr finalised) v;
-    Pqueue.Flat.push q ~priority:(float_of_int i) v
+    Pqueue.push q ~priority:(float_of_int i) v
   done;
   for _ = 1 to 32 do
-    ignore (Pqueue.Flat.pop_exn q)
+    ignore (Pqueue.pop_exn q)
   done;
   Gc.full_major ();
   Gc.full_major ();
@@ -730,17 +661,10 @@ let () =
             test_backoff_zero_jitter_draws_nothing
         ] );
       ( "pqueue",
-        [ Alcotest.test_case "ordering" `Quick test_pqueue_order;
-          Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "peek/length" `Quick test_pqueue_peek;
-          Alcotest.test_case "popped values collectible" `Quick
-            test_pqueue_popped_values_collectible;
-          Alcotest.test_case "capacity shrinks after drain" `Quick
-            test_pqueue_capacity_shrinks;
-          Alcotest.test_case "flat: order + ties" `Quick test_flat_pqueue_order_and_ties;
-          Alcotest.test_case "flat: errors" `Quick test_flat_pqueue_errors;
-          Alcotest.test_case "flat: slot-pool reuse" `Quick test_flat_pqueue_pool_reuse;
+        [ Alcotest.test_case "flat: order + ties" `Quick test_pqueue_order_and_ties;
+          Alcotest.test_case "flat: errors" `Quick test_pqueue_errors;
+          Alcotest.test_case "flat: slot-pool reuse" `Quick test_pqueue_pool_reuse;
           Alcotest.test_case "flat: popped slots cleared" `Quick
-            test_flat_pqueue_popped_slots_cleared
+            test_pqueue_popped_slots_cleared
         ] )
     ]
