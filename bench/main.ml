@@ -490,10 +490,11 @@ let micro () =
 (* ------------------------------------------------------------------ perf -- *)
 
 (* Machine-readable perf tracking (see EXPERIMENTS.md): measures interpreter
-   throughput on the macro-app workload with inline caches on vs off (same
-   seed, so the two runs must agree byte-for-byte on results and step
-   counts), plus fixed-iteration micro-benches of the core algorithms, and
-   writes everything to BENCH_interp.json.  [--quick] shrinks every loop to
+   throughput on the macro-app workload on the translated loop ("cached")
+   vs the reference loop ("uncached"); same seed, so the two runs must agree
+   byte-for-byte on results, echo output, step counts and the tier-1
+   profile.  Plus fixed-iteration micro-benches of the core algorithms, all
+   written to BENCH_interp.json.  [--quick] shrinks every loop to
    smoke-test size for CI. *)
 
 let quick_mode = ref false
@@ -529,10 +530,9 @@ let perf () =
   let repo = app.Workload.Codegen.repo in
   let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
   let mix = Workload.Request.uniform_mix app in
-  let run ?(typed = true) ~inline_cache n =
+  let run ~inline_cache n =
     let engine =
-      Interp.Engine.create ~fuel:max_int ~inline_cache ~typed repo
-        (Mh_runtime.Heap.create repo layouts)
+      Interp.Engine.create ~fuel:max_int ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
     in
     let rng = Js_util.Rng.create (bench_seed 7) in
     Gc.full_major ();
@@ -545,11 +545,17 @@ let perf () =
     let words = Gc.minor_words () -. w0 in
     (engine, dt, words)
   in
-  (* untimed A/B equivalence check: same seed, caches on vs off, results and
-     step counts folded into one digest so nothing big is retained *)
+  (* untimed A/B equivalence check: same seed, translated vs reference
+     loop.  Per-request results, echo output, step counts and the full
+     serialized tier-1 profile fold into one digest, so probe streams must
+     agree byte-for-byte, not just the final answers, and nothing big is
+     retained. *)
   let fingerprint ~inline_cache n =
+    let counters = Jit_profile.Counters.create repo in
     let engine =
-      Interp.Engine.create ~fuel:max_int ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
+      Interp.Engine.create ~fuel:max_int ~inline_cache
+        ~probes:(Jit_profile.Collector.probes counters)
+        repo (Mh_runtime.Heap.create repo layouts)
     in
     let rng = Js_util.Rng.create (bench_seed 7) in
     let d = ref "" in
@@ -557,7 +563,12 @@ let perf () =
       let v = Workload.Request.invoke engine app (Workload.Request.sample rng mix) in
       d := Digest.string (!d ^ Hhbc.Value.to_string v)
     done;
-    (!d, Interp.Engine.steps engine)
+    let w = Js_util.Binio.Writer.create () in
+    Jit_profile.Counters.serialize counters w;
+    Digest.string
+      (!d ^ Interp.Engine.output engine
+      ^ string_of_int (Interp.Engine.steps engine)
+      ^ Js_util.Binio.Writer.contents w)
   in
   let check_n = min requests 200 in
   let identical = fingerprint ~inline_cache:true check_n = fingerprint ~inline_cache:false check_n in
@@ -582,44 +593,6 @@ let perf () =
   let prop_rate =
     rate (s.Interp.Engine.prop_hit_mono + s.Interp.Engine.prop_hit_poly) s.Interp.Engine.prop_miss
   in
-  (* typed-translation A/B: dataflow overlay on vs off, caches on in both.
-     The equivalence digest folds per-request results, printed output, step
-     counts AND the full serialized tier-1 profile (so probe streams and
-     telemetry must agree byte-for-byte, not just the final answers). *)
-  let typed_fingerprint ~typed n =
-    let counters = Jit_profile.Counters.create repo in
-    let engine =
-      Interp.Engine.create ~fuel:max_int
-        ~probes:(Jit_profile.Collector.probes counters)
-        ~typed repo (Mh_runtime.Heap.create repo layouts)
-    in
-    let rng = Js_util.Rng.create (bench_seed 7) in
-    let d = ref "" in
-    for _ = 1 to n do
-      let v = Workload.Request.invoke engine app (Workload.Request.sample rng mix) in
-      d := Digest.string (!d ^ Hhbc.Value.to_string v)
-    done;
-    let w = Js_util.Binio.Writer.create () in
-    Jit_profile.Counters.serialize counters w;
-    Digest.string
-      (!d ^ Interp.Engine.output engine
-      ^ string_of_int (Interp.Engine.steps engine)
-      ^ Js_util.Binio.Writer.contents w)
-  in
-  let typed_identical =
-    typed_fingerprint ~typed:true check_n = typed_fingerprint ~typed:false check_n
-  in
-  ignore (run ~typed:false ~inline_cache:true (max 1 (requests / 8)));
-  let eng_n, dt_n1, _ = run ~typed:false ~inline_cache:true requests in
-  let _, dt_n2, _ = run ~typed:false ~inline_cache:true requests in
-  let dt_n = min dt_n1 dt_n2 in
-  let steps_n = Interp.Engine.steps eng_n in
-  let typed_identical = typed_identical && steps_c = steps_n in
-  let sps_n = float_of_int steps_n /. dt_n in
-  (* eng_c ran with the overlay on (the default), so cached vs typed-off is
-     the overlay's own contribution on top of the caches *)
-  let typed_speedup = sps_c /. sps_n in
-  let tst = Interp.Engine.typed_stats eng_c in
   (* flush the engine's local counters into a telemetry sink, and export the
      sink's view — the same bridge the fleet simulation uses *)
   let tel = Js_telemetry.create () in
@@ -634,13 +607,6 @@ let perf () =
     s.Interp.Engine.meth_hit_mono s.Interp.Engine.meth_hit_poly s.Interp.Engine.meth_miss;
   Printf.printf "  property cache hit rate: %.4f (mono %d / poly %d / miss %d)\n" prop_rate
     s.Interp.Engine.prop_hit_mono s.Interp.Engine.prop_hit_poly s.Interp.Engine.prop_miss;
-  Printf.printf "  typed translation: on %.2fM / off %.2fM steps/s  speedup %.2fx  identical (results+output+steps+profile): %b\n"
-    (sps_c /. 1e6) (sps_n /. 1e6) typed_speedup typed_identical;
-  Printf.printf
-    "  typed rewrites: %d folds, %d consts, %d jumps, %d casts, %d dead stores, %d dead blocks, %d fused\n"
-    tst.Interp.Engine.typed_folds tst.Interp.Engine.typed_consts tst.Interp.Engine.typed_jumps
-    tst.Interp.Engine.typed_casts tst.Interp.Engine.typed_dead_stores
-    tst.Interp.Engine.typed_dead_blocks tst.Interp.Engine.typed_fused;
   (* core-algorithm micro-benches, fixed iteration counts *)
   let time_ops n f =
     Gc.full_major ();
@@ -727,7 +693,7 @@ let perf () =
     Buffer.add_string b (if last then "\n" else ",\n")
   in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/1\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/2\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b "  \"workload\": {\n";
   fld "requests" "%d" requests;
@@ -741,17 +707,6 @@ let perf () =
   Printf.bprintf b "    \"outputs_identical\": %b,\n" identical;
   fld "meth_cache_hit_rate" "%.6f" meth_rate;
   fld ~last:true "prop_cache_hit_rate" "%.6f" prop_rate;
-  Printf.bprintf b "  },\n";
-  Printf.bprintf b "  \"typed_translation\": {\n";
-  Printf.bprintf b "    \"typed\": { \"steps_per_sec\": %.0f, \"seconds\": %.6f },\n" sps_c dt_c;
-  Printf.bprintf b "    \"untyped\": { \"steps_per_sec\": %.0f, \"seconds\": %.6f },\n" sps_n dt_n;
-  fld "speedup" "%.4f" typed_speedup;
-  Printf.bprintf b "    \"outputs_identical\": %b,\n" typed_identical;
-  let tcs = Interp.Engine.typed_counters eng_c in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.bprintf b "    %S: %d%s\n" name v (if i = List.length tcs - 1 then "" else ","))
-    tcs;
   Printf.bprintf b "  },\n";
   Printf.bprintf b "  \"micro\": {\n";
   fld "interp_fib_steps_per_sec" "%.0f" interp_sps;

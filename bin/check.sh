@@ -29,9 +29,22 @@ dune exec bin/minihack_run.exe -- analyze --codegen tiny > /dev/null
 dune exec bench/main.exe -- fig4b
 dune exec bench/main.exe -- perf --quick
 test -s BENCH_interp.quick.json
-# the typed-translation A/B must be present and byte-identical to untyped
-grep -q '"typed_translation"' BENCH_interp.quick.json
+# on the macro app the translated loop must match the reference loop on
+# results, echo output, step counts and the serialized tier-1 profile
 grep -q '"outputs_identical": true' BENCH_interp.quick.json
+
+# Interpreter differential: every example program must print the same
+# output, result and step count on the translated loop as on the reference
+# loop (--no-inline-cache).
+for f in examples/*.mh; do
+  dune exec bin/minihack_run.exe -- run "$f" > /tmp/interp_product.out
+  dune exec bin/minihack_run.exe -- run --no-inline-cache "$f" > /tmp/interp_reference.out
+  if ! diff /tmp/interp_product.out /tmp/interp_reference.out; then
+    echo "interp differential: $f: translated loop differs from the reference loop" >&2
+    exit 1
+  fi
+done
+rm -f /tmp/interp_product.out /tmp/interp_reference.out
 
 # Distribution-network smoke test: a push through a faulty delivery network
 # must finish with zero crashes and must actually exercise the fetch ladder

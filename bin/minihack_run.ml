@@ -36,18 +36,19 @@ let run_cmd =
       value & flag
       & info [ "no-inline-cache" ]
           ~doc:
-            "disable the interpreter's per-call-site inline caches (the A/B escape hatch; results \
-             are identical, only slower)")
+            "run the interpreter's reference loop: no translation, no per-call-site inline caches \
+             (results, output and step counts are identical, only slower)")
   in
   let action path profile no_inline_cache =
     with_errors (fun () ->
-        if no_inline_cache then Interp.Engine.default_inline_cache := false;
         let repo = Minihack.Compile.compile_source ~path (read_file path) in
         let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
         let heap = Mh_runtime.Heap.create repo layouts in
         let counters = Jit_profile.Counters.create repo in
         let probes = if profile then Jit_profile.Collector.probes counters else Interp.Probes.none in
-        let engine = Interp.Engine.create ~probes repo heap in
+        let engine =
+          Interp.Engine.create ~probes ~inline_cache:(not no_inline_cache) repo heap
+        in
         let result = Interp.Engine.run_main engine in
         print_string (Interp.Engine.output engine);
         Printf.printf "=> %s (%d bytecode instructions)\n"

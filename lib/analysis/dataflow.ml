@@ -14,11 +14,12 @@
 
    Soundness contract: every fact is an over-approximation of what the
    interpreter can actually do.  Profiles are collected from real executions,
-   so the P32x package gates built on [feasible_succs]/[reach] must never
-   reject an honestly collected profile; the typed translation in
-   [Interp.Engine] relies on the same contract to stay byte-identical with
-   the untyped path.  Anything uncertain therefore widens to [Any] / "both
-   edges feasible". *)
+   so the P320/P321 package gates built on [feasible_succs]/[reach] must
+   never reject an honestly collected profile, and [Stale_match] must never
+   drop a transferred count on a block or arc a real run can take.  The V105
+   and A4xx diagnostics built on [undef_read]/[dead_store]/[pushed] are
+   warnings: a fact there costs only precision, never a rejection.  Anything
+   uncertain therefore widens to [Any] / "both edges feasible". *)
 
 module I = Hhbc.Instr
 module F = Hhbc.Func
@@ -78,16 +79,6 @@ module Absval = struct
     | Const v -> Some (V.truthy v)
     | Tag V.TObj -> Some true
     | Tag _ | Any -> None
-
-  (* Casts to a scalar tag are the identity on values already of that tag
-     (the engine's [cast] rebuilds the same scalar). *)
-  let identity_cast tag av =
-    match tag_of av with
-    | Some t when t = tag -> (
-      match tag with
-      | V.TBool | V.TInt | V.TFloat | V.TStr -> true
-      | V.TNull | V.TVec | V.TDict | V.TObj -> false)
-    | Some _ | None -> false
 
   let to_string = function
     | Any -> "any"
@@ -624,8 +615,6 @@ type summary = {
   feasible_succs : int list array;
       (* per block: CFG successors reachable along feasible edges; subset of
          [blocks.(b).succs] (empty for unreachable blocks) *)
-  entry_top : Absval.t array;  (* per pc: abstract top-of-stack on entry *)
-  entry_snd : Absval.t array;  (* per pc: abstract second-of-stack on entry *)
   pushed : Absval.t array;
       (* per pc: abstract value pushed by the instruction (Any if it pushes
          nothing or is unreachable) *)
@@ -641,8 +630,6 @@ let trivial_summary (f : F.t) blocks =
     blocks;
     reach = Array.make (Array.length blocks) true;
     feasible_succs = Array.map (fun (b : F.block) -> b.F.succs) blocks;
-    entry_top = Array.make (max 1 n) Absval.Any;
-    entry_snd = Array.make (max 1 n) Absval.Any;
     pushed = Array.make (max 1 n) Absval.Any;
     undef_read = Array.make (max 1 n) false;
     dead_store = Array.make (max 1 n) false;
@@ -700,8 +687,6 @@ let analyze_uncached repo (f : F.t) : summary =
     if not stats.Solver.converged then
       { (trivial_summary f blocks) with iterations = stats.Solver.iterations }
     else begin
-      let entry_top = Array.make n Absval.Any in
-      let entry_snd = Array.make n Absval.Any in
       let pushed = Array.make n Absval.Any in
       let undef_read = Array.make n false in
       let dead_store = Array.make n false in
@@ -714,11 +699,6 @@ let analyze_uncached repo (f : F.t) : summary =
           let edges =
             walk_block repo f blocks bmap b fact
               ~record_before:(fun pc st instr ->
-                (match st.stk with
-                | top :: rest -> (
-                  entry_top.(pc) <- top.av;
-                  match rest with s :: _ -> entry_snd.(pc) <- s.av | [] -> ())
-                | [] -> ());
                 match instr with
                 | I.LoadLoc l when l >= 0 && l < n_locals && not st.asg.(l) ->
                   undef_read.(pc) <- true
@@ -775,8 +755,6 @@ let analyze_uncached repo (f : F.t) : summary =
         blocks;
         reach;
         feasible_succs;
-        entry_top;
-        entry_snd;
         pushed;
         undef_read;
         dead_store;
@@ -787,11 +765,12 @@ let analyze_uncached repo (f : F.t) : summary =
   end
 
 (* Memo: [analyze] is pure over immutable inputs, and several layers ask for
-   the same summaries (the verifier's V105 pass, the engine's typed
-   translation, lints, package gates) — often once per engine creation per
-   function.  Summaries are shared per repo by physical identity; bounded to
-   the most recent few repos (sims and benches juggle one or two at a time),
-   so qcheck loops generating many repos cannot accumulate memory. *)
+   the same summaries (the verifier's V105 pass, which gates every engine
+   translation, lints, package gates, stale matching) — often once per
+   engine creation per function.  Summaries are shared per repo by physical
+   identity; bounded to the most recent few repos (sims and benches juggle
+   one or two at a time), so qcheck loops generating many repos cannot
+   accumulate memory. *)
 let memo : (Hhbc.Repo.t * summary option array) list ref = ref []
 
 let memo_cap = 8

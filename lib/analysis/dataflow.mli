@@ -11,10 +11,15 @@
     - backward liveness of locals over feasible edges (dead-store facts).
 
     Soundness contract: every fact over-approximates the interpreter.
-    Profiles come from real executions, so package gates built on
-    {!feasible_edge}/[reach] never reject an honestly collected profile, and
-    the typed translation in [Interp.Engine] built on [pushed]/[entry_top]
-    facts stays byte-identical with the untyped path. *)
+    Profiles come from real executions, and every block a run executes is
+    [reach] and every arc it takes is a {!feasible_edge}.  So:
+    - the package gates P320/P321 never reject an honestly collected
+      profile;
+    - [Jit_profile.Stale_match] never drops a transferred count on a block
+      or arc a real run can take;
+    - the verifier's V105 and the A4xx lints (built on [undef_read],
+      [dead_store] and [pushed]) are warnings, so an imprecise fact costs
+      precision, never a rejection. *)
 
 module Absval : sig
   (** [Const] holds immutable scalars only (Null/Bool/Int/Float/Str);
@@ -34,15 +39,6 @@ module Absval : sig
   val join : t -> t -> t
 
   val equal : t -> t -> bool
-
-  (** [Some b] iff every concrete value described is truthy ([b = true]) or
-      falsy ([b = false]). *)
-  val truthiness : t -> bool option
-
-  (** [identity_cast tag av] — a [Cast tag] of a value described by [av] is
-      guaranteed to return the operand unchanged (scalar casts on values
-      already of that tag). *)
-  val identity_cast : Hhbc.Value.tag -> t -> bool
 
   val to_string : t -> string
 end
@@ -108,8 +104,6 @@ type summary = {
   feasible_succs : int list array;
       (** per block: subset of [blocks.(b).succs] reachable along feasible
           edges (empty for unreachable blocks) *)
-  entry_top : Absval.t array;  (** per pc: abstract top-of-stack on entry *)
-  entry_snd : Absval.t array;  (** per pc: abstract second-of-stack on entry *)
   pushed : Absval.t array;
       (** per pc: abstract value the instruction pushes ([Any] if none) *)
   undef_read : bool array;

@@ -10,8 +10,7 @@
          pruning proves dead (CFG-unreachable blocks are the verifier's
          V109, not repeated here)
 
-   All A4xx are warnings: none describe code the verifier would reject, only
-   code the typed translator will quietly optimize. *)
+   All A4xx are warnings: none describe code the verifier would reject. *)
 
 module I = Hhbc.Instr
 module F = Hhbc.Func

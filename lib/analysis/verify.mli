@@ -33,11 +33,6 @@
     - {b P312} inline-tree node references an invalid function or has
       inconsistent parent/child links (error) *)
 
-(** [(pops, pushes)] operand-stack effect of one instruction.  The match is
-    exhaustive by construction — adding an [Instr.t] constructor without a
-    verifier rule is a compile error, which is the point. *)
-val stack_effect : Hhbc.Instr.t -> int * int
-
 (** Verify a single function body against [repo]'s tables.  Returns sorted
     diagnostics; an empty list (or warnings only, see {!Diag.ok}) means the
     body is safe to translate and execute. *)

@@ -83,11 +83,7 @@ type tinstr =
   | TLLBZ of int * int * I.binop * int  (* if !(a op b) jmp; w = 4 *)
   | TLVBZ of int * V.t * I.binop * int  (* if !(a op lit) jmp; w = 4 *)
   | TLRet of int  (* return local; w = 2 *)
-  (* analysis-driven forms, installed only by the typed overlay (dataflow
-     facts from [Js_analysis.Dataflow]); G = GetProp, T = GetThis, R = Ret *)
-  | TPushK of V.t * int  (* constant-folded segment of w instructions *)
-  | TPopJmp of int  (* statically-taken conditional jump: pop, jump; w = 1 *)
-  | TUnreachable  (* slot in a dataflow-dead block; executing it is a bug *)
+  (* wide forms, charged per component; G = GetProp, T = GetThis, R = Ret *)
   | TVB of V.t * I.binop  (* stacktop op lit; w = 2 *)
   | TBS of I.binop * int  (* stack binop, store; w = 2 *)
   | TBR of I.binop  (* stack binop, return; w = 2 *)
@@ -102,20 +98,6 @@ type tinstr =
       (* d := this->p op2 (x op1 lit); w = 7 *)
   | TLGTGPVBBR of int * I.nid * V.t * I.binop * I.binop
       (* return a op2 (this->p op1 lit); w = 7 *)
-
-(* What the typed (dataflow-driven) overlay did at translation time.  These
-   are translation statistics only: they are deliberately NOT exported into
-   telemetry counters, so runs with the overlay on and off stay
-   telemetry-byte-identical (the bench's digest-neutrality gate). *)
-type typed_stats = {
-  mutable typed_folds : int;  (* constant segments collapsed to TPushK *)
-  mutable typed_consts : int;  (* LoadLoc of a proven-constant local *)
-  mutable typed_jumps : int;  (* statically resolved JmpZ/JmpNZ *)
-  mutable typed_casts : int;  (* identity casts dropped *)
-  mutable typed_dead_stores : int;  (* stores to dead locals demoted to pops *)
-  mutable typed_dead_blocks : int;  (* dataflow-dead blocks poisoned *)
-  mutable typed_fused : int;  (* analysis-era superinstructions installed *)
-}
 
 type cache_stats = {
   mutable meth_hit_mono : int;
@@ -150,15 +132,15 @@ type t = {
      fast loop run straight-line code without per-instruction boundary
      checks *)
   block_limits : int array option array;
-  inline_cache : bool;
-  typed : bool;
+  (* true: the translated loop [exec_fast]; false: the reference loop
+     [exec_func] *)
+  translated : bool;
   (* per-function translations, same shape as the function body *)
   tcodes : tinstr array option array;
   (* per-function site-cache arrays, same shape as the function body *)
   site_caches : site array option array;
   mutable frames : frame array;  (* pool indexed by call depth *)
   stats : cache_stats;
-  tstats : typed_stats;
 }
 
 let max_depth = 2000
@@ -191,9 +173,9 @@ let block_limit t fid =
     ignore (block_map t fid);
     Option.get t.block_limits.(fid)
 
-(* Translate a function body for the cached loop.  Every slot gets its 1:1
-   translation first; fusion then overlays superinstructions on pattern
-   heads.  The covered tail slots keep their single-instruction form, so the
+(* Translate a function body for the cached loop.  A slot that heads a
+   fusable pattern gets the superinstruction; every other slot, including
+   the tail slots a superinstruction covers, keeps its 1:1 form, so the
    translation stays valid from any entry index — fusion never crosses a
    basic-block boundary, and jump targets always start blocks, so a fused
    head cannot be jumped into mid-sequence. *)
@@ -259,269 +241,85 @@ let translate t fid =
       | I.Print -> TPrint
       | I.Ret -> TRet
     in
-    let code = Array.init n single in
-    (* --- typed overlay (dataflow-driven) ---
-
-       When enabled, the abstract interpreter's per-pc facts rewrite slots
-       before fusion runs: constant-folded segments collapse to one push
-       that charges the segment's full step cost, statically-decided
-       conditionals lose their test, identity casts become no-ops, stores to
-       dead locals keep their pop but skip the write, and dataflow-dead
-       blocks are poisoned (executing one means the analysis was unsound —
-       the qcheck A/B hunts exactly that).  Every rewrite preserves results,
-       output, probe streams and step/fuel accounting exactly; [typed_head]
-       pins multi-slot rewrites so fusion does not overwrite their heads
-       (overlaps elsewhere are safe — both layers reproduce the source
-       semantics of the slots they cover, and tails keep 1:1 forms). *)
-    let typed_head = Array.make n false in
-    let ts = t.tstats in
-    let summary =
-      if t.typed then begin
-        let s = Js_analysis.Dataflow.analyze t.repo f in
-        if s.Js_analysis.Dataflow.converged then Some s else None
-      end
-      else None
-    in
-    (match summary with
-    | None -> ()
-    | Some s ->
-      let module Dfa = Js_analysis.Dataflow in
-      let bmap = block_map t fid in
-      let reach_pc pc = s.Dfa.reach.(bmap.(pc)) in
-      (* dead blocks *)
-      Array.iter
-        (fun (blk : Hhbc.Func.block) ->
-          if not s.Dfa.reach.(blk.Hhbc.Func.bb_id) then begin
-            ts.typed_dead_blocks <- ts.typed_dead_blocks + 1;
-            for pc = blk.Hhbc.Func.start to blk.Hhbc.Func.start + blk.Hhbc.Func.len - 1 do
-              code.(pc) <- TUnreachable;
-              typed_head.(pc) <- true
-            done
-          end)
-        s.Dfa.blocks;
-      (* constant-folded segments: a symbolic rescan of each live block finds
-         maximal contiguous runs of pure instructions (literals, local loads,
-         operators) whose net effect is pushing one proven constant; the run
-         head becomes [TPushK (v, w)] and the tail keeps its 1:1 forms (jump
-         targets cannot land inside a block, so the tail is unreachable). *)
-      let claimed = Array.make n false in
-      Array.iter
-        (fun (blk : Hhbc.Func.block) ->
-          if s.Dfa.reach.(blk.Hhbc.Func.bb_id) then begin
-            let stk = ref [] in
-            let spop () =
-              match !stk with [] -> None | x :: tl -> stk := tl; x
-            in
-            let candidates = ref [] in
-            for pc = blk.Hhbc.Func.start to blk.Hhbc.Func.start + blk.Hhbc.Func.len - 1 do
-              let instr = body.(pc) in
-              let pops, pushes = Js_analysis.Verify.stack_effect instr in
-              let tracked =
-                match instr with
-                | I.LitInt _ | I.LitFloat _ | I.LitBool _ | I.LitNull | I.LitStr _
-                | I.LoadLoc _ -> (
-                  match s.Dfa.pushed.(pc) with
-                  | Dfa.Absval.Const v -> Some (pc, v)
-                  | _ -> None)
-                | I.BinOp _ -> (
-                  let b = spop () in
-                  let a = spop () in
-                  match (s.Dfa.pushed.(pc), a, b) with
-                  | Dfa.Absval.Const v, Some (sa, _), Some _ -> Some (sa, v)
-                  | _ -> None)
-                | I.UnOp _ | I.Cast _ -> (
-                  let a = spop () in
-                  match (s.Dfa.pushed.(pc), a) with
-                  | Dfa.Absval.Const v, Some (sa, _) -> Some (sa, v)
-                  | _ -> None)
-                | _ ->
-                  for _ = 1 to pops do ignore (spop ()) done;
-                  None
-              in
-              (match instr with
-              | I.LitInt _ | I.LitFloat _ | I.LitBool _ | I.LitNull | I.LitStr _
-              | I.LoadLoc _ | I.BinOp _ | I.UnOp _ | I.Cast _ ->
-                stk := tracked :: !stk;
-                for _ = 2 to pushes do stk := None :: !stk done
-              | _ -> for _ = 1 to pushes do stk := None :: !stk done);
-              match tracked with
-              | Some (start, v) when pc > start -> candidates := (start, pc, v) :: !candidates
-              | _ -> ()
-            done;
-            (* candidates arrive latest-end first; larger runs subsume the
-               sub-runs they contain *)
-            List.iter
-              (fun (start, stop, v) ->
-                let free = ref true in
-                for pc = start to stop do
-                  if claimed.(pc) then free := false
-                done;
-                if !free then begin
-                  for pc = start to stop do
-                    claimed.(pc) <- true
-                  done;
-                  code.(start) <- TPushK (v, stop - start + 1);
-                  typed_head.(start) <- true;
-                  ts.typed_folds <- ts.typed_folds + 1
-                end)
-              !candidates
-          end)
-        s.Dfa.blocks;
-      (* per-slot rewrites on live, unclaimed slots *)
-      for pc = 0 to n - 1 do
-        if reach_pc pc && not claimed.(pc) then
-          match body.(pc) with
-          | I.JmpZ target -> (
-            match Dfa.Absval.truthiness s.Dfa.entry_top.(pc) with
-            | Some false ->
-              code.(pc) <- TPopJmp target;
-              ts.typed_jumps <- ts.typed_jumps + 1
-            | Some true ->
-              code.(pc) <- TPop;
-              ts.typed_jumps <- ts.typed_jumps + 1
-            | None -> ())
-          | I.JmpNZ target -> (
-            match Dfa.Absval.truthiness s.Dfa.entry_top.(pc) with
-            | Some true ->
-              code.(pc) <- TPopJmp target;
-              ts.typed_jumps <- ts.typed_jumps + 1
-            | Some false ->
-              code.(pc) <- TPop;
-              ts.typed_jumps <- ts.typed_jumps + 1
-            | None -> ())
-          | I.Cast tag when Js_analysis.Dataflow.Absval.identity_cast tag s.Dfa.entry_top.(pc)
-            ->
-            (* pop-then-push-the-same-scalar is a stack no-op *)
-            code.(pc) <- TNop;
-            ts.typed_casts <- ts.typed_casts + 1
-          | I.StoreLoc _ when s.Dfa.dead_store.(pc) ->
-            (* keep the pop and the step charge, skip the dead write *)
-            code.(pc) <- TPop;
-            ts.typed_dead_stores <- ts.typed_dead_stores + 1
-          | I.LoadLoc _ -> (
-            match s.Dfa.pushed.(pc) with
-            | Dfa.Absval.Const v ->
-              code.(pc) <- TPush v;
-              ts.typed_consts <- ts.typed_consts + 1
-            | _ -> ())
-          | _ -> ()
-      done);
     (* fusion: [in_blk i w] keeps a w-wide pattern inside instruction i's
        basic block; [loc l] proves the local index safe at translation time
-       so fused loads/stores cannot fault at run time.  The typed overlay's
-       wide forms (property-reading and return-fusing sequences) only
-       install when the overlay is on, which is what the bench's
-       typed-on/typed-off A/B measures. *)
+       so fused loads/stores cannot fault at run time.  At each head the
+       widest matching pattern wins. *)
     let in_blk i w = i + w <= blim.(i) in
     let loc l = l >= 0 && l < n_locals in
-    let fused tinstr =
-      ts.typed_fused <- ts.typed_fused + 1;
-      Some tinstr
-    in
-    let install2 i tinstr =
-      ts.typed_fused <- ts.typed_fused + 1;
-      code.(i) <- tinstr
-    in
-    for i = 0 to n - 1 do
-      if not typed_head.(i) then begin
-      (match
-         if t.typed && in_blk i 7 && i + 6 < n then
-           match
-             ( body.(i), body.(i + 1), body.(i + 2), body.(i + 3), body.(i + 4),
-               body.(i + 5), body.(i + 6) )
-           with
-           | ( I.LoadLoc a, I.LoadLoc o, I.GetProp p, I.BinOp op1, I.LoadLoc c,
-               I.BinOp op2, I.StoreLoc d )
-             when loc a && loc o && loc c && loc d ->
-             fused (TLLGPBLBS (a, o, p, op1, c, op2, d))
-           | I.GetThis, I.GetProp p, I.LoadLoc x, l4, I.BinOp op1, I.BinOp op2, I.StoreLoc d
-             when loc x && loc d && lit l4 <> None ->
-             fused (TGTGPLVBBS (p, x, Option.get (lit l4), op1, op2, d))
-           | I.LoadLoc a, I.GetThis, I.GetProp p, l4, I.BinOp op1, I.BinOp op2, I.Ret
-             when loc a && lit l4 <> None ->
-             fused (TLGTGPVBBR (a, p, Option.get (lit l4), op1, op2))
-           | _ -> None
-         else None
-       with
-      | Some f5 -> code.(i) <- f5
-      | None ->
+    let fuse7 i =
       match
-        if t.typed && in_blk i 5 && i + 4 < n then
-          match (body.(i), body.(i + 1), body.(i + 2), body.(i + 3), body.(i + 4)) with
-          | I.LoadLoc a, I.LoadLoc o, I.GetProp p, I.BinOp op, I.StoreLoc d
-            when loc a && loc o && loc d ->
-            fused (TLLGPBS (a, o, p, op, d))
-          | _ -> None
-        else None
+        (body.(i), body.(i + 1), body.(i + 2), body.(i + 3), body.(i + 4), body.(i + 5), body.(i + 6))
       with
-      | Some f5 -> code.(i) <- f5
-      | None ->
-      match
-         if in_blk i 4 && i + 3 < n then
-           match (body.(i), body.(i + 1), body.(i + 2), body.(i + 3)) with
-           | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.StoreLoc c
-             when loc a && loc b && loc c ->
-             Some (TLLBS (a, b, op, c))
-           | I.LoadLoc a, l2, I.BinOp op, I.StoreLoc c when loc a && loc c && lit l2 <> None
-             ->
-             Some (TLVBS (a, Option.get (lit l2), op, c))
-           | l1, I.LoadLoc b, I.BinOp op, I.StoreLoc c when loc b && loc c && lit l1 <> None
-             ->
-             Some (TVLBS (Option.get (lit l1), b, op, c))
-           | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.JmpZ target when loc a && loc b ->
-             Some (TLLBZ (a, b, op, target))
-           | I.LoadLoc a, l2, I.BinOp op, I.JmpZ target when loc a && lit l2 <> None ->
-             Some (TLVBZ (a, Option.get (lit l2), op, target))
-           | I.LoadLoc a, l2, I.BinOp op, I.Ret when t.typed && loc a && lit l2 <> None ->
-             fused (TLVBR (a, Option.get (lit l2), op))
-           | _ -> None
-         else None
-       with
-      | Some f4 -> code.(i) <- f4
-      | None -> (
-        match
-          if in_blk i 3 && i + 2 < n then
-            match (body.(i), body.(i + 1), body.(i + 2)) with
-            | I.LoadLoc a, I.LoadLoc b, I.BinOp op when loc a && loc b ->
-              Some (TLLB (a, b, op))
-            | I.LoadLoc a, l2, I.BinOp op when loc a && lit l2 <> None ->
-              Some (TLVB (a, Option.get (lit l2), op))
-            | l1, I.LoadLoc b, I.BinOp op when loc b && lit l1 <> None ->
-              Some (TVLB (Option.get (lit l1), b, op))
-            | l1, I.BinOp op, I.StoreLoc d when t.typed && loc d && lit l1 <> None ->
-              fused (TVBS (Option.get (lit l1), op, d))
-            | l1, I.BinOp op, I.JmpZ target when t.typed && lit l1 <> None ->
-              fused (TVBZ (Option.get (lit l1), op, target))
-            | _ -> None
-          else None
-        with
-        | Some f3 -> code.(i) <- f3
-        | None ->
-          if in_blk i 2 && i + 1 < n then (
-            match (body.(i), body.(i + 1)) with
-            | I.LoadLoc a, I.Ret when loc a -> code.(i) <- TLRet a
-            | I.GetThis, I.GetProp p when t.typed -> install2 i (TGTGP p)
-            | l1, I.BinOp op when t.typed && lit l1 <> None ->
-              install2 i (TVB (Option.get (lit l1), op))
-            | I.BinOp op, I.StoreLoc d when t.typed && loc d -> install2 i (TBS (op, d))
-            | I.BinOp op, I.Ret when t.typed -> install2 i (TBR op)
-            | _ -> ())))
-      end
-    done;
+      | I.LoadLoc a, I.LoadLoc o, I.GetProp p, I.BinOp op1, I.LoadLoc c, I.BinOp op2, I.StoreLoc d
+        when loc a && loc o && loc c && loc d ->
+        Some (TLLGPBLBS (a, o, p, op1, c, op2, d))
+      | I.GetThis, I.GetProp p, I.LoadLoc x, l4, I.BinOp op1, I.BinOp op2, I.StoreLoc d
+        when loc x && loc d && lit l4 <> None ->
+        Some (TGTGPLVBBS (p, x, Option.get (lit l4), op1, op2, d))
+      | I.LoadLoc a, I.GetThis, I.GetProp p, l4, I.BinOp op1, I.BinOp op2, I.Ret
+        when loc a && lit l4 <> None ->
+        Some (TLGTGPVBBR (a, p, Option.get (lit l4), op1, op2))
+      | _ -> None
+    in
+    let fuse5 i =
+      match (body.(i), body.(i + 1), body.(i + 2), body.(i + 3), body.(i + 4)) with
+      | I.LoadLoc a, I.LoadLoc o, I.GetProp p, I.BinOp op, I.StoreLoc d
+        when loc a && loc o && loc d ->
+        Some (TLLGPBS (a, o, p, op, d))
+      | _ -> None
+    in
+    let fuse4 i =
+      match (body.(i), body.(i + 1), body.(i + 2), body.(i + 3)) with
+      | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.StoreLoc c when loc a && loc b && loc c ->
+        Some (TLLBS (a, b, op, c))
+      | I.LoadLoc a, l2, I.BinOp op, I.StoreLoc c when loc a && loc c && lit l2 <> None ->
+        Some (TLVBS (a, Option.get (lit l2), op, c))
+      | l1, I.LoadLoc b, I.BinOp op, I.StoreLoc c when loc b && loc c && lit l1 <> None ->
+        Some (TVLBS (Option.get (lit l1), b, op, c))
+      | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.JmpZ target when loc a && loc b ->
+        Some (TLLBZ (a, b, op, target))
+      | I.LoadLoc a, l2, I.BinOp op, I.JmpZ target when loc a && lit l2 <> None ->
+        Some (TLVBZ (a, Option.get (lit l2), op, target))
+      | I.LoadLoc a, l2, I.BinOp op, I.Ret when loc a && lit l2 <> None ->
+        Some (TLVBR (a, Option.get (lit l2), op))
+      | _ -> None
+    in
+    let fuse3 i =
+      match (body.(i), body.(i + 1), body.(i + 2)) with
+      | I.LoadLoc a, I.LoadLoc b, I.BinOp op when loc a && loc b -> Some (TLLB (a, b, op))
+      | I.LoadLoc a, l2, I.BinOp op when loc a && lit l2 <> None ->
+        Some (TLVB (a, Option.get (lit l2), op))
+      | l1, I.LoadLoc b, I.BinOp op when loc b && lit l1 <> None ->
+        Some (TVLB (Option.get (lit l1), b, op))
+      | l1, I.BinOp op, I.StoreLoc d when loc d && lit l1 <> None ->
+        Some (TVBS (Option.get (lit l1), op, d))
+      | l1, I.BinOp op, I.JmpZ target when lit l1 <> None ->
+        Some (TVBZ (Option.get (lit l1), op, target))
+      | _ -> None
+    in
+    let fuse2 i =
+      match (body.(i), body.(i + 1)) with
+      | I.LoadLoc a, I.Ret when loc a -> Some (TLRet a)
+      | I.GetThis, I.GetProp p -> Some (TGTGP p)
+      | l1, I.BinOp op when lit l1 <> None -> Some (TVB (Option.get (lit l1), op))
+      | I.BinOp op, I.StoreLoc d when loc d -> Some (TBS (op, d))
+      | I.BinOp op, I.Ret -> Some (TBR op)
+      | _ -> None
+    in
+    let patterns = [ (7, fuse7); (5, fuse5); (4, fuse4); (3, fuse3); (2, fuse2) ] in
+    let code =
+      Array.init n (fun i ->
+          match List.find_map (fun (w, fuse) -> if in_blk i w then fuse i else None) patterns with
+          | Some fused -> fused
+          | None -> single i)
+    in
     t.tcodes.(fid) <- Some code;
     code
 
-let default_inline_cache = ref true
-
-(* The typed (dataflow) overlay defaults on, like the cached translations:
-   both are semantics-preserving and the bench A/B toggles them explicitly. *)
-let default_typed = ref true
-
-let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?inline_cache ?typed repo heap =
-  let inline_cache =
-    match inline_cache with Some b -> b | None -> !default_inline_cache
-  in
-  let typed = match typed with Some b -> b | None -> !default_typed in
+let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?(inline_cache = true) ?(typed = true)
+    repo heap =
+  let translated = inline_cache && typed in
   let t =
     {
       repo;
@@ -534,8 +332,7 @@ let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?inline_cache ?typed re
       depth = 0;
       block_maps = Array.make (Hhbc.Repo.n_funcs repo) None;
       block_limits = Array.make (Hhbc.Repo.n_funcs repo) None;
-      inline_cache;
-      typed;
+      translated;
       tcodes = Array.make (Hhbc.Repo.n_funcs repo) None;
       site_caches = Array.make (Hhbc.Repo.n_funcs repo) None;
       frames = [||];
@@ -550,22 +347,12 @@ let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?inline_cache ?typed re
           frame_reuses = 0;
           frame_allocs = 0;
         };
-      tstats =
-        {
-          typed_folds = 0;
-          typed_consts = 0;
-          typed_jumps = 0;
-          typed_casts = 0;
-          typed_dead_stores = 0;
-          typed_dead_blocks = 0;
-          typed_fused = 0;
-        };
     }
   in
-  (* "JIT all code before the first request": with caching on, block maps and
-     translations are precomputed at creation instead of lazily on first
-     entry *)
-  if inline_cache then
+  (* "JIT all code before the first request": on the translated loop, block
+     maps and translations are precomputed at creation instead of lazily on
+     first entry *)
+  if translated then
     for fid = 0 to Hhbc.Repo.n_funcs repo - 1 do
       ignore (translate t fid)
     done;
@@ -576,9 +363,7 @@ let heap t = t.heap
 let steps t = t.steps
 let func_steps t = t.func_steps
 let output t = Buffer.contents t.out
-let clear_output t = Buffer.clear t.out
 let cache_stats t = t.stats
-let typed_stats t = t.tstats
 
 let cache_counters t =
   let s = t.stats in
@@ -587,17 +372,6 @@ let cache_counters t =
     ("interp.cache.prop_hit_mono", s.prop_hit_mono);
     ("interp.cache.prop_hit_poly", s.prop_hit_poly); ("interp.cache.prop_miss", s.prop_miss);
     ("interp.frame.reuses", s.frame_reuses); ("interp.frame.allocs", s.frame_allocs)
-  ]
-
-(* Bench-only view of the typed overlay's translation work; intentionally a
-   separate accessor from [cache_counters] so it never lands in telemetry. *)
-let typed_counters t =
-  let s = t.tstats in
-  [ ("interp.typed.folds", s.typed_folds); ("interp.typed.consts", s.typed_consts);
-    ("interp.typed.jumps", s.typed_jumps); ("interp.typed.casts", s.typed_casts);
-    ("interp.typed.dead_stores", s.typed_dead_stores);
-    ("interp.typed.dead_blocks", s.typed_dead_blocks);
-    ("interp.typed.fused", s.typed_fused)
   ]
 
 let sites t fid body_len =
@@ -1116,8 +890,8 @@ let rec exec_fast t fid ~this args =
   (* one source instruction's worth of fuel/step accounting, exactly the
      inner-loop header: the instruction that would exhaust the fuel is not
      counted, an instruction that errors after passing the check is.  The
-     typed-overlay arms charge per component with this instead of the bulk
-     charge + rollback the older superinstructions use. *)
+     wide-form arms charge per component with this instead of the bulk
+     charge + rollback the narrow superinstructions use. *)
   let charge1 () =
     if !rem <= 0 then begin
       flush ();
@@ -1515,26 +1289,11 @@ let rec exec_fast t fid ~this args =
            acc := !acc + 1;
            result := locals.(a);
            running := false
-         (* --- typed-overlay arms ---
+         (* --- wide-form arms ---
             These charge per source component with [charge1], which is
             exactly equivalent to the bulk-charge scheme above: a component
             that errors is charged, the component that would exhaust the
             fuel is not. *)
-         | TPushK (v, w) ->
-           (* the analysis proved the whole segment pure and non-erroring,
-              so only the fuel checks remain observable *)
-           for _ = 2 to w do
-             charge1 ()
-           done;
-           pc := i + w;
-           push st v
-         | TPopJmp target ->
-           ignore (pop st);
-           pc := target;
-           if target < i then refire := true;
-           br := true
-         | TUnreachable ->
-           error "internal error: typed translation executed a dataflow-dead block"
          | TVB (v, op) ->
            charge1 ();
            let a = pop st in
@@ -1656,16 +1415,9 @@ let rec exec_fast t fid ~this args =
   if has_probes then t.probes.Probes.on_func_exit fid;
   !result
 
-let enter t fid ~this args =
-  if t.inline_cache then exec_fast t fid ~this args else exec_func t fid ~this args
-
-let call t fid args = enter t fid ~this:None (Array.of_list args)
-
-let call_method t handle nid args =
-  let cid = Mh_runtime.Heap.class_of t.heap handle in
-  match Hhbc.Repo.resolve_method t.repo cid nid with
-  | None -> error "undefined method (n%d) on class c%d" nid cid
-  | Some fid -> enter t fid ~this:(Some handle) (Array.of_list args)
+let call t fid args =
+  let args = Array.of_list args in
+  if t.translated then exec_fast t fid ~this:None args else exec_func t fid ~this:None args
 
 let run_main t =
   match Hhbc.Repo.find_func_by_name t.repo "main" with

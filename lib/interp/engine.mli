@@ -29,45 +29,29 @@ type cache_stats = {
   mutable frame_allocs : int;
 }
 
-(** What the typed (dataflow-driven) translation overlay did at translation
-    time: constant segments folded, constant local loads rewritten,
-    conditionals statically resolved, identity casts dropped, dead stores
-    demoted to pops, dead blocks poisoned, analysis-era superinstructions
-    installed.  Translation statistics only — deliberately excluded from
-    telemetry so typed-on and typed-off runs stay telemetry-byte-identical. *)
-type typed_stats = {
-  mutable typed_folds : int;
-  mutable typed_consts : int;
-  mutable typed_jumps : int;
-  mutable typed_casts : int;
-  mutable typed_dead_stores : int;
-  mutable typed_dead_blocks : int;
-  mutable typed_fused : int;
-}
-
 (** [create ?probes ?fuel ?inline_cache ?typed repo heap] makes an
     interpreter.
     [fuel] bounds the total number of executed instructions (default: 200
     million); exceeding it raises {!Runtime_error}, protecting tests and
     simulations against non-terminating generated programs.
 
-    [inline_cache] (default [true]) enables HHVM-style per-call-site
-    dispatch caches: a monomorphic-with-polymorphic-fallback method cache at
-    each [CallMethod] site, a [(class id -> physical slot)] cache at each
-    [GetProp]/[SetProp] site, precomputed block maps, and call-frame/operand-
-    stack reuse across invocations.  The caches memoize pure lookups over
-    immutable repo/layout tables, so results, probe streams and step counts
-    are identical with caching on or off — [~inline_cache:false] is the
-    [--no-inline-cache] escape hatch for A/B measurements.
+    The engine runs one of two loops, fixed at creation:
+    - the translated loop, when [inline_cache] and [typed] are both [true]
+      (the default).  Every function body must pass {!Js_analysis.Verify}
+      ([create] raises {!Runtime_error} otherwise) and is translated once,
+      at creation: hot straight-line bytecode patterns
+      fuse into superinstructions, each [CallMethod] site carries a
+      monomorphic-with-polymorphic-fallback method cache, each
+      [GetProp]/[SetProp] site a [(class id -> physical slot)] cache, and
+      call frames and operand stacks are reused across invocations;
+    - the reference loop, when either flag is [false]: one source
+      instruction per dispatch, no translation and no caches.  It is the
+      oracle the translated loop is tested against, and what
+      [--no-inline-cache] runs.
 
-    [typed] (default [true]) additionally lets {!Js_analysis.Dataflow} facts
-    drive the translation: constant-folded segments collapse to a single
-    push, statically-decided conditionals lose their test, identity casts
-    become no-ops, provably dead stores skip the write, dataflow-dead blocks
-    are poisoned, and wider analysis-era superinstructions are fused.  Every
-    rewrite preserves results, output, probe streams and step/fuel
-    accounting exactly, so [~typed:false] is a pure-performance A/B knob
-    (the bench's [typed_translation] section). *)
+    Both loops give the same results, echo output, probe streams and
+    step/fuel accounting, at every fuel level.  [~typed:false] is a synonym
+    for [~inline_cache:false]. *)
 val create :
   ?probes:Probes.t ->
   ?fuel:int ->
@@ -76,17 +60,6 @@ val create :
   Hhbc.Repo.t ->
   Mh_runtime.Heap.t ->
   t
-
-(** Process-wide default for {!create}'s [?inline_cache] (initially [true]).
-    Layers that construct engines internally (cluster/fleet simulations)
-    inherit this, so a whole-stack A/B — e.g. checking that fleet telemetry
-    is byte-identical with caching on and off — only needs to flip this ref.
-    The [--no-inline-cache] CLI flag sets it to [false]. *)
-val default_inline_cache : bool ref
-
-(** Process-wide default for {!create}'s [?typed] (initially [true]); the
-    typed-translation analogue of {!default_inline_cache}. *)
-val default_typed : bool ref
 
 val repo : t -> Hhbc.Repo.t
 val heap : t -> Mh_runtime.Heap.t
@@ -101,31 +74,17 @@ val func_steps : t -> int array
 (** Everything printed by [echo] so far. *)
 val output : t -> string
 
-val clear_output : t -> unit
-
-(** The engine's live inline-cache counters (all zero when the engine was
-    created with [~inline_cache:false]). *)
+(** The engine's live inline-cache counters (all zero on the reference
+    loop). *)
 val cache_stats : t -> cache_stats
 
 (** The same counters as telemetry-ready [("interp.cache.*", value)] pairs,
     for {!Js_telemetry.import_counters}-style bulk export. *)
 val cache_counters : t -> (string * int) list
 
-(** The typed overlay's translation statistics (all zero with
-    [~typed:false]). *)
-val typed_stats : t -> typed_stats
-
-(** {!typed_stats} as [("interp.typed.*", value)] pairs.  Bench-report only:
-    these are intentionally NOT part of {!cache_counters}, so telemetry
-    stays byte-identical with the overlay on or off. *)
-val typed_counters : t -> (string * int) list
-
 (** [call t fid args] invokes a top-level function.
     @raise Runtime_error on dynamic errors. *)
 val call : t -> Hhbc.Instr.fid -> Hhbc.Value.t list -> Hhbc.Value.t
-
-(** [call_method t handle name args] dispatches a method on an object. *)
-val call_method : t -> int -> Hhbc.Instr.nid -> Hhbc.Value.t list -> Hhbc.Value.t
 
 (** [run_main t] executes the program entry point: the function named
     ["main"], or the first unit's main.

@@ -16,16 +16,3 @@ let none =
     on_func_exit = (fun _ -> ());
     on_prop_access = (fun _ _ ~addr:_ ~write:_ -> ());
   }
-
-let all_of probes =
-  {
-    on_block = (fun fid bb -> List.iter (fun p -> p.on_block fid bb) probes);
-    on_arc = (fun fid ~src ~dst -> List.iter (fun p -> p.on_arc fid ~src ~dst) probes);
-    on_call =
-      (fun ~caller ~site ~callee -> List.iter (fun p -> p.on_call ~caller ~site ~callee) probes);
-    on_func_entry = (fun fid -> List.iter (fun p -> p.on_func_entry fid) probes);
-    on_func_exit = (fun fid -> List.iter (fun p -> p.on_func_exit fid) probes);
-    on_prop_access =
-      (fun cid nid ~addr ~write ->
-        List.iter (fun p -> p.on_prop_access cid nid ~addr ~write) probes);
-  }

@@ -24,6 +24,3 @@ type t = {
 
 (** No-op probes. *)
 val none : t
-
-(** [all_of list] fans one event out to several probe sets. *)
-val all_of : t list -> t

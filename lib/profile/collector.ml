@@ -8,17 +8,3 @@ let probes counters =
     on_prop_access =
       (fun cid nid ~addr:_ ~write:_ -> Counters.record_prop_access counters cid nid);
   }
-
-let probes_if flag counters =
-  let p = probes counters in
-  {
-    Interp.Probes.on_block = (fun fid bb -> if !flag then p.Interp.Probes.on_block fid bb);
-    on_arc = (fun fid ~src ~dst -> if !flag then p.Interp.Probes.on_arc fid ~src ~dst);
-    on_call =
-      (fun ~caller ~site ~callee -> if !flag then p.Interp.Probes.on_call ~caller ~site ~callee);
-    on_func_entry = (fun fid -> if !flag then p.Interp.Probes.on_func_entry fid);
-    on_func_exit = (fun fid -> if !flag then p.Interp.Probes.on_func_exit fid);
-    on_prop_access =
-      (fun cid nid ~addr ~write ->
-        if !flag then p.Interp.Probes.on_prop_access cid nid ~addr ~write);
-  }

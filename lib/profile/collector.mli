@@ -7,8 +7,3 @@
 
 (** [probes counters] returns probes that record into [counters]. *)
 val probes : Counters.t -> Interp.Probes.t
-
-(** [probes_if flag counters] records only while [!flag] is true — models
-    the profiling window closing at point "A" of paper Fig. 1 while the
-    server keeps executing. *)
-val probes_if : bool ref -> Counters.t -> Interp.Probes.t

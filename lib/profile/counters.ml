@@ -363,34 +363,3 @@ let deserialize repo r =
       record_unit_load t uid)
     (Rd.list r (fun r -> Rd.varint r));
   t
-
-let add_tbl ~dst ~src =
-  Hashtbl.iter
-    (fun k v ->
-      match Hashtbl.find_opt dst k with
-      | Some r -> r := !r + !v
-      | None -> Hashtbl.add dst k (ref !v))
-    src
-
-let merge_into ~dst ~src =
-  Array.iteri
-    (fun fid counts ->
-      match counts with
-      | None -> ()
-      | Some src_counts -> (
-        match dst.blocks.(fid) with
-        | None -> dst.blocks.(fid) <- Some (Array.copy src_counts)
-        | Some dst_counts -> Array.iteri (fun i c -> dst_counts.(i) <- dst_counts.(i) + c) src_counts))
-    src.blocks;
-  Array.iteri (fun fid tbl -> add_tbl ~dst:dst.arcs.(fid) ~src:tbl) src.arcs;
-  Hashtbl.iter
-    (fun key tbl ->
-      match Hashtbl.find_opt dst.call_sites key with
-      | Some dtbl -> add_tbl ~dst:dtbl ~src:tbl
-      | None -> Hashtbl.add dst.call_sites key (copy_tbl tbl))
-    src.call_sites;
-  Array.iteri (fun fid e -> dst.entries.(fid) <- dst.entries.(fid) + e) src.entries;
-  add_tbl ~dst:dst.cg ~src:src.cg;
-  add_tbl ~dst:dst.props ~src:src.props;
-  List.iter (fun uid -> record_unit_load dst uid) (touched_units src);
-  dst.total_entries <- dst.total_entries + src.total_entries

@@ -118,6 +118,3 @@ val copy : t -> t
 val serialize : t -> Js_util.Binio.Writer.t -> unit
 
 val deserialize : Hhbc.Repo.t -> Js_util.Binio.Reader.t -> t
-
-(** Merge [src] into [dst] (multi-seeder aggregation experiments). *)
-val merge_into : dst:t -> src:t -> unit

@@ -217,27 +217,6 @@ let test_fleet_telemetry_deterministic () =
       (v.Js_telemetry.total >= cfg.Cluster.Fleet.n_servers)
   | _ -> Alcotest.fail "expected exactly the fleet.boot_seconds histogram")
 
-let test_fleet_telemetry_cache_invariant () =
-  (* the whole-stack A/B from the interpreter's inline-cache work: flipping
-     the process-wide cache default must leave the fleet's telemetry document
-     byte-identical — caching may only change speed, never behavior *)
-  let app = Lazy.force small_app in
-  let cfg = { (Lazy.force fleet_cfg) with Cluster.Fleet.validation_catch_rate = 0. } in
-  let run_with inline_cache =
-    let saved = !Interp.Engine.default_inline_cache in
-    Interp.Engine.default_inline_cache := inline_cache;
-    Fun.protect
-      ~finally:(fun () -> Interp.Engine.default_inline_cache := saved)
-      (fun () ->
-        let tel = Js_telemetry.create () in
-        ignore
-          (Cluster.Fleet.simulate_push ~telemetry:tel cfg app ~seed:11 ~bad_package_rate:0.3
-             ~thin_profile_rate:0. ~duration:400.);
-        Js_telemetry.to_json tel)
-  in
-  Alcotest.(check string) "telemetry byte-identical cached vs uncached" (run_with true)
-    (run_with false)
-
 let test_fleet_dist_faults_absorbed () =
   (* ISSUE acceptance: at 30% transient fetch failure plus timeouts, the
      retry/backoff ladder keeps (well over) 99% of servers jump-started *)
@@ -332,8 +311,6 @@ let () =
           Alcotest.test_case "telemetry deterministic" `Quick test_fleet_telemetry_deterministic;
           Alcotest.test_case "dist faults absorbed" `Quick test_fleet_dist_faults_absorbed;
           Alcotest.test_case "dist outage degrades" `Quick test_fleet_dist_outage_degrades;
-          Alcotest.test_case "telemetry cache-invariant" `Quick
-            test_fleet_telemetry_cache_invariant;
           Alcotest.test_case "telemetry crash accounting" `Quick
             test_fleet_telemetry_crash_accounting
         ] )

@@ -285,40 +285,9 @@ let test_undefined_method_after_cache_install () =
       function go($o) { return $o->m(); }
       function main() { $a = new A(); go($a); go($a); $b = new B(); return go($b); }|}
 
-let test_inline_cache_off_is_identical () =
-  let src =
-    {|class A { prop $x = 1; method bump() { $this->x = $this->x + 1; return $this->x; } }
-      function main() {
-        $a = new A(); $s = "";
-        for ($i = 0; $i < 4; $i = $i + 1) { $s = $s . $a->bump() . ","; echo $s; }
-        return $s;
-      }|}
-  in
-  let run_with inline_cache =
-    let repo, heap = setup src in
-    let engine = Interp.Engine.create ~inline_cache repo heap in
-    let result = Interp.Engine.run_main engine in
-    ( result,
-      Interp.Engine.output engine,
-      Interp.Engine.steps engine,
-      Array.copy (Interp.Engine.func_steps engine) )
-  in
-  let cached = run_with true and uncached = run_with false in
-  Alcotest.(check bool) "result/output/steps identical" true (cached = uncached);
-  let repo, heap = setup src in
-  let off = Interp.Engine.create ~inline_cache:false repo heap in
-  ignore (Interp.Engine.run_main off);
-  let s = Interp.Engine.cache_stats off in
-  Alcotest.(check int) "uncached engine never consults caches" 0
-    (s.Interp.Engine.meth_hit_mono + s.Interp.Engine.meth_hit_poly + s.Interp.Engine.meth_miss
-    + s.Interp.Engine.prop_hit_mono + s.Interp.Engine.prop_hit_poly + s.Interp.Engine.prop_miss)
-
-(* --- typed translation (dataflow-backed rewrites) --- *)
-
-(* exercises every rewrite class: constant folding (segments -> TPushK),
-   constant-resolved branches with a dataflow-dead else arm, dead stores,
-   identity casts on a statically-boolean operand, and the analysis-era
-   superinstructions in the hot helper *)
+(* Exercises the narrow and wide superinstruction patterns (including the
+   property-reading and return-fusing ones), a constant branch with a dead
+   else arm, dead stores and a cast. *)
 let typed_src =
   {|class A { prop $x = 2; method get() { return $this->x; } }
     function tag($n) { return boolval($n < 5); }
@@ -334,59 +303,78 @@ let typed_src =
       return $s;
     }|}
 
-let observe ~typed src =
-  let repo, heap = setup src in
-  let engine = Interp.Engine.create ~typed repo heap in
-  let result = Interp.Engine.run_main engine in
-  ( engine,
+let test_inline_cache_off_is_identical () =
+  let bump_src =
+    {|class A { prop $x = 1; method bump() { $this->x = $this->x + 1; return $this->x; } }
+      function main() {
+        $a = new A(); $s = "";
+        for ($i = 0; $i < 4; $i = $i + 1) { $s = $s . $a->bump() . ","; echo $s; }
+        return $s;
+      }|}
+  in
+  let run_with src inline_cache =
+    let repo, heap = setup src in
+    let engine = Interp.Engine.create ~inline_cache repo heap in
+    let result = Interp.Engine.run_main engine in
     ( result,
       Interp.Engine.output engine,
       Interp.Engine.steps engine,
-      Array.copy (Interp.Engine.func_steps engine) ) )
-
-let test_typed_off_is_identical () =
-  let on_engine, on = observe ~typed:true typed_src in
-  let off_engine, off = observe ~typed:false typed_src in
-  Alcotest.(check bool) "result/output/steps/func_steps identical" true (on = off);
-  let (result, _, _, _) = on in
+      Array.copy (Interp.Engine.func_steps engine) )
+  in
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) "result/output/steps identical" true
+        (run_with src true = run_with src false))
+    [ bump_src; typed_src ];
+  let result, _, _, _ = run_with typed_src true in
   Alcotest.(check bool) "computes the expected value" true (result = V.Int 96);
-  let s = Interp.Engine.typed_stats on_engine in
-  Alcotest.(check bool) "folded a constant segment" true (s.Interp.Engine.typed_folds >= 1);
-  Alcotest.(check bool) "resolved a constant branch" true (s.Interp.Engine.typed_jumps >= 1);
-  Alcotest.(check bool) "erased dataflow-dead blocks" true (s.Interp.Engine.typed_dead_blocks >= 1);
-  Alcotest.(check bool) "dropped a dead store" true (s.Interp.Engine.typed_dead_stores >= 1);
-  Alcotest.(check bool) "erased an identity cast" true (s.Interp.Engine.typed_casts >= 1);
-  Alcotest.(check bool) "fused superinstructions" true (s.Interp.Engine.typed_fused >= 1);
-  let z = Interp.Engine.typed_stats off_engine in
-  Alcotest.(check int) "typed-off engine rewrites nothing" 0
-    (z.Interp.Engine.typed_folds + z.Interp.Engine.typed_consts + z.Interp.Engine.typed_jumps
-    + z.Interp.Engine.typed_casts + z.Interp.Engine.typed_dead_stores
-    + z.Interp.Engine.typed_dead_blocks + z.Interp.Engine.typed_fused)
+  let repo, heap = setup bump_src in
+  let off = Interp.Engine.create ~inline_cache:false repo heap in
+  ignore (Interp.Engine.run_main off);
+  let s = Interp.Engine.cache_stats off in
+  Alcotest.(check int) "uncached engine never consults caches" 0
+    (s.Interp.Engine.meth_hit_mono + s.Interp.Engine.meth_hit_poly + s.Interp.Engine.meth_miss
+    + s.Interp.Engine.prop_hit_mono + s.Interp.Engine.prop_hit_poly + s.Interp.Engine.prop_miss)
 
-(* Fuel parity: the typed overlay must charge step-for-step like the naive
-   loop, so truncating execution at every possible fuel level observes the
-   same boundary — same error/result, same partial output, same steps. *)
+(* Fuel parity: the translated loop must charge step-for-step like the
+   reference loop, so truncating execution at every possible fuel level
+   observes the same boundary — same error/result, same partial output,
+   same steps.  Inputs: [typed_src]'s main, and a request sequence on a
+   generated tiny app. *)
 let test_typed_fuel_parity () =
-  let run_fuel ~typed fuel =
-    let repo, heap = setup typed_src in
-    let engine = Interp.Engine.create ~typed ~fuel repo heap in
-    match Interp.Engine.run_main engine with
-    | result -> (Ok result, Interp.Engine.output engine, Interp.Engine.steps engine)
-    | exception Interp.Engine.Runtime_error msg ->
-      (Error msg, Interp.Engine.output engine, Interp.Engine.steps engine)
+  let sweep name ~setup ~run =
+    let observe ~inline_cache fuel =
+      let repo, heap = setup () in
+      let engine = Interp.Engine.create ~inline_cache ~fuel repo heap in
+      match run engine with
+      | result -> (Ok result, Interp.Engine.output engine, Interp.Engine.steps engine)
+      | exception Interp.Engine.Runtime_error msg ->
+        (Error msg, Interp.Engine.output engine, Interp.Engine.steps engine)
+    in
+    let full_steps =
+      match observe ~inline_cache:false 1_000_000 with
+      | Ok _, _, steps -> steps
+      | Error msg, _, _ -> Alcotest.failf "%s: reference run died: %s" name msg
+    in
+    for fuel = 1 to full_steps + 1 do
+      let product = observe ~inline_cache:true fuel
+      and reference = observe ~inline_cache:false fuel in
+      if product <> reference then
+        Alcotest.failf "%s: translated/reference diverge at fuel %d (steps %d vs %d)" name fuel
+          (match product with _, _, s -> s)
+          (match reference with _, _, s -> s)
+    done
   in
-  let full_steps =
-    match run_fuel ~typed:false 1_000_000 with
-    | Ok _, _, steps -> steps
-    | Error msg, _, _ -> Alcotest.failf "reference run died: %s" msg
-  in
-  for fuel = 1 to full_steps + 1 do
-    let on = run_fuel ~typed:true fuel and off = run_fuel ~typed:false fuel in
-    if on <> off then
-      Alcotest.failf "typed/untyped diverge at fuel %d (steps %d vs %d)" fuel
-        (match on with _, _, s -> s)
-        (match off with _, _, s -> s)
-  done
+  sweep "typed_src" ~setup:(fun () -> setup typed_src) ~run:(fun e -> [ Interp.Engine.run_main e ]);
+  let app = Workload.Codegen.generate Workload.App_spec.tiny in
+  let repo = app.Workload.Codegen.repo in
+  let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+  let mix = Workload.Request.uniform_mix app in
+  sweep "tiny app"
+    ~setup:(fun () -> (repo, Mh_runtime.Heap.create repo layouts))
+    ~run:(fun engine ->
+      let rng = Js_util.Rng.create 5 in
+      List.init 2 (fun _ -> Workload.Request.invoke engine app (Workload.Request.sample rng mix)))
 
 let () =
   Alcotest.run "interp"
@@ -431,7 +419,5 @@ let () =
           Alcotest.test_case "cache off identical" `Quick test_inline_cache_off_is_identical
         ] );
       ( "typed translation",
-        [ Alcotest.test_case "typed off identical" `Quick test_typed_off_is_identical;
-          Alcotest.test_case "fuel parity at every boundary" `Quick test_typed_fuel_parity
-        ] )
+        [ Alcotest.test_case "fuel parity at every boundary" `Quick test_typed_fuel_parity ] )
     ]

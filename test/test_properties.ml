@@ -610,9 +610,8 @@ type probe_event =
   | Exit of int
   | Prop of int * int * int * bool
 
-let trace_requests ?(typed = true) app ~inline_cache ~seed ~n =
+let trace_requests app ~layouts ~inline_cache ~seed ~n =
   let repo = app.Workload.Codegen.repo in
-  let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
   let events = ref [] in
   let probes =
     {
@@ -627,7 +626,7 @@ let trace_requests ?(typed = true) app ~inline_cache ~seed ~n =
     }
   in
   let engine =
-    Interp.Engine.create ~probes ~inline_cache ~typed repo (Mh_runtime.Heap.create repo layouts)
+    Interp.Engine.create ~probes ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
   in
   let rng = Js_util.Rng.create seed in
   let mix = Workload.Request.uniform_mix app in
@@ -640,27 +639,59 @@ let trace_requests ?(typed = true) app ~inline_cache ~seed ~n =
     Array.copy (Interp.Engine.func_steps engine),
     List.rev !events )
 
+(* A generated tiny app under [app_seed], churned at [rate] (0 leaves the
+   base build untouched). *)
+let tiny_build ~app_seed ~rate =
+  let spec = { Workload.App_spec.tiny with Workload.App_spec.seed = app_seed } in
+  fst (Workload.Churn.generate { Workload.Churn.seed = app_seed; rate } spec)
+
+(* Inputs span base and churned builds, and declaration-order and
+   hotness-reordered class layouts. *)
 let prop_inline_cache_transparent =
   QCheck.Test.make ~name:"inline caches are observationally invisible" ~count:6
-    QCheck.(pair (int_range 1 500) small_nat)
-    (fun (app_seed, seed) ->
-      let spec = { Workload.App_spec.tiny with Workload.App_spec.seed = app_seed } in
-      let app = Workload.Codegen.generate spec in
-      trace_requests app ~inline_cache:true ~seed ~n:5
-      = trace_requests app ~inline_cache:false ~seed ~n:5)
+    QCheck.(quad (int_range 1 500) (int_range 0 5) bool small_nat)
+    (fun (app_seed, r10, reorder, seed) ->
+      let app = tiny_build ~app_seed ~rate:(float_of_int r10 /. 10.) in
+      let hotness _ nid = (nid * 7919) + seed in
+      let layouts = Mh_runtime.Class_layout.build app.Workload.Codegen.repo ~reorder ~hotness in
+      trace_requests app ~layouts ~inline_cache:true ~seed ~n:5
+      = trace_requests app ~layouts ~inline_cache:false ~seed ~n:5)
 
-(* Same invariant for the dataflow-backed typed translation: the rewrites
-   (constant folds, resolved branches, erased casts/dead stores, fused
-   superinstructions) must be invisible to every observable — results, echo
-   output, step accounting, and the full ordered probe-event stream. *)
-let prop_typed_translation_transparent =
-  QCheck.Test.make ~name:"typed translation is observationally invisible" ~count:6
-    QCheck.(pair (int_range 1 500) small_nat)
-    (fun (app_seed, seed) ->
-      let spec = { Workload.App_spec.tiny with Workload.App_spec.seed = app_seed } in
-      let app = Workload.Codegen.generate spec in
-      trace_requests app ~typed:true ~inline_cache:true ~seed ~n:5
-      = trace_requests app ~typed:false ~inline_cache:true ~seed ~n:5)
+(* Reach soundness on executed code: every block the tier-1 probes record
+   is [reach], and every recorded arc a [feasible_edge], in its function's
+   converged dataflow summary.  The P320/P321 package gates and the stale
+   matcher rely on exactly these facts. *)
+let prop_executions_dataflow_feasible =
+  QCheck.Test.make ~name:"executed blocks and arcs are dataflow-feasible" ~count:10
+    QCheck.(triple (int_range 1 500) (int_range 0 5) small_nat)
+    (fun (app_seed, r10, seed) ->
+      let app = tiny_build ~app_seed ~rate:(float_of_int r10 /. 10.) in
+      let repo = app.Workload.Codegen.repo in
+      let counters = Jit_profile.Counters.create repo in
+      let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+      let engine =
+        Interp.Engine.create
+          ~probes:(Jit_profile.Collector.probes counters)
+          repo (Mh_runtime.Heap.create repo layouts)
+      in
+      let rng = Js_util.Rng.create seed in
+      let mix = Workload.Request.uniform_mix app in
+      for _ = 1 to 8 do
+        ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+      done;
+      let module Dfa = Js_analysis.Dataflow in
+      Jit_profile.Counters.profiled_funcs counters <> []
+      && List.for_all
+           (fun fid ->
+             let s = Dfa.analyze repo (Hhbc.Repo.func repo fid) in
+             s.Dfa.converged
+             && (match Jit_profile.Counters.block_counts counters fid with
+                | None -> true
+                | Some counts -> Seq.for_all (fun (b, c) -> c = 0 || s.Dfa.reach.(b)) (Array.to_seqi counts))
+             && List.for_all
+                  (fun (src, dst, _) -> Dfa.feasible_edge s ~src ~dst)
+                  (Jit_profile.Counters.arc_counts counters fid))
+           (Jit_profile.Counters.profiled_funcs counters))
 
 (* Solver termination: on random stack-balanced CFGs (loops included, with
    type-unstable locals to force lattice climbing) the analysis reaches its
@@ -738,7 +769,7 @@ let () =
         q
           [ prop_probes_preserve_semantics; prop_reordered_layout_preserves_semantics;
             prop_counters_roundtrip; prop_pp_roundtrip_random_specs; prop_interp_deterministic;
-            prop_inline_cache_transparent; prop_typed_translation_transparent;
+            prop_inline_cache_transparent; prop_executions_dataflow_feasible;
             prop_dataflow_fixed_point; prop_compiler_output_verifies
           ] );
       ("reliability", q [ prop_all_corrupt_store_falls_back; prop_fleet_dist_partition ]);
