@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
-   (there are no numeric tables) and runs ablations + bechamel
-   micro-benchmarks of the core algorithms.
+   (there are no numeric tables) and runs the ablations and the
+   machine-readable perf/push/scale/churn/warmup benches.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig4b   # one experiment
@@ -316,6 +316,60 @@ let seeds_override = ref None
 let bench_seed default = match !seed_override with Some s -> s | None -> default
 let bench_seeds default = match !seeds_override with Some n -> n | None -> default
 
+(* The §VI reliability ablations run on the discrete-event push simulator
+   with the whole fleet restarting at once (drain_cap = n_servers, a C3
+   phase) at 0.5 rps per server.  Seeding, fetches and crashes draw only from
+   the network stream, so the outcome counters do not depend on the offered
+   load; light load keeps each cell well under a second. *)
+let ablation_cfg ~duration fleet =
+  { Js_sim.Region.default_config with
+    Js_sim.Region.fleet;
+    arrival =
+      { Js_sim.Arrival.default_config with
+        Js_sim.Arrival.base_rps = 0.5 *. float_of_int fleet.Cluster.Fleet.n_servers
+      };
+    push_at = 0.;
+    drain_cap = fleet.Cluster.Fleet.n_servers;
+    duration
+  }
+
+let ablation_failed name claim =
+  Printf.eprintf "bench %s: %s\n" name claim;
+  exit 1
+
+(* One ablation cell with telemetry on.  The blast radius is the most servers
+   crashed in one 30 s restart round, counted from the run's [Server_crashed]
+   events, so the event ring must have kept every one of them. *)
+let ablation_run cfg ~seed =
+  let tel = Js_telemetry.create ~capacity:(1 lsl 16) () in
+  let stats = Js_sim.Region.run ~telemetry:tel cfg (Lazy.force fleet_app) ~seed in
+  if Js_telemetry.dropped_events tel > 0 then
+    ablation_failed "ablation" "telemetry event ring overflowed";
+  let rounds = Hashtbl.create 16 in
+  List.iter
+    (function
+      | t, Js_telemetry.Server_crashed _ ->
+        let round = Float.round (t /. 30.) in
+        Hashtbl.replace rounds round
+          (1 + Option.value ~default:0 (Hashtbl.find_opt rounds round))
+      | _ -> ())
+    (Js_telemetry.events tel);
+  (stats, tel, Hashtbl.fold (fun _ n acc -> max acc n) rounds 0)
+
+(* Lowest estimated fleet capacity over the run's last two crash delays.  A
+   crash-looping fleet goes fully dark once per cycle (boot plus crash delay,
+   shorter than the window), so the floor is 0 while it still crash-loops;
+   the capacity at one instant depends on where the cycle's phase falls. *)
+let capacity_floor cfg stats =
+  let from =
+    cfg.Js_sim.Region.duration
+    -. (2. *. cfg.Js_sim.Region.fleet.Cluster.Fleet.server.S.crash_delay_seconds)
+  in
+  Array.fold_left
+    (fun acc (t, v) -> if t >= from then Float.min acc v else acc)
+    infinity
+    (Series.to_array stats.Js_sim.Region.capacity_series)
+
 let ablation_seeders () =
   section "Ablation: randomized multiple seeders bound the crash blast radius (§VI-A.2)";
   Printf.printf
@@ -324,30 +378,33 @@ let ablation_seeders () =
      servers recover faster on re-pick\n\n";
   Printf.printf "%10s %12s %12s %12s %14s\n" "seeders" "crashes" "fallbacks" "jumpstarted"
     "blast radius";
-  List.iter
-    (fun n ->
-      let cfg =
-        { (Lazy.force fleet_base_cfg) with
-          Cluster.Fleet.seeders_per_bucket = n;
-          validation_catch_rate = 0.;
-          max_boot_attempts = 6
-        }
-      in
-      let tel = Js_telemetry.create () in
-      let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg ~force_bad_per_bucket:1
-          (Lazy.force fleet_app) ~seed:(bench_seed 1000) ~bad_package_rate:0. ~thin_profile_rate:0.
-          ~duration:900.
-      in
-      let blast =
-        match Js_telemetry.gauge tel "fleet.crash_blast_radius" with
-        | Some v -> int_of_float v
-        | None -> 0
-      in
-      Printf.printf "%10d %12d %12d %12d %14d\n" n
-        (Js_telemetry.counter tel "fleet.crashes")
-        stats.Cluster.Fleet.fallbacks stats.Cluster.Fleet.jump_started blast)
-    [ 1; 2; 4; 8 ]
+  let runs =
+    List.map
+      (fun n ->
+        let fleet =
+          { (Lazy.force fleet_base_cfg) with
+            Cluster.Fleet.seeders_per_bucket = n;
+            validation_catch_rate = 0.;
+            max_boot_attempts = 6
+          }
+        in
+        let cfg =
+          { (ablation_cfg ~duration:900. fleet) with Js_sim.Region.bad_per_bucket = Some 1 }
+        in
+        let stats, _, blast = ablation_run cfg ~seed:(bench_seed 1000) in
+        Printf.printf "%10d %12d %12d %12d %14d\n" n stats.Js_sim.Region.crashes
+          stats.Js_sim.Region.fallbacks stats.Js_sim.Region.jump_started blast;
+        stats)
+      [ 1; 2; 4; 8 ]
+  in
+  let rec falling = function
+    | a :: (b :: _ as rest) -> b.Js_sim.Region.crashes < a.Js_sim.Region.crashes && falling rest
+    | [ _ ] | [] -> true
+  in
+  if not (falling runs) then
+    ablation_failed "ablation-seeders" "crashes do not fall strictly with more seeders";
+  if (List.hd runs).Js_sim.Region.fallbacks <> (Lazy.force fleet_base_cfg).Cluster.Fleet.n_servers
+  then ablation_failed "ablation-seeders" "with 1 seeder per bucket not every server fell back"
 
 let ablation_validation () =
   section "Ablation: seeder self-validation (§VI-A.1)";
@@ -355,137 +412,53 @@ let ablation_validation () =
   Printf.printf "%12s %14s %12s %12s\n" "catch rate" "bad published" "crashes" "rejected";
   List.iter
     (fun rate ->
-      let cfg = { (Lazy.force fleet_base_cfg) with Cluster.Fleet.validation_catch_rate = rate } in
-      let tel = Js_telemetry.create () in
-      let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg (Lazy.force fleet_app)
-          ~seed:(bench_seed 77) ~bad_package_rate:0.3 ~thin_profile_rate:0. ~duration:600.
-      in
-      Printf.printf "%12.2f %14d %12d %12d\n" rate stats.Cluster.Fleet.bad_packages_published
-        (Js_telemetry.counter tel "fleet.crashes")
-        (Js_telemetry.counter tel "fleet.packages_rejected"))
+      let fleet = { (Lazy.force fleet_base_cfg) with Cluster.Fleet.validation_catch_rate = rate } in
+      let cfg = { (ablation_cfg ~duration:600. fleet) with Js_sim.Region.bad_package_rate = 0.3 } in
+      let stats, _, _ = ablation_run cfg ~seed:(bench_seed 77) in
+      Printf.printf "%12.2f %14d %12d %12d\n" rate stats.Js_sim.Region.bad_packages_published
+        stats.Js_sim.Region.crashes stats.Js_sim.Region.packages_rejected;
+      if
+        rate = 1.0
+        && (stats.Js_sim.Region.bad_packages_published > 0 || stats.Js_sim.Region.crashes > 0)
+      then ablation_failed "ablation-validation" "catch rate 1.0 let a bad package through")
     [ 0.0; 0.5; 0.95; 1.0 ]
 
 let ablation_fallback () =
   section "Ablation: automatic no-Jump-Start fallback (§VI-A.3)";
-  Printf.printf "every package bad, validation off: with fallback the fleet recovers\n\n";
-  Printf.printf "%10s %12s %12s %16s\n" "fallback" "crashes" "fallbacks" "final fleet RPS";
+  Printf.printf
+    "every package bad, validation off: with fallback the fleet recovers\n\
+     (capacity floor: lowest estimated fleet rps over the last 240 s)\n\n";
+  Printf.printf "%10s %12s %12s %16s\n" "fallback" "crashes" "fallbacks" "capacity floor";
   List.iter
     (fun fallback ->
-      let cfg =
+      let fleet =
         { (Lazy.force fleet_base_cfg) with
           Cluster.Fleet.validation_catch_rate = 0.;
           fallback_enabled = fallback;
           max_boot_attempts = 2
         }
       in
-      let tel = Js_telemetry.create () in
-      let stats =
-        Cluster.Fleet.simulate_push ~telemetry:tel cfg (Lazy.force fleet_app)
-          ~seed:(bench_seed 5) ~bad_package_rate:1.0 ~thin_profile_rate:0. ~duration:1_500.
+      let cfg =
+        { (ablation_cfg ~duration:1_500. fleet) with Js_sim.Region.bad_package_rate = 1.0 }
       in
-      let total_crashes = List.fold_left (fun acc (_, n) -> acc + n) 0 stats.Cluster.Fleet.crashes in
-      Printf.printf "%10b %12d %12d %16.0f\n" fallback total_crashes stats.Cluster.Fleet.fallbacks
-        (Series.value_at stats.Cluster.Fleet.fleet_rps 1_499.);
-      let rate = match Js_telemetry.gauge tel "fleet.fallback_rate" with Some v -> v | None -> 0. in
-      let blast =
-        match Js_telemetry.gauge tel "fleet.crash_blast_radius" with Some v -> v | None -> 0.
-      in
-      Printf.printf
-        "           telemetry: boot_attempts=%d fallbacks=%d fallback_rate=%.2f blast_radius=%.0f\n"
-        (Js_telemetry.counter tel "fleet.boot_attempts")
-        (Js_telemetry.counter tel "fleet.fallbacks")
-        rate blast;
+      let stats, tel, blast = ablation_run cfg ~seed:(bench_seed 5) in
+      let capacity = capacity_floor cfg stats in
+      Printf.printf "%10b %12d %12d %16.0f\n" fallback stats.Js_sim.Region.crashes
+        stats.Js_sim.Region.fallbacks capacity;
+      Printf.printf "           telemetry: fallbacks=%d crashes=%d blast_radius=%d\n"
+        (Js_telemetry.counter tel "sim.fallbacks")
+        (Js_telemetry.counter tel "sim.crashes")
+        blast;
       List.iter
         (fun (reason, n) -> Printf.printf "           telemetry: fallback reason %dx %S\n" n reason)
-        (Js_telemetry.fallback_reasons tel))
+        (Js_telemetry.fallback_reasons tel);
+      if fallback then begin
+        if stats.Js_sim.Region.fallbacks <> fleet.Cluster.Fleet.n_servers || capacity <= 0. then
+          ablation_failed "ablation-fallback" "with fallback on the fleet did not recover"
+      end
+      else if capacity > 0. then
+        ablation_failed "ablation-fallback" "with fallback off the fleet kept capacity")
     [ true; false ]
-
-(* ------------------------------------------------------- bechamel micro -- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks of the core algorithms";
-  let open Bechamel in
-  let rng = Js_util.Rng.create 99 in
-  (* Ext-TSP on a 64-block CFG *)
-  let cfg64 =
-    Layout.Cfg.create
-      ~blocks:(Array.init 64 (fun i -> { Layout.Cfg.id = i; size = 16 + (i mod 7 * 8); weight = Js_util.Rng.float rng 100. }))
-      ~arcs:
-        (Array.init 128 (fun _ ->
-             { Layout.Cfg.src = Js_util.Rng.int rng 64; dst = Js_util.Rng.int rng 64;
-               weight = Js_util.Rng.float rng 50.
-             }))
-      ~entry:0
-  in
-  (* C3 over 2000 functions *)
-  let nodes = Array.init 2000 (fun i -> { Layout.C3.id = i; size = 256; samples = Js_util.Rng.float rng 1000. }) in
-  let call_arcs =
-    Array.init 6000 (fun _ ->
-        { Layout.C3.caller = Js_util.Rng.int rng 2000; callee = Js_util.Rng.int rng 2000;
-          weight = Js_util.Rng.float rng 10.
-        })
-  in
-  (* interpreter on fib *)
-  let fib_repo =
-    Minihack.Compile.compile_source ~path:"fib.mh"
-      "function fib($n) { if ($n < 2) { return $n; } return fib($n - 1) + fib($n - 2); }\n\
-       function main() { return fib(15); }"
-  in
-  let fib_layouts = Mh_runtime.Class_layout.build fib_repo ~reorder:false ~hotness:(fun _ _ -> 0) in
-  (* cache trace *)
-  let cache = Machine.Cache.create { Machine.Cache.name = "b"; sets = 64; ways = 8; line_bytes = 64 } in
-  (* serializer payload *)
-  let tiny = Workload.Codegen.generate Workload.App_spec.tiny in
-  let counters = Jit_profile.Counters.create tiny.Workload.Codegen.repo in
-  let cengine =
-    Interp.Engine.create
-      ~probes:(Jit_profile.Collector.probes counters)
-      tiny.Workload.Codegen.repo
-      (Mh_runtime.Heap.create tiny.Workload.Codegen.repo
-         (Mh_runtime.Class_layout.build tiny.Workload.Codegen.repo ~reorder:false
-            ~hotness:(fun _ _ -> 0)))
-  in
-  let crng = Js_util.Rng.create 3 in
-  let cmix = Workload.Request.uniform_mix tiny in
-  for _ = 1 to 50 do
-    ignore (Workload.Request.invoke cengine tiny (Workload.Request.sample crng cmix))
-  done;
-  let tests =
-    [ Test.make ~name:"exttsp-layout-64-blocks" (Staged.stage (fun () -> Layout.Exttsp.layout cfg64));
-      Test.make ~name:"c3-order-2000-funcs"
-        (Staged.stage (fun () -> Layout.C3.order ~nodes ~arcs:call_arcs ()));
-      Test.make ~name:"interp-fib-15"
-        (Staged.stage (fun () ->
-             let engine =
-               Interp.Engine.create fib_repo (Mh_runtime.Heap.create fib_repo fib_layouts)
-             in
-             Interp.Engine.run_main engine));
-      Test.make ~name:"cache-access-1k"
-        (Staged.stage (fun () ->
-             for i = 0 to 999 do
-               ignore (Machine.Cache.access cache ~addr:(i * 64) ~write:false)
-             done));
-      Test.make ~name:"counters-serialize"
-        (Staged.stage (fun () ->
-             let w = Js_util.Binio.Writer.create () in
-             Jit_profile.Counters.serialize counters w;
-             Js_util.Binio.Writer.contents w))
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"micro" tests) in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name est acc -> (name, est) :: acc) results [] in
-  Printf.printf "%-40s %16s\n" "benchmark" "ns/run";
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) -> Printf.printf "%-40s %16.0f\n" name t
-      | Some [] | None -> Printf.printf "%-40s %16s\n" name "n/a")
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ perf -- *)
 
@@ -732,8 +705,9 @@ let perf () =
 
 (* How much fetch unreliability the consumer ladder (bounded retries with
    exponential backoff, then cross-region fallback, then degradation to a
-   no-Jump-Start boot) absorbs before the fleet loses Jump-Start coverage.
-   Writes BENCH_dist.json (BENCH_dist.quick.json under --quick). *)
+   no-Jump-Start boot) absorbs before the fleet loses Jump-Start coverage,
+   on the whole-fleet restart of the §VI ablations.  Writes BENCH_dist.json
+   (BENCH_dist.quick.json under --quick). *)
 let ablation_dist () =
   section "Ablation: distribution-network robustness (retry/backoff/cross-region)";
   let quick = !quick_mode in
@@ -766,15 +740,11 @@ let ablation_dist () =
     List.map
       (fun (name, dist) ->
         let cfg =
-          { (Lazy.force fleet_base_cfg) with Cluster.Fleet.n_servers; dist }
+          ablation_cfg ~duration { (Lazy.force fleet_base_cfg) with Cluster.Fleet.n_servers; dist }
         in
-        let stats =
-          Cluster.Fleet.simulate_push cfg (Lazy.force fleet_app) ~seed:(bench_seed 424)
-            ~bad_package_rate:0.
-            ~thin_profile_rate:0. ~duration
-        in
+        let stats = Js_sim.Region.run cfg (Lazy.force fleet_app) ~seed:(bench_seed 424) in
         let c =
-          match stats.Cluster.Fleet.dist with
+          match stats.Js_sim.Region.dist with
           | Some c -> c
           | None ->
             (* inactive network: the ladder never ran *)
@@ -782,7 +752,7 @@ let ablation_dist () =
               cross_region_fetches = 0; deliveries = 0; empty_probes = 0 }
         in
         Printf.printf "%22s %12d %10d %9d %9d %9d %7d %7d\n" name
-          stats.Cluster.Fleet.jump_started stats.Cluster.Fleet.fallbacks
+          stats.Js_sim.Region.jump_started stats.Js_sim.Region.fallbacks
           c.Cluster.Dist_net.attempts c.Cluster.Dist_net.failures c.Cluster.Dist_net.timeouts
           c.Cluster.Dist_net.stale_rejects c.Cluster.Dist_net.cross_region_fetches;
         (name, stats, c))
@@ -790,7 +760,7 @@ let ablation_dist () =
   in
   let b = Buffer.create 2048 in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-dist/1\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-dist/2\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b "  \"servers\": %d,\n" n_servers;
   Printf.bprintf b "  \"scenarios\": [\n";
@@ -801,8 +771,8 @@ let ablation_dist () =
         "    { \"name\": %S, \"jump_started\": %d, \"fallbacks\": %d, \
          \"jump_start_rate\": %.4f,\n      \"attempts\": %d, \"deliveries\": %d, \
          \"failures\": %d, \"timeouts\": %d, \"stale_rejects\": %d, \"cross_region\": %d }%s\n"
-        name stats.Cluster.Fleet.jump_started stats.Cluster.Fleet.fallbacks
-        (float_of_int stats.Cluster.Fleet.jump_started /. float_of_int n_servers)
+        name stats.Js_sim.Region.jump_started stats.Js_sim.Region.fallbacks
+        (float_of_int stats.Js_sim.Region.jump_started /. float_of_int n_servers)
         c.Cluster.Dist_net.attempts c.Cluster.Dist_net.deliveries c.Cluster.Dist_net.failures
         c.Cluster.Dist_net.timeouts c.Cluster.Dist_net.stale_rejects
         c.Cluster.Dist_net.cross_region_fetches
@@ -1642,7 +1612,7 @@ let experiments =
     ("fig5", fig5);
     ("fig6", fig6); ("ablation-layout", ablation_layout); ("ablation-seeders", ablation_seeders);
     ("ablation-validation", ablation_validation); ("ablation-fallback", ablation_fallback);
-    ("micro", micro); ("perf", perf); ("dist", ablation_dist); ("push", bench_push);
+    ("perf", perf); ("dist", ablation_dist); ("push", bench_push);
     ("warmup", bench_warmup); ("scale", bench_scale); ("churn", bench_churn)
   ]
 

@@ -46,23 +46,15 @@ for f in examples/*.mh; do
 done
 rm -f /tmp/interp_product.out /tmp/interp_reference.out
 
-# Distribution-network smoke test: a push through a faulty delivery network
-# must finish with zero crashes and must actually exercise the fetch ladder
-# (nonzero dist.* counters in the telemetry document).
-dune exec bin/fleet_sim.exe -- push --servers 60 --minutes 5 \
-  --fetch-fail-rate 0.3 --fetch-timeout 1.0 --stale-rate 0.1 \
-  --telemetry json > /tmp/dist_smoke.json
-grep -q '"dist.fetch_attempts"' /tmp/dist_smoke.json
-grep -q '"dist.fetch_failures"' /tmp/dist_smoke.json
-if grep -q '"fleet.crashes"' /tmp/dist_smoke.json; then
-  echo "dist smoke: unexpected crashes" >&2
-  exit 1
-fi
-rm -f /tmp/dist_smoke.json
-
 # Quick distribution ablation; validates its own JSON.
 dune exec bench/main.exe -- dist --quick
 test -s BENCH_dist.quick.json
+
+# §VI reliability ablations on the discrete-event push simulator; each exits
+# 1 when its claim fails: crashes fall strictly from 1 to 8 seeders per
+# bucket, catch rate 1.0 publishes no bad package, and fallback bounds the
+# damage of an all-bad push while its absence leaves the fleet crash-looping.
+dune exec bench/main.exe -- ablation-seeders ablation-validation ablation-fallback
 
 # Discrete-event push smoke test: a short rolling push routed through a
 # faulty delivery network must serve traffic (nonzero sim.* counters),
@@ -158,15 +150,18 @@ if [ "$epoch_digest" != "$merged_digest" ]; then
   exit 1
 fi
 
-# A config the simulator rejects (here a non-finite duration) is a usage
-# error: exit status 2, never a hang or a run over NaN times.
-status=0
-dune exec bin/push_sim.exe -- --servers 8 --duration nan --regions 2 --epoch 15 \
-  > /dev/null 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-  echo "push_sim: non-finite duration exited $status, expected 2" >&2
-  exit 1
-fi
+# A config the simulator rejects (a non-finite duration, no buckets, no
+# replicate seeds, no regions) is a usage error: exit status 2, never a
+# hang, a run over NaN times or an uncaught exception.
+for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
+  "--classify --seeds 0" "--regions 0"; do
+  status=0
+  dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "push_sim $args: exited $status, expected 2" >&2
+    exit 1
+  fi
+done
 
 # Churn smoke test: a package seeded on build 0 must be salvaged against a
 # churned build through the stale-profile matcher (nonzero match.* counters,

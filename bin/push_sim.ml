@@ -107,9 +107,10 @@ let report_global ?(show_digest = false) gs =
 let report_classified cfg app ~seed ~n_seeds =
   let module H = Js_exp.Harness in
   let module C = Js_exp.Classify in
-  let seeds = H.derive_seeds ~seed ~n:n_seeds in
   let results =
-    or_usage_error (fun () -> H.run ~configs:[ ("push", H.of_push cfg app) ] ~seeds ())
+    or_usage_error (fun () ->
+        let seeds = H.derive_seeds ~seed ~n:n_seeds in
+        H.run ~configs:[ ("push", H.of_push cfg app) ] ~seeds ())
   in
   let s = List.hd (H.summarize results) in
   Printf.printf "classified %d server runs over %d seed(s) (root seed %d)\n\n"
@@ -195,13 +196,13 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
   in
   let tel = match telemetry_fmt with None -> None | Some _ -> Some (Js_telemetry.create ()) in
   if classify then begin
-    if regions > 1 then begin
+    if regions <> 1 then begin
       prerr_endline "push_sim: --classify is single-region only (drop --regions)";
       exit 2
     end;
     report_classified cfg (Lazy.force app) ~seed ~n_seeds
   end
-  else if regions <= 1 then begin
+  else if regions = 1 then begin
     let stats =
       or_usage_error (fun () -> Js_sim.Region.run ?telemetry:tel cfg (Lazy.force app) ~seed)
     in

@@ -291,8 +291,3 @@ let fetch ?telemetry t rng ~now ~region:home ~bucket =
       if (not !saw_package) && !failed = 0 && !timed_out = 0 then Not_found
       else Unavailable !delay
   end
-
-let pp_counters fmt c =
-  Format.fprintf fmt
-    "dist: attempts=%d deliveries=%d failures=%d timeouts=%d stale_rejects=%d cross_region=%d"
-    c.attempts c.deliveries c.failures c.timeouts c.stale_rejects c.cross_region_fetches

@@ -118,5 +118,3 @@ val fetch :
   region:int ->
   bucket:int ->
   outcome
-
-val pp_counters : Format.formatter -> counters -> unit

@@ -11,7 +11,6 @@ type config = {
   fallback_enabled : bool;
   max_seeder_retries : int;
   dist : Dist_net.config;
-  home_region : int;
 }
 
 let default_config =
@@ -26,23 +25,7 @@ let default_config =
     fallback_enabled = true;
     max_seeder_retries = 4;
     dist = Dist_net.default_config;
-    home_region = 0;
   }
-
-type stats = {
-  packages_published : int;
-  packages_rejected : int;
-  verifier_rejects : int;
-  bad_packages_published : int;
-  crashes : (float * int) list;
-  fallbacks : int;
-  jump_started : int;
-  bucket_jump_started : int array;
-  bucket_fallbacks : int array;
-  fleet_rps : Js_util.Stats.Series.t;
-  fleet_peak_rps : float;
-  dist : Dist_net.counters option;
-}
 
 type seeding = {
   per_bucket : Server.package list array;
@@ -50,17 +33,6 @@ type seeding = {
   rejected : int;
   seed_verifier_rejects : int;
   bad_published : int;
-}
-
-(* One fleet member during C3. *)
-type member = {
-  bucket : int;
-  mutable server : Server.t;
-  mutable started_at : float;
-  mutable attempts : int;
-  mutable fell_back : bool;
-  mutable crash_count : int;
-  seed_base : int;
 }
 
 (* C2: run seeders, with fault injection and the §VI gates. *)
@@ -140,169 +112,3 @@ let forced_seeding config app ~bad_per_bucket =
     seed_verifier_rejects = 0;
     bad_published = config.n_buckets * bad_n;
   }
-
-let simulate_push ?telemetry config ?force_bad_per_bucket app ~seed ~bad_package_rate
-    ~thin_profile_rate ~duration =
-  let tel f =
-    match telemetry with
-    | Some t -> f t
-    | None -> ()
-  in
-  let rng = R.create seed in
-  let seeding =
-    match force_bad_per_bucket with
-    | Some bad_per_bucket -> forced_seeding config app ~bad_per_bucket
-    | None -> run_seeders config app rng ~bad_package_rate ~thin_profile_rate
-  in
-  tel (fun t ->
-      Js_telemetry.incr t ~by:seeding.published "fleet.packages_published";
-      Js_telemetry.incr t ~by:seeding.rejected "fleet.packages_rejected";
-      if seeding.seed_verifier_rejects > 0 then
-        Js_telemetry.incr t ~by:seeding.seed_verifier_rejects "fleet.verifier_rejects");
-  (* The distribution network sits between C2's published packages and C3's
-     consumers.  Replicas are published oldest-first so the prepend order
-     inside the network reproduces the historical per-bucket list exactly
-     (neutral configs must pick draw-identically). *)
-  let net = Dist_net.create config.dist in
-  for bucket = 0 to config.n_buckets - 1 do
-    List.iter
-      (fun pkg -> Dist_net.publish net rng ~now:0. ~bucket pkg)
-      seeding.per_bucket.(bucket)
-  done;
-  let fallbacks = ref 0 and jump_started = ref 0 in
-  let bucket_jump_started = Array.make config.n_buckets 0 in
-  let bucket_fallbacks = Array.make config.n_buckets 0 in
-  let boot_member ~ix ~bucket ~seed_base ~attempts ~at =
-    let source = Printf.sprintf "server.%d" ix in
-    let no_packages = seeding.per_bucket.(bucket) = [] in
-    let role, fetch_delay, fetch_failed =
-      if (not config.fallback_enabled) || attempts < config.max_boot_attempts then begin
-        match
-          Dist_net.fetch ?telemetry net rng ~now:at ~region:config.home_region ~bucket
-        with
-        | Dist_net.Delivered (pkg, d) -> (Server.Consumer pkg, d, false)
-        | Dist_net.Unavailable d -> (Server.No_jumpstart, d, true)
-        | Dist_net.Not_found -> (Server.No_jumpstart, 0., false)
-      end
-      else (Server.No_jumpstart, 0., false)
-    in
-    (match role with
-    | Server.No_jumpstart ->
-      if attempts > 0 || no_packages || fetch_failed then begin
-        incr fallbacks;
-        bucket_fallbacks.(bucket) <- bucket_fallbacks.(bucket) + 1;
-        tel (fun t ->
-            let outcome, reason =
-              if no_packages then ("no_package", "no profile package available")
-              else if fetch_failed then
-                ("fetch_failed", "package fetch failed: distribution network unavailable")
-              else
-                ( "fallback",
-                  Printf.sprintf "exhausted %d boot attempts (bad package)" attempts )
-            in
-            Js_telemetry.incr t "fleet.boot_attempts";
-            Js_telemetry.incr t "fleet.fallbacks";
-            Js_telemetry.record t
-              (Js_telemetry.Boot_attempt { source; attempt = attempts + 1; outcome });
-            Js_telemetry.record t (Js_telemetry.Fallback { source; reason }))
-      end
-    | Server.Consumer _ ->
-      if attempts = 0 then begin
-        incr jump_started;
-        bucket_jump_started.(bucket) <- bucket_jump_started.(bucket) + 1
-      end;
-      tel (fun t ->
-          Js_telemetry.incr t "fleet.boot_attempts";
-          Js_telemetry.record t
-            (Js_telemetry.Boot_attempt
-               { source; attempt = attempts + 1; outcome = "jump_started" }))
-    | Server.Seeder -> ());
-    let server =
-      Server.create
-        ~discovery_seed:(seed_base + (attempts * 7919))
-        ~extra_boot_seconds:fetch_delay config.server app role
-    in
-    tel (fun t ->
-        let boot = Server.boot_seconds server in
-        Js_telemetry.add_span t (source ^ ".boot") ~start:at ~dur:boot;
-        Js_telemetry.observe t ~lo:0. ~hi:240. ~buckets:24 "fleet.boot_seconds" boot);
-    (server, at)
-  in
-  (* C3: the whole fleet restarts at t = 0 *)
-  let members =
-    Array.init config.n_servers (fun i ->
-        let bucket = i * config.n_buckets / config.n_servers in
-        let seed_base = seed + (i * 104729) in
-        let server, started_at = boot_member ~ix:i ~bucket ~seed_base ~attempts:0 ~at:0. in
-        { bucket; server; started_at; attempts = 0; fell_back = false; crash_count = 0; seed_base })
-  in
-  let crashes : (float, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let fleet_rps = Js_util.Stats.Series.create () in
-  let dt = 1.0 in
-  let time = ref 0. in
-  while !time < duration do
-    time := !time +. dt;
-    tel (fun t -> Js_telemetry.Clock.set (Js_telemetry.clock t) !time);
-    let total = ref 0. in
-    Array.iteri
-      (fun ix m ->
-        Server.step m.server ~dt;
-        (match Server.crashed m.server with
-        | Some Server.Bad_package ->
-          m.crash_count <- m.crash_count + 1;
-          m.attempts <- m.attempts + 1;
-          tel (fun t ->
-              Js_telemetry.incr t "fleet.crashes";
-              Js_telemetry.record t
-                (Js_telemetry.Server_crashed { server = ix; kind = "bad_package" }));
-          let round = Float.round (!time /. 30.) *. 30. in
-          (match Hashtbl.find_opt crashes round with
-          | Some r -> incr r
-          | None -> Hashtbl.add crashes round (ref 1));
-          let server, _ =
-            boot_member ~ix ~bucket:m.bucket ~seed_base:m.seed_base ~attempts:m.attempts
-              ~at:!time
-          in
-          m.server <- server;
-          m.started_at <- !time;
-          m.fell_back <- m.attempts >= config.max_boot_attempts && config.fallback_enabled
-        | None -> ());
-        total := !total +. Server.current_rps m.server)
-      members;
-    Js_util.Stats.Series.add fleet_rps ~time:!time ~value:!total
-  done;
-  let fleet_peak_rps = Array.fold_left (fun acc m -> acc +. Server.peak_rps m.server) 0. members in
-  let blast_radius =
-    Hashtbl.fold (fun _ r acc -> max acc !r) crashes 0
-  in
-  tel (fun t ->
-      let n = float_of_int config.n_servers in
-      Js_telemetry.set_gauge t "fleet.fallback_rate" (float_of_int !fallbacks /. n);
-      Js_telemetry.set_gauge t "fleet.jump_start_rate" (float_of_int !jump_started /. n);
-      Js_telemetry.set_gauge t "fleet.crash_blast_radius" (float_of_int blast_radius));
-  {
-    packages_published = seeding.published;
-    packages_rejected = seeding.rejected;
-    verifier_rejects = seeding.seed_verifier_rejects;
-    bad_packages_published = seeding.bad_published;
-    crashes =
-      Hashtbl.fold (fun t r acc -> (t, !r) :: acc) crashes [] |> List.sort compare;
-    fallbacks = !fallbacks;
-    jump_started = !jump_started;
-    bucket_jump_started;
-    bucket_fallbacks;
-    fleet_rps;
-    fleet_peak_rps;
-    dist = (if Dist_net.active config.dist then Some (Dist_net.counters net) else None);
-  }
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "@[<v>published=%d rejected=%d (verifier=%d) bad_published=%d jump_started=%d fallbacks=%d@,crash rounds:"
-    s.packages_published s.packages_rejected s.verifier_rejects s.bad_packages_published
-    s.jump_started s.fallbacks;
-  (match s.dist with
-  | Some c -> Format.fprintf fmt "@,%a" Dist_net.pp_counters c
-  | None -> ());
-  List.iter (fun (t, n) -> Format.fprintf fmt "@,  t=%5.0fs crashed=%d" t n) s.crashes;
-  Format.fprintf fmt "@]"

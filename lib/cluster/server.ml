@@ -53,8 +53,6 @@ let default_config =
     traffic_ramp_seconds = 210.;
   }
 
-type crash_kind = Bad_package
-
 (* execution modes of a function on this server *)
 let m_undiscovered = 0
 let m_profiling = 1
@@ -69,7 +67,6 @@ type phase =
   | Serving
   | Collecting of float  (** seeder instrumented run ends at this time *)
   | Exited
-  | Crashed of crash_kind
 
 type t = {
   cfg : config;
@@ -406,25 +403,19 @@ let serve t ~dt =
   | Collecting done_at when t.time >= done_at ->
     t.seeder_pkg <- Some (make_seeder_package t);
     t.phase <- Exited
-  | Collecting _ | Serving | Booting _ | Exited | Crashed _ -> ()
+  | Collecting _ | Serving | Booting _ | Exited -> ()
 
 let step t ~dt =
   t.time <- t.time +. dt;
   match t.phase with
-  | Crashed _ | Exited -> record t ~rps:0. ~latency:0.
+  | Exited -> record t ~rps:0. ~latency:0.
   | Booting start ->
     if t.time >= start then begin
       t.phase <- Serving;
       serve t ~dt
     end
     else record t ~rps:0. ~latency:0.
-  | Serving | Collecting _ -> (
-    (* bad-package crash (§VI-A): shortly after serving begins *)
-    match t.role with
-    | Consumer p when p.bad && t.time >= t.serve_start +. t.cfg.crash_delay_seconds ->
-      t.phase <- Crashed Bad_package;
-      record t ~rps:0. ~latency:0.
-    | Consumer _ | No_jumpstart | Seeder -> serve t ~dt)
+  | Serving | Collecting _ -> serve t ~dt
 
 let run t ~until ~dt =
   while t.time < until do
@@ -434,8 +425,7 @@ let run t ~until ~dt =
 let time t = t.time
 let boot_seconds t = t.serve_start
 let requests_served t = t.req_count_f
-let serving t = match t.phase with Serving | Collecting _ -> true | Booting _ | Exited | Crashed _ -> false
-let crashed t = match t.phase with Crashed k -> Some k | _ -> None
+let serving t = match t.phase with Serving | Collecting _ -> true | Booting _ | Exited -> false
 let current_rps t = t.last_rps
 let current_latency t = t.last_latency
 let code_bytes t = int_of_float t.code_bytes

@@ -35,7 +35,9 @@ and package = {
   package_bytes : int;
   steady_speedup : float;  (** §V optimizations' effect, e.g. 1.054 *)
   quality : float;  (** <1 for thin profiles (drained seeder, §VI-B) *)
-  bad : bool;  (** triggers a consumer crash (escaped JIT bug, §VI-A) *)
+  bad : bool;
+      (** an escaped JIT bug (§VI-A): {!Js_sim.Region} crashes its consumers;
+          this model's warmup ignores it *)
 }
 
 type config = {
@@ -53,7 +55,8 @@ type config = {
   relocation_bytes_per_sec : float;
   unit_load_cycles_per_byte : float;
   seeder_collect_seconds : float;  (** instrumented-run duration *)
-  crash_delay_seconds : float;  (** time until a bad package crashes *)
+  crash_delay_seconds : float;
+      (** serving time until {!Js_sim.Region} crashes a bad package's consumer *)
   code_capacity_bytes : int;  (** JITing ceases beyond this (point "D") *)
   cold_penalty : float;
       (** extra per-request cost factor while data caches / backend
@@ -65,8 +68,6 @@ type config = {
 }
 
 val default_config : config
-
-type crash_kind = Bad_package  (** more kinds can appear later *)
 
 type t
 
@@ -98,9 +99,6 @@ val requests_served : t -> float
 
 (** Is the server accepting requests yet? *)
 val serving : t -> bool
-
-(** [crashed t] — a bad package brought the server down (§VI-A). *)
-val crashed : t -> crash_kind option
 
 (** Current throughput (requests per second) and mean request latency in
     seconds, as of the last tick. *)

@@ -19,6 +19,7 @@ type config = {
   abort_threshold : int;
   bad_package_rate : float;
   thin_profile_rate : float;
+  bad_per_bucket : int option;
   duration : float;
   curve_horizon : float;
   tick : float;
@@ -41,6 +42,7 @@ let default_config =
     abort_threshold = 8;
     bad_package_rate = 0.;
     thin_profile_rate = 0.;
+    bad_per_bucket = None;
     duration = 900.;
     curve_horizon = 1800.;
     tick = 1.;
@@ -230,6 +232,8 @@ type g = {
 let tel reg f = match reg.r_tel with Some t -> f t | None -> ()
 
 let validate cfg =
+  (* servers index their bucket's counters and replica lists *)
+  if cfg.fleet.Fleet.n_buckets < 1 then invalid_arg "Region: fleet.n_buckets must be >= 1";
   if cfg.warm_rps <= 0. then invalid_arg "Region: warm_rps must be positive";
   if cfg.concurrency <= 0 then invalid_arg "Region: concurrency must be positive";
   if cfg.queue_capacity < 0 then invalid_arg "Region: queue_capacity must be >= 0";
@@ -372,10 +376,10 @@ let offer g reg srv ~arrived =
     tel reg (fun t -> Js_telemetry.incr t "sim.shed_queue_full")
   end
 
-(* Boot-role selection mirrors Cluster.Fleet.boot_member's §VI-A ladder:
-   fetch through the distribution network while attempts remain, fall back
-   to a no-Jump-Start boot after [max_boot_attempts] (or on fetch
-   failure).  Fetches go to this region's replica store. *)
+(* Boot-role selection, the §VI-A ladder: fetch through the distribution
+   network while attempts remain, fall back to a no-Jump-Start boot after
+   [max_boot_attempts] (or on fetch failure).  Fetches go to this region's
+   replica store. *)
 let choose_role g reg srv ~now =
   let fc = g.cfg.fleet in
   if not g.cfg.jumpstart then (Server.No_jumpstart, 0., false)
@@ -505,9 +509,12 @@ let start_push g reg =
        way seeding happens-before every logically-later fetch. *)
     if g.cfg.jumpstart && reg.rix = 0 then begin
       let seeding =
-        Fleet.run_seeders g.cfg.fleet g.app reg.rng_net
-          ~bad_package_rate:g.cfg.bad_package_rate
-          ~thin_profile_rate:g.cfg.thin_profile_rate
+        match g.cfg.bad_per_bucket with
+        | Some bad_per_bucket -> Fleet.forced_seeding g.cfg.fleet g.app ~bad_per_bucket
+        | None ->
+          Fleet.run_seeders g.cfg.fleet g.app reg.rng_net
+            ~bad_package_rate:g.cfg.bad_package_rate
+            ~thin_profile_rate:g.cfg.thin_profile_rate
       in
       g.seeding <- Some seeding;
       for bucket = 0 to g.cfg.fleet.Fleet.n_buckets - 1 do

@@ -16,7 +16,8 @@
 
     At [push_at] the push orchestrator runs the C2 seeding gates
     ({!Cluster.Fleet.run_seeders}: fault injection, validation, coverage and
-    verifier checks), publishes the surviving packages through the
+    verifier checks; or {!Cluster.Fleet.forced_seeding} under
+    [bad_per_bucket]), publishes the surviving packages through the
     distribution network ({!Cluster.Dist_net}), and rolls the fleet in
     batches of at most [drain_cap] concurrently drained servers.  Restarted
     consumers fetch through the network's retry/fallback ladder; bad
@@ -89,8 +90,8 @@
 (** Per-region configuration; [fleet.n_servers] is {e per region}. *)
 type config = {
   fleet : Cluster.Fleet.config;
-      (** servers, buckets, seeding gates, boot-attempt ladder and the
-          distribution network all come from the macro fleet config *)
+      (** servers, buckets ([n_buckets >= 1]), seeding gates, boot-attempt
+          ladder and the distribution network *)
   warm_rps : float;  (** steady-state capacity of one warm server *)
   concurrency : int;  (** worker slots per server *)
   queue_capacity : int;  (** run-queue bound; overflow is shed *)
@@ -106,6 +107,10 @@ type config = {
   abort_threshold : int;  (** crashes within the window that abort *)
   bad_package_rate : float;  (** seeder fault injection (§VI-A) *)
   thin_profile_rate : float;  (** drained-seeder injection (§VI-B) *)
+  bad_per_bucket : int option;
+      (** [Some n] replaces the random seeding gates with
+          {!Cluster.Fleet.forced_seeding}: exactly [n] bad packages per
+          bucket (the §VI-A.2 blast-radius experiment); [None] by default *)
   duration : float;  (** total simulated seconds; finite, past [push_at] *)
   curve_horizon : float;  (** reference-run length for warmup curves *)
   tick : float;  (** capacity/served sampling period; positive, finite *)
@@ -213,9 +218,9 @@ type global_stats = {
     with [cross_region] forced on.  With [telemetry]: [sim.*] counters, boot
     spans per restart, push start/abort and region-loss marks; each sink's
     clock tracks simulation time.  @raise Invalid_argument on invalid
-    configs: non-positive capacities or caps, a non-finite [tick],
-    [push_at] or [duration], a duration not past [push_at], or [spillover]
-    with [spill_latency < epoch]. *)
+    configs: fewer than one bucket, non-positive capacities or caps, a
+    non-finite [tick], [push_at] or [duration], a duration not past
+    [push_at], or [spillover] with [spill_latency < epoch]. *)
 val run_global :
   ?telemetry:Js_telemetry.t ->
   ?mode:[ `Epoch | `Merged | `Parallel of int ] ->

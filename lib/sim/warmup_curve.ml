@@ -18,16 +18,6 @@ let multiplier t ~served =
   else Float.max 1. (Stats.Series.value_at t.curve served)
 
 let build ?(horizon = 1800.) cfg app role =
-  (* A bad package crashes the macro server shortly after it starts serving;
-     the warmup *shape* of its code is the same as the good version's, so
-     the reference run uses a defused copy.  (The DES schedules the crash
-     itself.) *)
-  let role =
-    match role with
-    | Server.Consumer pkg when pkg.Server.bad ->
-      Server.Consumer { pkg with Server.bad = false }
-    | Server.No_jumpstart | Server.Seeder | Server.Consumer _ -> role
-  in
   let server = Server.create cfg app role in
   let raw = ref [] in
   let t = ref 0. in

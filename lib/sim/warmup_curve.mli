@@ -15,9 +15,8 @@
 type t
 
 (** [build ?horizon cfg app role] runs a reference server for [horizon]
-    simulated seconds (default 1800) and extracts its curve.  A [Consumer]
-    of a bad package is defused ([bad = false]) for the reference run: the
-    DES injects the crash itself. *)
+    simulated seconds (default 1800) and extracts its curve.  The server
+    model ignores [bad]: the DES injects the crash itself. *)
 val build : ?horizon:float -> Cluster.Server.config -> Workload.Macro_app.t -> Cluster.Server.js_role -> t
 
 (** Boot span of the reference server (restart to first request). *)

@@ -13,10 +13,11 @@
     through the seeder/consumer/fleet code as an optional argument, so
     uninstrumented runs pay nothing. *)
 
-(** Simulated monotonic clock.  Simulation layers ({!Cluster.Fleet}) drive it
-    with {!Clock.set} from simulation time; micro layers advance it by
-    deterministic work proxies via {!timed}.  Never reads wall time, so two
-    runs with the same seed produce byte-identical telemetry. *)
+(** Simulated monotonic clock.  The discrete-event simulator
+    ({!Js_sim.Region}, through its engine) drives it with {!Clock.set} from
+    simulation time; micro layers advance it by deterministic work proxies
+    via {!timed}.  Never reads wall time, so two runs with the same seed
+    produce byte-identical telemetry. *)
 module Clock : sig
   type t
 

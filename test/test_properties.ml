@@ -372,56 +372,11 @@ let prop_all_corrupt_store_falls_back =
         && Js_telemetry.counter tel "consumer.verify_failures" = 0
       | Jumpstart.Consumer.Jump_started _ -> false)
 
-(* Distribution-network robustness: under arbitrary transient-fault rates
-   (with no bad packages in play) every server must end the push in exactly
-   one of {jump-started, fallback}, and the fetch ladder's counters must
-   stay consistent. *)
+(* The macro app of the discrete-event push properties below. *)
 let dist_fleet_app =
   lazy
     (Workload.Macro_app.generate
        { Workload.Macro_app.default_params with Workload.Macro_app.n_funcs = 4_000 })
-
-let prop_fleet_dist_partition =
-  QCheck.Test.make ~name:"dist faults partition the fleet into jump-started xor fallback"
-    ~count:8
-    QCheck.(triple small_nat (int_range 0 6) (int_range 0 3))
-    (fun (seed, fail10, stale10) ->
-      let cross = seed mod 2 = 0 in
-      let dist =
-        { Cluster.Dist_net.default_config with
-          Cluster.Dist_net.fetch_fail_rate = float_of_int fail10 /. 10.;
-          fetch_timeout = 1.0;
-          fetch_latency_mean = 0.5;
-          stale_rate = float_of_int stale10 /. 10.;
-          cross_region = cross;
-          regions = (if cross then 2 else 1)
-        }
-      in
-      let cfg =
-        { Cluster.Fleet.default_config with
-          Cluster.Fleet.n_servers = 24;
-          n_buckets = 3;
-          seeders_per_bucket = 2;
-          dist
-        }
-      in
-      let stats =
-        Cluster.Fleet.simulate_push cfg (Lazy.force dist_fleet_app) ~seed:(seed + 1)
-          ~bad_package_rate:0. ~thin_profile_rate:0. ~duration:60.
-      in
-      stats.Cluster.Fleet.jump_started + stats.Cluster.Fleet.fallbacks
-      = cfg.Cluster.Fleet.n_servers
-      &&
-      match stats.Cluster.Fleet.dist with
-      | None -> false (* these configs are always active *)
-      | Some c ->
-        c.Cluster.Dist_net.attempts
-        >= c.Cluster.Dist_net.deliveries + c.Cluster.Dist_net.failures
-           + c.Cluster.Dist_net.timeouts
-        && c.Cluster.Dist_net.attempts
-           = c.Cluster.Dist_net.deliveries + c.Cluster.Dist_net.failures
-             + c.Cluster.Dist_net.timeouts + c.Cluster.Dist_net.stale_rejects
-             + c.Cluster.Dist_net.empty_probes)
 
 (* Small, fast discrete-event push configs for the js_sim properties: a
    handful of servers, a short horizon and a reduced warmup-curve reference
@@ -772,7 +727,7 @@ let () =
             prop_inline_cache_transparent; prop_executions_dataflow_feasible;
             prop_dataflow_fixed_point; prop_compiler_output_verifies
           ] );
-      ("reliability", q [ prop_all_corrupt_store_falls_back; prop_fleet_dist_partition ]);
+      ("reliability", q [ prop_all_corrupt_store_falls_back ]);
       ("sim", q [ prop_push_sim_deterministic; prop_push_sim_dist_ladder ]);
       ( "region",
         q

@@ -1,5 +1,6 @@
 (* Discrete-event simulator tests: engine, arrivals, balancer policies,
-   warmup curves and the rolling-push model. *)
+   warmup curves, the rolling-push model and the §VI fleet reliability
+   scenarios. *)
 
 module Engine = Js_sim.Engine
 module Arrival = Js_sim.Arrival
@@ -348,11 +349,15 @@ let test_push_conservation () =
     (Printf.sprintf "in-system requests bounded (%d)" in_system)
     true
     (in_system >= 0 && in_system <= 8 * (8 + 64));
+  Alcotest.(check int) "every seeder published (2 buckets x 2 seeders)" 4
+    stats.Region.packages_published;
   Alcotest.(check int) "everyone restarted jump-started" 8 stats.Region.jump_started;
   Alcotest.(check int) "no fallbacks" 0 stats.Region.fallbacks;
   Alcotest.(check int) "no crashes" 0 stats.Region.crashes;
-  Alcotest.(check int) "bucket jump-start sum" stats.Region.jump_started
-    (Array.fold_left ( + ) 0 stats.Region.bucket_jump_started);
+  Alcotest.(check (array int)) "per-bucket jump-starts (8 servers / 2 buckets)" [| 4; 4 |]
+    stats.Region.bucket_jump_started;
+  Alcotest.(check (array int)) "no per-bucket fallbacks" [| 0; 0 |]
+    stats.Region.bucket_fallbacks;
   Alcotest.(check bool) "push completed" true (stats.Region.push_done >= 0.);
   Alcotest.(check bool) "capacity recovered" true (stats.Region.time_to_full_capacity >= 0.);
   Alcotest.(check bool) "latency recorded" true
@@ -441,6 +446,230 @@ let test_push_telemetry () =
     (Js_telemetry.counter tel "sim.jump_started");
   Alcotest.(check bool) "json exports" true
     (Js_telemetry.Json.parses (Js_telemetry.to_json tel))
+
+(* --- §VI reliability: the whole fleet restarts at once --- *)
+
+(* 40 servers in 4 buckets restart together at t = 0 (drain_cap = n_servers)
+   under light load, with a 30 s crash delay.  Seeding, fetches and crashes
+   draw only from the network stream, so the load does not change any
+   outcome counter. *)
+let restart_fleet =
+  lazy
+    { (Lazy.force push_cfg).Region.fleet with
+      Cluster.Fleet.n_servers = 40;
+      n_buckets = 4;
+      seeders_per_bucket = 3;
+      server = { (Lazy.force small_cfg) with S.crash_delay_seconds = 30. }
+    }
+
+let restart_all ?(duration = 300.) ?(bad_package_rate = 0.) ?(thin_profile_rate = 0.)
+    ?bad_per_bucket fleet =
+  { (Lazy.force push_cfg) with
+    Region.fleet;
+    arrival = { Arrival.default_config with Arrival.base_rps = 20. };
+    push_at = 0.;
+    drain_cap = fleet.Cluster.Fleet.n_servers;
+    bad_package_rate;
+    thin_profile_rate;
+    bad_per_bucket;
+    duration
+  }
+
+let run_with_telemetry cfg ~seed =
+  let tel = Js_telemetry.create ~capacity:(1 lsl 16) () in
+  let stats = Region.run ~telemetry:tel cfg (Lazy.force small_app) ~seed in
+  Alcotest.(check int) "no telemetry event dropped" 0 (Js_telemetry.dropped_events tel);
+  (stats, tel)
+
+(* Crashes per 30 s restart round, from the run's [Server_crashed] events,
+   in round order. *)
+let crash_rounds tel =
+  let rounds = Hashtbl.create 8 in
+  List.iter
+    (function
+      | t, Js_telemetry.Server_crashed _ ->
+        let round = int_of_float (Float.round (t /. 30.)) in
+        Hashtbl.replace rounds round (1 + Option.value ~default:0 (Hashtbl.find_opt rounds round))
+      | _ -> ())
+    (Js_telemetry.events tel);
+  List.sort compare (Hashtbl.fold (fun r n acc -> (r, n) :: acc) rounds [])
+
+(* Estimated fleet capacity from [from] to the end of a run, lowest and
+   highest. *)
+let capacity_range stats ~from =
+  Array.fold_left
+    (fun (lo, hi) (t, v) -> if t >= from then (Float.min lo v, Float.max hi v) else (lo, hi))
+    (infinity, neg_infinity)
+    (Js_util.Stats.Series.to_array stats.Region.capacity_series)
+
+let capacity_floor stats ~from = fst (capacity_range stats ~from)
+
+let test_fleet_healthy_push () =
+  let stats, _ = run_with_telemetry (restart_all (Lazy.force restart_fleet)) ~seed:1 in
+  Alcotest.(check int) "all seeders published" 12 stats.Region.packages_published;
+  Alcotest.(check int) "no crashes" 0 stats.Region.crashes;
+  Alcotest.(check int) "no fallbacks" 0 stats.Region.fallbacks;
+  Alcotest.(check int) "everyone jump-started" 40 stats.Region.jump_started;
+  Alcotest.(check (array int)) "per-bucket jump-starts (40 servers / 4 buckets)"
+    [| 10; 10; 10; 10 |] stats.Region.bucket_jump_started;
+  Alcotest.(check (array int)) "no per-bucket fallbacks" [| 0; 0; 0; 0 |]
+    stats.Region.bucket_fallbacks;
+  let _, peak = capacity_range stats ~from:0. in
+  Alcotest.(check bool) "fleet serves at end" true (capacity_floor stats ~from:240. > 0.5 *. peak)
+
+let test_fleet_validation () =
+  let fleet = { (Lazy.force restart_fleet) with Cluster.Fleet.validation_catch_rate = 1.0 } in
+  let stats = Region.run (restart_all ~bad_package_rate:0.5 fleet) (Lazy.force small_app) ~seed:2 in
+  Alcotest.(check int) "no bad package escapes" 0 stats.Region.bad_packages_published;
+  Alcotest.(check bool) "some were rejected" true (stats.Region.packages_rejected > 0);
+  Alcotest.(check int) "no crashes" 0 stats.Region.crashes
+
+let test_fleet_thin_profiles_rejected () =
+  let fleet = Lazy.force restart_fleet in
+  let stats, tel = run_with_telemetry (restart_all ~thin_profile_rate:1.0 fleet) ~seed:5 in
+  (* the coverage gate rejects every thin attempt; retries exhaust *)
+  Alcotest.(check int) "nothing published" 0 stats.Region.packages_published;
+  Alcotest.(check bool) "rejections recorded" true (stats.Region.packages_rejected > 0);
+  Alcotest.(check int) "everyone fell back" 40 stats.Region.fallbacks;
+  Alcotest.(check (list (pair string int))) "fallback reason"
+    [ ("no profile package available", 40) ]
+    (Js_telemetry.fallback_reasons tel)
+
+let test_fleet_crash_decay () =
+  (* one bad package per bucket among three: consumers that picked it crash,
+     then recover through random re-picks, so later restart rounds crash no
+     more servers than the first *)
+  let fleet =
+    { (Lazy.force restart_fleet) with
+      Cluster.Fleet.validation_catch_rate = 0.;
+      max_boot_attempts = 6
+    }
+  in
+  let stats, tel = run_with_telemetry (restart_all ~bad_per_bucket:1 fleet) ~seed:3 in
+  Alcotest.(check int) "forced seeding publishes every package" 12
+    stats.Region.packages_published;
+  Alcotest.(check int) "one bad package per bucket" 4 stats.Region.bad_packages_published;
+  match crash_rounds tel with
+  | [] -> Alcotest.fail "expected crashes with unvalidated bad packages"
+  | (_, first) :: rest as all ->
+    let last = List.fold_left (fun _ (_, n) -> n) first rest in
+    Alcotest.(check bool)
+      (Printf.sprintf "crash rounds shrink (first %d, last %d)" first last)
+      true (last <= first);
+    Alcotest.(check int) "every crash is in a round" stats.Region.crashes
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 all)
+
+let test_fleet_fallback_bounds_damage () =
+  (* every package bad and validation off: with fallback every consumer
+     crashes twice, then boots without Jump-Start and stays up; without it
+     the fleet crash-loops and still goes fully dark once per crash cycle *)
+  let fleet ~fallback_enabled =
+    { (Lazy.force restart_fleet) with
+      Cluster.Fleet.validation_catch_rate = 0.;
+      max_boot_attempts = 2;
+      fallback_enabled
+    }
+  in
+  let cfg fallback_enabled = restart_all ~bad_package_rate:1.0 (fleet ~fallback_enabled) in
+  let stats = Region.run (cfg true) (Lazy.force small_app) ~seed:4 in
+  Alcotest.(check int) "two crashes per server" 80 stats.Region.crashes;
+  Alcotest.(check int) "every server fell back" 40 stats.Region.fallbacks;
+  let sum = Array.fold_left ( + ) 0 in
+  Alcotest.(check int) "per-bucket fallbacks sum to total" stats.Region.fallbacks
+    (sum stats.Region.bucket_fallbacks);
+  Alcotest.(check int) "per-bucket jump-starts sum to total" stats.Region.jump_started
+    (sum stats.Region.bucket_jump_started);
+  (* the last 60 s outlast one crash cycle: a 13 s boot plus the 30 s delay *)
+  Alcotest.(check bool) "fleet recovers" true (capacity_floor stats ~from:240. > 0.);
+  let looping = Region.run (cfg false) (Lazy.force small_app) ~seed:4 in
+  Alcotest.(check int) "no fallback without the option" 0 looping.Region.fallbacks;
+  Alcotest.(check bool) "crash loop outlasts the fallback ladder" true
+    (looping.Region.crashes > stats.Region.crashes);
+  Alcotest.(check (float 0.)) "crash-looping fleet goes dark" 0.
+    (capacity_floor looping ~from:240.)
+
+let dist_fleet dist = { (Lazy.force restart_fleet) with Cluster.Fleet.dist }
+
+let ladder_holds (c : Cluster.Dist_net.counters) =
+  c.Cluster.Dist_net.attempts
+  = c.Cluster.Dist_net.deliveries + c.Cluster.Dist_net.failures + c.Cluster.Dist_net.timeouts
+    + c.Cluster.Dist_net.stale_rejects + c.Cluster.Dist_net.empty_probes
+
+let test_fleet_dist_faults_absorbed () =
+  (* at 30% transient fetch failure plus timeouts, the retry/backoff ladder
+     keeps (well over) 99% of servers jump-started *)
+  let fleet =
+    dist_fleet
+      { Cluster.Dist_net.default_config with
+        Cluster.Dist_net.fetch_fail_rate = 0.3;
+        fetch_timeout = 1.0;
+        fetch_latency_mean = 0.5
+      }
+  in
+  let stats = Region.run (restart_all fleet) (Lazy.force small_app) ~seed:21 in
+  Alcotest.(check bool) ">=99% jump-started" true
+    (float_of_int stats.Region.jump_started >= 0.99 *. 40.);
+  Alcotest.(check int) "no crashes" 0 stats.Region.crashes;
+  match stats.Region.dist with
+  | None -> Alcotest.fail "active network must report counters"
+  | Some c ->
+    Alcotest.(check bool) "retries happened" true
+      (c.Cluster.Dist_net.failures > 0
+      && c.Cluster.Dist_net.attempts > c.Cluster.Dist_net.deliveries);
+    Alcotest.(check bool) "ladder invariant" true (ladder_holds c)
+
+let test_fleet_dist_outage_degrades () =
+  (* a fully unreachable network: every server degrades to a no-Jump-Start
+     boot, nobody crashes, the fleet still serves *)
+  let fleet =
+    dist_fleet { Cluster.Dist_net.default_config with Cluster.Dist_net.fetch_fail_rate = 1.0 }
+  in
+  let stats = Region.run (restart_all fleet) (Lazy.force small_app) ~seed:22 in
+  Alcotest.(check int) "nobody jump-started" 0 stats.Region.jump_started;
+  Alcotest.(check int) "everyone fell back" 40 stats.Region.fallbacks;
+  Alcotest.(check int) "no crashes" 0 stats.Region.crashes;
+  (match stats.Region.dist with
+  | Some c -> Alcotest.(check int) "nothing delivered" 0 c.Cluster.Dist_net.deliveries
+  | None -> Alcotest.fail "active network must report counters");
+  Alcotest.(check bool) "fleet serves on fallback code" true (stats.Region.completed > 0)
+
+(* Unvalidated bad packages in 40 % of seeding attempts. *)
+let bad_push ~duration =
+  restart_all ~duration ~bad_package_rate:0.4
+    { (Lazy.force restart_fleet) with Cluster.Fleet.validation_catch_rate = 0. }
+
+let test_fleet_telemetry_deterministic () =
+  (* same seed, same config -> byte-identical telemetry documents *)
+  let cfg = bad_push ~duration:400. in
+  let stats1, tel1 = run_with_telemetry cfg ~seed:11 in
+  let stats, tel = run_with_telemetry cfg ~seed:11 in
+  Alcotest.(check string) "identical telemetry" (Js_telemetry.to_json tel1)
+    (Js_telemetry.to_json tel);
+  Alcotest.(check string) "identical digest" (Region.digest stats1) (Region.digest stats);
+  (* the counters must agree with the stats the simulator itself reports *)
+  Alcotest.(check int) "fallback counter consistent" stats.Region.fallbacks
+    (Js_telemetry.counter tel "sim.fallbacks");
+  Alcotest.(check int) "jump-start counter consistent" stats.Region.jump_started
+    (Js_telemetry.counter tel "sim.jump_started");
+  Alcotest.(check int) "one fallback reason per fallback" stats.Region.fallbacks
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Js_telemetry.fallback_reasons tel));
+  (* every server booted at least once, so boot spans are recorded *)
+  Alcotest.(check bool) "boot spans recorded" true (List.length (Js_telemetry.spans tel) >= 40)
+
+let test_fleet_telemetry_crash_accounting () =
+  let stats, tel = run_with_telemetry (bad_push ~duration:900.) ~seed:3 in
+  Alcotest.(check bool) "bad packages crashed servers" true (stats.Region.crashes > 0);
+  Alcotest.(check int) "crash counter matches stats" stats.Region.crashes
+    (Js_telemetry.counter tel "sim.crashes");
+  let rounds = crash_rounds tel in
+  Alcotest.(check int) "one crash event per crash" stats.Region.crashes
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 rounds);
+  (* the blast radius is the worst round; a round can crash each server once *)
+  let blast = List.fold_left (fun acc (_, n) -> max acc n) 0 rounds in
+  Alcotest.(check bool)
+    (Printf.sprintf "blast radius within the fleet (%d)" blast)
+    true
+    (blast > 0 && blast <= 40)
 
 (* --- multi-region --- *)
 
@@ -536,7 +765,22 @@ let test_multiregion_validates () =
   let gcfg = { (Lazy.force global_cfg) with Region.spill_latency = 5.; epoch = 20. } in
   Alcotest.check_raises "spill latency below epoch"
     (Invalid_argument "Region: spill_latency must be >= epoch") (fun () ->
-      ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1))
+      ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1));
+  (* a bucket index is taken per server: zero buckets must be a config
+     error, not an out-of-bounds access mid-run *)
+  List.iter
+    (fun n_buckets ->
+      let base = Lazy.force push_cfg in
+      let base =
+        { base with Region.fleet = { base.Region.fleet with Cluster.Fleet.n_buckets } }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "%d buckets" n_buckets)
+        (Invalid_argument "Region: fleet.n_buckets must be >= 1") (fun () ->
+          ignore
+            (Region.run_global { (Lazy.force global_cfg) with Region.base } (Lazy.force small_app)
+               ~seed:1)))
+    [ 0; -1 ]
 
 (* Non-finite times slip past ordered comparisons (NaN fails all of them), so
    without an explicit finiteness check a NaN duration ran to all-NaN stats,
@@ -618,6 +862,18 @@ let () =
           Alcotest.test_case "bad packages + guardrail" `Quick
             test_push_bad_packages_crash_and_guardrail;
           Alcotest.test_case "telemetry" `Quick test_push_telemetry
+        ] );
+      ( "fleet",
+        [ Alcotest.test_case "healthy push" `Quick test_fleet_healthy_push;
+          Alcotest.test_case "validation" `Quick test_fleet_validation;
+          Alcotest.test_case "crash decay" `Quick test_fleet_crash_decay;
+          Alcotest.test_case "fallback bounds damage" `Quick test_fleet_fallback_bounds_damage;
+          Alcotest.test_case "thin profiles rejected" `Quick test_fleet_thin_profiles_rejected;
+          Alcotest.test_case "telemetry deterministic" `Quick test_fleet_telemetry_deterministic;
+          Alcotest.test_case "dist faults absorbed" `Quick test_fleet_dist_faults_absorbed;
+          Alcotest.test_case "dist outage degrades" `Quick test_fleet_dist_outage_degrades;
+          Alcotest.test_case "telemetry crash accounting" `Quick
+            test_fleet_telemetry_crash_accounting
         ] );
       ( "region",
         [ Alcotest.test_case "region loss spills, never crashes" `Quick
