@@ -714,24 +714,18 @@ let ablation_dist () =
   let n_servers = if quick then 60 else 120 in
   let duration = if quick then 240. else 600. in
   let d = Cluster.Dist_net.default_config in
+  let with_net network = { d with Cluster.Dist_net.network } in
+  let n = Jumpstart.Dist_store.default_network in
   let scenarios =
     [ ("baseline", d);
-      ("fail30", { d with Cluster.Dist_net.fetch_fail_rate = 0.3 });
+      ("fail30", with_net { n with fetch_fail_rate = 0.3 });
       ( "fail30+timeout",
-        { d with
-          Cluster.Dist_net.fetch_fail_rate = 0.3;
-          fetch_timeout = 1.0;
-          fetch_latency_mean = 0.5
-        } );
+        with_net { n with fetch_fail_rate = 0.3; fetch_timeout = 1.0; latency_mean = 0.5 } );
       ( "fail60+cross-region",
-        { d with
-          Cluster.Dist_net.fetch_fail_rate = 0.6;
-          fetch_timeout = 1.0;
-          fetch_latency_mean = 0.5;
-          cross_region = true;
+        { (with_net { n with fetch_fail_rate = 0.6; fetch_timeout = 1.0; latency_mean = 0.5 }) with
           regions = 3
         } );
-      ("stale20", { d with Cluster.Dist_net.stale_rate = 0.2 })
+      ("stale20", with_net { n with stale_rate = 0.2 })
     ]
   in
   Printf.printf "%22s %12s %10s %9s %9s %9s %7s %7s\n" "scenario" "jumpstarted" "fallbacks"
@@ -744,12 +738,8 @@ let ablation_dist () =
         in
         let stats = Js_sim.Region.run cfg (Lazy.force fleet_app) ~seed:(bench_seed 424) in
         let c =
-          match stats.Js_sim.Region.dist with
-          | Some c -> c
-          | None ->
-            (* inactive network: the ladder never ran *)
-            { Cluster.Dist_net.attempts = 0; failures = 0; timeouts = 0; stale_rejects = 0;
-              cross_region_fetches = 0; deliveries = 0; empty_probes = 0 }
+          (* inactive network: the ladder never ran *)
+          Option.value stats.Js_sim.Region.dist ~default:(Jumpstart.Dist_store.fresh_counters ())
         in
         Printf.printf "%22s %12d %10d %9d %9d %9d %7d %7d\n" name
           stats.Js_sim.Region.jump_started stats.Js_sim.Region.fallbacks

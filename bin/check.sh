@@ -46,9 +46,11 @@ for f in examples/*.mh; do
 done
 rm -f /tmp/interp_product.out /tmp/interp_reference.out
 
-# Quick distribution ablation; validates its own JSON.
-dune exec bench/main.exe -- dist --quick
-test -s BENCH_dist.quick.json
+# Distribution ablation (~2 s, no wall-clock fields): a full rerun must
+# reproduce the committed BENCH_dist.json byte for byte.
+dune exec bench/main.exe -- dist --out /tmp/bench_dist.json
+cmp /tmp/bench_dist.json BENCH_dist.json
+rm -f /tmp/bench_dist.json
 
 # §VI reliability ablations on the discrete-event push simulator; each exits
 # 1 when its claim fails: crashes fall strictly from 1 to 8 seeders per
@@ -151,10 +153,12 @@ if [ "$epoch_digest" != "$merged_digest" ]; then
 fi
 
 # A config the simulator rejects (a non-finite duration, no buckets, no
-# replicate seeds, no regions) is a usage error: exit status 2, never a
-# hang, a run over NaN times or an uncaught exception.
+# replicate seeds, no regions, a bad fault record) is a usage error: exit
+# status 2, never a hang, a silently fault-free run or an uncaught
+# exception.  The = form keeps cmdliner from reading -1 as an option.
 for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
-  "--classify --seeds 0" "--regions 0"; do
+  "--classify --seeds 0" "--regions 0" "--fetch-fail-rate=nan" \
+  "--fetch-latency=-1" "--stale-rate=1.5" "--fetch-timeout=inf"; do
   status=0
   dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then

@@ -151,11 +151,12 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       | None -> if fetch_timeout > 0. then fetch_timeout /. 2. else 0.
     in
     { Cluster.Dist_net.default_config with
-      Cluster.Dist_net.fetch_fail_rate = fetch_fail;
-      fetch_timeout;
-      fetch_latency_mean = latency_mean;
-      stale_rate;
-      cross_region;
+      Cluster.Dist_net.network =
+        { Jumpstart.Dist_store.fetch_fail_rate = fetch_fail;
+          fetch_timeout;
+          latency_mean;
+          stale_rate
+        };
       regions = (if cross_region then 3 else 1)
     }
   in

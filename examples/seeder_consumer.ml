@@ -46,8 +46,10 @@ let () =
 
   print_endline "\n== C3 phase: a consumer boots jump-started ==";
   let rng = Js_util.Rng.create 42 in
+  (* a perfect network: each fetch is one random pick from the store *)
+  let dist = JS.Dist_store.create store in
   (match
-     JS.Consumer.boot ~telemetry:tel repo options store rng ~region:0 ~bucket:0
+     JS.Consumer.boot_dist ~telemetry:tel repo options dist rng ~region:0 ~bucket:0
        ~health_traffic:(traffic 40 30) ~fallback_traffic:(traffic 41 250) ()
    with
   | JS.Consumer.Jump_started vm ->
@@ -69,8 +71,8 @@ let () =
     ignore (JS.Store.corrupt_one corrupted rng ~region:0 ~bucket:0)
   | None -> ());
   (match
-     JS.Consumer.boot ~telemetry:tel repo options corrupted rng ~region:0 ~bucket:0
-       ~fallback_traffic:(traffic 60 250) ()
+     JS.Consumer.boot_dist ~telemetry:tel repo options (JS.Dist_store.create corrupted) rng
+       ~region:0 ~bucket:0 ~fallback_traffic:(traffic 60 250) ()
    with
   | JS.Consumer.Fell_back (vm, reason) ->
     Printf.printf "  CRC caught it; fell back safely (%s)\n" reason;
@@ -85,7 +87,7 @@ let () =
     true
   in
   (match
-     JS.Consumer.boot ~telemetry:tel repo options store rng ~region:0 ~bucket:0 ~jit_bug
+     JS.Consumer.boot_dist ~telemetry:tel repo options dist rng ~region:0 ~bucket:0 ~jit_bug
        ~fallback_traffic:(traffic 61 250) ()
    with
   | JS.Consumer.Fell_back (_, reason) ->

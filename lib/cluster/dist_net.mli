@@ -1,31 +1,24 @@
-(** Simulated package-delivery network for the fleet simulation (macro
-    level; the micro-level twin is {!Jumpstart.Dist_store}).
+(** Simulated package-delivery network for the fleet simulation.
 
-    Models the distributed-storage service between C2 seeders and C3
-    consumers: per-(region, bucket) replica sets of {!Server.package}s,
-    publish (replication) latency, transient fetch failures, a latency
-    distribution (exponential body + optional Pareto tail) with per-attempt
-    timeouts, and stale replicas that still hold the previous release's
-    package.  Consumers fetch through a policy ladder: bounded retries with
-    exponential backoff and deterministic jitter ({!Js_util.Backoff}), then
-    one cross-region fallback fetch per foreign region, then
-    {!Unavailable} — the fleet degrades that server to a no-Jump-Start
-    boot.
+    Per-(region, bucket) replica sets of {!Server.package}s between C2
+    seeders and C3 consumers, with publish (replication) latency and
+    disaster windows.  A fetch runs the one delivery ladder,
+    {!Jumpstart.Dist_store.ladder}, supplying the fleet's pick (a replica
+    visible at the attempt's time), reachability (the disaster windows), a
+    gate that retries on a stale replica, retries of empty probes while
+    publish latency lets a push propagate, and one counter shard per home
+    region.  An exhausted ladder is {!Unavailable}: the fleet degrades that
+    server to a no-Jump-Start boot.
 
     {b RNG neutrality}: with the {!default_config} (all rates and latencies
-    zero, one region, cross-region off), {!active} is [false] and a fetch
-    consumes exactly one draw per successful pick — byte-identical to the
-    historical direct-pick behaviour — and emits no [dist.*] telemetry. *)
+    zero, one region) and no disaster window, a fetch consumes exactly one
+    draw per successful pick and emits no [dist.*] telemetry. *)
 
 type config = {
-  regions : int;  (** replica regions; region 0 is the fleet's home *)
-  fetch_fail_rate : float;  (** probability one fetch attempt fails *)
-  fetch_timeout : float;  (** per-attempt timeout in seconds; 0 = none *)
-  fetch_latency_mean : float;  (** mean fetch latency; 0 = instantaneous *)
-  tail_prob : float;  (** probability a latency sample is tail-distributed *)
-  tail_alpha : float;  (** Pareto shape of the latency tail *)
-  stale_rate : float;  (** probability a replica serves a stale package *)
-  cross_region : bool;  (** enable the cross-region fallback fetch *)
+  regions : int;
+      (** replica regions; region 0 is the fleet's home.  With more than one,
+          a fetch falls back to every foreign region in turn. *)
+  network : Jumpstart.Dist_store.network;  (** the fault record *)
   backoff : Js_util.Backoff.config;  (** retry schedule per boot fetch *)
   publish_latency_mean : float;
       (** mean replication delay from publish to fetchability; 0 = instant *)
@@ -36,9 +29,7 @@ val default_config : config
 (** Does this config change behaviour at all vs. a direct store pick? *)
 val active : config -> bool
 
-(** Fetch-ladder counters (updated only when {!active}).  The ladder
-    invariant: [attempts = deliveries + failures + timeouts + stale_rejects
-    + empty_probes].
+(** Fetch-ladder counters (updated only when the ladder runs).
 
     Internally the store keeps one shard per fetcher {e home} region and
     [fetch ~region:home] touches only that shard — the single-writer
@@ -46,7 +37,7 @@ val active : config -> bool
     domains.  {!counters} folds the shards (commutative integer addition)
     into a fresh snapshot, so totals are independent of region execution
     order; the returned record is a snapshot, not a live view. *)
-type counters = {
+type counters = Jumpstart.Dist_store.counters = {
   mutable attempts : int;
   mutable failures : int;
   mutable timeouts : int;
@@ -58,6 +49,8 @@ type counters = {
 
 type t
 
+(** @raise Invalid_argument when [regions < 1] or
+    {!Jumpstart.Dist_store.validate} rejects the fault record. *)
 val create : config -> t
 
 (** Snapshot of the summed per-region counter shards (see {!type-counters}). *)
@@ -84,14 +77,6 @@ val set_region_down : t -> region:int -> from_:float -> unit
     scenario. *)
 val set_region_partition : t -> region:int -> from_:float -> until:float -> unit
 
-(** [region_down t ~region ~now] — is the region's store unreachable at
-    [now]? *)
-val region_down : t -> region:int -> now:float -> bool
-
-(** [partitioned t ~region ~now] — is the region's fetcher side inside its
-    partition window at [now]? *)
-val partitioned : t -> region:int -> now:float -> bool
-
 (** [publish t rng ~now ~bucket pkg] replicates [pkg] into every region
     whose store is reachable at [now];
     with publish latency, each region's copy becomes fetchable after an
@@ -104,12 +89,9 @@ type outcome =
   | Not_found  (** no reachable region holds a visible replica *)
 
 (** [fetch t rng ~now ~region ~bucket] — one consumer's package fetch at
-    simulation time [now].  With [telemetry] (and an {!active} config):
-    attempts bump [dist.fetch_attempts] (foreign-region ones also
-    [dist.cross_region]), failures [dist.fetch_failures], timeouts
-    [dist.timeouts], stale deliveries [dist.stale_rejects]; successful
-    deliveries observe their latency in the [dist.fetch_seconds]
-    histogram. *)
+    simulation time [now], bumping the [region] shard of the counters.
+    With [telemetry], the ladder's [dist.*] counters and
+    [dist.fetch_seconds] histogram (see {!Jumpstart.Dist_store}). *)
 val fetch :
   ?telemetry:Js_telemetry.t ->
   t ->

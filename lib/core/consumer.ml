@@ -71,21 +71,8 @@ let health_check vm traffic =
     in
     (Interp.Engine.steps engine, verdict)
 
-(* How one boot attempt obtained (or failed to obtain) package bytes.  The
-   plain store source only ever yields [Fetched]/[Fetch_none]; the
-   distribution-network source adds gate rejects (burn a boot attempt, like
-   any other validation failure) and network exhaustion (degrade straight to
-   the no-Jump-Start fallback). *)
-type fetched =
-  | Fetched of string * Package.meta
-  | Fetch_stale of string * string
-      (** fingerprint-mismatched payload worth salvaging: (bytes, gate reason) *)
-  | Fetch_rejected of string
-  | Fetch_unavailable of string
-  | Fetch_none of string
-
-let boot_via ?telemetry repo (options : Options.t) ~(fetch : unit -> fetched) ?jit_bug
-    ?health_traffic ~fallback_traffic () =
+let boot_dist ?telemetry repo (options : Options.t) dist rng ?(now = 0.) ~region ~bucket
+    ?jit_bug ?health_traffic ~fallback_traffic () =
   let tel f =
     match telemetry with
     | Some t -> f t
@@ -162,11 +149,10 @@ let boot_via ?telemetry repo (options : Options.t) ~(fetch : unit -> fetched) ?j
                   Jump_started vm
                 | _, Error msg -> fail "health_check" msg)))
         in
-        match fetch () with
-        | Fetch_none reason -> fall_back reason
-        | Fetch_unavailable reason -> fall_back reason
-        | Fetch_rejected msg -> fail "fetch" msg
-        | Fetched (bytes, _meta) -> (
+        match Dist_store.fetch ?telemetry dist rng ~now ~region ~bucket with
+        | Dist_store.No_package -> fall_back "no profile package available"
+        | Dist_store.Unavailable { reason; _ } -> fall_back ("package fetch failed: " ^ reason)
+        | Dist_store.Delivered { bytes; _ } -> (
           match
             timed "consumer.decode"
               ~cost:(fun _ -> float_of_int (String.length bytes) /. 25.0e6)
@@ -174,7 +160,9 @@ let boot_via ?telemetry repo (options : Options.t) ~(fetch : unit -> fetched) ?j
           with
           | Error msg -> fail "decode" msg
           | Ok package -> proceed package)
-        | Fetch_stale (bytes, gate_reason) -> (
+        | Dist_store.Rejected
+            { kind = Dist_store.Fingerprint_mismatch; reason = gate_reason; bytes; _ }
+          when options.Options.salvage_stale -> (
           (* Stale-profile salvage (§VI-B): the gate refused the package
              because it was profiled on a different build — match it against
              the live repo instead of discarding it.  Costed like a decode
@@ -206,30 +194,7 @@ let boot_via ?telemetry repo (options : Options.t) ~(fetch : unit -> fetched) ?j
                     "match.counters_transferred");
               proceed package
             end)
+        | Dist_store.Rejected { reason; _ } -> fail "fetch" reason
     in
     attempt 0 "no attempts made"
   end
-
-let boot ?telemetry repo (options : Options.t) store rng ~region ~bucket ?jit_bug
-    ?health_traffic ~fallback_traffic () =
-  let fetch () =
-    match Store.pick_random ?telemetry store rng ~region ~bucket with
-    | None -> Fetch_none "no profile package available"
-    | Some (bytes, meta) -> Fetched (bytes, meta)
-  in
-  boot_via ?telemetry repo options ~fetch ?jit_bug ?health_traffic ~fallback_traffic ()
-
-let boot_dist ?telemetry repo (options : Options.t) dist rng ?(now = 0.) ~region ~bucket
-    ?jit_bug ?health_traffic ~fallback_traffic () =
-  let fetch () =
-    match Dist_store.fetch ?telemetry dist rng ~now ~region ~bucket with
-    | Dist_store.Delivered { bytes; meta; _ } -> Fetched (bytes, meta)
-    | Dist_store.Rejected { kind = Dist_store.Fingerprint_mismatch; reason; bytes; _ }
-      when options.Options.salvage_stale ->
-      Fetch_stale (bytes, reason)
-    | Dist_store.Rejected { reason; _ } -> Fetch_rejected reason
-    | Dist_store.Unavailable { reason; _ } ->
-      Fetch_unavailable ("package fetch failed: " ^ reason)
-    | Dist_store.No_package -> Fetch_none "no profile package available"
-  in
-  boot_via ?telemetry repo options ~fetch ?jit_bug ?health_traffic ~fallback_traffic ()

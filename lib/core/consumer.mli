@@ -2,9 +2,10 @@
 
     A consumer boots by deserializing a profile package, applying the
     steady-state optimizations it enables, and JITing all optimized code
-    before serving.  The full boot path implements the reliability
-    machinery: random package selection, health checking, bounded retries,
-    and automatic no-Jump-Start fallback. *)
+    before serving.  The one full boot path, {!boot_dist}, implements the
+    reliability machinery: random package selection through the
+    distribution network, health checking, bounded retries, and automatic
+    no-Jump-Start fallback. *)
 
 (** A batch of requests driven against an engine (the test/experiment layer
     decides what traffic means). *)
@@ -45,42 +46,18 @@ type outcome =
   | Jump_started of vm
   | Fell_back of vm * string  (** reason for the fallback *)
 
-(** [boot repo options store rng ~region ~bucket ...] — the §VI-A boot
-    protocol: up to [options.max_boot_attempts] times, pick a random
-    package, decode + coverage-check it, compile, and health-check with
-    [health_traffic] (a crash or [Runtime_error] counts as unhealthy); on
-    exhaustion or when no package exists, fall back to local profiling
-    with [fallback_traffic].  When [options.enabled] is false, goes
-    straight to the fallback path.
-
-    With [telemetry], each attempt bumps [consumer.boot_attempts] and logs a
-    [Boot_attempt] event; per-stage failures bump
-    [consumer.<stage>_failures] and log [Validation_failed]; the decode,
-    compile, and health-check stages run under spans whose durations come
-    from deterministic work proxies (bytes decoded, translations emitted,
-    interpreter steps) on the simulated clock; a fallback bumps
-    [consumer.fallbacks] and logs a [Fallback] event with the reason. *)
-val boot :
-  ?telemetry:Js_telemetry.t ->
-  Hhbc.Repo.t ->
-  Options.t ->
-  Store.t ->
-  Js_util.Rng.t ->
-  region:int ->
-  bucket:int ->
-  ?jit_bug:(Package.t -> bool) ->
-  ?health_traffic:traffic ->
-  fallback_traffic:traffic ->
-  unit ->
-  outcome
-
-(** [boot_dist repo options dist rng ~region ~bucket ...] — the same §VI-A
-    boot protocol, but every package fetch goes through the simulated
-    distribution network ({!Dist_store}) instead of hitting the store
-    directly:
+(** [boot_dist repo options dist rng ~region ~bucket ...] — the §VI-A boot
+    protocol, and the only consumer boot: up to [options.max_boot_attempts]
+    times, fetch a random package through the distribution network
+    ({!Dist_store}), decode, verify and coverage-check it, compile, and
+    health-check with [health_traffic] (a crash or [Runtime_error] counts as
+    unhealthy); on exhaustion or when no package exists, fall back to local
+    profiling with [fallback_traffic].  When [options.enabled] is false,
+    goes straight to the fallback path.  Over [Dist_store.create store] (a
+    perfect network, no gates) each fetch is one {!Store.pick_random}.
 
     - a {e delivered} package proceeds through decode → verify → coverage →
-      compile → health-check exactly as in {!boot};
+      compile → health-check;
     - a {e fingerprint-mismatched} package — profiled on a different build
       of this application — is {e salvaged} when
       [options.salvage_stale]: stage [consumer.salvage] decodes it
@@ -100,6 +77,14 @@ val boot :
     - an exhausted network (retries + cross-region fallback all failed)
       degrades gracefully to the no-Jump-Start fallback, like a store with
       no packages.
+
+    With [telemetry], each attempt bumps [consumer.boot_attempts] and logs a
+    [Boot_attempt] event; per-stage failures bump
+    [consumer.<stage>_failures] and log [Validation_failed]; the decode,
+    compile, and health-check stages run under spans whose durations come
+    from deterministic work proxies (bytes decoded, translations emitted,
+    interpreter steps) on the simulated clock; a fallback bumps
+    [consumer.fallbacks] and logs a [Fallback] event with the reason.
 
     [now] (default 0) is the boot's position on the simulated clock,
     driving the TTL gate. *)

@@ -1,75 +1,122 @@
-(** Simulated distribution network in front of {!Store} (micro level).
+(** The one package-delivery ladder, and the distribution network in front
+    of {!Store}.
 
     The paper's packages travel through a real distributed-storage service:
-    fetches have latency, fail transiently, time out, and can return {e
-    stale} profiles from a previous release.  This module wraps a {!Store}
-    with that delivery model so the consumer boot path exercises it for
-    real:
+    fetches fail transiently, take time, time out, and can return {e stale}
+    profiles from a previous release.  {!ladder} models a fetch through it,
+    polymorphic in the payload: bounded retries with exponential backoff
+    and deterministic jitter ({!Js_util.Backoff}) against the home region,
+    then one attempt per foreign region, then give up (the caller degrades
+    to a no-Jump-Start boot).  {!fetch} runs it over a {!Store} with a {b
+    staleness gate}: a delivered package is rejected — the reject feeds the
+    consumer's [Validation_failed] retry machinery as stage
+    [consumer.fetch] — when its {!Package.meta.repo_fingerprint} disagrees
+    with the consumer's repo, when its age exceeds the TTL, or when the
+    replica is stale.  [Cluster.Dist_net] runs it over the fleet's replicas.
 
-    - {b network model}: per-fetch transient failure probability, a
-      latency distribution (exponential body with an optional Pareto tail,
-      reusing {!Js_util.Rng}), and a per-attempt timeout;
-    - {b fetch policy}: bounded retries with exponential backoff and
-      deterministic jitter ({!Js_util.Backoff}) against the home region,
-      then one cross-region fallback fetch per foreign region, then give up
-      (the caller degrades to a no-Jump-Start boot);
-    - {b staleness gate}: a delivered package is rejected — without
-      retrying, the reject feeds the consumer's [Validation_failed] retry
-      machinery as stage [consumer.fetch] — when its
-      {!Package.meta.repo_fingerprint} disagrees with the consumer's repo,
-      when its age exceeds the TTL, or when the replica is forced stale by
-      the [stale_rate] fault injection.
-
-    Determinism: every stochastic draw is guarded by its rate, so an
-    all-zero network consumes exactly the one selection draw {!Store}
-    itself performs and the run stays byte-identical to a direct store
-    fetch.
+    {b Neutrality}: the ladder runs only when something can fail, delay or
+    redirect a fetch — a positive rate, timeout or latency, publish latency,
+    a disaster window, or a foreign region.  Otherwise a fetch is one
+    selection draw plus the gate, touching no {!counters} and recording
+    neither [dist.fetch_attempts] nor [dist.fetch_seconds].
 
     With [telemetry], attempts bump [dist.fetch_attempts] (plus
     [dist.cross_region] for foreign-region attempts), failures
     [dist.fetch_failures], timeouts [dist.timeouts], gate rejects
-    [dist.stale_rejects] plus the per-kind counter
-    ([dist.fingerprint_mismatch] / [dist.ttl_expired] /
-    [dist.stale_replica]); a delivery observes its latency in the
-    [dist.fetch_seconds] histogram, and the accumulated wait (latencies,
-    timeouts, backoff) advances the clock under a [dist.fetch_wait] span. *)
+    [dist.stale_rejects]; a delivery observes its latency in the
+    [dist.fetch_seconds] histogram.  {!fetch} adds the per-kind reject
+    counter ([dist.fingerprint_mismatch] / [dist.ttl_expired] /
+    [dist.stale_replica]) and advances the clock by the accumulated wait
+    under a [dist.fetch_wait] span. *)
 
+(** The fault record. *)
 type network = {
   fetch_fail_rate : float;  (** probability one attempt fails outright *)
   fetch_timeout : float;  (** per-attempt timeout in seconds; 0 = none *)
   latency_mean : float;  (** mean fetch latency; 0 = instantaneous *)
-  tail_prob : float;  (** probability a latency sample comes from the tail *)
-  tail_alpha : float;  (** Pareto shape of the latency tail *)
   stale_rate : float;  (** probability a replica serves a stale package *)
 }
 
 (** All rates/latencies zero: a perfect, instantaneous network. *)
 val default_network : network
 
-(** Does this network model any fault or latency at all?  When [false], a
-    fetch draws exactly as much randomness as {!Store.pick_random}. *)
+(** Does this network model any fault or latency at all? *)
 val network_active : network -> bool
+
+(** [validate network backoff ~publish_latency_mean] requires rates in
+    [\[0, 1\]], finite non-negative times and backoff fields, and
+    [backoff.max_attempts >= 1].  @raise Invalid_argument naming the first
+    bad field. *)
+val validate : network -> Js_util.Backoff.config -> publish_latency_mean:float -> unit
+
+(** Ladder counters.  The invariant: [attempts = deliveries + failures +
+    timeouts + stale_rejects + empty_probes]. *)
+type counters = {
+  mutable attempts : int;
+  mutable failures : int;
+  mutable timeouts : int;
+  mutable stale_rejects : int;
+  mutable cross_region_fetches : int;  (** subset of [attempts] *)
+  mutable deliveries : int;
+  mutable empty_probes : int;  (** attempts whose pick found nothing *)
+}
+
+val fresh_counters : unit -> counters
+
+(** The caller's gate on a picked payload: deliver it, or count a stale
+    reject and retry, or count one and stop. *)
+type 'r verdict = [ `Accept | `Retry | `Reject of 'r ]
+
+type ('p, 'r) delivery =
+  | Accepted of 'p * int  (** the payload and the region that served it *)
+  | Refused of 'p * 'r  (** the gate's [`Reject] *)
+  | Gave_up of { failures : int; timeouts : int }  (** attempts exhausted *)
+  | Absent  (** nothing was seen, failed or timed out *)
+
+(** [ladder net backoff counters rng ~now ~home ~foreign ~reachable
+    ~retry_empty ~pick ~gate] — one fetch, and the seconds it waited.  Each
+    attempt runs, in order: [reachable ~region ~at] (no draw; [None] means
+    always reachable), the failure draw, the latency draw and timeout
+    check, [pick ~region ~at], the stale draw, [gate ~stale].  [at] is [now]
+    plus the wait so far.  Up to [backoff.max_attempts] home attempts with
+    a backoff wait between them (an empty probe ends them unless
+    [retry_empty]), then one attempt per [foreign] region. *)
+val ladder :
+  ?telemetry:Js_telemetry.t ->
+  network ->
+  Js_util.Backoff.config ->
+  counters ->
+  Js_util.Rng.t ->
+  now:float ->
+  home:int ->
+  foreign:int list ->
+  reachable:(region:int -> at:float -> bool) option ->
+  retry_empty:bool ->
+  pick:(region:int -> at:float -> 'p option) ->
+  gate:(stale:bool -> 'p -> 'r verdict) ->
+  ('p, 'r) delivery * float
 
 type t
 
 (** [create store] wraps [store].  [repo] enables the fingerprint gate
     (packages hashed against a different build are rejected);
-    [ttl_seconds > 0] enables the TTL gate; [regions]/[cross_region]
-    configure the fallback ladder ([regions] lists every region replicas
-    live in, home first or not — the home region passed to {!fetch} is
-    skipped). *)
+    [ttl_seconds > 0] enables the TTL gate; [regions] lists the fallback
+    regions (a fetch skips its own home).  @raise Invalid_argument if
+    {!validate} rejects [network] or [backoff]. *)
 val create :
   ?network:network ->
   ?backoff:Js_util.Backoff.config ->
   ?ttl_seconds:float ->
-  ?cross_region:bool ->
   ?regions:int array ->
   ?repo:Hhbc.Repo.t ->
   Store.t ->
   t
 
-val store : t -> Store.t
+(** Does the network model a fault, a latency or a fallback region? *)
 val active : t -> bool
+
+(** Ladder counters summed over every {!fetch} of [t]. *)
+val counters : t -> counters
 
 (** Why the staleness gate refused a delivered package.  Only
     [Fingerprint_mismatch] is salvageable: the payload is a well-formed
@@ -96,8 +143,9 @@ type fetch_result =
           degrades gracefully to a no-Jump-Start boot *)
   | No_package  (** no replica in any reachable region holds a package *)
 
-(** [fetch t rng ~now ~region ~bucket] runs the full fetch ladder.  [now] is
-    the consumer's boot time on the simulated clock (drives the TTL gate). *)
+(** [fetch t rng ~now ~region ~bucket] runs the {!ladder} with
+    {!Store.pick_random} as the pick and the staleness gate.  [now] is the
+    consumer's boot time on the simulated clock (drives the TTL gate). *)
 val fetch :
   ?telemetry:Js_telemetry.t ->
   t ->

@@ -47,8 +47,6 @@ let selection_counts t ~region ~bucket =
   | None -> []
   | Some l -> List.rev_map (fun e -> (e.meta, e.picks)) !l
 
-let clear t ~region ~bucket = Hashtbl.remove t.table (region, bucket)
-
 let flip_byte s pos =
   let b = Bytes.of_string s in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x5a));

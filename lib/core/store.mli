@@ -33,9 +33,6 @@ val count : t -> region:int -> bucket:int -> int
     package selection distribution behind §VI-A.2's blast-radius argument). *)
 val selection_counts : t -> region:int -> bucket:int -> (Package.meta * int) list
 
-(** Remove every package for a key (deployment rollover). *)
-val clear : t -> region:int -> bucket:int -> unit
-
 (** Test/fault-injection hook: corrupt one stored package by flipping a byte
     mid-payload.  Returns [false] if the key holds no packages.
 

@@ -789,18 +789,14 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   let n_regions = gcfg.n_regions in
   let fc = cfg.fleet in
   let n_servers = fc.Fleet.n_servers in
-  (* A multi-region fleet needs a dist net that spans the regions with
-     cross-region fallback on (disaster scenarios depend on it); a
+  (* A multi-region fleet needs a dist net that spans the regions, which
+     turns on cross-region fallback (disaster scenarios depend on it); a
      single-region run keeps the configured net untouched, preserving the
      RNG-neutrality of inactive configs. *)
   let dist_cfg =
     if n_regions = 1 then fc.Fleet.dist
     else
-      {
-        fc.Fleet.dist with
-        Dist_net.regions = max fc.Fleet.dist.Dist_net.regions n_regions;
-        cross_region = true;
-      }
+      { fc.Fleet.dist with Dist_net.regions = max fc.Fleet.dist.Dist_net.regions n_regions }
   in
   let net = Dist_net.create dist_cfg in
   let loss_at = Array.make n_regions infinity in

@@ -214,8 +214,8 @@ type global_stats = {
 (** [run_global ?telemetry ?mode gcfg app ~seed] — deterministic: same
     inputs produce identical {!global_digest}s across [`Epoch] (the
     default), [`Merged] and [`Parallel domains] (see above).  With
-    [n_regions > 1] the dist-net config is widened to cover every region
-    with [cross_region] forced on.  With [telemetry]: [sim.*] counters, boot
+    [n_regions > 1] the dist-net config is widened to cover every region,
+    which turns on cross-region fallback.  With [telemetry]: [sim.*] counters, boot
     spans per restart, push start/abort and region-loss marks; each sink's
     clock tracks simulation time.  @raise Invalid_argument on invalid
     configs: fewer than one bucket, non-positive capacities or caps, a

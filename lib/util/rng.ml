@@ -50,10 +50,6 @@ let gaussian t ~mu ~sigma =
   let u1 = non_zero () and u2 = unit_float t in
   mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
 
-let pareto t ~alpha ~x_min =
-  let u = 1. -. unit_float t in
-  x_min /. (u ** (1. /. alpha))
-
 let zipf t ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
   (* Inverse-CDF sampling over the harmonic weights; O(log n) via a cached

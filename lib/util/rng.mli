@@ -58,10 +58,6 @@ val exponential : t -> mean:float -> float
 (** [gaussian t ~mu ~sigma] samples a normal distribution (Box-Muller). *)
 val gaussian : t -> mu:float -> sigma:float -> float
 
-(** [pareto t ~alpha ~x_min] samples a Pareto distribution; used for the
-    long-tailed ("flat profile") function-hotness distributions. *)
-val pareto : t -> alpha:float -> x_min:float -> float
-
 (** [zipf t ~n ~s] samples a rank in [\[0, n)] under a Zipf distribution with
     exponent [s].  Rank 0 is the most likely. *)
 val zipf : t -> n:int -> s:float -> int

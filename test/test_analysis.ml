@@ -319,7 +319,8 @@ let test_consumer_rejects_inconsistent_package () =
   in
   let fallback_traffic engine = ignore (Interp.Engine.run_main engine) in
   (match
-     JS.Consumer.boot ~telemetry:tel repo options store (Js_util.Rng.create 1) ~region:0
+     JS.Consumer.boot_dist ~telemetry:tel repo options (JS.Dist_store.create store)
+       (Js_util.Rng.create 1) ~region:0
        ~bucket:0 ~fallback_traffic ()
    with
   | JS.Consumer.Fell_back (vm, _) ->
@@ -373,7 +374,8 @@ let test_semantic_corruption_handled () =
     Alcotest.(check bool) "corrupted one package" true
       (JS.Store.corrupt_one ~semantic:true store rng ~region:0 ~bucket:0);
     match
-      JS.Consumer.boot repo options store rng ~region:0 ~bucket:0 ~fallback_traffic ()
+      JS.Consumer.boot_dist repo options (JS.Dist_store.create store) rng ~region:0 ~bucket:0
+        ~fallback_traffic ()
     with
     | JS.Consumer.Fell_back _ | JS.Consumer.Jump_started _ -> ()
   done
@@ -587,7 +589,8 @@ let test_consumer_rejects_infeasible_arc () =
   in
   let fallback_traffic engine = ignore (Interp.Engine.run_main engine) in
   (match
-     JS.Consumer.boot ~telemetry:tel repo options store (Js_util.Rng.create 1) ~region:0
+     JS.Consumer.boot_dist ~telemetry:tel repo options (JS.Dist_store.create store)
+       (Js_util.Rng.create 1) ~region:0
        ~bucket:0 ~fallback_traffic ()
    with
   | JS.Consumer.Fell_back (vm, _) ->

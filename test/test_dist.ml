@@ -1,6 +1,7 @@
-(* The distribution layer: the Js_util.Backoff-driven fetch ladder at micro
-   level (Jumpstart.Dist_store wrapping a Store) and macro level
-   (Cluster.Dist_net carrying Server.packages for the fleet). *)
+(* The distribution layer: the one Js_util.Backoff-driven fetch ladder
+   (Jumpstart.Dist_store.ladder), run over a Store by Jumpstart.Dist_store and
+   over Server.package replicas by Cluster.Dist_net, checked against the two
+   ladders it replaced (Dist_ref). *)
 
 module JS = Jumpstart
 module DS = JS.Dist_store
@@ -45,19 +46,49 @@ let contains s sub =
 
 let test_neutral_passthrough () =
   (* an all-zero network must consume exactly the one selection draw Store
-     itself performs, and deliver with zero delay *)
+     itself performs, and deliver with zero delay; the neutrality rule also
+     leaves the ladder counters, the attempt count and the latency
+     histogram untouched *)
   let store = seeded_store () in
   let ds = DS.create store in
   Alcotest.(check bool) "inactive" false (DS.active ds);
+  let tel = Js_telemetry.create () in
   let rng = R.create 4 in
   let witness = R.copy rng in
-  (match DS.fetch ds rng ~now:0. ~region:0 ~bucket:3 with
+  (match DS.fetch ~telemetry:tel ds rng ~now:0. ~region:0 ~bucket:3 with
   | DS.Delivered { delay; region; _ } ->
     Alcotest.(check (float 0.)) "no delay" 0. delay;
     Alcotest.(check int) "home region" 0 region
   | _ -> Alcotest.fail "expected Delivered");
   ignore (JS.Store.pick_random store witness ~region:0 ~bucket:3);
-  Alcotest.(check int64) "exactly one selection draw" (R.bits64 witness) (R.bits64 rng)
+  Alcotest.(check int64) "exactly one selection draw" (R.bits64 witness) (R.bits64 rng);
+  Alcotest.(check int) "one store pick" 1 (Js_telemetry.counter tel "store.picks");
+  Alcotest.(check int) "no attempt count" 0 (Js_telemetry.counter tel "dist.fetch_attempts");
+  Alcotest.(check bool) "no latency sample" false
+    (List.mem_assoc "dist.fetch_seconds" (Js_telemetry.histograms tel));
+  Alcotest.(check int) "no ladder counters" 0 (DS.counters ds).DS.attempts
+
+let test_create_validates () =
+  (* the fault record comes from outside input: NaN, out-of-range and
+     non-finite values are config errors, not a silently fault-free net *)
+  let store = JS.Store.create () in
+  let n = DS.default_network in
+  List.iter
+    (fun (network, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (DS.create ~network store)))
+    [ ({ n with DS.fetch_fail_rate = Float.nan }, "Dist_store: fetch_fail_rate must be in [0, 1]");
+      ({ n with DS.stale_rate = 1.5 }, "Dist_store: stale_rate must be in [0, 1]");
+      ({ n with DS.latency_mean = -1. }, "Dist_store: latency_mean must be finite and >= 0");
+      ( { n with DS.fetch_timeout = Float.infinity },
+        "Dist_store: fetch_timeout must be finite and >= 0" )
+    ];
+  Alcotest.check_raises "no attempts"
+    (Invalid_argument "Dist_store: backoff.max_attempts must be >= 1") (fun () ->
+      ignore
+        (DS.create
+           ~backoff:{ Js_util.Backoff.default with Js_util.Backoff.max_attempts = 0 }
+           store))
 
 let test_unavailable_after_retries () =
   (* fail rate 1.0: every attempt fails, the ladder exhausts, the store is
@@ -120,10 +151,15 @@ let test_fingerprint_gate () =
     <> Hhbc.Repo.fingerprint other.Workload.Codegen.repo);
   let store = seeded_store () in
   let ds = DS.create ~repo:other.Workload.Codegen.repo store in
-  (match DS.fetch ds (R.create 1) ~now:0. ~region:0 ~bucket:3 with
+  let tel = Js_telemetry.create () in
+  (match DS.fetch ~telemetry:tel ds (R.create 1) ~now:0. ~region:0 ~bucket:3 with
   | DS.Rejected { reason; _ } ->
     Alcotest.(check bool) "mismatch reported" true (contains reason "fingerprint")
   | _ -> Alcotest.fail "expected Rejected");
+  (* on the neutral network a gate reject still reports, with its kind *)
+  Alcotest.(check int) "stale_rejects" 1 (Js_telemetry.counter tel "dist.stale_rejects");
+  Alcotest.(check int) "fingerprint_mismatch" 1
+    (Js_telemetry.counter tel "dist.fingerprint_mismatch");
   (* the matching build passes the gate *)
   let ds_ok = DS.create ~repo:a.Workload.Codegen.repo store in
   match DS.fetch ds_ok (R.create 1) ~now:0. ~region:0 ~bucket:3 with
@@ -150,7 +186,7 @@ let test_cross_region_fallback () =
   let store = JS.Store.create () in
   JS.Store.publish store ~region:1 ~bucket:3 outcome.JS.Seeder.bytes
     outcome.JS.Seeder.package.JS.Package.meta;
-  let ds = DS.create ~cross_region:true ~regions:[| 0; 1 |] store in
+  let ds = DS.create ~regions:[| 1 |] store in
   let tel = Js_telemetry.create () in
   (match DS.fetch ~telemetry:tel ds (R.create 1) ~now:0. ~region:0 ~bucket:3 with
   | DS.Delivered { region; _ } -> Alcotest.(check int) "served by region 1" 1 region
@@ -241,11 +277,8 @@ let test_net_counters_invariant () =
   let cfg =
     { DN.default_config with
       DN.regions = 2;
-      fetch_fail_rate = 0.4;
-      fetch_timeout = 1.0;
-      fetch_latency_mean = 0.5;
-      stale_rate = 0.2;
-      cross_region = true
+      network =
+        { DS.fetch_fail_rate = 0.4; fetch_timeout = 1.0; latency_mean = 0.5; stale_rate = 0.2 }
     }
   in
   let net = DN.create cfg in
@@ -280,17 +313,243 @@ let test_net_publish_latency_backoff () =
   | _ -> Alcotest.fail "expected Delivered after replication"
 
 let test_net_not_found () =
-  let cfg = { DN.default_config with DN.stale_rate = 0.5 } in
+  let cfg =
+    { DN.default_config with DN.network = { DS.default_network with DS.stale_rate = 0.5 } }
+  in
   let net = DN.create cfg in
   (match DN.fetch net (R.create 1) ~now:0. ~region:0 ~bucket:9 with
   | DN.Not_found -> ()
   | _ -> Alcotest.fail "expected Not_found");
   Alcotest.(check int) "empty probe counted" 1 (DN.counters net).DN.empty_probes
 
+(* --- the one ladder against the two it replaced --- *)
+
+(* Random inputs for both sides: the fault record, a backoff with or without
+   jitter, 1-3 regions, publish latency, disaster windows, the fingerprint
+   and TTL gates, what is published where and when, and a fetch sequence
+   over random home regions.  Every fetch comes after every publish, as in
+   the simulator: the fleet ladder's neutral path picked among all replicas
+   while the one ladder picks among those visible at the fetch, which only a
+   fetch from before the publish could tell apart.  Publish latency still
+   makes replicas visible after the fetches that look for them. *)
+type case = {
+  seed : int;
+  net : DS.network;
+  backoff : Js_util.Backoff.config;
+  n_regions : int;
+  publish_latency : float;
+  down : (int * float) option;
+  partition : (int * float * float) option;
+  fingerprint_gate : bool;
+  ttl : float;
+  publishes : (int * int * bool * int) list;  (* region, bucket, fingerprint ok, published_at *)
+  fetches : (int * int * float) list;  (* home, bucket, now *)
+}
+
+let gen_case =
+  let open QCheck.Gen in
+  let rate = frequency [ (3, return 0.); (1, return 1.); (4, float_bound_inclusive 1.) ] in
+  let secs hi = frequency [ (1, return 0.); (2, float_bound_inclusive hi) ] in
+  let* seed = int_bound 1_000_000 in
+  let faulty =
+    let* fetch_fail_rate = rate and* stale_rate = rate in
+    let* latency_mean = secs 2. and* fetch_timeout = secs 2. in
+    return { DS.fetch_fail_rate; fetch_timeout; latency_mean; stale_rate }
+  in
+  (* a perfect network often enough that the neutral path gets exercised *)
+  let* net = frequency [ (1, return DS.default_network); (3, faulty) ] in
+  let* max_attempts = int_range 1 5 and* base_delay = secs 1. in
+  let* multiplier = float_range 1. 3. and* max_delay = float_range 0. 8. in
+  let* jitter = secs 0.5 in
+  let* n_regions = int_range 1 3 in
+  let region = int_bound (n_regions - 1) and time = float_bound_inclusive 160. in
+  let* publish_latency = secs 3. in
+  let* down = opt ~ratio:0.3 (pair region time) in
+  let* partition =
+    opt ~ratio:0.3 (triple region time (float_bound_inclusive 50.))
+    >|= Option.map (fun (r, from_, len) -> (r, from_, from_ +. len))
+  in
+  let* fingerprint_gate = bool and* ttl = secs 60. in
+  let* publishes =
+    let fingerprint_ok = frequency [ (3, return true); (1, return false) ] in
+    list_size (int_bound 5) (quad region (int_bound 1) fingerprint_ok (int_bound 60))
+  in
+  let* fetches =
+    list_size (int_range 1 12) (triple region (int_bound 1) (float_range 60. 160.))
+  in
+  return
+    {
+      seed;
+      net;
+      backoff = { Js_util.Backoff.max_attempts; base_delay; multiplier; max_delay; jitter };
+      n_regions;
+      publish_latency;
+      down;
+      partition;
+      fingerprint_gate;
+      ttl;
+      publishes;
+      fetches;
+    }
+
+let print_case c =
+  Printf.sprintf
+    "seed %d fail %g timeout %g latency %g stale %g attempts %d base %g mult %g max %g jitter %g \
+     regions %d publish %g down %s partition %s fingerprint %b ttl %g publishes %d fetches %d"
+    c.seed c.net.DS.fetch_fail_rate c.net.DS.fetch_timeout c.net.DS.latency_mean
+    c.net.DS.stale_rate c.backoff.Js_util.Backoff.max_attempts c.backoff.Js_util.Backoff.base_delay
+    c.backoff.Js_util.Backoff.multiplier c.backoff.Js_util.Backoff.max_delay
+    c.backoff.Js_util.Backoff.jitter c.n_regions c.publish_latency
+    (match c.down with Some (r, t) -> Printf.sprintf "%d@%g" r t | None -> "-")
+    (match c.partition with Some (r, a, b) -> Printf.sprintf "%d@[%g,%g)" r a b | None -> "-")
+    c.fingerprint_gate c.ttl (List.length c.publishes) (List.length c.fetches)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_position a b = Int64.equal (R.bits64 (R.copy a)) (R.bits64 (R.copy b))
+
+let store_delay = function
+  | DS.Delivered { delay; _ } | DS.Rejected { delay; _ } | DS.Unavailable { delay; _ } -> delay
+  | DS.No_package -> 0.
+
+let same_net_outcome a b =
+  match (a, b) with
+  | DN.Delivered (p, d), DN.Delivered (q, e) -> p == q && same_bits d e
+  | DN.Unavailable d, DN.Unavailable e -> same_bits d e
+  | DN.Not_found, DN.Not_found -> true
+  | _ -> false
+
+(* What the store ladder's telemetry says one fetch did to the counters the
+   one ladder keeps: every attempt that was not a delivery, a failure, a
+   timeout or a reject found nothing. *)
+let add_counts (c : DS.counters) tel =
+  let n = Js_telemetry.counter tel in
+  let deliveries =
+    match List.assoc_opt "dist.fetch_seconds" (Js_telemetry.histograms tel) with
+    | Some h -> h.Js_telemetry.total
+    | None -> 0
+  in
+  let attempts = n "dist.fetch_attempts" and failures = n "dist.fetch_failures" in
+  let timeouts = n "dist.timeouts" and stale_rejects = n "dist.stale_rejects" in
+  c.attempts <- c.attempts + attempts;
+  c.failures <- c.failures + failures;
+  c.timeouts <- c.timeouts + timeouts;
+  c.stale_rejects <- c.stale_rejects + stale_rejects;
+  c.cross_region_fetches <- c.cross_region_fetches + n "dist.cross_region";
+  c.deliveries <- c.deliveries + deliveries;
+  c.empty_probes <- c.empty_probes + attempts - deliveries - failures - timeouts - stale_rejects
+
+let store_ladders_agree c =
+  let repo = (Lazy.force app).Workload.Codegen.repo in
+  let fp = Hhbc.Repo.fingerprint repo in
+  let store = JS.Store.create () in
+  List.iteri
+    (fun i (region, bucket, fp_ok, published_at) ->
+      let meta =
+        { JS.Package.region;
+          bucket;
+          seeder_id = i;
+          n_profiled_funcs = 1;
+          total_entries = 1;
+          repo_fingerprint = (if fp_ok then fp else fp lxor 1);
+          published_at
+        }
+      in
+      JS.Store.publish store ~region ~bucket (Printf.sprintf "package %d" i) meta)
+    c.publishes;
+  let repo = if c.fingerprint_gate then Some repo else None in
+  let regions = Array.init c.n_regions Fun.id in
+  let ds = DS.create ~network:c.net ~backoff:c.backoff ~ttl_seconds:c.ttl ~regions ?repo store in
+  let old =
+    Dist_ref.create_store ~network:c.net ~backoff:c.backoff ~ttl_seconds:c.ttl
+      ~cross_region:(c.n_regions > 1) ~regions ?repo store
+  in
+  let rng = R.create c.seed and old_rng = R.create c.seed in
+  let expected = DS.fresh_counters () in
+  List.for_all
+    (fun (home, bucket, now) ->
+      let tel = Js_telemetry.create () and old_tel = Js_telemetry.create () in
+      let got = DS.fetch ~telemetry:tel ds rng ~now ~region:home ~bucket in
+      let want = Dist_ref.store_fetch ~telemetry:old_tel old old_rng ~now ~region:home ~bucket in
+      if DS.network_active c.net || Array.exists (fun r -> r <> home) regions then
+        add_counts expected old_tel
+      else begin
+        (* the two series the neutrality rule drops: the old ladder's one
+           attempt and, for a delivery, its zero-latency sample *)
+        Js_telemetry.incr tel "dist.fetch_attempts";
+        match got with
+        | DS.Delivered _ ->
+          Js_telemetry.observe tel ~lo:0. ~hi:120. ~buckets:24 "dist.fetch_seconds" 0.
+        | DS.Rejected _ | DS.Unavailable _ | DS.No_package -> ()
+      end;
+      got = want
+      && same_bits (store_delay got) (store_delay want)
+      && same_position rng old_rng
+      && DS.counters ds = expected
+      && Js_telemetry.to_json tel = Js_telemetry.to_json old_tel)
+    c.fetches
+
+let server_pkgs = lazy (Array.init 3 (fun _ -> mk_server_pkg ()))
+
+let net_ladders_agree c =
+  let net =
+    DN.create
+      { DN.regions = c.n_regions;
+        network = c.net;
+        backoff = c.backoff;
+        publish_latency_mean = c.publish_latency
+      }
+  in
+  let old =
+    Dist_ref.create_net
+      { Dist_ref.regions = c.n_regions;
+        fetch_fail_rate = c.net.DS.fetch_fail_rate;
+        fetch_timeout = c.net.DS.fetch_timeout;
+        fetch_latency_mean = c.net.DS.latency_mean;
+        stale_rate = c.net.DS.stale_rate;
+        cross_region = c.n_regions > 1;
+        backoff = c.backoff;
+        publish_latency_mean = c.publish_latency
+      }
+  in
+  Option.iter
+    (fun (region, from_) ->
+      DN.set_region_down net ~region ~from_;
+      Dist_ref.set_region_down old ~region ~from_)
+    c.down;
+  Option.iter
+    (fun (region, from_, until) ->
+      DN.set_region_partition net ~region ~from_ ~until;
+      Dist_ref.set_region_partition old ~region ~from_ ~until)
+    c.partition;
+  let rng = R.create c.seed and old_rng = R.create c.seed in
+  let pkgs = Lazy.force server_pkgs in
+  List.iteri
+    (fun i (_, bucket, _, at) ->
+      let pkg = pkgs.(i mod Array.length pkgs) and now = float_of_int at in
+      DN.publish net rng ~now ~bucket pkg;
+      Dist_ref.publish old old_rng ~now ~bucket pkg)
+    c.publishes;
+  List.for_all
+    (fun (home, bucket, now) ->
+      let tel = Js_telemetry.create () and old_tel = Js_telemetry.create () in
+      let got = DN.fetch ~telemetry:tel net rng ~now ~region:home ~bucket in
+      let want = Dist_ref.net_fetch ~telemetry:old_tel old old_rng ~now ~region:home ~bucket in
+      same_net_outcome got want
+      && same_position rng old_rng
+      && DN.counters net = Dist_ref.net_counters old
+      && Js_telemetry.to_json tel = Js_telemetry.to_json old_tel)
+    c.fetches
+
+let prop_one_ladder =
+  QCheck.Test.make ~name:"one ladder = the store and fleet ladders it replaced" ~count:2000
+    (QCheck.make ~print:print_case gen_case)
+    (fun c -> store_ladders_agree c && net_ladders_agree c)
+
 let () =
   Alcotest.run "dist"
     [ ( "dist_store",
         [ Alcotest.test_case "neutral passthrough" `Quick test_neutral_passthrough;
+          Alcotest.test_case "create validates" `Quick test_create_validates;
           Alcotest.test_case "unavailable after retries" `Quick test_unavailable_after_retries;
           Alcotest.test_case "no-package verdict" `Quick test_no_package_verdict;
           Alcotest.test_case "pinned backoff schedule" `Quick test_pinned_backoff_schedule;
@@ -309,5 +568,6 @@ let () =
           Alcotest.test_case "counters invariant" `Quick test_net_counters_invariant;
           Alcotest.test_case "publish latency + backoff" `Quick test_net_publish_latency_backoff;
           Alcotest.test_case "not found" `Quick test_net_not_found
-        ] )
+        ] );
+      ("ladder", [ QCheck_alcotest.to_alcotest prop_one_ladder ])
     ]

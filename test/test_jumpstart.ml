@@ -114,9 +114,7 @@ let test_store_publish_pick () =
   let rng = Js_util.Rng.create 1 in
   Alcotest.(check bool) "pick hits" true (JS.Store.pick_random store rng ~region:0 ~bucket:3 <> None);
   Alcotest.(check bool) "other key empty" true
-    (JS.Store.pick_random store rng ~region:0 ~bucket:4 = None);
-  JS.Store.clear store ~region:0 ~bucket:3;
-  Alcotest.(check int) "cleared" 0 (JS.Store.count store ~region:0 ~bucket:3)
+    (JS.Store.pick_random store rng ~region:0 ~bucket:4 = None)
 
 let contains s sub =
   let n = String.length sub in
@@ -257,7 +255,8 @@ let test_boot_jump_starts () =
   let a, store = boot_env () in
   let rng = Js_util.Rng.create 4 in
   match
-    JS.Consumer.boot a.Workload.Codegen.repo JS.Options.default store rng ~region:0 ~bucket:3
+    JS.Consumer.boot_dist a.Workload.Codegen.repo JS.Options.default (JS.Dist_store.create store) rng
+      ~region:0 ~bucket:3
       ~health_traffic:(traffic ~seed:5 ~n:20 ()) ~fallback_traffic:(traffic ~seed:6 ()) ()
   with
   | JS.Consumer.Jump_started _ -> ()
@@ -268,7 +267,8 @@ let test_boot_fallback_no_packages () =
   let store = JS.Store.create () in
   let rng = Js_util.Rng.create 4 in
   match
-    JS.Consumer.boot a.Workload.Codegen.repo JS.Options.default store rng ~region:0 ~bucket:3
+    JS.Consumer.boot_dist a.Workload.Codegen.repo JS.Options.default (JS.Dist_store.create store) rng
+      ~region:0 ~bucket:3
       ~fallback_traffic:(traffic ~seed:6 ()) ()
   with
   | JS.Consumer.Fell_back (vm, _) ->
@@ -281,7 +281,8 @@ let test_boot_fallback_when_disabled () =
   let a, store = boot_env () in
   let rng = Js_util.Rng.create 4 in
   match
-    JS.Consumer.boot a.Workload.Codegen.repo JS.Options.disabled store rng ~region:0 ~bucket:3
+    JS.Consumer.boot_dist a.Workload.Codegen.repo JS.Options.disabled (JS.Dist_store.create store) rng
+      ~region:0 ~bucket:3
       ~fallback_traffic:(traffic ~seed:6 ()) ()
   with
   | JS.Consumer.Fell_back (_, reason) ->
@@ -294,7 +295,8 @@ let test_boot_fallback_on_corruption () =
   let rng = Js_util.Rng.create 4 in
   Alcotest.(check bool) "corrupted" true (JS.Store.corrupt_one store rng ~region:0 ~bucket:3);
   match
-    JS.Consumer.boot a.Workload.Codegen.repo JS.Options.default store rng ~region:0 ~bucket:3
+    JS.Consumer.boot_dist a.Workload.Codegen.repo JS.Options.default (JS.Dist_store.create store) rng
+      ~region:0 ~bucket:3
       ~fallback_traffic:(traffic ~seed:6 ()) ()
   with
   | JS.Consumer.Fell_back (_, _) -> ()
@@ -309,7 +311,8 @@ let test_boot_retries_on_jit_bug () =
     true
   in
   match
-    JS.Consumer.boot a.Workload.Codegen.repo JS.Options.default store rng ~region:0 ~bucket:3
+    JS.Consumer.boot_dist a.Workload.Codegen.repo JS.Options.default (JS.Dist_store.create store) rng
+      ~region:0 ~bucket:3
       ~jit_bug ~fallback_traffic:(traffic ~seed:6 ()) ()
   with
   | JS.Consumer.Fell_back (_, _) ->
@@ -325,7 +328,8 @@ let attempt_pinning max_boot_attempts =
   let rng = Js_util.Rng.create 4 in
   let tel = Js_telemetry.create () in
   (match
-     JS.Consumer.boot ~telemetry:tel a.Workload.Codegen.repo options store rng ~region:0
+     JS.Consumer.boot_dist ~telemetry:tel a.Workload.Codegen.repo options (JS.Dist_store.create store)
+       rng ~region:0
        ~bucket:3
        ~jit_bug:(fun _ -> true)
        ~fallback_traffic:(traffic ~seed:6 ()) ()
@@ -428,7 +432,7 @@ let () =
           Alcotest.test_case "coverage gate" `Quick test_package_coverage_gate
         ] );
       ( "store",
-        [ Alcotest.test_case "publish/pick/clear" `Quick test_store_publish_pick;
+        [ Alcotest.test_case "publish/pick" `Quick test_store_publish_pick;
           Alcotest.test_case "selection counts" `Quick test_store_selection_counts;
           Alcotest.test_case "semantic corrupt of empty payload" `Quick
             test_store_corrupt_empty_payload;

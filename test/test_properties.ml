@@ -356,8 +356,9 @@ let prop_all_corrupt_store_falls_back =
       in
       let tel = Js_telemetry.create () in
       match
-        Jumpstart.Consumer.boot ~telemetry:tel app.Workload.Codegen.repo
-          Jumpstart.Options.default store rng ~region:0 ~bucket:0 ~fallback_traffic ()
+        Jumpstart.Consumer.boot_dist ~telemetry:tel app.Workload.Codegen.repo
+          Jumpstart.Options.default (Jumpstart.Dist_store.create store) rng ~region:0 ~bucket:0
+          ~fallback_traffic ()
       with
       | Jumpstart.Consumer.Fell_back (vm, _) ->
         (* random single-byte damage to framed bytes is always a CRC/header
@@ -384,11 +385,12 @@ let dist_fleet_app =
 let des_push_cfg ~fail10 ~stale10 ~cross ~policy ~jumpstart =
   let dist =
     { Cluster.Dist_net.default_config with
-      Cluster.Dist_net.fetch_fail_rate = float_of_int fail10 /. 10.;
-      fetch_timeout = 1.0;
-      fetch_latency_mean = 0.5;
-      stale_rate = float_of_int stale10 /. 10.;
-      cross_region = cross;
+      Cluster.Dist_net.network =
+        { Jumpstart.Dist_store.fetch_fail_rate = float_of_int fail10 /. 10.;
+          fetch_timeout = 1.0;
+          latency_mean = 0.5;
+          stale_rate = float_of_int stale10 /. 10.
+        };
       regions = (if cross then 2 else 1)
     }
   in

@@ -601,9 +601,12 @@ let test_fleet_dist_faults_absorbed () =
   let fleet =
     dist_fleet
       { Cluster.Dist_net.default_config with
-        Cluster.Dist_net.fetch_fail_rate = 0.3;
-        fetch_timeout = 1.0;
-        fetch_latency_mean = 0.5
+        Cluster.Dist_net.network =
+          { Jumpstart.Dist_store.fetch_fail_rate = 0.3;
+            fetch_timeout = 1.0;
+            latency_mean = 0.5;
+            stale_rate = 0.
+          }
       }
   in
   let stats = Region.run (restart_all fleet) (Lazy.force small_app) ~seed:21 in
@@ -622,7 +625,11 @@ let test_fleet_dist_outage_degrades () =
   (* a fully unreachable network: every server degrades to a no-Jump-Start
      boot, nobody crashes, the fleet still serves *)
   let fleet =
-    dist_fleet { Cluster.Dist_net.default_config with Cluster.Dist_net.fetch_fail_rate = 1.0 }
+    dist_fleet
+      { Cluster.Dist_net.default_config with
+        Cluster.Dist_net.network =
+          { Jumpstart.Dist_store.default_network with Jumpstart.Dist_store.fetch_fail_rate = 1.0 }
+      }
   in
   let stats = Region.run (restart_all fleet) (Lazy.force small_app) ~seed:22 in
   Alcotest.(check int) "nobody jump-started" 0 stats.Region.jump_started;
@@ -780,7 +787,30 @@ let test_multiregion_validates () =
           ignore
             (Region.run_global { (Lazy.force global_cfg) with Region.base } (Lazy.force small_app)
                ~seed:1)))
-    [ 0; -1 ]
+    [ 0; -1 ];
+  (* the fault record comes from CLI flags: NaN, a rate outside [0, 1] or a
+     negative or infinite time must be a config error, not a silently
+     fault-free run or infinite fetch delays in the event engine *)
+  let n = Jumpstart.Dist_store.default_network in
+  List.iter
+    (fun (network, msg) ->
+      let base = Lazy.force push_cfg in
+      let dist = { base.Region.fleet.Cluster.Fleet.dist with Cluster.Dist_net.network } in
+      let base = { base with Region.fleet = { base.Region.fleet with Cluster.Fleet.dist } } in
+      Alcotest.check_raises msg (Invalid_argument ("Dist_store: " ^ msg)) (fun () ->
+          ignore
+            (Region.run_global { (Lazy.force global_cfg) with Region.base } (Lazy.force small_app)
+               ~seed:1)))
+    [ ({ n with fetch_fail_rate = Float.nan }, "fetch_fail_rate must be in [0, 1]");
+      ({ n with stale_rate = Float.nan }, "stale_rate must be in [0, 1]");
+      ({ n with latency_mean = -1. }, "latency_mean must be finite and >= 0");
+      ({ n with fetch_timeout = -1. }, "fetch_timeout must be finite and >= 0");
+      ({ n with fetch_fail_rate = -0.5 }, "fetch_fail_rate must be in [0, 1]");
+      ({ n with fetch_fail_rate = 2. }, "fetch_fail_rate must be in [0, 1]");
+      ({ n with stale_rate = 1.5 }, "stale_rate must be in [0, 1]");
+      ({ n with latency_mean = Float.infinity }, "latency_mean must be finite and >= 0");
+      ({ n with fetch_timeout = Float.infinity }, "fetch_timeout must be finite and >= 0")
+    ]
 
 (* Non-finite times slip past ordered comparisons (NaN fails all of them), so
    without an explicit finiteness check a NaN duration ran to all-NaN stats,

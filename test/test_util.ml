@@ -568,7 +568,6 @@ let test_backoff_raw_schedule () =
   check_float "attempt 5" 16.0 (Js_util.Backoff.raw_delay cfg ~attempt:5);
   (* 0.5 * 2^7 = 64 caps at 30 *)
   check_float "cap" 30.0 (Js_util.Backoff.raw_delay cfg ~attempt:7);
-  check_float "total of first 3" 3.5 (Js_util.Backoff.total_raw_delay cfg ~attempts:3);
   Alcotest.check_raises "negative attempt"
     (Invalid_argument "Backoff.raw_delay: negative attempt") (fun () ->
       ignore (Js_util.Backoff.raw_delay cfg ~attempt:(-1)))
