@@ -14,26 +14,33 @@
       differs from the speculated one) executes the slow-path block first —
       a tier-2 side exit invisible to tier-1 profiling.
 
+    Everything an event needs is resolved once: per function its
+    translation, block map and inline-cache slots; per translation the
+    handler's callbacks and inlined-child table.  Frames live in a reused
+    array, so replaying an event allocates nothing.
+
     Consumers: {!Vasm_profile} (seeder instrumentation of optimized code,
     §V-A/§V-B) and {!Trace_adapter} (machine-model replay for Fig. 5/6). *)
 
+(** Callbacks bound to one translation. *)
+type translation = {
+  on_vblock : int -> unit;  (** executed vasm block *)
+  on_varc : src:int -> dst:int -> unit;  (** control arc between two of its vasm blocks *)
+}
+
 type handler = {
-  on_vblock : Vasm.Vfunc.t -> int -> unit;  (** executed vasm block *)
-  on_varc : Vasm.Vfunc.t -> src:int -> dst:int -> unit;
-      (** control arc between two vasm blocks of one translation *)
-  on_xcall : caller:Hhbc.Instr.fid option -> callee:Hhbc.Instr.fid -> unit;
-      (** translation-to-translation (non-inlined) call; [caller = None] for
-          request entry or calls from untranslated code *)
-  on_untranslated : Hhbc.Instr.fid -> int -> unit;
-      (** a bytecode block ran without any translation *)
+  translation : Vasm.Vfunc.t -> translation;
+      (** called once per function with a translation, on its first entry *)
+  on_xcall : caller:Hhbc.Instr.fid -> callee:Hhbc.Instr.fid -> unit;
+      (** out-of-line (not inlined) call; [caller] is the calling
+          translation's root, or the calling function when it runs
+          untranslated, or [-1] for request entry *)
   on_prop : addr:int -> write:bool -> unit;  (** data access *)
 }
 
-val null_handler : handler
-
 (** [probes repo ~lookup handler] builds interpreter probes implementing the
-    mapping.  [lookup fid] returns the translation covering [fid], if any.
-    [lookup] is consulted on every function entry, so changing its result
-    mid-run (new translations appearing) is supported. *)
+    mapping.  [lookup fid] returns the translation covering [fid], if any;
+    it is consulted once per function, on its first entry, so the
+    translations must not change while the probes run. *)
 val probes :
   Hhbc.Repo.t -> lookup:(Hhbc.Instr.fid -> Vasm.Vfunc.t option) -> handler -> Interp.Probes.t

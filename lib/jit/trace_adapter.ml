@@ -7,45 +7,48 @@ type sink = {
   store : addr:int -> unit;
 }
 
-let handler ~cache sink =
-  {
-    Context.on_vblock =
-      (fun vf blk ->
-        match Code_cache.lookup cache vf.VF.root_fid with
-        | None -> ()
-        | Some placed ->
-          sink.fetch ~addr:(Code_cache.block_addr placed blk) ~size:vf.VF.blocks.(blk).VF.size);
-    on_varc =
-      (fun vf ~src ~dst ->
-        match Code_cache.lookup cache vf.VF.root_fid with
-        | None -> ()
-        | Some placed ->
-          let src_block = vf.VF.blocks.(src) in
-          let src_end = Code_cache.block_addr placed src + src_block.VF.size in
-          let dst_addr = Code_cache.block_addr placed dst in
-          let conditional = List.length src_block.VF.succs > 1 in
+let ignored = { Context.on_vblock = (fun _ -> ()); on_varc = (fun ~src:_ ~dst:_ -> ()) }
+
+(* A placed translation's events, with every block's address, size and
+   successor list resolved up front; a block with more than one successor
+   ends in a conditional branch. *)
+let translation ~cache sink (vf : VF.t) =
+  match Code_cache.lookup cache vf.VF.root_fid with
+  | None -> ignored
+  | Some placed ->
+    let addr = placed.Code_cache.offsets in
+    let size = Array.map (fun (b : VF.block) -> b.VF.size) vf.VF.blocks in
+    let succs = Array.map (fun (b : VF.block) -> Array.of_list b.VF.succs) vf.VF.blocks in
+    {
+      Context.on_vblock = (fun blk -> sink.fetch ~addr:addr.(blk) ~size:size.(blk));
+      on_varc =
+        (fun ~src ~dst ->
+          let src_end = addr.(src) + size.(src) in
+          let dst_addr = addr.(dst) in
+          let succ = succs.(src) in
           (* Each distinct successor corresponds to a distinct branch
              instruction within the block (calls, jumps, guards), so derive
-             a per-target pc; otherwise one pc would alternate targets and
-             the BTB would thrash artificially. *)
-          let pc_for target =
-            let slot =
-              match
-                List.mapi (fun i s -> (s, i)) src_block.VF.succs |> List.assoc_opt target
-              with
-              | Some i -> i
-              | None -> 0
-            in
-            src_end - 4 - (4 * slot)
-          in
+             a per-target pc from the target's successor slot; otherwise one
+             pc would alternate targets and the BTB would thrash
+             artificially. *)
+          let i = ref 0 in
+          while !i < Array.length succ && succ.(!i) <> dst do
+            incr i
+          done;
+          (* a destination outside the successor list takes slot 0 *)
+          let slot = if !i < Array.length succ then !i else 0 in
+          let pc = src_end - 4 - (4 * slot) in
           if dst_addr = src_end then begin
             (* fall-through; only a conditional not-taken consults the
                predictor *)
-            if conditional then sink.branch ~pc:(pc_for dst) ~target:dst_addr ~taken:false
+            if Array.length succ > 1 then sink.branch ~pc ~target:dst_addr ~taken:false
           end
-          else sink.branch ~pc:(pc_for dst) ~target:dst_addr ~taken:true);
+          else sink.branch ~pc ~target:dst_addr ~taken:true);
+    }
+
+let handler ~cache sink =
+  {
+    Context.translation = translation ~cache sink;
     on_xcall = (fun ~caller:_ ~callee:_ -> ());
-    on_untranslated = (fun _ _ -> ());
-    on_prop =
-      (fun ~addr ~write -> if write then sink.store ~addr else sink.load ~addr);
+    on_prop = (fun ~addr ~write -> if write then sink.store ~addr else sink.load ~addr);
   }

@@ -25,5 +25,8 @@ type sink = {
   store : addr:int -> unit;
 }
 
-(** [handler ~cache sink] — plug the result into {!Context.probes}. *)
+(** [handler ~cache sink] — plug the result into {!Context.probes}.  Each
+    translation's placement (block addresses, sizes and successor lists)
+    is read from [cache] once, the first time the translation's function
+    is entered, so the cache must not be re-placed while the probes run. *)
 val handler : cache:Code_cache.t -> sink -> Context.handler

@@ -1,14 +1,48 @@
 module VF = Vasm.Vfunc
 
+(* One source block's outgoing arcs: destinations in first-seen order with
+   unboxed counts.  Any destination is accepted: inline returns and
+   slow-path entries are arcs outside the successor lists, and a
+   deserialized row holds whatever the package says. *)
+type row = { mutable dsts : int array; mutable counts : float array; mutable len : int }
+
 type t = {
   blocks : (int, float array) Hashtbl.t;  (* root fid -> per-block counts *)
-  arcs : (int, (int * int, float ref) Hashtbl.t) Hashtbl.t;
-  cg : (int * int, int ref) Hashtbl.t;
+  arcs : (int, (int, row) Hashtbl.t) Hashtbl.t;  (* root fid -> source block -> row *)
+  cg : (int, (int, int ref) Hashtbl.t) Hashtbl.t;  (* caller root -> callee -> count *)
   entries : (int, int ref) Hashtbl.t;
 }
 
 let create () =
   { blocks = Hashtbl.create 64; arcs = Hashtbl.create 64; cg = Hashtbl.create 64; entries = Hashtbl.create 64 }
+
+let new_row () = { dsts = [||]; counts = [||]; len = 0 }
+
+(* index of [dst] in [r], or -1 *)
+let find r dst =
+  let i = ref 0 in
+  while !i < r.len && r.dsts.(!i) <> dst do
+    incr i
+  done;
+  if !i < r.len then !i else -1
+
+(* index of [dst] in [r], appended with count 0 when absent *)
+let slot r dst =
+  match find r dst with
+  | -1 ->
+    if r.len = Array.length r.dsts then begin
+      let cap = max 2 (2 * r.len) in
+      let dsts = Array.make cap 0 and counts = Array.make cap 0. in
+      Array.blit r.dsts 0 dsts 0 r.len;
+      Array.blit r.counts 0 counts 0 r.len;
+      r.dsts <- dsts;
+      r.counts <- counts
+    end;
+    r.dsts.(r.len) <- dst;
+    r.counts.(r.len) <- 0.;
+    r.len <- r.len + 1;
+    r.len - 1
+  | i -> i
 
 let block_array t (vf : VF.t) =
   match Hashtbl.find_opt t.blocks vf.VF.root_fid with
@@ -18,47 +52,92 @@ let block_array t (vf : VF.t) =
     Hashtbl.replace t.blocks vf.VF.root_fid a;
     a
 
-let arc_table t (vf : VF.t) =
-  match Hashtbl.find_opt t.arcs vf.VF.root_fid with
-  | Some tbl -> tbl
+let find_or_add tbl key fresh =
+  match Hashtbl.find tbl key with
+  | v -> v
+  | exception Not_found ->
+    let v = fresh () in
+    Hashtbl.add tbl key v;
+    v
+
+let bump tbl key =
+  match Hashtbl.find tbl key with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add tbl key (ref 1)
+
+(* A translation's sink: its block counts and source rows, each resolved on
+   its first event (a translation entered without running a main block
+   gains no [blocks] entry). *)
+type sink = {
+  vf : VF.t;
+  mutable counts : float array option;
+  mutable table : (int, row) Hashtbl.t option;
+  rows : row option array;  (* by source block *)
+}
+
+let row_of t s src =
+  match s.rows.(src) with
+  | Some r -> r
   | None ->
-    let tbl = Hashtbl.create 32 in
-    Hashtbl.replace t.arcs vf.VF.root_fid tbl;
-    tbl
+    let table =
+      match s.table with
+      | Some tbl -> tbl
+      | None ->
+        let tbl = find_or_add t.arcs s.vf.VF.root_fid (fun () -> Hashtbl.create 32) in
+        s.table <- Some tbl;
+        tbl
+    in
+    let r = find_or_add table src new_row in
+    s.rows.(src) <- Some r;
+    r
+
+let translation t vf =
+  let s = { vf; counts = None; table = None; rows = Array.make (VF.n_blocks vf) None } in
+  {
+    Context.on_vblock =
+      (fun blk ->
+        let a =
+          match s.counts with
+          | Some a -> a
+          | None ->
+            let a = block_array t vf in
+            s.counts <- Some a;
+            a
+        in
+        a.(blk) <- a.(blk) +. 1.);
+    on_varc =
+      (fun ~src ~dst ->
+        let r = row_of t s src in
+        let i = slot r dst in
+        r.counts.(i) <- r.counts.(i) +. 1.);
+  }
 
 let handler t =
   {
-    Context.on_vblock =
-      (fun vf blk ->
-        let a = block_array t vf in
-        a.(blk) <- a.(blk) +. 1.);
-    on_varc =
-      (fun vf ~src ~dst ->
-        let tbl = arc_table t vf in
-        match Hashtbl.find_opt tbl (src, dst) with
-        | Some r -> r := !r +. 1.
-        | None -> Hashtbl.add tbl (src, dst) (ref 1.));
+    Context.translation = translation t;
     on_xcall =
       (fun ~caller ~callee ->
-        (match Hashtbl.find_opt t.entries callee with
-        | Some r -> incr r
-        | None -> Hashtbl.add t.entries callee (ref 1));
-        match caller with
-        | None -> ()
-        | Some c -> (
-          match Hashtbl.find_opt t.cg (c, callee) with
-          | Some r -> incr r
-          | None -> Hashtbl.add t.cg (c, callee) (ref 1)));
-    on_untranslated = (fun _ _ -> ());
+        bump t.entries callee;
+        if caller >= 0 then bump (find_or_add t.cg caller (fun () -> Hashtbl.create 8)) callee);
     on_prop = (fun ~addr:_ ~write:_ -> ());
   }
 
 let block_weights t vf = Array.copy (block_array t vf)
 
-let arc_weight t (vf : VF.t) key =
+(* [(src, dst, count)] of one root's arcs, sorted *)
+let arc_list table =
+  Hashtbl.fold
+    (fun src r acc -> List.init r.len (fun i -> (src, r.dsts.(i), r.counts.(i))) @ acc)
+    table []
+  |> List.sort compare
+
+let arc_weight t (vf : VF.t) (src, dst) =
   match Hashtbl.find_opt t.arcs vf.VF.root_fid with
   | None -> 0.
-  | Some tbl -> ( match Hashtbl.find_opt tbl key with Some r -> !r | None -> 0.)
+  | Some table -> (
+    match Hashtbl.find_opt table src with
+    | None -> 0.
+    | Some r -> ( match find r dst with -1 -> 0. | i -> r.counts.(i)))
 
 let to_cfg t (vf : VF.t) =
   let counts = block_array t vf in
@@ -71,7 +150,11 @@ let to_cfg t (vf : VF.t) =
   Layout.Cfg.create ~blocks ~arcs ~entry:vf.VF.entry
 
 let call_graph t =
-  Hashtbl.fold (fun (caller, callee) r acc -> (caller, callee, !r) :: acc) t.cg [] |> List.sort compare
+  Hashtbl.fold
+    (fun caller callees acc ->
+      Hashtbl.fold (fun callee r acc -> (caller, callee, !r) :: acc) callees acc)
+    t.cg []
+  |> List.sort compare
 
 let entry_count t fid = match Hashtbl.find_opt t.entries fid with Some r -> !r | None -> 0
 
@@ -79,12 +162,7 @@ let profiled_blocks t =
   Hashtbl.fold (fun fid a acc -> (fid, Array.copy a) :: acc) t.blocks [] |> List.sort compare
 
 let profiled_arcs t =
-  Hashtbl.fold
-    (fun fid tbl acc ->
-      let entries = Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) tbl [] in
-      (fid, List.sort compare entries) :: acc)
-    t.arcs []
-  |> List.sort compare
+  Hashtbl.fold (fun fid table acc -> (fid, arc_list table) :: acc) t.arcs [] |> List.sort compare
 
 let entry_counts t =
   Hashtbl.fold (fun fid c acc -> (fid, !c) :: acc) t.entries [] |> List.sort compare
@@ -103,12 +181,13 @@ let remap t ~f =
   Hashtbl.iter
     (fun fid tbl -> match f fid with Some n -> Hashtbl.replace out.arcs n tbl | None -> ())
     t.arcs;
-  Hashtbl.iter
-    (fun (a, b) c ->
+  List.iter
+    (fun (a, b, c) ->
       match (f a, f b) with
-      | Some na, Some nb -> Hashtbl.replace out.cg (na, nb) c
+      | Some na, Some nb ->
+        Hashtbl.replace (find_or_add out.cg na (fun () -> Hashtbl.create 8)) nb (ref c)
       | _ -> ())
-    t.cg;
+    (call_graph t);
   Hashtbl.iter
     (fun fid c -> match f fid with Some n -> Hashtbl.replace out.entries n c | None -> ())
     t.entries;
@@ -118,19 +197,11 @@ module W = Js_util.Binio.Writer
 module Rd = Js_util.Binio.Reader
 
 let serialize t w =
-  let blocks = Hashtbl.fold (fun fid a acc -> (fid, a) :: acc) t.blocks [] in
   W.list w
     (fun (fid, counts) ->
       W.varint w fid;
       W.array w (fun c -> W.f64 w c) counts)
-    (List.sort compare blocks);
-  let arcs =
-    Hashtbl.fold
-      (fun fid tbl acc ->
-        let entries = Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) tbl [] in
-        (fid, List.sort compare entries) :: acc)
-      t.arcs []
-  in
+    (profiled_blocks t);
   W.list w
     (fun (fid, entries) ->
       W.varint w fid;
@@ -140,20 +211,18 @@ let serialize t w =
           W.varint w d;
           W.f64 w c)
         entries)
-    (List.sort compare arcs);
-  let cg = Hashtbl.fold (fun (a, b) c acc -> (a, b, !c) :: acc) t.cg [] in
+    (profiled_arcs t);
   W.list w
     (fun (a, b, c) ->
       W.varint w a;
       W.varint w b;
       W.varint w c)
-    (List.sort compare cg);
-  let entries = Hashtbl.fold (fun fid c acc -> (fid, !c) :: acc) t.entries [] in
+    (call_graph t);
   W.list w
     (fun (fid, c) ->
       W.varint w fid;
       W.varint w c)
-    (List.sort compare entries)
+    (entry_counts t)
 
 let deserialize ?n_funcs r =
   let t = create () in
@@ -174,9 +243,13 @@ let deserialize ?n_funcs r =
   List.iter
     (fun (fid, entries) ->
       check_fid fid;
-      let tbl = Hashtbl.create (List.length entries) in
-      List.iter (fun (s, d, c) -> Hashtbl.replace tbl (s, d) (ref c)) entries;
-      Hashtbl.replace t.arcs fid tbl)
+      let table = Hashtbl.create 8 in
+      List.iter
+        (fun (s, d, c) ->
+          let r = find_or_add table s new_row in
+          r.counts.(slot r d) <- c)
+        entries;
+      Hashtbl.replace t.arcs fid table)
     (Rd.list r (fun r ->
          let fid = Rd.varint r in
          let entries =
@@ -191,7 +264,7 @@ let deserialize ?n_funcs r =
     (fun (a, b, c) ->
       check_fid a;
       check_fid b;
-      Hashtbl.replace t.cg (a, b) (ref c))
+      Hashtbl.replace (find_or_add t.cg a (fun () -> Hashtbl.create 8)) b (ref c))
     (Rd.list r (fun r ->
          let a = Rd.varint r in
          let b = Rd.varint r in

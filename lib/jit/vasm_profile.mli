@@ -13,11 +13,15 @@ type t
 
 val create : unit -> t
 
-(** Handler to plug into {!Context.probes}. *)
+(** Handler to plug into {!Context.probes}.  Each translation's sink holds
+    its block counts and per-source arc rows (unboxed counts, any
+    destination), created on the translation's first block or arc event; a
+    translation entered without running a block gains no entry. *)
 val handler : t -> Context.handler
 
 (** [block_weights t vfunc] — dense per-block measured counts (zeros for
-    never-executed blocks). *)
+    never-executed blocks).  Like {!to_cfg}, it records a zero vector for a
+    translation with none. *)
 val block_weights : t -> Vasm.Vfunc.t -> float array
 
 (** [arc_weight t vfunc (src, dst)]. *)

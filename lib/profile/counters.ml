@@ -1,17 +1,73 @@
+(* Small insertion-ordered maps from int keys to int counts: a source
+   block's successors, a call site's callees, a caller's call-graph row, a
+   class's properties.  Rows stay short (a handful of keys), so a lookup
+   is a scan.  A key is present once added, whatever its count: a
+   deserialized or imported zero count must survive [serialize]. *)
+module Row = struct
+  type t = { mutable keys : int array; mutable counts : int array; mutable len : int }
+
+  let create () = { keys = [||]; counts = [||]; len = 0 }
+  let copy r = { keys = Array.copy r.keys; counts = Array.copy r.counts; len = r.len }
+
+  (* index of [key], or -1 *)
+  let find r key =
+    let i = ref 0 in
+    while !i < r.len && r.keys.(!i) <> key do
+      incr i
+    done;
+    if !i < r.len then !i else -1
+
+  (* index of [key], appended with count 0 when absent *)
+  let slot r key =
+    let i = find r key in
+    if i >= 0 then i
+    else begin
+      if r.len = Array.length r.keys then begin
+        let cap = max 2 (2 * r.len) in
+        let keys = Array.make cap 0 and counts = Array.make cap 0 in
+        Array.blit r.keys 0 keys 0 r.len;
+        Array.blit r.counts 0 counts 0 r.len;
+        r.keys <- keys;
+        r.counts <- counts
+      end;
+      r.keys.(r.len) <- key;
+      r.len <- r.len + 1;
+      r.len - 1
+    end
+
+  let bump r key =
+    let i = slot r key in
+    r.counts.(i) <- r.counts.(i) + 1
+
+  let add r key c =
+    let i = slot r key in
+    r.counts.(i) <- r.counts.(i) + c
+
+  let set r key c = r.counts.(slot r key) <- c
+  let clear r = r.len <- 0
+  let count r key = match find r key with -1 -> 0 | i -> r.counts.(i)
+
+  (* [(key, count)] by ascending key *)
+  let to_list r = List.sort compare (List.init r.len (fun i -> (r.keys.(i), r.counts.(i))))
+end
+
 type t = {
   repo : Hhbc.Repo.t;
   (* per function: basic-block execution counts, allocated lazily *)
   blocks : int array option array;
-  (* per function: (src_bb, dst_bb) -> count *)
-  arcs : (int * int, int ref) Hashtbl.t array;
-  (* (fid, site) -> callee -> count *)
-  call_sites : (int * int, (int, int ref) Hashtbl.t) Hashtbl.t;
+  (* per function, per source block: destination -> count; [||] until the
+     function's first arc *)
+  arcs : Row.t array array;
+  (* per function, per call site (instruction index): callee -> count; a
+     site is present once recorded, even with no callee *)
+  mutable sites : Row.t option array array;
   entries : int array;
-  (* caller -> callee -> count, aggregated *)
-  cg : (int * int, int ref) Hashtbl.t;
-  props : (int * int, int ref) Hashtbl.t;
+  (* per caller: callee -> count, aggregated over sites *)
+  mutable cg : Row.t array;
+  (* per class: property name id -> count *)
+  mutable props : Row.t array;
+  mutable touched : bool array;  (* per unit *)
   mutable touched_units_rev : int list;
-  touched_unit_set : (int, unit) Hashtbl.t;
   mutable total_entries : int;
 }
 
@@ -20,20 +76,23 @@ let create repo =
   {
     repo;
     blocks = Array.make n None;
-    arcs = Array.init n (fun _ -> Hashtbl.create 4);
-    call_sites = Hashtbl.create 64;
+    arcs = Array.make n [||];
+    sites = Array.make n [||];
     entries = Array.make n 0;
-    cg = Hashtbl.create 64;
-    props = Hashtbl.create 64;
+    cg = Array.init n (fun _ -> Row.create ());
+    props = Array.init (Hhbc.Repo.n_classes repo) (fun _ -> Row.create ());
+    touched = Array.make (Hhbc.Repo.n_units repo) false;
     touched_units_rev = [];
-    touched_unit_set = Hashtbl.create 16;
     total_entries = 0;
   }
 
-let bump table key =
-  match Hashtbl.find_opt table key with
-  | Some r -> incr r
-  | None -> Hashtbl.add table key (ref 1)
+(* Recording is total on ids beyond the repo (a forged profile's, which
+   [deserialize] then rejects): the per-index tables below grow to cover
+   them.  Ids are never negative. *)
+let grown a i fresh =
+  if i < 0 then invalid_arg "Counters: negative id";
+  let n = Array.length a in
+  Array.init (max (i + 1) n) (fun j -> if j < n then a.(j) else fresh ())
 
 let block_array t fid =
   match t.blocks.(fid) with
@@ -49,59 +108,97 @@ let record_block t fid bb =
   let a = block_array t fid in
   a.(bb) <- a.(bb) + 1
 
-let record_arc t fid ~src ~dst = bump t.arcs.(fid) (src, dst)
+let arc_row t fid src =
+  if src >= Array.length t.arcs.(fid) then begin
+    let n_blocks = Array.length (Hhbc.Func.basic_blocks (Hhbc.Repo.func t.repo fid)) in
+    t.arcs.(fid) <- grown t.arcs.(fid) (max src (n_blocks - 1)) Row.create
+  end;
+  t.arcs.(fid).(src)
+
+let record_arc t fid ~src ~dst = Row.bump (arc_row t fid src) dst
+
+let site_row t fid site =
+  if fid >= Array.length t.sites then t.sites <- grown t.sites fid (fun () -> [||]);
+  if site >= Array.length t.sites.(fid) then begin
+    let body_len =
+      if fid < Hhbc.Repo.n_funcs t.repo then Array.length (Hhbc.Repo.func t.repo fid).Hhbc.Func.body
+      else 0
+    in
+    t.sites.(fid) <- grown t.sites.(fid) (max site (body_len - 1)) (fun () -> None)
+  end;
+  match t.sites.(fid).(site) with
+  | Some r -> r
+  | None ->
+    let r = Row.create () in
+    t.sites.(fid).(site) <- Some r;
+    r
+
+let cg_row t caller =
+  if caller >= Array.length t.cg then t.cg <- grown t.cg caller Row.create;
+  t.cg.(caller)
 
 let record_call t ~caller ~site ~callee =
-  let key = (caller, site) in
-  let targets =
-    match Hashtbl.find_opt t.call_sites key with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.add t.call_sites key tbl;
-      tbl
-  in
-  bump targets callee;
-  bump t.cg (caller, callee)
+  Row.bump (site_row t caller site) callee;
+  Row.bump (cg_row t caller) callee
+
+let record_unit_load t uid =
+  if uid >= Array.length t.touched then t.touched <- grown t.touched uid (fun () -> false);
+  if not t.touched.(uid) then begin
+    t.touched.(uid) <- true;
+    t.touched_units_rev <- uid :: t.touched_units_rev
+  end
 
 let record_func_entry t fid =
   t.entries.(fid) <- t.entries.(fid) + 1;
   t.total_entries <- t.total_entries + 1;
-  let uid = (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id in
-  if not (Hashtbl.mem t.touched_unit_set uid) then begin
-    Hashtbl.add t.touched_unit_set uid ();
-    t.touched_units_rev <- uid :: t.touched_units_rev
-  end
+  record_unit_load t (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id
 
-let record_prop_access t cid nid = bump t.props (cid, nid)
+let prop_row t cid =
+  if cid >= Array.length t.props then t.props <- grown t.props cid Row.create;
+  t.props.(cid)
 
-let record_unit_load t uid =
-  if not (Hashtbl.mem t.touched_unit_set uid) then begin
-    Hashtbl.add t.touched_unit_set uid ();
-    t.touched_units_rev <- uid :: t.touched_units_rev
-  end
-
+let record_prop_access t cid nid = Row.bump (prop_row t cid) nid
 let repo t = t.repo
 let n_funcs t = Array.length t.entries
 
 let call_site_list t =
-  Hashtbl.fold (fun key _ acc -> key :: acc) t.call_sites [] |> List.sort compare
+  let acc = ref [] in
+  for fid = Array.length t.sites - 1 downto 0 do
+    let sites = t.sites.(fid) in
+    for site = Array.length sites - 1 downto 0 do
+      if Option.is_some sites.(site) then acc := (fid, site) :: !acc
+    done
+  done;
+  !acc
 
 let prop_entries t =
-  Hashtbl.fold (fun (cid, nid) count acc -> (cid, nid, !count) :: acc) t.props []
-  |> List.sort compare
+  let acc = ref [] in
+  for cid = Array.length t.props - 1 downto 0 do
+    acc := List.map (fun (nid, c) -> (cid, nid, c)) (Row.to_list t.props.(cid)) @ !acc
+  done;
+  !acc
 
 let block_counts t fid = Option.map Array.copy t.blocks.(fid)
 
 let arc_counts t fid =
-  Hashtbl.fold (fun (src, dst) count acc -> (src, dst, !count) :: acc) t.arcs.(fid) []
-  |> List.sort compare
+  let rows = t.arcs.(fid) in
+  let acc = ref [] in
+  for src = Array.length rows - 1 downto 0 do
+    acc := List.map (fun (dst, c) -> (src, dst, c)) (Row.to_list rows.(src)) @ !acc
+  done;
+  !acc
+
+let site_targets t fid site =
+  if fid < 0 || fid >= Array.length t.sites then None
+  else
+    let sites = t.sites.(fid) in
+    if site < 0 || site >= Array.length sites then None else sites.(site)
 
 let call_targets t fid site =
-  match Hashtbl.find_opt t.call_sites (fid, site) with
+  match site_targets t fid site with
   | None -> []
-  | Some tbl ->
-    Hashtbl.fold (fun callee count acc -> (callee, !count) :: acc) tbl []
+  | Some r ->
+    Row.to_list r
     |> List.sort (fun (ia, ca) (ib, cb) -> if ca <> cb then compare cb ca else compare ia ib)
 
 let dominant_target t fid site =
@@ -114,11 +211,14 @@ let dominant_target t fid site =
 let func_entries t fid = t.entries.(fid)
 
 let call_graph t =
-  Hashtbl.fold (fun (caller, callee) count acc -> (caller, callee, !count) :: acc) t.cg []
-  |> List.sort compare
+  let acc = ref [] in
+  for caller = Array.length t.cg - 1 downto 0 do
+    acc := List.map (fun (callee, c) -> (caller, callee, c)) (Row.to_list t.cg.(caller)) @ !acc
+  done;
+  !acc
 
 let prop_access_count t cid nid =
-  match Hashtbl.find_opt t.props (cid, nid) with Some r -> !r | None -> 0
+  if cid < 0 || cid >= Array.length t.props then 0 else Row.count t.props.(cid) nid
 
 let prop_hotness t cid nid =
   let total = ref 0 in
@@ -129,13 +229,10 @@ let prop_hotness t cid nid =
   !total
 
 let prop_table t =
-  Hashtbl.fold
-    (fun (cid, nid) count acc ->
-      let key =
-        (Hhbc.Repo.cls t.repo cid).Hhbc.Class_def.name ^ "::" ^ Hhbc.Repo.name t.repo nid
-      in
-      (key, !count) :: acc)
-    t.props []
+  List.map
+    (fun (cid, nid, count) ->
+      ((Hhbc.Repo.cls t.repo cid).Hhbc.Class_def.name ^ "::" ^ Hhbc.Repo.name t.repo nid, count))
+    (prop_entries t)
 
 let profiled_funcs t =
   let all = ref [] in
@@ -157,58 +254,27 @@ let import_block_counts t fid counts =
   if Array.length counts <> n then invalid_arg "Counters.import_block_counts: arity mismatch";
   t.blocks.(fid) <- Some counts
 
-let import_arc t fid ~src ~dst count =
-  match Hashtbl.find_opt t.arcs.(fid) (src, dst) with
-  | Some r -> r := !r + count
-  | None -> Hashtbl.add t.arcs.(fid) (src, dst) (ref count)
-
-let import_call t ~caller ~site ~callee count =
-  let key = (caller, site) in
-  let targets =
-    match Hashtbl.find_opt t.call_sites key with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.add t.call_sites key tbl;
-      tbl
-  in
-  (match Hashtbl.find_opt targets callee with
-  | Some r -> r := !r + count
-  | None -> Hashtbl.add targets callee (ref count))
-
-let import_cg t ~caller ~callee count =
-  match Hashtbl.find_opt t.cg (caller, callee) with
-  | Some r -> r := !r + count
-  | None -> Hashtbl.add t.cg (caller, callee) (ref count)
+let import_arc t fid ~src ~dst count = Row.add (arc_row t fid src) dst count
+let import_call t ~caller ~site ~callee count = Row.add (site_row t caller site) callee count
+let import_cg t ~caller ~callee count = Row.add (cg_row t caller) callee count
 
 let import_entries t fid e =
   t.total_entries <- t.total_entries - t.entries.(fid) + e;
   t.entries.(fid) <- e
 
-let import_prop t cid nid count =
-  match Hashtbl.find_opt t.props (cid, nid) with
-  | Some r -> r := !r + count
-  | None -> Hashtbl.add t.props (cid, nid) (ref count)
-
-let copy_tbl tbl =
-  let fresh = Hashtbl.create (Hashtbl.length tbl) in
-  Hashtbl.iter (fun k v -> Hashtbl.add fresh k (ref !v)) tbl;
-  fresh
+let import_prop t cid nid count = Row.add (prop_row t cid) nid count
 
 let copy t =
   {
     repo = t.repo;
     blocks = Array.map (Option.map Array.copy) t.blocks;
-    arcs = Array.map copy_tbl t.arcs;
-    call_sites =
-      (let fresh = Hashtbl.create (Hashtbl.length t.call_sites) in
-       Hashtbl.iter (fun k tbl -> Hashtbl.add fresh k (copy_tbl tbl)) t.call_sites;
-       fresh);
+    arcs = Array.map (Array.map Row.copy) t.arcs;
+    sites = Array.map (Array.map (Option.map Row.copy)) t.sites;
     entries = Array.copy t.entries;
-    cg = copy_tbl t.cg;
-    props = copy_tbl t.props;
+    cg = Array.map Row.copy t.cg;
+    props = Array.map Row.copy t.props;
+    touched = Array.copy t.touched;
     touched_units_rev = t.touched_units_rev;
-    touched_unit_set = Hashtbl.copy t.touched_unit_set;
     total_entries = t.total_entries;
   }
 
@@ -229,31 +295,30 @@ let serialize t w =
     profiled;
   (* section 2: per-function arc counters *)
   let with_arcs = ref [] in
-  Array.iteri (fun fid tbl -> if Hashtbl.length tbl > 0 then with_arcs := fid :: !with_arcs) t.arcs;
+  for fid = Array.length t.arcs - 1 downto 0 do
+    match arc_counts t fid with [] -> () | arcs -> with_arcs := (fid, arcs) :: !with_arcs
+  done;
   W.list w
-    (fun fid ->
+    (fun (fid, arcs) ->
       W.varint w fid;
-      let entries = Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) t.arcs.(fid) [] in
       W.list w
         (fun (s, d, c) ->
           W.varint w s;
           W.varint w d;
           W.varint w c)
-        (List.sort compare entries))
-    (List.rev !with_arcs);
+        arcs)
+    !with_arcs;
   (* section 3: call-target profiles *)
-  let sites = Hashtbl.fold (fun key tbl acc -> (key, tbl) :: acc) t.call_sites [] in
   W.list w
-    (fun ((fid, site), tbl) ->
+    (fun (fid, site) ->
       W.varint w fid;
       W.varint w site;
-      let targets = Hashtbl.fold (fun callee c acc -> (callee, !c) :: acc) tbl [] in
       W.list w
         (fun (callee, c) ->
           W.varint w callee;
           W.varint w c)
-        (List.sort compare targets))
-    (List.sort compare sites);
+        (match site_targets t fid site with Some r -> Row.to_list r | None -> []))
+    (call_site_list t);
   (* section 4: entry counters (sparse) *)
   let entries = ref [] in
   Array.iteri (fun fid e -> if e > 0 then entries := (fid, e) :: !entries) t.entries;
@@ -263,21 +328,19 @@ let serialize t w =
       W.varint w e)
     (List.rev !entries);
   (* section 5: tier-1 call graph *)
-  let cg = Hashtbl.fold (fun (a, b) c acc -> (a, b, !c) :: acc) t.cg [] in
   W.list w
     (fun (a, b, c) ->
       W.varint w a;
       W.varint w b;
       W.varint w c)
-    (List.sort compare cg);
+    (call_graph t);
   (* section 6: property access counters *)
-  let props = Hashtbl.fold (fun (cid, nid) c acc -> (cid, nid, !c) :: acc) t.props [] in
   W.list w
     (fun (cid, nid, c) ->
       W.varint w cid;
       W.varint w nid;
       W.varint w c)
-    (List.sort compare props);
+    (prop_entries t);
   (* section 7: touched units in first-touch order *)
   W.list w (fun uid -> W.varint w uid) (touched_units t)
 
@@ -305,7 +368,7 @@ let deserialize repo r =
          List.iter
            (fun (s, d, c) ->
              if s >= n_blocks || d >= n_blocks then corrupt "arc endpoint out of range";
-             Hashtbl.replace t.arcs.(fid) (s, d) (ref c))
+             Row.set (arc_row t fid s) d c)
            (Rd.list r (fun r ->
                 let s = Rd.varint r in
                 let d = Rd.varint r in
@@ -318,16 +381,20 @@ let deserialize repo r =
          let site = Rd.varint r in
          if site >= Array.length (Hhbc.Repo.func repo fid).Hhbc.Func.body then
            corrupt "call site out of range";
-         let tbl = Hashtbl.create 4 in
+         let targets =
+           Rd.list r (fun r ->
+               let callee = Rd.varint r in
+               let c = Rd.varint r in
+               (callee, c))
+         in
+         (* a repeated site replaces the earlier one *)
+         let row = site_row t fid site in
+         Row.clear row;
          List.iter
            (fun (callee, c) ->
              check_fid callee;
-             Hashtbl.replace tbl callee (ref c))
-           (Rd.list r (fun r ->
-                let callee = Rd.varint r in
-                let c = Rd.varint r in
-                (callee, c)));
-         Hashtbl.replace t.call_sites (fid, site) tbl));
+             Row.set row callee c)
+           targets));
   List.iter
     (fun (fid, e) ->
       check_fid fid;
@@ -341,7 +408,7 @@ let deserialize repo r =
     (fun (a, b, c) ->
       check_fid a;
       check_fid b;
-      Hashtbl.replace t.cg (a, b) (ref c))
+      Row.set t.cg.(a) b c)
     (Rd.list r (fun r ->
          let a = Rd.varint r in
          let b = Rd.varint r in
@@ -351,7 +418,7 @@ let deserialize repo r =
     (fun (cid, nid, c) ->
       if cid < 0 || cid >= Hhbc.Repo.n_classes repo then corrupt "class id out of range";
       if nid < 0 || nid >= Hhbc.Repo.n_names repo then corrupt "property name id out of range";
-      Hashtbl.replace t.props (cid, nid) (ref c))
+      Row.set t.props.(cid) nid c)
     (Rd.list r (fun r ->
          let cid = Rd.varint r in
          let nid = Rd.varint r in

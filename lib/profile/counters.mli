@@ -4,9 +4,9 @@
     - bytecode-level basic-block and arc counters per function (category 2),
     - call-target profiles per call site, the "JIT target profiles" driving
       method-dispatch specialization and inlining (category 2),
-    - property-access counters keyed by class/property, stored exactly as the
-      paper describes — a hash table from the string ["K::P"] to a counter
-      (§V-C),
+    - property-access counters keyed by class/property, read back as the
+      paper's table from the string ["K::P"] to a counter ({!prop_table},
+      §V-C),
     - function entry counters and tier-1 caller/callee arcs (the inaccurate
       call graph that §V-B improves upon),
     - the set of touched units/strings/arrays for consumer preloading
@@ -16,7 +16,12 @@ type t
 
 val create : Hhbc.Repo.t -> t
 
-(* --- recording (normally via {!Collector}) --- *)
+(* --- recording (normally via {!Collector}) ---
+   Every table is dense and indexed by function, source block, call site,
+   class or unit; once its row exists, a recorded event scans at most two
+   short rows and allocates nothing.  Arcs, calls, property accesses and unit loads are total on
+   (non-negative) ids beyond the repo: they are kept, so that a forged
+   profile serializes and {!deserialize} rejects it. *)
 
 val record_block : t -> Hhbc.Instr.fid -> int -> unit
 val record_arc : t -> Hhbc.Instr.fid -> src:int -> dst:int -> unit
@@ -60,7 +65,9 @@ val n_funcs : t -> int
 (** All profiled call sites as [(fid, site)], sorted. *)
 val call_site_list : t -> (int * int) list
 
-(** All property counters as [(cid, nid, count)], sorted. *)
+(** All property counters as [(cid, nid, count)], sorted.  A counter
+    imported or decoded with count 0 is listed (and serialized) like any
+    other; so is a zero-count arc in {!arc_counts}. *)
 val prop_entries : t -> (int * int * int) list
 
 (** [block_counts t fid] returns per-basic-block execution counts, or [None]
@@ -95,8 +102,8 @@ val prop_access_count : t -> Hhbc.Instr.cid -> Hhbc.Instr.nid -> int
     this is the aggregation the layout consumes. *)
 val prop_hotness : t -> Hhbc.Instr.cid -> Hhbc.Instr.nid -> int
 
-(** The underlying ["K::P" -> count] table (paper §V-C), in an unspecified
-    order. *)
+(** The underlying ["K::P" -> count] table (paper §V-C), by class and
+    property name id. *)
 val prop_table : t -> (string * int) list
 
 (** Functions with any profile data, hottest first (by entry count). *)

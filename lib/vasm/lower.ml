@@ -74,8 +74,12 @@ type proto = {
 let lower repo tree ~mode =
   let protos = ref [] in
   let n_protos = ref 0 in
-  let main_of = Hashtbl.create 64 in
-  let slow_of = Hashtbl.create 16 in
+  let no_blocks node =
+    let f = Hhbc.Repo.func repo node.Inline_tree.fid in
+    Array.make (Array.length (Hhbc.Func.basic_blocks f)) (-1)
+  in
+  let main_of = Array.map no_blocks (Inline_tree.nodes tree) in
+  let slow_of = Array.map no_blocks (Inline_tree.nodes tree) in
   let instr_overhead = match mode with Optimized -> 0 | Instrumented -> instrumentation_bytes in
   let new_proto ~node ~bb ~role ~size =
     let p = { p_id = !n_protos; p_size = size + instr_overhead; p_succs = []; p_node = node; p_bb = bb; p_role = role } in
@@ -105,7 +109,7 @@ let lower repo tree ~mode =
               end
             done;
             let main = new_proto ~node:n.Inline_tree.node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Main ~size:!size in
-            Hashtbl.replace main_of (n.Inline_tree.node_id, bb.Hhbc.Func.bb_id) main.p_id;
+            main_of.(n.Inline_tree.node_id).(bb.Hhbc.Func.bb_id) <- main.p_id;
             (* guards from inlined sites also need a side exit *)
             let has_inlined_site =
               let rec scan i =
@@ -116,7 +120,7 @@ let lower repo tree ~mode =
             in
             if !dyn > 0 || has_inlined_site then begin
               let slow = new_proto ~node:n.Inline_tree.node_id ~bb:bb.Hhbc.Func.bb_id ~role:Vfunc.Slow ~size:(20 + (6 * !dyn)) in
-              Hashtbl.replace slow_of (n.Inline_tree.node_id, bb.Hhbc.Func.bb_id) slow.p_id
+              slow_of.(n.Inline_tree.node_id).(bb.Hhbc.Func.bb_id) <- slow.p_id
             end;
             bb)
           bbs)
@@ -132,10 +136,10 @@ let lower repo tree ~mode =
       let body = f.Hhbc.Func.body in
       Array.iter
         (fun (bb : Hhbc.Func.block) ->
-          let main = proto_arr.(Hashtbl.find main_of (node_id, bb.Hhbc.Func.bb_id)) in
+          let main = proto_arr.(main_of.(node_id).(bb.Hhbc.Func.bb_id)) in
           (* bytecode CFG successors *)
           let cfg_succs =
-            List.map (fun s -> Hashtbl.find main_of (node_id, s)) bb.Hhbc.Func.succs
+            List.map (fun s -> main_of.(node_id).(s)) bb.Hhbc.Func.succs
           in
           (* inlined callee entries from sites within this bb *)
           let callee_entries = ref [] in
@@ -148,20 +152,21 @@ let lower repo tree ~mode =
               let child_f = Hhbc.Repo.func repo child_fid in
               let child_bbs = Hhbc.Func.basic_blocks child_f in
               callee_entries :=
-                Hashtbl.find main_of (child.Inline_tree.node_id, 0) :: !callee_entries;
+                main_of.(child.Inline_tree.node_id).(0) :: !callee_entries;
               (* callee blocks ending in Ret flow back to this block *)
               Array.iter
                 (fun (cbb : Hhbc.Func.block) ->
                   let last = child_f.Hhbc.Func.body.(cbb.start + cbb.len - 1) in
                   if last = I.Ret then
-                    returns_here := Hashtbl.find main_of (child.Inline_tree.node_id, cbb.Hhbc.Func.bb_id) :: !returns_here)
+                    returns_here :=
+                      main_of.(child.Inline_tree.node_id).(cbb.Hhbc.Func.bb_id) :: !returns_here)
                 child_bbs
           done;
-          let slow = Hashtbl.find_opt slow_of (node_id, bb.Hhbc.Func.bb_id) in
+          let slow = slow_of.(node_id).(bb.Hhbc.Func.bb_id) in
           (* append: return arcs from inlined callees may already be here *)
           main.p_succs <-
             main.p_succs @ cfg_succs @ List.rev !callee_entries
-            @ (match slow with Some s -> [ s ] | None -> []);
+            @ (if slow >= 0 then [ slow ] else []);
           List.iter
             (fun ret_block -> proto_arr.(ret_block).p_succs <- proto_arr.(ret_block).p_succs @ [ main.p_id ])
             (List.rev !returns_here);
@@ -185,7 +190,7 @@ let lower repo tree ~mode =
     Vfunc.root_fid = (Inline_tree.root tree).Inline_tree.fid;
     tree;
     blocks;
-    entry = Hashtbl.find main_of (0, 0);
+    entry = main_of.(0).(0);
     main_of;
     slow_of;
   }

@@ -14,8 +14,8 @@ type t = {
   tree : Inline_tree.t;
   blocks : block array;
   entry : int;
-  main_of : (int * int, int) Hashtbl.t;
-  slow_of : (int * int, int) Hashtbl.t;
+  main_of : int array array;
+  slow_of : int array array;
 }
 
 let code_size t = Array.fold_left (fun acc b -> acc + b.size) 0 t.blocks
@@ -26,8 +26,14 @@ let arcs t =
   Array.iter (fun b -> List.iter (fun dst -> out := (b.id, dst) :: !out) b.succs) t.blocks;
   Array.of_list (List.rev !out)
 
-let main_block t ~node ~bb = Hashtbl.find_opt t.main_of (node, bb)
-let slow_block t ~node ~bb = Hashtbl.find_opt t.slow_of (node, bb)
+let block_of table ~node ~bb =
+  if node < 0 || node >= Array.length table then None
+  else
+    let row = table.(node) in
+    if bb < 0 || bb >= Array.length row || row.(bb) < 0 then None else Some row.(bb)
+
+let main_block t ~node ~bb = block_of t.main_of ~node ~bb
+let slow_block t ~node ~bb = block_of t.slow_of ~node ~bb
 
 let pp_summary fmt t =
   Format.fprintf fmt "vfunc f%d: %d blocks, %d bytes, %d inlined bodies" t.root_fid

@@ -26,8 +26,8 @@ type t = {
   tree : Inline_tree.t;
   blocks : block array;  (** indexed by id *)
   entry : int;
-  main_of : (int * int, int) Hashtbl.t;  (** (node, bb) -> main block id *)
-  slow_of : (int * int, int) Hashtbl.t;  (** (node, bb) -> slow block id *)
+  main_of : int array array;  (** [main_of.(node).(bb)]: main block id, or [-1] *)
+  slow_of : int array array;  (** [slow_of.(node).(bb)]: slow block id, or [-1] *)
 }
 
 (** Total code bytes. *)

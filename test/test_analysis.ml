@@ -265,6 +265,35 @@ let test_props_nid_checked () =
   | exception B.Corrupt msg ->
     Alcotest.(check bool) "names the field" true (contains ~affix:"name id" msg)
 
+(* Recording stays total on ids beyond the repo, whichever table they land
+   in; the forged counters serialize, and decode names what is wrong. *)
+let test_counters_total_on_forged_ids () =
+  let repo = compile_example "shapes.mh" shapes_src in
+  let n_funcs = Hhbc.Repo.n_funcs repo in
+  let n_blocks = Array.length (F.basic_blocks (Hhbc.Repo.func repo 0)) in
+  let body_len = Array.length (Hhbc.Repo.func repo 0).F.body in
+  let module C = Jit_profile.Counters in
+  List.iter
+    (fun (what, affix, forge) ->
+      let counters = C.create repo in
+      forge counters;
+      let w = B.Writer.create () in
+      C.serialize counters w;
+      match C.deserialize repo (B.Reader.of_string (B.Writer.contents w)) with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception B.Corrupt msg ->
+        Alcotest.(check bool) (what ^ " named") true (contains ~affix msg))
+    [ ("arc source", "arc endpoint", fun c -> C.record_arc c 0 ~src:(n_blocks + 3) ~dst:0);
+      ("arc destination", "arc endpoint", fun c -> C.record_arc c 0 ~src:0 ~dst:(n_blocks + 3));
+      ("call site", "call site", fun c -> C.record_call c ~caller:0 ~site:(body_len + 3) ~callee:0);
+      ("callee", "function id", fun c -> C.record_call c ~caller:0 ~site:0 ~callee:(n_funcs + 3));
+      ("caller", "function id", fun c -> C.record_call c ~caller:(n_funcs + 3) ~site:0 ~callee:0);
+      ( "class",
+        "class id",
+        fun c -> C.record_prop_access c (Hhbc.Repo.n_classes repo + 3) 0 );
+      ("unit", "unit id", fun c -> C.record_unit_load c (Hhbc.Repo.n_units repo + 3))
+    ]
+
 (* --- profile-consistency pass (P3xx) --- *)
 
 let find_fid_with_blocks repo ~min_blocks =
@@ -635,7 +664,8 @@ let () =
       ( "package decode",
         [ Alcotest.test_case "repo shape fields checked" `Quick test_shape_fields_checked;
           Alcotest.test_case "old version rejected" `Quick test_old_version_rejected;
-          Alcotest.test_case "prop name id checked" `Quick test_props_nid_checked
+          Alcotest.test_case "prop name id checked" `Quick test_props_nid_checked;
+          Alcotest.test_case "forged counter ids" `Quick test_counters_total_on_forged_ids
         ] );
       ( "profile consistency",
         [ Alcotest.test_case "package check codes" `Quick test_package_check_codes;

@@ -308,6 +308,93 @@ let test_vasm_profile_roundtrip () =
   Alcotest.(check bool) "call graph survives" true
     (Jit.Vasm_profile.call_graph measured = Jit.Vasm_profile.call_graph back)
 
+(* --- probe allocation budget --- *)
+
+(* The tiny app, a tier-1 profile of it, and a request stream: [serve
+   engine] invokes the same 200 requests every time. *)
+let budget_app =
+  lazy
+    (let app = Workload.Codegen.generate Workload.App_spec.tiny in
+     let repo = app.Workload.Codegen.repo in
+     let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+     let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
+     let serve engine =
+       let rng = Js_util.Rng.create 7 in
+       for _ = 1 to 200 do
+         ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+       done
+     in
+     let engine probes = Interp.Engine.create ?probes repo (Mh_runtime.Heap.create repo layouts) in
+     let counters = C.create repo in
+     serve (engine (Some (Jit_profile.Collector.probes counters)));
+     (repo, counters, serve, engine))
+
+(* Minor words an engine allocates over the second of two identical
+   passes (the first fills every lazily created table). *)
+let second_pass_words probes =
+  let _, _, serve, engine = Lazy.force budget_app in
+  let e = engine probes in
+  serve e;
+  let w0 = Gc.minor_words () in
+  serve e;
+  Gc.minor_words () -. w0
+
+(* Probe-induced minor words per probe event: words over a plain engine's,
+   divided by the events a counting engine sees on the same pass. *)
+let words_per_event probes =
+  let events = ref 0 in
+  let counting =
+    {
+      Interp.Probes.on_block = (fun _ _ -> incr events);
+      on_arc = (fun _ ~src:_ ~dst:_ -> incr events);
+      on_call = (fun ~caller:_ ~site:_ ~callee:_ -> incr events);
+      on_func_entry = (fun _ -> incr events);
+      on_func_exit = (fun _ -> incr events);
+      on_prop_access = (fun _ _ ~addr:_ ~write:_ -> incr events);
+    }
+  in
+  let _, _, serve, engine = Lazy.force budget_app in
+  let e = engine (Some counting) in
+  serve e;
+  events := 0;
+  serve e;
+  let plain = second_pass_words None in
+  (second_pass_words (Some probes) -. plain) /. float_of_int !events
+
+let check_budget name budget probes =
+  let w = words_per_event probes in
+  Printf.printf "%s: %.2f minor words per probe event\n" name w;
+  if w > budget then Alcotest.failf "%s: %.2f minor words per probe event (budget %.1f)" name w budget
+
+let test_budget_collector () =
+  let repo, _, _, _ = Lazy.force budget_app in
+  check_budget "tier-1 Collector" 1.0 (Jit_profile.Collector.probes (C.create repo))
+
+let test_budget_vasm_profile () =
+  let repo, counters, _, _ = Lazy.force budget_app in
+  let config = { Jit.Compiler.default_config with Jit.Compiler.mode = Vasm.Lower.Instrumented } in
+  let vfuncs = Jit.Compiler.lower_all repo counters config in
+  check_budget "Context + Vasm_profile" 2.0
+    (Jit.Context.probes repo
+       ~lookup:(fun f -> List.assoc_opt f vfuncs)
+       (Jit.Vasm_profile.handler (Jit.Vasm_profile.create ())))
+
+let test_budget_trace_adapter () =
+  let repo, counters, _, _ = Lazy.force budget_app in
+  let compiled = Jit.Compiler.compile repo counters Jit.Compiler.default_config ~measured:None in
+  let calls = ref 0 in
+  let sink =
+    {
+      Jit.Trace_adapter.fetch = (fun ~addr:_ ~size:_ -> incr calls);
+      branch = (fun ~pc:_ ~target:_ ~taken:_ -> incr calls);
+      load = (fun ~addr:_ -> incr calls);
+      store = (fun ~addr:_ -> incr calls);
+    }
+  in
+  check_budget "Context + Trace_adapter" 2.0
+    (Jit.Context.probes repo ~lookup:(Jit.Compiler.lookup compiled)
+       (Jit.Trace_adapter.handler ~cache:compiled.Jit.Compiler.cache sink))
+
 let test_tiers_ordering () =
   let cyc m = Jit.Tiers.cycles_per_instr m in
   Alcotest.(check bool) "interp slowest" true
@@ -345,6 +432,11 @@ let () =
           Alcotest.test_case "weight drift bounds" `Quick test_weights_drift_bounded;
           Alcotest.test_case "cold dilution" `Quick test_code_cache_cold_dilution;
           Alcotest.test_case "profile roundtrip" `Quick test_vasm_profile_roundtrip
+        ] );
+      ( "probe budget",
+        [ Alcotest.test_case "tier-1 collector" `Quick test_budget_collector;
+          Alcotest.test_case "context + vasm profile" `Quick test_budget_vasm_profile;
+          Alcotest.test_case "context + trace adapter" `Quick test_budget_trace_adapter
         ] );
       ("tiers", [ Alcotest.test_case "cost ordering" `Quick test_tiers_ordering ])
     ]

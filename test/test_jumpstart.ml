@@ -70,6 +70,44 @@ let test_package_roundtrip () =
       (Jit_profile.Counters.call_graph orig.JS.Package.counters
       = Jit_profile.Counters.call_graph p.JS.Package.counters)
 
+(* A zero count is data, not absence: an arc held with count 0 (imported or
+   decoded) must come back from [of_bytes] and re-encode to the same bytes,
+   in the tier-1 and the vasm arc sections alike. *)
+let test_package_zero_count_arcs () =
+  let a = Lazy.force app in
+  let repo = a.Workload.Codegen.repo in
+  let pkg = (make_package ()).JS.Seeder.package in
+  let counters = Jit_profile.Counters.copy pkg.JS.Package.counters in
+  let fid = List.hd (Jit_profile.Counters.profiled_funcs counters) in
+  let n_blocks = Array.length (Hhbc.Func.basic_blocks (Hhbc.Repo.func repo fid)) in
+  let recorded = List.map (fun (s, d, _) -> (s, d)) (Jit_profile.Counters.arc_counts counters fid) in
+  let src, dst =
+    List.find
+      (fun arc -> not (List.mem arc recorded))
+      (List.concat_map (fun s -> List.init n_blocks (fun d -> (s, d))) (List.init n_blocks Fun.id))
+  in
+  Jit_profile.Counters.import_arc counters fid ~src ~dst 0;
+  let module W = Js_util.Binio.Writer in
+  let w = W.create () in
+  W.list w (fun () -> W.varint w fid; W.array w (W.f64 w) [| 3.; 1. |]) [ () ];
+  W.list w
+    (fun () ->
+      W.varint w fid;
+      W.list w (fun (s, d, c) -> W.varint w s; W.varint w d; W.f64 w c) [ (0, 1, 0.); (1, 0, 2.) ])
+    [ () ];
+  W.list w ignore [];
+  W.list w ignore [];
+  let vasm = Jit.Vasm_profile.deserialize (Js_util.Binio.Reader.of_string (W.contents w)) in
+  let bytes = JS.Package.to_bytes { pkg with JS.Package.counters; vasm } in
+  match JS.Package.of_bytes repo bytes with
+  | Error msg -> Alcotest.fail msg
+  | Ok p ->
+    Alcotest.(check bool) "tier-1 zero arc kept" true
+      (List.mem (src, dst, 0) (Jit_profile.Counters.arc_counts p.JS.Package.counters fid));
+    Alcotest.(check bool) "vasm zero arc kept" true
+      (List.mem (fid, [ (0, 1, 0.); (1, 0, 2.) ]) (Jit.Vasm_profile.profiled_arcs p.JS.Package.vasm));
+    Alcotest.(check bool) "re-encodes byte-identically" true (JS.Package.to_bytes p = bytes)
+
 let test_package_detects_corruption () =
   let a = Lazy.force app in
   let outcome = make_package () in
@@ -460,7 +498,8 @@ let () =
         ] );
       ( "package robustness",
         [ Alcotest.test_case "truncation never escapes" `Quick
-            test_package_truncation_never_escapes
+            test_package_truncation_never_escapes;
+          Alcotest.test_case "zero-count arcs round-trip" `Quick test_package_zero_count_arcs
         ] );
       ("profile", [ Alcotest.test_case "prop hotness rollup" `Quick test_prop_hotness_rollup ])
     ]

@@ -145,27 +145,35 @@ let prop_layout_matches_reference =
       let params = { Exttsp.default_params with max_chain_split } in
       Exttsp.layout ~params cfg = Exttsp_ref.layout ~params cfg)
 
+(* [n] requests of the tiny app's mix, drawn from [seed]. *)
+let tiny_traffic app ?(n = 200) seed engine =
+  let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
+  let rng = Js_util.Rng.create seed in
+  for _ = 1 to n do
+    ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+  done
+
+let tiny_options = { Jumpstart.Options.default with Jumpstart.Options.validate_packages = false }
+
+(* A seeded package of the tiny app: 200 profiling and 200 instrumented
+   requests, no self-validation. *)
+let tiny_seeded =
+  lazy
+    (let app = Workload.Codegen.generate Workload.App_spec.tiny in
+     match
+       Jumpstart.Seeder.run app.Workload.Codegen.repo tiny_options
+         ~profile_traffic:(tiny_traffic app 1) ~optimized_traffic:(tiny_traffic app 2) ~region:0
+         ~bucket:0 ~seeder_id:0 ()
+     with
+     | Ok outcome -> (app, outcome)
+     | Error msg -> Alcotest.fail ("seeder failed: " ^ msg))
+
 (* Production-shaped CFGs: the hot/cold arranged block orders of every
    translation of a seeded package of the tiny app, hashed and pinned to the
    orders the reference optimizer produced. *)
 let test_golden_tiny_orders () =
-  let app = Workload.Codegen.generate Workload.App_spec.tiny in
-  let options = { Jumpstart.Options.default with Jumpstart.Options.validate_packages = false } in
-  let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
-  let traffic seed engine =
-    let rng = Js_util.Rng.create seed in
-    for _ = 1 to 200 do
-      ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
-    done
-  in
-  let pkg =
-    match
-      Jumpstart.Seeder.run app.Workload.Codegen.repo options ~profile_traffic:(traffic 1)
-        ~optimized_traffic:(traffic 2) ~region:0 ~bucket:0 ~seeder_id:0 ()
-    with
-    | Ok outcome -> outcome.Jumpstart.Seeder.package
-    | Error msg -> Alcotest.fail ("seeder failed: " ^ msg)
-  in
+  let app, outcome = Lazy.force tiny_seeded in
+  let pkg = outcome.Jumpstart.Seeder.package in
   let config = Jit.Compiler.default_config in
   let buf = Buffer.create 4096 and multi_block = ref 0 in
   List.iter
@@ -182,6 +190,46 @@ let test_golden_tiny_orders () =
   Alcotest.(check bool) "translations with real layout work" true (!multi_block >= 10);
   Alcotest.(check string) "block orders md5" "38c2d7eed11a592fcc42968580d8074d"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The seeded package's bytes, and the machine counters of a short replay
+   of its consumer boot, pinned: probe, layout and placement changes that
+   mean to be behaviour-neutral must leave both unchanged. *)
+let test_golden_tiny_package_and_replay () =
+  let app, outcome = Lazy.force tiny_seeded in
+  let repo = app.Workload.Codegen.repo in
+  Alcotest.(check string) "package md5" "a0509a03e4e1b07b19cc18772acdfbdb"
+    (Digest.to_hex (Digest.string outcome.Jumpstart.Seeder.bytes));
+  let vm =
+    match Jumpstart.Package.of_bytes repo outcome.Jumpstart.Seeder.bytes with
+    | Error msg -> Alcotest.fail msg
+    | Ok pkg -> (
+      match Jumpstart.Consumer.boot_with_package repo tiny_options pkg with
+      | Ok vm -> vm
+      | Error msg -> Alcotest.fail msg)
+  in
+  let hier = Machine.Hierarchy.create Machine.Hierarchy.default_config in
+  let sink =
+    {
+      Jit.Trace_adapter.fetch = (fun ~addr ~size -> Machine.Hierarchy.fetch hier ~addr ~size);
+      branch = (fun ~pc ~target ~taken -> Machine.Hierarchy.branch hier ~pc ~target ~taken);
+      load = (fun ~addr -> Machine.Hierarchy.load hier ~addr);
+      store = (fun ~addr -> Machine.Hierarchy.store hier ~addr);
+    }
+  in
+  let compiled = vm.Jumpstart.Consumer.compiled in
+  let probes =
+    Jit.Context.probes repo ~lookup:(Jit.Compiler.lookup compiled)
+      (Jit.Trace_adapter.handler ~cache:compiled.Jit.Compiler.cache sink)
+  in
+  tiny_traffic app ~n:50 3 (Jumpstart.Consumer.serving_engine vm ~probes ());
+  let s = Machine.Hierarchy.snapshot hier in
+  let c (st : Machine.Cache.stats) = Printf.sprintf "%d/%d" st.accesses st.misses in
+  Alcotest.(check string) "replay counters"
+    "instrs 207500 cycles 209810.0 l1i 26238/386 l1d 7211/266 l2 652/652 llc 652/652 itlb \
+     26238/10 dtlb 7211/50 branch 13254/327"
+    (Printf.sprintf "instrs %d cycles %.1f l1i %s l1d %s l2 %s llc %s itlb %s dtlb %s branch %d/%d"
+       s.instructions s.cycles (c s.l1i_s) (c s.l1d_s) (c s.l2_s) (c s.llc_s) (c s.itlb_s)
+       (c s.dtlb_s) s.branch_s.Machine.Branch.branches s.branch_s.Machine.Branch.mispredicts)
 
 (* --- hot/cold --- *)
 
@@ -284,7 +332,9 @@ let () =
           Alcotest.test_case "loop bodies" `Quick test_layout_loop_rotation;
           Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs;
           QCheck_alcotest.to_alcotest prop_layout_matches_reference;
-          Alcotest.test_case "golden tiny-app orders" `Quick test_golden_tiny_orders
+          Alcotest.test_case "golden tiny-app orders" `Quick test_golden_tiny_orders;
+          Alcotest.test_case "golden tiny-app package and replay" `Quick
+            test_golden_tiny_package_and_replay
         ] );
       ( "hotcold",
         [ Alcotest.test_case "split" `Quick test_hotcold_split;

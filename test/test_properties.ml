@@ -650,6 +650,69 @@ let prop_executions_dataflow_feasible =
                   (Jit_profile.Counters.arc_counts counters fid))
            (Jit_profile.Counters.profiled_funcs counters))
 
+(* The dense probe paths against the closure paths they replaced
+   ({!Probe_ref}): on a random base or churned tiny app, the tier-1 counters
+   and the measured vasm profile serialize to the same bytes, and replay
+   through the trace adapter emits the same machine events in the same
+   order. *)
+type machine_event = Fetch of int * int | Branch of int * int * bool | Load of int | Store of int
+
+let recording_sink events =
+  {
+    Jit.Trace_adapter.fetch = (fun ~addr ~size -> events := Fetch (addr, size) :: !events);
+    branch = (fun ~pc ~target ~taken -> events := Branch (pc, target, taken) :: !events);
+    load = (fun ~addr -> events := Load addr :: !events);
+    store = (fun ~addr -> events := Store addr :: !events);
+  }
+
+let prop_probe_paths_match_reference =
+  QCheck.Test.make ~name:"dense probe paths = the closure paths they replaced" ~count:25
+    QCheck.(triple (int_range 1 500) (int_range 0 5) small_nat)
+    (fun (app_seed, r10, seed) ->
+      let app = tiny_build ~app_seed ~rate:(float_of_int r10 /. 10.) in
+      let repo = app.Workload.Codegen.repo in
+      let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+      let mix = Workload.Request.uniform_mix app in
+      let serve probes =
+        let engine = Interp.Engine.create ~probes repo (Mh_runtime.Heap.create repo layouts) in
+        let rng = Js_util.Rng.create seed in
+        for _ = 1 to 30 do
+          ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+        done
+      in
+      let bytes serialize =
+        let w = Js_util.Binio.Writer.create () in
+        serialize w;
+        Js_util.Binio.Writer.contents w
+      in
+      let counters = Jit_profile.Counters.create repo in
+      let ref_counters = Probe_ref.Counters.create repo in
+      serve (Jit_profile.Collector.probes counters);
+      serve (Probe_ref.Counters.probes ref_counters);
+      let config = { Jit.Compiler.default_config with Jit.Compiler.min_entries = 1 } in
+      let vfuncs =
+        Jit.Compiler.lower_all repo counters { config with Jit.Compiler.mode = Vasm.Lower.Instrumented }
+      in
+      let lookup fid = List.assoc_opt fid vfuncs in
+      let measured = Jit.Vasm_profile.create () in
+      let ref_measured = Probe_ref.Vasm_profile.create () in
+      serve (Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler measured));
+      serve (Probe_ref.Context.probes repo ~lookup (Probe_ref.Vasm_profile.handler ref_measured));
+      (* before layout reads it: [to_cfg] adds zero rows for idle translations *)
+      let vasm_bytes = bytes (Jit.Vasm_profile.serialize measured) in
+      let compiled = Jit.Compiler.compile repo counters config ~measured:(Some measured) in
+      let lookup = Jit.Compiler.lookup compiled and cache = compiled.Jit.Compiler.cache in
+      let events = ref [] and ref_events = ref [] in
+      serve (Jit.Context.probes repo ~lookup (Jit.Trace_adapter.handler ~cache (recording_sink events)));
+      serve
+        (Probe_ref.Context.probes repo ~lookup
+           (Probe_ref.Trace_adapter.handler ~cache (recording_sink ref_events)));
+      !events <> []
+      && bytes (Jit_profile.Counters.serialize counters)
+         = bytes (Probe_ref.Counters.serialize ref_counters)
+      && vasm_bytes = bytes (Probe_ref.Vasm_profile.serialize ref_measured)
+      && !events = !ref_events)
+
 (* Solver termination: on random stack-balanced CFGs (loops included, with
    type-unstable locals to force lattice climbing) the analysis reaches its
    fixed point within the declared iteration bound. *)
@@ -727,6 +790,7 @@ let () =
           [ prop_probes_preserve_semantics; prop_reordered_layout_preserves_semantics;
             prop_counters_roundtrip; prop_pp_roundtrip_random_specs; prop_interp_deterministic;
             prop_inline_cache_transparent; prop_executions_dataflow_feasible;
+            prop_probe_paths_match_reference;
             prop_dataflow_fixed_point; prop_compiler_output_verifies
           ] );
       ("reliability", q [ prop_all_corrupt_store_falls_back ]);
