@@ -970,7 +970,8 @@ let bench_push () =
 (* A 100k-server multi-region global fleet run must complete with
    reproducible digests: epoch barriers == merged queue == parallel domains,
    batching digest-neutral, and the parallel run within 0.8x of its ideal
-   speedup on real cores.  Writes BENCH_scale.json. *)
+   speedup on real cores, decided over alternating epoch/parallel pairs.
+   Writes BENCH_scale.json. *)
 let bench_scale () =
   section "scale: 100k-server multi-region fleet";
   let quick = !quick_mode in
@@ -1020,8 +1021,21 @@ let bench_scale () =
     let gs = Js_sim.Region.run_global ~mode g app ~seed:(bench_seed 42) in
     (gs, Unix.gettimeofday () -. t0)
   in
-  let gs, wall = timed_run `Epoch gcfg in
+  (* Epoch and parallel runs alternate in pairs, so host drift hits both
+     sides of a pair alike; the fleet figures below are the first epoch
+     run's digest and the median epoch wall. *)
+  let domains = !par_domains in
+  let n_pairs = if quick then 2 else 5 in
+  let pairs =
+    Array.init n_pairs (fun _ ->
+        let e = timed_run `Epoch gcfg in
+        (e, timed_run (`Parallel domains) gcfg))
+  in
+  let gs = fst (fst pairs.(0)) in
   let epoch_digest = Js_sim.Region.global_digest gs in
+  let epoch_walls = Array.map (fun ((_, w), _) -> w) pairs in
+  let par_walls = Array.map (fun (_, (_, w)) -> w) pairs in
+  let wall = Js_util.Stats.median epoch_walls in
   let total_servers = n_regions * servers_per_region in
   let g_eps = float_of_int gs.Js_sim.Region.g_events /. wall in
   let wall_per_hour = wall /. (duration /. 3600.) in
@@ -1045,38 +1059,56 @@ let bench_scale () =
      digest-neutral %b\n"
     g_eps nb_eps batch_delta batch_neutral;
   (* -- parallel mode: same barriers on [par_domains] domains --------------- *)
-  let domains = !par_domains in
   let host_cores = Domain.recommended_domain_count () in
-  let gs_par, wall_par = timed_run (`Parallel domains) gcfg in
-  let par_eps = float_of_int gs_par.Js_sim.Region.g_events /. wall_par in
-  let par_digest_eq = Js_sim.Region.global_digest gs_par = epoch_digest in
+  let wall_par = Js_util.Stats.median par_walls in
+  let par_eps = float_of_int gs.Js_sim.Region.g_events /. wall_par in
+  let par_digest_eq =
+    Array.for_all
+      (fun ((e, _), (p, _)) ->
+        Js_sim.Region.global_digest e = epoch_digest
+        && Js_sim.Region.global_digest p = epoch_digest)
+      pairs
+  in
   let par_speedup = wall /. wall_par in
   (* The best a barrier round can do is finish when its busiest domain does:
      with regions dealt round-robin that domain runs ceil(n_regions /
      domains) of them, so the ideal speedup is n_regions / that, and the gate
-     asks for 0.8x of it (2.0x at 5 regions on 4 domains).  The wall-clock
-     gate needs real cores to be meaningful: it is enforced on the full-size
-     run when the host offers at least [domains] cores (override with
-     JS_BENCH_PAR_GATE=force|skip); otherwise the measurement is recorded but
-     the gate reports itself as skipped.  The digest-equality gates
-     above/below are unconditional. *)
+     asks for 0.8x of it (2.0x at 5 regions on 4 domains).  One pair of runs
+     cannot tell that from host noise, so the gate is a paired comparison of
+     wall seconds (Exp.Gate) with a practical-significance band of
+     1 - 1/gate: it passes only on an [Improved] verdict, i.e. when the whole
+     bootstrap CI of the parallel run's relative wall change lies below
+     -(1 - 1/gate).  The wall-clock gate needs real cores to be meaningful:
+     it is enforced on the full-size run when the host offers at least
+     [domains] cores (override with JS_BENCH_PAR_GATE=force|skip); otherwise
+     the measurement is recorded but the gate reports itself as skipped.
+     The digest-equality gates above/below are unconditional. *)
   let used_domains = max 1 (min domains n_regions) in
   let ideal_speedup =
     float_of_int n_regions /. float_of_int ((n_regions + used_domains - 1) / used_domains)
   in
   let par_gate = 0.8 *. ideal_speedup in
+  let par_cmp =
+    Js_exp.Gate.compare_paired ~metric:"wall_seconds"
+      ~min_effect:(1. -. (1. /. par_gate))
+      ~baseline:epoch_walls ~candidate:par_walls ()
+  in
   let par_gate_enforced =
     match Sys.getenv_opt "JS_BENCH_PAR_GATE" with
     | Some "force" -> true
     | Some "skip" -> false
     | _ -> (not quick) && host_cores >= domains
   in
-  let crit_par_speedup = (not par_gate_enforced) || par_speedup >= par_gate in
+  let crit_par_speedup =
+    (not par_gate_enforced) || par_cmp.Js_exp.Gate.verdict = Js_exp.Gate.Improved
+  in
   Printf.printf
-    "parallel x%d (%d host cores): %.2fs wall (%.0f events/s), speedup %.2fx vs epoch \
-     (ideal %.2fx), digest == epoch: %b, speedup gate %s\n"
+    "parallel x%d (%d host cores): %.2fs median wall (%.0f events/s), speedup %.2fx vs epoch \
+     (ideal %.2fx), digests == epoch: %b\n  %s\n  speedup gate %s\n"
     domains host_cores wall_par par_eps par_speedup ideal_speedup par_digest_eq
-    (if par_gate_enforced then Printf.sprintf "enforced (>= %.2fx): %b" par_gate crit_par_speedup
+    (Format.asprintf "%a" Js_exp.Gate.pp par_cmp)
+    (if par_gate_enforced then
+       Printf.sprintf "enforced (>= %.2fx, verdict improved): %b" par_gate crit_par_speedup
      else "skipped (recorded only)");
   (* -- determinism: epoch barriers == merged queue == parallel domains ---- *)
   let small =
@@ -1109,7 +1141,7 @@ let bench_scale () =
     three_way deterministic batch_neutral par_digest_eq crit_par_speedup;
   let b = Buffer.create 2048 in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/2\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/3\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b
     "  \"fleet\": { \"regions\": %d, \"servers_per_region\": %d, \"total_servers\": %d, \
@@ -1122,12 +1154,19 @@ let bench_scale () =
     "  \"batching\": { \"batched_events_per_sec\": %.0f, \"unbatched_events_per_sec\": %.0f, \
      \"events_per_sec_delta_pct\": %.2f, \"digest_neutral\": %b },\n"
     g_eps nb_eps batch_delta batch_neutral;
+  let walls a = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.3f") a)) in
+  let ci_lo, ci_hi = par_cmp.Js_exp.Gate.ci in
   Printf.bprintf b
     "  \"parallel\": { \"domains\": %d, \"host_cores\": %d, \"wall_seconds\": %.3f, \
      \"events_per_sec\": %.0f, \"speedup_vs_epoch\": %.3f, \"ideal_speedup\": %.3f, \
-     \"speedup_gate\": %.3f, \"digest_equals_epoch\": %b, \"speedup_gate_enforced\": %b },\n"
+     \"speedup_gate\": %.3f, \"digest_equals_epoch\": %b, \"speedup_gate_enforced\": %b,\n\
+    \    \"pairs\": { \"n\": %d, \"epoch_wall_seconds\": [%s], \"parallel_wall_seconds\": [%s], \
+     \"wall_effect\": %.4f, \"wall_effect_ci95\": [%.4f, %.4f], \"min_effect\": %.4f, \
+     \"verdict\": \"%s\" } },\n"
     domains host_cores wall_par par_eps par_speedup ideal_speedup par_gate par_digest_eq
-    par_gate_enforced;
+    par_gate_enforced par_cmp.Js_exp.Gate.n (walls epoch_walls) (walls par_walls)
+    par_cmp.Js_exp.Gate.effect ci_lo ci_hi par_cmp.Js_exp.Gate.min_effect
+    (Js_exp.Gate.verdict_to_string par_cmp.Js_exp.Gate.verdict);
   Printf.bprintf b
     "  \"criteria\": { \"epoch_digest_equals_merged\": %b, \"epoch_digest_equals_parallel\": %b, \
      \"same_seed_deterministic\": %b, \"batching_digest_neutral\": %b, \

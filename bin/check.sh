@@ -83,6 +83,12 @@ test -s BENCH_push.quick.json
 grep -q '"gates"' BENCH_push.quick.json
 grep -q '"js_capacity_loss_not_significantly_regressed": true' BENCH_push.quick.json
 
+# The full push grid (no wall-clock fields): a rerun must reproduce the
+# committed BENCH_push.json byte for byte, digests included.
+dune exec bench/main.exe -- push --out /tmp/bench_push.json
+cmp /tmp/bench_push.json BENCH_push.json
+rm -f /tmp/bench_push.json
+
 # Warmup-statistics bench: changepoint segmentation + warmup-taxonomy
 # classification over a seeds x {nojs, js} matrix.  The criteria grepped
 # here are the tentpole claims: classification is deterministic across a

@@ -32,13 +32,14 @@ let create config rng =
   { config; rng = R.split rng }
 
 (* Thinning (Lewis-Shedler): candidate arrivals from a homogeneous Poisson
-   process at the peak rate, each kept with probability rate(t)/peak. *)
+   process at the peak rate, each kept with probability rate(t)/peak.  A
+   loop rather than a local recursive function, which would allocate a
+   closure per call. *)
 let next t ~after =
   let peak = peak_rate t.config in
-  let rec gen at =
-    let at = at +. R.exponential t.rng ~mean:(1. /. peak) in
-    if t.config.diurnal_amplitude = 0. then at
-    else if R.float t.rng 1. < rate_at t.config at /. peak then at
-    else gen at
-  in
-  gen after
+  let at = ref (after +. R.exponential t.rng ~mean:(1. /. peak)) in
+  if t.config.diurnal_amplitude <> 0. then
+    while not (R.float t.rng 1. < rate_at t.config !at /. peak) do
+      at := !at +. R.exponential t.rng ~mean:(1. /. peak)
+    done;
+  !at

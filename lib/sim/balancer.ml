@@ -22,32 +22,46 @@ type t = { policy : policy; mutable cursor : int }
 let create policy = { policy; cursor = 0 }
 let policy t = t.policy
 
-let pick t rng ?n ~candidates ~outstanding ~capacity () =
-  let n = match n with Some n -> n | None -> Array.length candidates in
-  if n = 0 then None
+(* Every policy reads plain arrays and returns an index, so a pick
+   allocates no array, closure or option.  The weighted draw is [Rng.sample_weighted] over the
+   floored weights, inlined: the same left-to-right sum, the same
+   [unit_float *. total] target and the same scan with its [n - 1]
+   fallback, hence the same server and the same stream position. *)
+let pick t rng ~n ~candidates ~outstanding ~weights =
+  if n = 0 then -1
   else
     match t.policy with
-    | Random -> Some candidates.(R.int rng n)
+    | Random -> candidates.(R.int rng n)
     | Round_robin ->
       let i = t.cursor mod n in
       t.cursor <- t.cursor + 1;
-      Some candidates.(i)
+      candidates.(i)
     | Least_outstanding ->
       let best = ref candidates.(0) in
-      let best_o = ref (outstanding candidates.(0)) in
+      let best_o = ref outstanding.(candidates.(0)) in
       for i = 1 to n - 1 do
-        let o = outstanding candidates.(i) in
+        let o = outstanding.(candidates.(i)) in
         if o < !best_o then begin
           best := candidates.(i);
           best_o := o
         end
       done;
-      Some !best
+      !best
     | Warmup_weighted ->
-      let weights =
-        Array.init n (fun i -> Float.max 1e-9 (capacity candidates.(i)))
-      in
-      Some candidates.(R.sample_weighted rng weights)
+      let total = ref 0. in
+      for i = 0 to n - 1 do
+        total := !total +. Float.max 1e-9 weights.(candidates.(i))
+      done;
+      let target = R.float rng !total in
+      let i = ref 0 and acc = ref 0. and chosen = ref (-1) in
+      while !chosen < 0 do
+        if !i >= n - 1 then chosen := n - 1
+        else begin
+          acc := !acc +. Float.max 1e-9 weights.(candidates.(!i));
+          if !acc >= target then chosen := !i else incr i
+        end
+      done;
+      candidates.(!chosen)
 
 (* Cross-region spillover target: round-robin over the currently-up foreign
    regions, deterministic given [cursor].  Returns the chosen region plus the

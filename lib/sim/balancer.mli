@@ -24,23 +24,28 @@ type t
 val create : policy -> t
 val policy : t -> policy
 
-(** [pick t rng ?n ~candidates ~outstanding ~capacity ()] chooses one of the
-    first [n] entries of [candidates] (server indices; [n] defaults to the
-    whole array); [None] iff that prefix is empty.  Passing [?n] lets callers
-    keep a persistent dense "accepting" array and route in O(1)/O(n) without
-    rebuilding candidate arrays per arrival.  Only [Random] and
-    [Warmup_weighted] consume randomness; only the accessors a policy needs
-    are called.  [Random]/[Round_robin] are O(1); the scanning policies are
-    O(n) per pick and intended for modest fleets. *)
+(** [pick t rng ~n ~candidates ~outstanding ~weights] chooses one of the
+    first [n] entries of [candidates] (server indices) and returns it, or
+    [-1] iff [n = 0].  The prefix lets callers keep a persistent dense
+    "accepting" array and route without rebuilding candidate arrays per
+    arrival.  [outstanding] and [weights] are indexed by server:
+    [Least_outstanding] reads only [outstanding] (in-flight requests),
+    [Warmup_weighted] only [weights] (estimated current capacity, floored
+    at 1e-9), and the other two policies neither, so callers may pass
+    [[||]] for an array their policy does not read.  Only [Random] and
+    [Warmup_weighted] consume randomness, one draw per pick.  A pick
+    allocates no array, closure or option.  [Random] and [Round_robin] are O(1); the scanning
+    policies are O(n) per pick.  The weighted draw is
+    {!Js_util.Rng.sample_weighted} over the floored weights of the prefix,
+    bit for bit. *)
 val pick :
   t ->
   Js_util.Rng.t ->
-  ?n:int ->
+  n:int ->
   candidates:int array ->
-  outstanding:(int -> int) ->
-  capacity:(int -> float) ->
-  unit ->
-  int option
+  outstanding:int array ->
+  weights:float array ->
+  int
 
 (** [pick_region ~home ~n_regions ~cursor ~up] chooses a cross-region
     spillover target: the first region [<> home] satisfying [up], scanning

@@ -148,8 +148,12 @@ type srv = {
   mutable accepting : bool;
   mutable gen : int;  (* bumped on every restart; stale events check it *)
   mutable served : int;
-  mutable outstanding : int;
-  waiting : float Queue.t;  (* arrival times of queued requests *)
+  (* Waiting requests' arrival times: a float ring, oldest at [whead], that
+     grows by doubling on demand up to [queue_capacity], so a large fleet
+     pays only for the queues that ever fill. *)
+  mutable wbuf : float array;
+  mutable whead : int;
+  mutable wlen : int;
   mutable curve : Warmup_curve.t;
   mutable scale : float;  (* macro requests represented by one DES request *)
   mutable attempts : int;
@@ -170,6 +174,14 @@ type region = {
   acc : int array;
   acc_pos : int array;  (* six -> position in [acc], or -1 *)
   mutable acc_len : int;
+  outstanding : int array;  (* six -> in-flight requests *)
+  (* The capacity cache, indexed by six: the warmup multiplier at the
+     server's current [served], and [warm_rps] divided by it.  Their inputs
+     ([served], [curve], [scale]) change only on completion and restart, so
+     {!refresh_capacity} runs there and at run start, and service, routing
+     and the capacity tick read the arrays instead of searching a curve. *)
+  mult : float array;
+  cap : float array;
   mutable up : bool;
   mutable spill_cursor : int;
   mutable r_arrived : int;
@@ -294,9 +306,10 @@ let sample_demand g reg =
 
 let macro_served srv = float_of_int srv.served *. srv.scale
 
-let est_capacity g srv =
-  if not srv.accepting then 0.
-  else g.cfg.warm_rps /. Warmup_curve.multiplier srv.curve ~served:(macro_served srv)
+let refresh_capacity g reg srv =
+  let m = Warmup_curve.multiplier srv.curve ~served:(macro_served srv) in
+  reg.mult.(srv.six) <- m;
+  reg.cap.(srv.six) <- g.cfg.warm_rps /. m
 
 let in_push_window reg = reg.r_push_started >= 0. && reg.ttfc < 0.
 
@@ -331,18 +344,41 @@ let set_accepting reg srv v =
 let srv_source g reg srv =
   Printf.sprintf "sim.server.%d" ((reg.rix * g.cfg.fleet.Fleet.n_servers) + srv.six)
 
+let wait_push g srv arrived =
+  let size = Array.length srv.wbuf in
+  if srv.wlen = size then begin
+    let buf = Array.make (min g.cfg.queue_capacity (max 4 (2 * size))) 0. in
+    for k = 0 to srv.wlen - 1 do
+      buf.(k) <- srv.wbuf.((srv.whead + k) mod size)
+    done;
+    srv.wbuf <- buf;
+    srv.whead <- 0
+  end;
+  srv.wbuf.((srv.whead + srv.wlen) mod Array.length srv.wbuf) <- arrived;
+  srv.wlen <- srv.wlen + 1
+
+let[@inline] wait_pop srv =
+  let arrived = srv.wbuf.(srv.whead) in
+  srv.whead <- (if srv.whead + 1 = Array.length srv.wbuf then 0 else srv.whead + 1);
+  srv.wlen <- srv.wlen - 1;
+  arrived
+
+let wait_clear srv =
+  srv.whead <- 0;
+  srv.wlen <- 0
+
 let start_service g reg srv ~arrived =
   let demand = sample_demand g reg in
-  let m = Warmup_curve.multiplier srv.curve ~served:(macro_served srv) in
-  let service = g.base_service *. demand *. m in
-  srv.outstanding <- srv.outstanding + 1;
+  let service = g.base_service *. demand *. reg.mult.(srv.six) in
+  reg.outstanding.(srv.six) <- reg.outstanding.(srv.six) + 1;
   Engine.after reg.eng ~delay:service
     (Ev_complete { r = reg.rix; six = srv.six; gen = srv.gen; arrived })
 
 let complete g reg srv ~arrived =
   let now = Engine.now reg.eng in
-  srv.outstanding <- srv.outstanding - 1;
+  reg.outstanding.(srv.six) <- reg.outstanding.(srv.six) - 1;
   srv.served <- srv.served + 1;
+  refresh_capacity g reg srv;
   reg.r_completed <- reg.r_completed + 1;
   let l = now -. arrived in
   Stats.Quantile.add reg.r_latency l;
@@ -351,12 +387,8 @@ let complete g reg srv ~arrived =
     Stats.Series.add reg.r_server_latency.(srv.six) ~time:now ~value:l;
   (* lazy timeout shedding: expired waiters are dropped at dequeue time *)
   let continue = ref true in
-  while
-    !continue
-    && srv.outstanding < g.cfg.concurrency
-    && not (Queue.is_empty srv.waiting)
-  do
-    let arrived = Queue.pop srv.waiting in
+  while !continue && reg.outstanding.(srv.six) < g.cfg.concurrency && srv.wlen > 0 do
+    let arrived = wait_pop srv in
     if arrived +. g.cfg.request_timeout < now then begin
       reg.r_shed_timeout <- reg.r_shed_timeout + 1;
       tel reg (fun t -> Js_telemetry.incr t "sim.shed_timeout")
@@ -368,9 +400,8 @@ let complete g reg srv ~arrived =
   done
 
 let offer g reg srv ~arrived =
-  if srv.outstanding < g.cfg.concurrency then start_service g reg srv ~arrived
-  else if Queue.length srv.waiting < g.cfg.queue_capacity then
-    Queue.push arrived srv.waiting
+  if reg.outstanding.(srv.six) < g.cfg.concurrency then start_service g reg srv ~arrived
+  else if srv.wlen < g.cfg.queue_capacity then wait_push g srv arrived
   else begin
     reg.r_shed_queue_full <- reg.r_shed_queue_full + 1;
     tel reg (fun t -> Js_telemetry.incr t "sim.shed_queue_full")
@@ -401,13 +432,13 @@ let restart g reg srv ~push =
   set_accepting reg srv false;
   (* immediate drain: queued and in-flight requests on this server are
      lost (their completion events are invalidated by the gen bump) *)
-  let dropped = Queue.length srv.waiting + srv.outstanding in
+  let dropped = srv.wlen + reg.outstanding.(srv.six) in
   if dropped > 0 then begin
     reg.r_shed_drain <- reg.r_shed_drain + dropped;
     tel reg (fun t -> Js_telemetry.incr t ~by:dropped "sim.shed_drain")
   end;
-  Queue.clear srv.waiting;
-  srv.outstanding <- 0;
+  wait_clear srv;
+  reg.outstanding.(srv.six) <- 0;
   let role, fetch_delay, fetch_failed = choose_role g reg srv ~now in
   let source = srv_source g reg srv in
   (match role with
@@ -441,6 +472,7 @@ let restart g reg srv ~push =
   srv.curve <- Warmup_curve.get g.curves role;
   srv.scale <- Float.max 1e-9 (Warmup_curve.peak_rps srv.curve) /. g.cfg.warm_rps;
   srv.served <- 0;
+  refresh_capacity g reg srv;
   let boot = Warmup_curve.boot_seconds srv.curve +. fetch_delay in
   tel reg (fun t -> Js_telemetry.add_span t (source ^ ".boot") ~start:now ~dur:boot);
   Engine.after reg.eng ~delay:boot
@@ -536,14 +568,11 @@ let shed_no_server _g reg =
   tel reg (fun t -> Js_telemetry.incr t "sim.shed_no_server")
 
 let route_local g reg ~arrived =
-  match
+  let six =
     Balancer.pick reg.lb reg.rng_route ~n:reg.acc_len ~candidates:reg.acc
-      ~outstanding:(fun six -> reg.servers.(six).outstanding)
-      ~capacity:(fun six -> est_capacity g reg.servers.(six))
-      ()
-  with
-  | None -> shed_no_server g reg
-  | Some six -> offer g reg reg.servers.(six) ~arrived
+      ~outstanding:reg.outstanding ~weights:reg.cap
+  in
+  if six < 0 then shed_no_server g reg else offer g reg reg.servers.(six) ~arrived
 
 let schedule_spill g q ~arrived =
   Engine.schedule g.regions.(q).eng
@@ -627,10 +656,9 @@ let tick_ev g reg =
   let now = Engine.now reg.eng in
   let cap = ref 0. in
   let all_up = ref true in
-  Array.iter
-    (fun srv ->
-      if srv.accepting then cap := !cap +. est_capacity g srv else all_up := false)
-    reg.servers;
+  for six = 0 to Array.length reg.servers - 1 do
+    if reg.servers.(six).accepting then cap := !cap +. reg.cap.(six) else all_up := false
+  done;
   Stats.Series.add reg.r_capacity_series ~time:now ~value:!cap;
   let delta = reg.r_completed - reg.completed_at_tick in
   reg.completed_at_tick <- reg.r_completed;
@@ -663,9 +691,9 @@ let loss_ev _g reg =
     Array.iter
       (fun srv ->
         srv.gen <- srv.gen + 1;
-        dropped := !dropped + Queue.length srv.waiting + srv.outstanding;
-        Queue.clear srv.waiting;
-        srv.outstanding <- 0;
+        dropped := !dropped + srv.wlen + reg.outstanding.(srv.six);
+        wait_clear srv;
+        reg.outstanding.(srv.six) <- 0;
         set_accepting reg srv false)
       reg.servers;
     if !dropped > 0 then begin
@@ -851,8 +879,9 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
                 gen = 0;
                 (* pre-push members run the previous release fully warm *)
                 served = int_of_float (Warmup_curve.warm_served warm_curve /. warm_scale);
-                outstanding = 0;
-                waiting = Queue.create ();
+                wbuf = [||];
+                whead = 0;
+                wlen = 0;
                 curve = warm_curve;
                 scale = warm_scale;
                 attempts = 0;
@@ -870,6 +899,9 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
           acc = Array.init n_servers Fun.id;
           acc_pos = Array.init n_servers Fun.id;
           acc_len = n_servers;
+          outstanding = Array.make n_servers 0;
+          mult = Array.make n_servers 1.;
+          cap = Array.make n_servers 0.;
           up = true;
           spill_cursor = 0;
           r_arrived = 0;
@@ -925,6 +957,7 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   in
   Array.iter
     (fun reg ->
+      Array.iter (refresh_capacity g reg) reg.servers;
       schedule_arrival g reg ~after:0.;
       Engine.schedule reg.eng ~at:cfg.tick (Ev_tick reg.rix);
       Engine.schedule reg.eng

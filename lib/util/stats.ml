@@ -147,13 +147,21 @@ module Quantile = struct
      any value mapped into bucket i.  Two sketches with the same accuracy
      share bucket boundaries, which makes merging exact: merging the
      per-server sketches and sketching the concatenated stream produce the
-     same counts, hence identical quantile answers. *)
+     same counts, hence identical quantile answers.
+
+     Buckets are a dense count array over the window of indices seen so far
+     ([counts.(k)] counts bucket [base + k]), grown by doubling toward the
+     new index, so [add] allocates nothing once the window covers the
+     stream.  Finite values index between ceil(ln 1e-9 / ln gamma) and
+     ceil(ln max_float / ln gamma): about 36.5k buckets at the default 1%
+     accuracy, however wide the stream. *)
   type t = {
     accuracy : float;
     gamma : float;
     inv_log_gamma : float;
     mutable zero_count : int;  (** values below the resolution floor *)
-    buckets : (int, int) Hashtbl.t;
+    mutable counts : int array;
+    mutable base : int;  (** bucket index of [counts.(0)] *)
     mutable total : int;
   }
 
@@ -167,32 +175,48 @@ module Quantile = struct
       gamma;
       inv_log_gamma = 1. /. log gamma;
       zero_count = 0;
-      buckets = Hashtbl.create 64;
+      counts = [||];
+      base = 0;
       total = 0;
     }
 
   let accuracy t = t.accuracy
   let count t = t.total
 
+  (* Add [c] to bucket [i], first widening the window to cover it: at least
+     doubling it, with the new slack on the side that grew. *)
+  let bump t i c =
+    let len = Array.length t.counts in
+    if len = 0 then begin
+      t.counts <- Array.make 16 0;
+      t.base <- i - 8
+    end
+    else if i < t.base || i >= t.base + len then begin
+      let lo = min t.base i and hi = max (t.base + len - 1) i in
+      let size = max (hi - lo + 1) (2 * len) in
+      let base = if i < t.base then hi - size + 1 else lo in
+      let counts = Array.make size 0 in
+      Array.blit t.counts 0 counts (t.base - base) len;
+      t.counts <- counts;
+      t.base <- base
+    end;
+    t.counts.(i - t.base) <- t.counts.(i - t.base) + c
+
   let add t x =
     if x < 0. || Float.is_nan x then invalid_arg "Stats.Quantile.add: negative or NaN";
+    if x = Float.infinity then invalid_arg "Stats.Quantile.add: infinite";
     if x < min_value then t.zero_count <- t.zero_count + 1
-    else begin
-      let i = int_of_float (Float.ceil (log x *. t.inv_log_gamma)) in
-      let c = match Hashtbl.find_opt t.buckets i with Some c -> c | None -> 0 in
-      Hashtbl.replace t.buckets i (c + 1)
-    end;
+    else bump t (int_of_float (Float.ceil (log x *. t.inv_log_gamma))) 1;
     t.total <- t.total + 1
 
   let merge t other =
     if t.accuracy <> other.accuracy then
       invalid_arg "Stats.Quantile.merge: mismatched accuracy";
     t.zero_count <- t.zero_count + other.zero_count;
-    Hashtbl.iter
-      (fun i c ->
-        let c0 = match Hashtbl.find_opt t.buckets i with Some c0 -> c0 | None -> 0 in
-        Hashtbl.replace t.buckets i (c0 + c))
-      other.buckets;
+    (* [other] may be [t]: a self-merge stays inside its own window, so
+       [bump] never replaces the array being iterated *)
+    let base = other.base in
+    Array.iteri (fun k c -> if c > 0 then bump t (base + k) c) other.counts;
     t.total <- t.total + other.total
 
   let quantile t q =
@@ -201,18 +225,13 @@ module Quantile = struct
     let rank = int_of_float (q *. float_of_int (t.total - 1)) in
     if rank < t.zero_count then 0.
     else begin
-      let indices =
-        Hashtbl.fold (fun i _ acc -> i :: acc) t.buckets [] |> List.sort compare
-      in
-      let rec scan cum = function
-        | [] -> 0. (* unreachable: counts sum to total *)
-        | i :: rest ->
-          let cum = cum + Hashtbl.find t.buckets i in
-          if cum > rank then
-            2. *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.)
-          else scan cum rest
-      in
-      scan t.zero_count indices
+      (* counts sum to [total], so the scan stops inside the window *)
+      let cum = ref (t.zero_count + t.counts.(0)) and k = ref 0 in
+      while !cum <= rank do
+        incr k;
+        cum := !cum + t.counts.(!k)
+      done;
+      2. *. (t.gamma ** float_of_int (t.base + !k)) /. (t.gamma +. 1.)
     end
 
   let p50 t = quantile t 0.50

@@ -92,8 +92,10 @@ module Quantile : sig
   val accuracy : t -> float
   val count : t -> int
 
-  (** [add t x] records a non-negative sample.  Values below 1e-9 land in a
-      dedicated zero bucket.  @raise Invalid_argument on negatives/NaN. *)
+  (** [add t x] records a non-negative finite sample.  Values below 1e-9
+      land in a dedicated zero bucket.  Allocates nothing once the sketch's
+      bucket window covers [x].
+      @raise Invalid_argument on negatives, NaN or [infinity]. *)
   val add : t -> float -> unit
 
   (** [merge t other] folds [other]'s counts into [t] ([other] unchanged).

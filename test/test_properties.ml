@@ -548,6 +548,204 @@ let prop_quantile_region_merge =
             && Q.p95 merged = Q.p95 concat
             && Q.p99 merged = Q.p99 concat))
 
+(* --- simulator primitives against their reference copies --- *)
+
+(* The unboxed generator, the dense sketch and the array-reading pick are
+   checked against the boxed, Hashtbl and closure versions they replaced
+   ({!Sim_ref}).  Floats compare by their exact hex rendering, and an
+   exception compares by its message, so "same answer" means bit-identical
+   values and identical failures. *)
+let exact f x = try f x with e -> "raised " ^ Printexc.to_string e
+
+type rng_op =
+  | Bits
+  | Int of int
+  | Float of float
+  | Expo of float
+  | Gauss of float * float
+  | Weighted of float array
+  | Split
+  | Copy
+
+let rng_op_to_string = function
+  | Bits -> "bits64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Float b -> Printf.sprintf "float %h" b
+  | Expo m -> Printf.sprintf "exponential %h" m
+  | Gauss (mu, sigma) -> Printf.sprintf "gaussian %h %h" mu sigma
+  | Weighted w ->
+    let ws = Array.to_list (Array.map (Printf.sprintf "%h") w) in
+    "sample_weighted [" ^ String.concat "; " ws ^ "]"
+  | Split -> "split"
+  | Copy -> "copy"
+
+let rng_ops_arb =
+  let open QCheck.Gen in
+  let weight =
+    frequency [ (1, return 0.); (1, float_bound_inclusive 1e-9); (4, float_bound_inclusive 100.) ]
+  in
+  let op =
+    frequency
+      [ (4, return Bits);
+        (3, map (fun b -> Int b) (frequency [ (1, int_range (-2) 2); (4, int_range 1 max_int) ]));
+        (3, map (fun b -> Float b) (float_range (-1e6) 1e6));
+        (2, map (fun m -> Expo m) (float_range 0. 1e3));
+        (2, map2 (fun mu sigma -> Gauss (mu, sigma)) (float_range (-10.) 10.) (float_range 0. 5.));
+        (2, map (fun w -> Weighted (Array.of_list w)) (list_size (0 -- 8) weight));
+        (1, return Split);
+        (1, return Copy)
+      ]
+  in
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat ", "
+           (List.map (fun (g, op) -> Printf.sprintf "#%d %s" g (rng_op_to_string op)) ops)))
+    (pair int (list_size (1 -- 80) (pair (0 -- 7) op)))
+
+let prop_rng_matches_reference =
+  QCheck.Test.make ~name:"unboxed rng = boxed reference rng, draw for draw" ~count:300
+    rng_ops_arb (fun (seed, ops) ->
+      let module R = Js_util.Rng in
+      let module O = Sim_ref.Rng in
+      (* live generator pairs; [split] and [copy] add a pair *)
+      let gens = ref [| (R.create seed, O.create seed) |] in
+      List.for_all
+        (fun (g, op) ->
+          let r, o = !gens.(g mod Array.length !gens) in
+          let fresh (r', o') = gens := Array.append !gens [| (r', o') |] in
+          let both f_new f_ref = exact f_new r = exact f_ref o in
+          match op with
+          | Bits ->
+            both (fun r -> Int64.to_string (R.bits64 r)) (fun o -> Int64.to_string (O.bits64 o))
+          | Int b -> both (fun r -> string_of_int (R.int r b)) (fun o -> string_of_int (O.int o b))
+          | Float b ->
+            both
+              (fun r -> Printf.sprintf "%h" (R.float r b))
+              (fun o -> Printf.sprintf "%h" (O.float o b))
+          | Expo mean ->
+            both
+              (fun r -> Printf.sprintf "%h" (R.exponential r ~mean))
+              (fun o -> Printf.sprintf "%h" (O.exponential o ~mean))
+          | Gauss (mu, sigma) ->
+            both
+              (fun r -> Printf.sprintf "%h" (R.gaussian r ~mu ~sigma))
+              (fun o -> Printf.sprintf "%h" (O.gaussian o ~mu ~sigma))
+          | Weighted w ->
+            both
+              (fun r -> string_of_int (R.sample_weighted r w))
+              (fun o -> string_of_int (O.sample_weighted o w))
+          | Split ->
+            fresh (R.split r, O.split o);
+            true
+          | Copy ->
+            fresh (R.copy r, O.copy o);
+            true)
+        ops
+      (* and every live stream ends at the same position *)
+      && Array.for_all (fun (r, o) -> R.bits64 r = O.bits64 o) !gens)
+
+type sketch_op = Add of int * float | Merge of int * int
+
+let sketch_ops_arb =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (1, return 0.);
+        (1, float_bound_exclusive 1e-9);
+        (1, return 1e-9);
+        (6, map (fun e -> 10. ** e) (float_range (-9.) 6.))
+      ]
+  in
+  let op =
+    frequency
+      [ (12, map2 (fun k x -> Add (k, x)) (0 -- 3) value);
+        (1, map2 (fun dst src -> Merge (dst, src)) (0 -- 3) (0 -- 3))
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ", "
+        (List.map
+           (function
+             | Add (k, x) -> Printf.sprintf "add #%d %h" k x
+             | Merge (d, s) -> Printf.sprintf "merge #%d <- #%d" d s)
+           ops))
+    (list_size (0 -- 300) op)
+
+let prop_quantile_matches_reference =
+  QCheck.Test.make ~name:"dense quantile sketch = Hashtbl reference sketch" ~count:300
+    sketch_ops_arb (fun ops ->
+      let module Q = Js_util.Stats.Quantile in
+      let module O = Sim_ref.Quantile in
+      let qs = Array.init 4 (fun _ -> Q.create ()) and os = Array.init 4 (fun _ -> O.create ()) in
+      List.iter
+        (function
+          | Add (k, x) ->
+            Q.add qs.(k) x;
+            O.add os.(k) x
+          | Merge (d, s) ->
+            Q.merge qs.(d) qs.(s);
+            O.merge os.(d) os.(s))
+        ops;
+      List.for_all
+        (fun k ->
+          Q.count qs.(k) = O.count os.(k)
+          && List.for_all
+               (fun q ->
+                 exact (fun t -> Printf.sprintf "%h" (Q.quantile t q)) qs.(k)
+                 = exact (fun t -> Printf.sprintf "%h" (O.quantile t q)) os.(k))
+               [ 0.; 0.5; 0.95; 0.99; 1. ])
+        [ 0; 1; 2; 3 ])
+
+let pick_case_arb =
+  let open QCheck.Gen in
+  let weight =
+    frequency
+      [ (1, return 0.); (1, float_bound_exclusive 1e-9); (4, float_bound_inclusive 100.);
+        (1, float_bound_inclusive 1e6) ]
+  in
+  let case =
+    int_range 1 32 >>= fun m ->
+    list_size (0 -- 40) (int_bound (m - 1)) >>= fun candidates ->
+    int_bound (List.length candidates) >>= fun n ->
+    map
+      (fun (((weights, outstanding), policy), (picks, seed)) ->
+        ( Array.of_list candidates, n, Array.of_list weights, Array.of_list outstanding, policy,
+          picks, seed ))
+      (pair
+         (pair (pair (list_repeat m weight) (list_repeat m (int_bound 10))) (int_bound 3))
+         (pair (int_range 1 12) int))
+  in
+  QCheck.make
+    ~print:(fun (candidates, n, weights, outstanding, policy, picks, seed) ->
+      let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+      Printf.sprintf
+        "policy %s, n %d, %d picks, seed %d, candidates [%s], outstanding [%s], weights [%s]"
+        (Js_sim.Balancer.policy_to_string (List.nth Js_sim.Balancer.all_policies policy))
+        n picks seed (ints candidates) (ints outstanding)
+        (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") weights))))
+    case
+
+let prop_pick_matches_reference =
+  QCheck.Test.make ~name:"array pick = closure reference pick, same rng position" ~count:500
+    pick_case_arb (fun (candidates, n, weights, outstanding, policy, picks, seed) ->
+      let policy = List.nth Js_sim.Balancer.all_policies policy in
+      let b = Js_sim.Balancer.create policy and o = Sim_ref.Balancer.create policy in
+      let rng = Js_util.Rng.create seed and ref_rng = Sim_ref.Rng.create seed in
+      List.for_all
+        (fun _ ->
+          let got = Js_sim.Balancer.pick b rng ~n ~candidates ~outstanding ~weights in
+          let want =
+            Sim_ref.Balancer.pick o ref_rng ~n ~candidates
+              ~outstanding:(fun six -> outstanding.(six))
+              ~capacity:(fun six -> weights.(six))
+              ()
+          in
+          got = Option.value want ~default:(-1))
+        (List.init picks Fun.id)
+      && Js_util.Rng.bits64 rng = Sim_ref.Rng.bits64 ref_rng)
+
 let prop_interp_deterministic =
   QCheck.Test.make ~name:"interpreter fully deterministic" ~count:8 QCheck.small_nat (fun seed ->
       run_requests ~probes:Interp.Probes.none ~seed ~n:6
@@ -794,7 +992,11 @@ let () =
             prop_dataflow_fixed_point; prop_compiler_output_verifies
           ] );
       ("reliability", q [ prop_all_corrupt_store_falls_back ]);
-      ("sim", q [ prop_push_sim_deterministic; prop_push_sim_dist_ladder ]);
+      ( "sim",
+        q
+          [ prop_push_sim_deterministic; prop_push_sim_dist_ladder; prop_rng_matches_reference;
+            prop_quantile_matches_reference; prop_pick_matches_reference
+          ] );
       ( "region",
         q
           [ prop_epoch_barrier_equals_merged; prop_parallel_telemetry_merge_equals_shared;

@@ -182,55 +182,38 @@ let test_arrival_validates () =
 
 (* --- balancer --- *)
 
-let outstanding_of arr ix = arr.(ix)
-
 let test_balancer_least_outstanding () =
   let b = Balancer.create Balancer.Least_outstanding in
   let rng = Js_util.Rng.create 1 in
+  let outstanding = [| 9; 5; 9; 2; 9; 9; 9; 1 |] in
   let picked =
-    Balancer.pick b rng ~candidates:[| 3; 1; 7 |]
-      ~outstanding:(outstanding_of [| 9; 5; 9; 2; 9; 9; 9; 1 |])
-      ~capacity:(fun _ -> 0.)
-      ()
+    Balancer.pick b rng ~n:3 ~candidates:[| 3; 1; 7 |] ~outstanding ~weights:[||]
   in
-  Alcotest.(check (option int)) "argmin outstanding" (Some 7) picked;
-  (* the ?n prefix restricts the candidate set without rebuilding the array:
+  Alcotest.(check int) "argmin outstanding" 7 picked;
+  (* the ~n prefix restricts the candidate set without rebuilding the array:
      server 7 (outstanding 1) is beyond the prefix, so server 3 (2) wins *)
   let picked2 =
-    Balancer.pick b rng ~n:2 ~candidates:[| 3; 1; 7 |]
-      ~outstanding:(outstanding_of [| 9; 5; 9; 2; 9; 9; 9; 1 |])
-      ~capacity:(fun _ -> 0.)
-      ()
+    Balancer.pick b rng ~n:2 ~candidates:[| 3; 1; 7 |] ~outstanding ~weights:[||]
   in
-  Alcotest.(check (option int)) "argmin over prefix" (Some 3) picked2
+  Alcotest.(check int) "argmin over prefix" 3 picked2
 
 let test_balancer_round_robin_cycles () =
   let b = Balancer.create Balancer.Round_robin in
   let rng = Js_util.Rng.create 1 in
   let picks =
     List.init 6 (fun _ ->
-        match
-          Balancer.pick b rng ~candidates:[| 4; 5; 6 |]
-            ~outstanding:(fun _ -> 0)
-            ~capacity:(fun _ -> 0.)
-            ()
-        with
-        | Some ix -> ix
-        | None -> -1)
+        Balancer.pick b rng ~n:3 ~candidates:[| 4; 5; 6 |] ~outstanding:[||] ~weights:[||])
   in
   Alcotest.(check (list int)) "cycles candidates" [ 4; 5; 6; 4; 5; 6 ] picks
 
 let test_balancer_weighted_prefers_capacity () =
   let b = Balancer.create Balancer.Warmup_weighted in
   let rng = Js_util.Rng.create 5 in
-  let capacity = function 0 -> 99. | _ -> 1. in
+  let weights = [| 99.; 1. |] in
   let hits = Array.make 2 0 in
   for _ = 1 to 500 do
-    match
-      Balancer.pick b rng ~candidates:[| 0; 1 |] ~outstanding:(fun _ -> 0) ~capacity ()
-    with
-    | Some ix -> hits.(ix) <- hits.(ix) + 1
-    | None -> ()
+    let ix = Balancer.pick b rng ~n:2 ~candidates:[| 0; 1 |] ~outstanding:[||] ~weights in
+    if ix >= 0 then hits.(ix) <- hits.(ix) + 1
   done;
   Alcotest.(check bool)
     (Printf.sprintf "hot server gets most traffic (%d/500)" hits.(0))
@@ -242,12 +225,10 @@ let test_balancer_empty () =
   List.iter
     (fun p ->
       let b = Balancer.create p in
-      Alcotest.(check (option int))
+      Alcotest.(check int)
         (Balancer.policy_to_string p ^ " empty")
-        None
-        (Balancer.pick b rng ~candidates:[||] ~outstanding:(fun _ -> 0)
-           ~capacity:(fun _ -> 0.)
-           ()))
+        (-1)
+        (Balancer.pick b rng ~n:0 ~candidates:[||] ~outstanding:[||] ~weights:[||]))
     Balancer.all_policies
 
 let test_balancer_pick_region () =
@@ -386,6 +367,50 @@ let test_push_deterministic () =
   Alcotest.(check string) "same digest" (Region.digest a) (Region.digest b);
   let c = Region.run cfg app ~seed:4 in
   Alcotest.(check bool) "different seed differs" true (Region.digest a <> Region.digest c)
+
+let test_push_pinned_digests () =
+  (* one pinned run per policy: routing, service and the latency sketch
+     must reproduce these runs to the last bit *)
+  let app = Lazy.force small_app in
+  List.iter
+    (fun (policy, md5) ->
+      let s = Region.run { (Lazy.force push_cfg) with Region.policy } app ~seed:3 in
+      Alcotest.(check string) (Balancer.policy_to_string policy) md5
+        (Digest.to_hex (Digest.string (Region.digest s))))
+    [ (Balancer.Random, "5bb726dc95510a79a84603bc0827cc15");
+      (Balancer.Round_robin, "e75df4a0be0a698e44f2ed8e1635b456");
+      (Balancer.Least_outstanding, "1cde41d6d431ee32819d28b526af4f70");
+      (Balancer.Warmup_weighted, "ec291b17864e76235942333be7217d04")
+    ]
+
+(* Minor words per dispatched event of a 16-server one-region push, setup
+   included.  The per-event path reads cached capacities, routes over flat
+   arrays, queues into float rings and draws from an unboxed generator;
+   what it still allocates is event payloads and boxed floats crossing
+   module boundaries. *)
+let test_push_alloc_budget () =
+  let app = Lazy.force small_app in
+  let base = Lazy.force push_cfg in
+  List.iter
+    (fun policy ->
+      let cfg =
+        { base with
+          Region.fleet = { base.Region.fleet with Cluster.Fleet.n_servers = 16 };
+          arrival = { Arrival.default_config with Arrival.base_rps = 16. *. 30. *. 0.7 };
+          policy;
+          push_at = 60.;
+          duration = 300.
+        }
+      in
+      let w0 = Gc.minor_words () in
+      let s = Region.run cfg app ~seed:3 in
+      let words = (Gc.minor_words () -. w0) /. float_of_int s.Region.events_dispatched in
+      Printf.printf "%s: %.1f minor words per event (%d events)\n"
+        (Balancer.policy_to_string policy) words s.Region.events_dispatched;
+      if words > 30. then
+        Alcotest.failf "%s: %.1f minor words per event (budget 30)"
+          (Balancer.policy_to_string policy) words)
+    Balancer.all_policies
 
 let test_push_record_latency_digest_neutral () =
   let cfg = Lazy.force push_cfg in
@@ -717,7 +742,10 @@ let test_multiregion_region_loss () =
   Alcotest.(check bool) "global spill total" true (gs.Region.g_spilled > 0);
   (* seeding runs in region 0 only *)
   Alcotest.(check bool) "seeder region published" true (r.(0).Region.packages_published > 0);
-  Alcotest.(check int) "non-seeder regions do not publish" 0 r.(2).Region.packages_published
+  Alcotest.(check int) "non-seeder regions do not publish" 0 r.(2).Region.packages_published;
+  (* pinned: the simulator's per-event path may change, the run may not *)
+  Alcotest.(check string) "pinned global digest" "45d1a744747600d24ed2d4e26e353966"
+    (Digest.to_hex (Digest.string (Region.global_digest gs)))
 
 let test_multiregion_epoch_equals_merged () =
   let gcfg = Lazy.force global_cfg in
@@ -887,6 +915,8 @@ let () =
           Alcotest.test_case "jump-start beats baseline" `Quick
             test_push_jumpstart_beats_baseline;
           Alcotest.test_case "deterministic" `Quick test_push_deterministic;
+          Alcotest.test_case "pinned digest per policy" `Quick test_push_pinned_digests;
+          Alcotest.test_case "allocation budget" `Quick test_push_alloc_budget;
           Alcotest.test_case "latency recording digest-neutral" `Quick
             test_push_record_latency_digest_neutral;
           Alcotest.test_case "bad packages + guardrail" `Quick

@@ -16,6 +16,17 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
+let test_rng_golden () =
+  (* pinned first draws of seed 42: every simulator digest rests on these
+     SplitMix64 streams, so the generator's representation may change but
+     never a value *)
+  let r = Rng.create 42 in
+  Alcotest.(check int64) "bits64" (-7450291807549245335L) (Rng.bits64 r);
+  Alcotest.(check string) "float" "0x1.486da5f92b86cp-3" (Printf.sprintf "%h" (Rng.float r 1.));
+  let child = Rng.split r in
+  Alcotest.(check int64) "split child" 5860610656741312527L (Rng.bits64 child);
+  Alcotest.(check int64) "parent after split" 885919558081284366L (Rng.bits64 r)
+
 let test_rng_split_independent () =
   let parent = Rng.create 7 in
   let child1 = Rng.split parent in
@@ -300,6 +311,27 @@ let test_quantile_errors () =
   Alcotest.check_raises "mismatched merge"
     (Invalid_argument "Stats.Quantile.merge: mismatched accuracy") (fun () ->
       Stats.Quantile.merge q other)
+
+let test_quantile_range_edges () =
+  (* +infinity has no bucket (its index converts to 0 on amd64, which would
+     read back as 0.99): it is rejected and leaves the sketch as it was *)
+  let q = Stats.Quantile.create () in
+  List.iter (Stats.Quantile.add q) [ 5.; 6.; 7. ];
+  Alcotest.check_raises "infinity" (Invalid_argument "Stats.Quantile.add: infinite") (fun () ->
+      Stats.Quantile.add q infinity);
+  Alcotest.(check int) "count unchanged" 3 (Stats.Quantile.count q);
+  let p0 = Stats.Quantile.quantile q 0. in
+  Alcotest.(check bool) (Printf.sprintf "p0 is the smallest sample (%g)" p0) true
+    (Float.abs (p0 -. 5.) <= 5. *. Stats.Quantile.accuracy q);
+  (* the extremes of the finite range round-trip within the accuracy, and a
+     sketch spanning them keeps a bounded bucket window *)
+  let wide = Stats.Quantile.create () in
+  List.iter (Stats.Quantile.add wide) [ 1e-9; 1e300 ];
+  let near x est = Float.abs (est -. x) <= x *. Stats.Quantile.accuracy wide in
+  Alcotest.(check bool) "min_value round-trips" true (near 1e-9 (Stats.Quantile.quantile wide 0.));
+  Alcotest.(check bool) "1e300 round-trips" true (near 1e300 (Stats.Quantile.quantile wide 1.));
+  let words = Obj.reachable_words (Obj.repr wide) in
+  Alcotest.(check bool) (Printf.sprintf "bounded window (%d words)" words) true (words < 80_000)
 
 let test_quantile_of_series () =
   let s = Stats.Series.create () in
@@ -593,6 +625,7 @@ let () =
   Alcotest.run "util"
     [ ( "rng",
         [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
@@ -628,6 +661,7 @@ let () =
           Alcotest.test_case "quantile merge is exact" `Quick test_quantile_merge_exact;
           Alcotest.test_case "quantile zero bucket" `Quick test_quantile_zero_bucket;
           Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
+          Alcotest.test_case "quantile range edges" `Quick test_quantile_range_edges;
           Alcotest.test_case "quantile of series" `Quick test_quantile_of_series
         ] );
       ( "binio",
