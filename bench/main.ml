@@ -11,7 +11,7 @@
    DESIGN.md §4 and EXPERIMENTS.md). *)
 
 module S = Cluster.Server
-module SS = Cluster.Steady_state
+module SS = Steady_state
 module Series = Js_util.Stats.Series
 
 let section title =
@@ -21,9 +21,6 @@ let sub title = Printf.printf "--- %s ---\n%!" title
 
 (* One macro application shared by the warmup figures. *)
 let macro_app = lazy (Workload.Macro_app.generate Workload.Macro_app.default_params)
-
-let consumer_package cfg app =
-  S.make_package cfg app ~coverage_target:cfg.S.profile_request_target ()
 
 let run_server ?discovery_seed cfg app role ~until =
   let server = S.create ?discovery_seed cfg app role in
@@ -72,7 +69,7 @@ let warmup_pair () =
   let app = Lazy.force macro_app in
   let cfg = S.default_config in
   let nojs = run_server ~discovery_seed:11 cfg app S.No_jumpstart ~until:600. in
-  let pkg = consumer_package cfg app in
+  let pkg = S.make_package cfg app () in
   let js = run_server ~discovery_seed:12 cfg app (S.Consumer pkg) ~until:600. in
   (nojs, js)
 
@@ -148,7 +145,7 @@ let lifespan () =
     (t_optimized /. lifespan_s, t_peak /. lifespan_s)
   in
   let nojs_opt, nojs_peak = measure S.No_jumpstart in
-  let pkg = consumer_package S.default_config app in
+  let pkg = S.make_package S.default_config app () in
   let js_opt, js_peak = measure (S.Consumer pkg) in
   Printf.printf "%-44s %8s %9s\n" "" "paper" "measured";
   Printf.printf "%-44s %7.0f%% %8.1f%%\n" "no-JS: life until optimized code (~point C)" 13.
@@ -161,17 +158,17 @@ let lifespan () =
     (100. *. js_peak);
   (* §IV-A timing constraint: the seeder pipeline must fit inside the ~30
      minute C2 phase, which is why only optimized-code profile data is
-     collected *)
-  let seeder = S.create S.default_config app S.Seeder in
-  while S.seeder_package seeder = None && S.time seeder < 3600. do
-    S.step seeder ~dt:1.0
-  done;
-  (match S.seeder_package seeder with
-  | Some _ ->
-    Printf.printf "\nseeder pipeline (profile + instrumented run + serialize): %.1f min\n"
-      (S.time seeder /. 60.);
-    Printf.printf "fits the ~30 min C2 phase (paper \xc2\xa7IV-A): %b\n" (S.time seeder <= 30. *. 60.)
-  | None -> print_endline "\nseeder did not finish within an hour (unexpected)")
+     collected.  A seeder warms up like a no-Jump-Start server until its
+     optimized code is live, then collects for 300 s. *)
+  let seeder_s = (nojs_opt *. lifespan_s) +. 300. in
+  let fits = seeder_s <= 30. *. 60. in
+  Printf.printf "\nseeder pipeline (profile + instrumented run + serialize): %.1f min\n"
+    (seeder_s /. 60.);
+  Printf.printf "fits the ~30 min C2 phase (paper \xc2\xa7IV-A): %b\n" fits;
+  if not fits then begin
+    prerr_endline "bench lifespan: the seeder pipeline does not fit the C2 phase";
+    exit 1
+  end
 
 (* -------------------------------------------------------------- fig5/6 -- *)
 
@@ -221,23 +218,19 @@ let fig6 () =
 
 let ablation_layout () =
   section "Ablation: basic-block layout strategy (measured Vasm weights)";
-  let config = SS.default_config in
+  (* request seeds 1 (profile) and 2 (instrumented run); seed 0 makes the
+     replay's cache warmup and measurement seeds 3 and 4 *)
+  let config = { SS.default_config with SS.seed = 0 } in
   let app = Workload.Codegen.generate config.SS.spec in
   let repo = app.Workload.Codegen.repo in
   let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
-  let drive seed n engine =
-    let rng = Js_util.Rng.create seed in
-    for _ = 1 to n do
-      ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
-    done
-  in
   let counters = Jit_profile.Counters.create repo in
   let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
   let engine =
     Interp.Engine.create ~probes:(Jit_profile.Collector.probes counters) repo
       (Mh_runtime.Heap.create repo layouts)
   in
-  drive 1 config.SS.profile_requests engine;
+  SS.drive app mix ~seed:1 ~n:config.SS.profile_requests engine;
   let base_cfg = { Jit.Compiler.default_config with Jit.Compiler.min_entries = 5 } in
   let vfuncs = Jit.Compiler.lower_all repo counters base_cfg in
   let measured = Jit.Vasm_profile.create () in
@@ -247,31 +240,16 @@ let ablation_layout () =
       (Jit.Vasm_profile.handler measured)
   in
   let engine2 = Interp.Engine.create ~probes repo (Mh_runtime.Heap.create repo layouts) in
-  drive 2 config.SS.optimized_requests engine2;
+  SS.drive app mix ~seed:2 ~n:config.SS.optimized_requests engine2;
   Printf.printf "%-16s %16s %14s\n" "strategy" "cycles/request" "vs exttsp";
   let measure bb_layout =
     let cfg = { base_cfg with Jit.Compiler.bb_layout } in
     let compiled = Jit.Compiler.finish repo counters cfg ~measured:(Some measured) vfuncs in
-    let hier = Machine.Hierarchy.create Machine.Hierarchy.default_config in
-    let sink =
-      {
-        Jit.Trace_adapter.fetch = (fun ~addr ~size -> Machine.Hierarchy.fetch hier ~addr ~size);
-        branch = (fun ~pc ~target ~taken -> Machine.Hierarchy.branch hier ~pc ~target ~taken);
-        load = (fun ~addr -> Machine.Hierarchy.load hier ~addr);
-        store = (fun ~addr -> Machine.Hierarchy.store hier ~addr);
-      }
+    let snapshot, _ =
+      SS.replay config app mix compiled (fun probes ->
+          Interp.Engine.create ~probes repo (Mh_runtime.Heap.create repo layouts))
     in
-    let probes =
-      Jit.Context.probes repo
-        ~lookup:(Jit.Compiler.lookup compiled)
-        (Jit.Trace_adapter.handler ~cache:compiled.Jit.Compiler.cache sink)
-    in
-    let engine = Interp.Engine.create ~probes repo (Mh_runtime.Heap.create repo layouts) in
-    drive 3 config.SS.warm_requests engine;
-    Machine.Hierarchy.reset_stats hier;
-    drive 4 config.SS.measure_requests engine;
-    (Machine.Hierarchy.snapshot hier).Machine.Hierarchy.cycles
-    /. float_of_int config.SS.measure_requests
+    snapshot.Machine.Hierarchy.cycles /. float_of_int config.SS.measure_requests
   in
   let exttsp = measure Jit.Compiler.Exttsp in
   let source = measure Jit.Compiler.Source_order in
@@ -780,11 +758,10 @@ let ablation_dist () =
    request granularity): Jump-Start vs no-Jump-Start pushes under random
    and warmup-aware routing.  Acceptance: over several paired replicate
    seeds, Jump-Start's capacity-loss integral and time-to-full-capacity
-   are not statistically significantly worse than an env-tunable fraction
-   of no-Jump-Start's (Exp.Gate significance tests, JS_BENCH_PUSH_ env
-   thresholds), and
-   warmup-aware routing is no worse than random on p99 latency during the
-   push.  Writes BENCH_push.json (BENCH_push.quick.json under --quick). *)
+   are not statistically significantly worse than 0.75x of no-Jump-Start's
+   (Exp.Gate significance tests), and warmup-aware routing is no worse than
+   random on p99 latency during the push.  Writes BENCH_push.json
+   (BENCH_push.quick.json under --quick). *)
 let bench_push () =
   section "push: discrete-event rolling deployment (js_sim)";
   let quick = !quick_mode in
@@ -874,13 +851,9 @@ let bench_push () =
       ()
   in
   let gate_loss =
-    gate "capacity_loss"
-      ~ratio:(Js_exp.Gate.threshold "JS_BENCH_PUSH_LOSS_RATIO" ~default:0.75)
-      (fun s -> s.Js_sim.Region.capacity_loss_integral)
+    gate "capacity_loss" ~ratio:0.75 (fun s -> s.Js_sim.Region.capacity_loss_integral)
   in
-  let gate_ttfc =
-    gate "ttfc" ~ratio:(Js_exp.Gate.threshold "JS_BENCH_PUSH_TTFC_RATIO" ~default:0.75) ttfc_or
-  in
+  let gate_ttfc = gate "ttfc" ~ratio:0.75 ttfc_or in
   let crit_loss = Js_exp.Gate.pass gate_loss in
   let crit_ttfc = Js_exp.Gate.pass gate_ttfc in
   let p99_push s = Js_util.Stats.Quantile.quantile s.Js_sim.Region.latency_push 0.99 in
@@ -1080,8 +1053,8 @@ let bench_scale () =
      bootstrap CI of the parallel run's relative wall change lies below
      -(1 - 1/gate).  The wall-clock gate needs real cores to be meaningful:
      it is enforced on the full-size run when the host offers at least
-     [domains] cores (override with JS_BENCH_PAR_GATE=force|skip); otherwise
-     the measurement is recorded but the gate reports itself as skipped.
+     [domains] cores; otherwise the measurement is recorded but the gate
+     reports itself as skipped.
      The digest-equality gates above/below are unconditional. *)
   let used_domains = max 1 (min domains n_regions) in
   let ideal_speedup =
@@ -1093,12 +1066,7 @@ let bench_scale () =
       ~min_effect:(1. -. (1. /. par_gate))
       ~baseline:epoch_walls ~candidate:par_walls ()
   in
-  let par_gate_enforced =
-    match Sys.getenv_opt "JS_BENCH_PAR_GATE" with
-    | Some "force" -> true
-    | Some "skip" -> false
-    | _ -> (not quick) && host_cores >= domains
-  in
+  let par_gate_enforced = (not quick) && host_cores >= domains in
   let crit_par_speedup =
     (not par_gate_enforced) || par_cmp.Js_exp.Gate.verdict = Js_exp.Gate.Improved
   in
@@ -1284,9 +1252,7 @@ let bench_churn () =
         let match_counters = Js_telemetry.counter tel "match.counters_transferred" in
         (* macro: measured transfer quality drives the warmup curve *)
         let q = SM.quality mstats in
-        let mpkg =
-          S.make_package cfg macro ~quality:q ~coverage_target:cfg.S.profile_request_target ()
-        in
+        let mpkg = S.make_package cfg macro ~quality:q () in
         let server = run_server ~discovery_seed:22 cfg macro (S.Consumer mpkg) ~until in
         let tts = time_to_steady server and loss = capacity_loss server in
         Printf.printf "%6.2f %9.3f %9.3f %9.3f %8b %9b %8.0f %8.1f %9d\n" rate
@@ -1430,9 +1396,8 @@ let bench_churn () =
    deterministic across a full matrix rerun, Jump-Start eliminates at
    least one pathological class (slowdown / no-steady-state) the baseline
    exhibits, and fleet mean time-to-steady improves with a CI clearing the
-   JS_BENCH_WARMUP_MIN_EFFECT band (verdict "improved", not merely
-   not-regressed).  Writes BENCH_warmup.json (BENCH_warmup.quick.json
-   under --quick). *)
+   5% band (verdict "improved", not merely not-regressed).  Writes
+   BENCH_warmup.json (BENCH_warmup.quick.json under --quick). *)
 let bench_warmup () =
   section "warmup: changepoint segmentation + warmup-taxonomy classification (js_exp)";
   let module H = Js_exp.Harness in
@@ -1565,8 +1530,7 @@ let bench_warmup () =
       seeds
   in
   let gate_tts =
-    G.compare_paired ~metric:"fleet_mean_time_to_steady"
-      ~min_effect:(G.threshold "JS_BENCH_WARMUP_MIN_EFFECT" ~default:0.05)
+    G.compare_paired ~metric:"fleet_mean_time_to_steady" ~min_effect:0.05
       ~baseline:(per_seed_mean_tts "nojs") ~candidate:(per_seed_mean_tts "js") ()
   in
   let crit_tts_win = gate_tts.G.verdict = G.Improved in

@@ -27,6 +27,8 @@ done
 dune exec bin/minihack_run.exe -- analyze --codegen tiny > /dev/null
 
 dune exec bench/main.exe -- fig4b
+# §IV-A: exits 1 when the seeder pipeline does not fit the ~30 min C2 phase
+dune exec bench/main.exe -- lifespan
 dune exec bench/main.exe -- perf --quick
 test -s BENCH_interp.quick.json
 # on the macro app the translated loop must match the reference loop on
@@ -101,6 +103,11 @@ grep -q '"classification_deterministic": true' BENCH_warmup.quick.json
 grep -q '"js_eliminates_pathology": true' BENCH_warmup.quick.json
 grep -q '"js_tts_ci_win": true' BENCH_warmup.quick.json
 grep -q '"verdict": "improved"' BENCH_warmup.quick.json
+# The full matrix drives the macro model through Region on its own server
+# config: a rerun must reproduce the committed BENCH_warmup.json.
+dune exec bench/main.exe -- warmup --out /tmp/bench_warmup.json
+cmp /tmp/bench_warmup.json BENCH_warmup.json
+rm -f /tmp/bench_warmup.json
 
 # Multi-region disaster smoke test: a 3-region global fleet loses one whole
 # region mid-push.  The loss must drain via generation bumps (zero crashes)
@@ -182,6 +189,11 @@ test -s BENCH_churn.quick.json
 grep -q '"churn0_digest_identical": true' BENCH_churn.quick.json
 grep -q '"smallest_churn_salvaged": true' BENCH_churn.quick.json
 grep -q '"salvage_beats_nojs_tts": true' BENCH_churn.quick.json
+# The full churn sweep's macro columns call Server.make_package and the
+# server model directly: a rerun must reproduce the committed BENCH_churn.json.
+dune exec bench/main.exe -- churn --out /tmp/bench_churn.json
+cmp /tmp/bench_churn.json BENCH_churn.json
+rm -f /tmp/bench_churn.json
 
 # Quick scale bench: a global fleet run on the barrier loop must match the
 # merged queue and the parallel run byte-for-byte, and arrival batching must

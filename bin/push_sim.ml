@@ -140,7 +140,7 @@ let report_classified cfg app ~seed ~n_seeds =
 
 let main servers buckets seeders warm_rps concurrency queue timeout utilization diurnal_amp
     diurnal_period policy no_jumpstart push_at drain_cap duration bad_rate thin_rate validation
-    verifier abort_window abort_threshold fetch_fail fetch_timeout fetch_latency stale_rate
+    abort_window abort_threshold fetch_fail fetch_timeout fetch_latency stale_rate
     cross_region regions region_phase push_stagger spillover spill_latency spill_threshold
     epoch mode domains no_batch lose_region lose_at partition_region partition_at
     partition_duration seeder_outage seed n_seeds classify show_digest telemetry_fmt =
@@ -166,7 +166,6 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       n_buckets = buckets;
       seeders_per_bucket = seeders;
       validation_catch_rate = validation;
-      verifier_catch_rate = verifier;
       server = server_cfg;
       dist
     }
@@ -316,10 +315,6 @@ let () =
   let validation =
     value & opt float 0.95 & info [ "validation" ] ~docv:"P" ~doc:"validation catch rate"
   in
-  let verifier =
-    value & opt float 0.
-    & info [ "verifier-catch-rate" ] ~docv:"P" ~doc:"static-verifier catch rate (0 = off)"
-  in
   let abort_window =
     value & opt float 60. & info [ "abort-window" ] ~docv:"SEC" ~doc:"crash-spike window"
   in
@@ -439,7 +434,7 @@ let () =
     Term.(
       const main $ servers $ buckets $ seeders $ warm_rps $ concurrency $ queue $ timeout
       $ utilization $ diurnal_amp $ diurnal_period $ policy_arg $ no_jumpstart $ push_at
-      $ drain_cap $ duration $ bad_rate $ thin_rate $ validation $ verifier $ abort_window
+      $ drain_cap $ duration $ bad_rate $ thin_rate $ validation $ abort_window
       $ abort_threshold $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region
       $ regions $ region_phase $ push_stagger $ spillover $ spill_latency $ spill_threshold
       $ epoch $ mode $ domains $ no_batch $ lose_region $ lose_at $ partition_region

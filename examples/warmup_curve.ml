@@ -20,7 +20,7 @@ let () =
   let cfg = S.default_config in
   let nojs = S.create ~discovery_seed:1 cfg app S.No_jumpstart in
   S.run nojs ~until:600. ~dt:1.;
-  let pkg = S.make_package cfg app ~coverage_target:cfg.S.profile_request_target () in
+  let pkg = S.make_package cfg app () in
   let js = S.create ~discovery_seed:2 cfg app (S.Consumer pkg) in
   S.run js ~until:600. ~dt:1.;
   Printf.printf "\npackage: %.0f MB optimized code for %d covered functions\n"

@@ -6,20 +6,13 @@ type config = {
   regions : int;
   network : DS.network;
   backoff : Backoff.config;
-  publish_latency_mean : float;
 }
 
-let default_config =
-  {
-    regions = 1;
-    network = DS.default_network;
-    backoff = Backoff.default;
-    publish_latency_mean = 0.;
-  }
+let default_config = { regions = 1; network = DS.default_network; backoff = Backoff.default }
 
 (* Whether the config alone wakes the ladder (see Dist_store's neutrality
    rule); disaster windows wake it too, per run. *)
-let active c = DS.network_active c.network || c.publish_latency_mean > 0. || c.regions > 1
+let active c = DS.network_active c.network || c.regions > 1
 
 type counters = DS.counters = {
   mutable attempts : int;
@@ -31,13 +24,9 @@ type counters = DS.counters = {
   mutable empty_probes : int;
 }
 
-(* One replica of a published package in one region, visible to fetches once
-   replication (publish latency) has completed. *)
-type replica = { pkg : Server.package; visible_from : float }
-
 type t = {
   cfg : config;
-  replicas : (int * int, replica list ref) Hashtbl.t;
+  replicas : (int * int, Server.package list ref) Hashtbl.t;
   (* One counter shard per fetcher home region.  [fetch ~region:home] only
      touches [shards.(home)], so when the parallel simulator runs each region
      on its own domain every shard has a single writer and the fold in
@@ -55,7 +44,7 @@ type t = {
 
 let create cfg =
   if cfg.regions < 1 then invalid_arg "Dist_net.create: regions < 1";
-  DS.validate cfg.network cfg.backoff ~publish_latency_mean:cfg.publish_latency_mean;
+  DS.validate cfg.network cfg.backoff;
   {
     cfg;
     replicas = Hashtbl.create 16;
@@ -111,23 +100,13 @@ let slot t ~region ~bucket =
     Hashtbl.add t.replicas (region, bucket) l;
     l
 
-(* Replicate into every region.  With publish latency, each region's copy
-   becomes visible after an independent exponential replication delay (the
-   home copy of a real store is near-instant; we keep the model uniform and
-   cheap).  The latency draw is guarded so the default config publishes
-   without consuming randomness. *)
-let publish t rng ~now ~bucket pkg =
+(* Replicate into every region, fetchable at once.  Replication into a down
+   region fails outright; its consumers must go cross-region. *)
+let publish t ~now ~bucket pkg =
   for region = 0 to t.cfg.regions - 1 do
-    (* Replication into a down region fails outright; its consumers must go
-       cross-region.  Skipping the latency draw too keeps reachability a pure
-       function of time. *)
     if not (region_down t ~region ~now) then begin
-      let visible_from =
-        if t.cfg.publish_latency_mean <= 0. then now
-        else now +. R.exponential rng ~mean:t.cfg.publish_latency_mean
-      in
       let l = slot t ~region ~bucket in
-      l := { pkg; visible_from } :: !l
+      l := pkg :: !l
     end
   done
 
@@ -142,22 +121,16 @@ let fetch ?telemetry t rng ~now ~region:home ~bucket =
   let reachable ~region ~at =
     not (region_down t ~region ~now:at || partitioned t ~region:home ~now:at)
   in
-  (* draw-identical to [Rng.pick rng (Array.of_list visible)] *)
-  let pick ~region ~at =
+  (* draw-identical to [Rng.pick rng (Array.of_list replicas)] *)
+  let pick ~region =
     match Hashtbl.find_opt t.replicas (region, bucket) with
-    | None -> None
-    | Some l -> (
-      match List.filter (fun r -> r.visible_from <= at) !l with
-      | [] -> None
-      | l -> Some (List.nth l (R.int rng (List.length l))).pkg)
+    | None | Some { contents = [] } -> None
+    | Some { contents = l } -> Some (List.nth l (R.int rng (List.length l)))
   in
   let delivery, delay =
     DS.ladder ?telemetry t.cfg.network t.cfg.backoff t.shards.(home) rng ~now ~home
       ~foreign:(List.filter (fun r -> r <> home) (List.init t.cfg.regions Fun.id))
       ~reachable:(if t.has_faults then Some reachable else None)
-        (* an empty replica set only fills up via publish latency; backing
-           off and retrying is the right move while the push propagates *)
-      ~retry_empty:(t.cfg.publish_latency_mean > 0.)
       ~pick
         (* a stale replica still holds the previous release's package; the
            consumer's fingerprint gate rejects it and the ladder retries *)

@@ -1,14 +1,12 @@
 (** Simulated package-delivery network for the fleet simulation.
 
     Per-(region, bucket) replica sets of {!Server.package}s between C2
-    seeders and C3 consumers, with publish (replication) latency and
-    disaster windows.  A fetch runs the one delivery ladder,
-    {!Jumpstart.Dist_store.ladder}, supplying the fleet's pick (a replica
-    visible at the attempt's time), reachability (the disaster windows), a
-    gate that retries on a stale replica, retries of empty probes while
-    publish latency lets a push propagate, and one counter shard per home
-    region.  An exhausted ladder is {!Unavailable}: the fleet degrades that
-    server to a no-Jump-Start boot.
+    seeders and C3 consumers, with disaster windows.  A fetch runs the one
+    delivery ladder, {!Jumpstart.Dist_store.ladder}, supplying the fleet's
+    pick (a uniform pick among the replicas), reachability (the disaster
+    windows), a gate that retries on a stale replica, and one counter shard
+    per home region.  An exhausted ladder is {!Unavailable}: the fleet
+    degrades that server to a no-Jump-Start boot.
 
     {b RNG neutrality}: with the {!default_config} (all rates and latencies
     zero, one region) and no disaster window, a fetch consumes exactly one
@@ -20,8 +18,6 @@ type config = {
           a fetch falls back to every foreign region in turn. *)
   network : Jumpstart.Dist_store.network;  (** the fault record *)
   backoff : Js_util.Backoff.config;  (** retry schedule per boot fetch *)
-  publish_latency_mean : float;
-      (** mean replication delay from publish to fetchability; 0 = instant *)
 }
 
 val default_config : config
@@ -44,7 +40,7 @@ type counters = Jumpstart.Dist_store.counters = {
   mutable stale_rejects : int;
   mutable cross_region_fetches : int;  (** subset of [attempts] *)
   mutable deliveries : int;
-  mutable empty_probes : int;  (** attempts that found no visible replica *)
+  mutable empty_probes : int;  (** attempts that found no replica *)
 }
 
 type t
@@ -77,16 +73,14 @@ val set_region_down : t -> region:int -> from_:float -> unit
     scenario. *)
 val set_region_partition : t -> region:int -> from_:float -> until:float -> unit
 
-(** [publish t rng ~now ~bucket pkg] replicates [pkg] into every region
-    whose store is reachable at [now];
-    with publish latency, each region's copy becomes fetchable after an
-    independent exponential delay (no randomness is consumed otherwise). *)
-val publish : t -> Js_util.Rng.t -> now:float -> bucket:int -> Server.package -> unit
+(** [publish t ~now ~bucket pkg] replicates [pkg] into every region whose
+    store is reachable at [now]; each copy is fetchable at once. *)
+val publish : t -> now:float -> bucket:int -> Server.package -> unit
 
 type outcome =
   | Delivered of Server.package * float  (** package + total fetch delay *)
   | Unavailable of float  (** ladder exhausted; seconds wasted waiting *)
-  | Not_found  (** no reachable region holds a visible replica *)
+  | Not_found  (** no reachable region holds a replica *)
 
 (** [fetch t rng ~now ~region ~bucket] — one consumer's package fetch at
     simulation time [now], bumping the [region] shard of the counters.

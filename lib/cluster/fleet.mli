@@ -22,13 +22,8 @@ type config = {
   server : Server.config;
   validation_catch_rate : float;
       (** probability seeder self-validation catches a bad package *)
-  verifier_catch_rate : float;
-      (** probability the static verifier's package consistency pass catches
-          a bad package, as an independent second gate (default 0.0 = off;
-          when off the seeding gates consume no extra randomness) *)
   max_boot_attempts : int;
   fallback_enabled : bool;
-  max_seeder_retries : int;
   dist : Dist_net.config;
       (** the package-delivery network between seeders and consumers; the
           default (inactive) config is draw-identical to a direct pick.
@@ -43,17 +38,14 @@ val default_config : config
 type seeding = {
   per_bucket : Server.package list array;
   published : int;
-  rejected : int;
-      (** caught by validation, the verifier, or the coverage gate *)
-  seed_verifier_rejects : int;
-      (** subset of [rejected] caught only by the static verifier *)
+  rejected : int;  (** caught by validation or the coverage gate *)
   bad_published : int;
 }
 
 (** [run_seeders config app rng ~bad_package_rate ~thin_profile_rate] runs
-    the C2 seeding phase: every seeder retries (up to [max_seeder_retries])
-    until it publishes a package that passes the coverage, validation and
-    verifier gates, drawing its faults and gate outcomes from [rng]. *)
+    the C2 seeding phase: every seeder retries (up to 4 times) until it
+    publishes a package that passes the coverage and validation gates,
+    drawing its faults and gate outcomes from [rng]. *)
 val run_seeders :
   config ->
   Workload.Macro_app.t ->

@@ -10,48 +10,45 @@ type package = {
   bad : bool;
 }
 
-type js_role = No_jumpstart | Seeder | Consumer of package
+type js_role = No_jumpstart | Consumer of package
 
 type config = {
-  cores : int;
-  clock_hz : float;
-  offered_rps : float;
-  utilization_target : float;
-  jit_threads : int;
   profile_request_target : int;
   init_seconds_sequential : float;
   init_seconds_parallel : float;
-  deserialize_bytes_per_sec : float;
-  relocation_bytes_per_sec : float;
-  unit_load_cycles_per_byte : float;
-  seeder_collect_seconds : float;
   crash_delay_seconds : float;
-  code_capacity_bytes : int;
-  cold_penalty : float;
   cold_decay_seconds : float;
   traffic_ramp_seconds : float;
 }
 
 let default_config =
   {
-    cores = 16;
-    clock_hz = Jit.Tiers.clock_hz;
-    offered_rps = 10_000.;
-    utilization_target = 0.8;
-    jit_threads = 6;
     profile_request_target = 1_800;
     init_seconds_sequential = 85.;
     init_seconds_parallel = 38.;
-    deserialize_bytes_per_sec = 25.0e6;
-    relocation_bytes_per_sec = 0.9e6;
-    unit_load_cycles_per_byte = 3.0;
-    seeder_collect_seconds = 300.;
     crash_delay_seconds = 120.;
-    code_capacity_bytes = 560 * 1024 * 1024;
-    cold_penalty = 0.30;
     cold_decay_seconds = 100.;
     traffic_ramp_seconds = 210.;
   }
+
+let steady_speedup = 1.054
+
+(* the machine every server runs on *)
+let cores = 16
+let offered_rps = 10_000.  (* hard cap on load directed at one server *)
+
+(* load balancers keep servers at this CPU share, so a server's RPS tracks
+   its current capacity during warmup (paper Fig. 2) *)
+let utilization_target = 0.8
+let jit_threads = 6  (* background optimized-compile threads *)
+let deserialize_bytes_per_sec = 25.0e6
+let relocation_bytes_per_sec = 0.9e6
+let unit_load_cycles_per_byte = 3.0
+let code_capacity_bytes = 560 * 1024 * 1024  (* JITing ceases beyond this (point "D") *)
+
+(* extra per-request cost factor while data caches / backend connections are
+   still cold, independent of the JIT; decays over [cold_decay_seconds] *)
+let cold_penalty = 0.30
 
 (* execution modes of a function on this server *)
 let m_undiscovered = 0
@@ -62,24 +59,16 @@ let m_live = 4
 let m_interp_only = 5
 let n_modes = 6
 
-type phase =
-  | Booting of float  (** serving starts at this time *)
-  | Serving
-  | Collecting of float  (** seeder instrumented run ends at this time *)
-  | Exited
-
 type t = {
   cfg : config;
   app : MA.t;
-  role : js_role;
   discovery : int array;
   disc_order : int array;
   mutable disc_ptr : int;
   mode : int array;
   cyc : float array;  (** cycles per bytecode instruction, per mode *)
   agg : float array;  (** per-mode sum of p_touch * weight (instrs/request) *)
-  mutable phase : phase;
-  serve_start : float;
+  serve_start : float;  (** serving starts at this time *)
   mutable time : float;
   mutable req_count_f : float;
   mutable req_count : int;
@@ -87,10 +76,8 @@ type t = {
   mutable opt_queue_cycles : float;
   mutable opt_total_bytes : float;
   mutable reloc_remaining : float;
-  mutable relocated : bool;
   mutable code_bytes : float;
   mutable jit_ceased : bool;
-  mutable seeder_pkg : package option;
   mutable last_rps : float;
   mutable last_latency : float;
   rps_series : Js_util.Stats.Series.t;
@@ -118,12 +105,12 @@ let compute_peak cfg (app : MA.t) role discovery cyc =
   let covered f =
     match role with
     | Consumer p -> p.covered.(f)
-    | No_jumpstart | Seeder -> false
+    | No_jumpstart -> false
   in
   let code = ref 0. in
   (match role with
   | Consumer p -> code := float_of_int p.opt_bytes
-  | No_jumpstart | Seeder -> ());
+  | No_jumpstart -> ());
   let total = ref 0. in
   Array.iter
     (fun f ->
@@ -134,18 +121,18 @@ let compute_peak cfg (app : MA.t) role discovery cyc =
         else if discovery.(f) > 100_000_000 then m_interp_only (* effectively never *)
         else begin
           match role with
-          | No_jumpstart | Seeder ->
+          | No_jumpstart ->
             if discovery.(f) <= cfg.profile_request_target then begin
               code := !code +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Optimized);
               m_optimized
             end
-            else if !code < float_of_int cfg.code_capacity_bytes then begin
+            else if !code < float_of_int code_capacity_bytes then begin
               code := !code +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Live);
               m_live
             end
             else m_interp_only
           | Consumer _ ->
-            if !code < float_of_int cfg.code_capacity_bytes then begin
+            if !code < float_of_int code_capacity_bytes then begin
               code := !code +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Live);
               m_live
             end
@@ -156,7 +143,7 @@ let compute_peak cfg (app : MA.t) role discovery cyc =
     order;
   !total
 
-let create ?(discovery_seed = 1234) ?(extra_boot_seconds = 0.) cfg app role =
+let create ?(discovery_seed = 1234) cfg app role =
   let rng = Js_util.Rng.create discovery_seed in
   let discovery = MA.sample_discovery app rng in
   let n = Array.length app.MA.funcs in
@@ -167,7 +154,7 @@ let create ?(discovery_seed = 1234) ?(extra_boot_seconds = 0.) cfg app role =
   | Consumer p ->
     let s = 1. +. ((p.steady_speedup -. 1.) *. p.quality) in
     cyc.(m_optimized) <- cyc.(m_optimized) /. s
-  | No_jumpstart | Seeder -> ());
+  | No_jumpstart -> ());
   let mode = Array.make n m_undiscovered in
   let agg = Array.make n_modes 0. in
   let code = ref 0. in
@@ -183,50 +170,39 @@ let create ?(discovery_seed = 1234) ?(extra_boot_seconds = 0.) cfg app role =
         else agg.(m_undiscovered) <- agg.(m_undiscovered) +. (mf.MA.p_touch *. mf.MA.weight))
       app.MA.funcs;
     code := float_of_int p.opt_bytes
-  | No_jumpstart | Seeder ->
+  | No_jumpstart ->
     Array.iter
       (fun (mf : MA.mfunc) ->
         agg.(m_undiscovered) <- agg.(m_undiscovered) +. (mf.MA.p_touch *. mf.MA.weight))
       app.MA.funcs);
   let serve_start =
-    (* extra_boot_seconds: time the boot spent outside this model, e.g.
-       waiting on the distribution network's fetch ladder (0 adds nothing
-       and keeps serve_start bit-identical) *)
-    extra_boot_seconds
-    +.
     match role with
-    | No_jumpstart | Seeder -> cfg.init_seconds_sequential
+    | No_jumpstart -> cfg.init_seconds_sequential
     | Consumer p ->
-      let deser = float_of_int p.package_bytes /. cfg.deserialize_bytes_per_sec in
-      let compile =
-        p.compile_cycles /. (float_of_int cfg.cores *. cfg.clock_hz)
-      in
+      let deser = float_of_int p.package_bytes /. deserialize_bytes_per_sec in
+      let compile = p.compile_cycles /. (float_of_int cores *. Jit.Tiers.clock_hz) in
       deser +. compile +. cfg.init_seconds_parallel
   in
   let peak_request_cycles = compute_peak cfg app role discovery cyc in
   {
     cfg;
     app;
-    role;
     discovery;
     disc_order;
     disc_ptr = 0;
     mode;
     cyc;
     agg;
-    phase = Booting serve_start;
     serve_start;
     time = 0.;
     req_count_f = 0.;
     req_count = 0;
-    window_open = (match role with Consumer _ -> false | No_jumpstart | Seeder -> true);
+    window_open = (match role with Consumer _ -> false | No_jumpstart -> true);
     opt_queue_cycles = 0.;
     opt_total_bytes = 0.;
     reloc_remaining = 0.;
-    relocated = false;
     code_bytes = !code;
     jit_ceased = false;
-    seeder_pkg = None;
     last_rps = 0.;
     last_latency = 0.;
     rps_series = Js_util.Stats.Series.create ();
@@ -247,10 +223,6 @@ let move_agg t f ~from ~into =
 let process_discoveries t =
   let overhead = ref 0. in
   let n = Array.length t.disc_order in
-  let instrumented = match t.role with Seeder -> true | No_jumpstart | Consumer _ -> false in
-  let prof_expansion =
-    Jit.Tiers.code_expansion Jit.Tiers.Profiling *. if instrumented then 1.03 else 1.0
-  in
   while
     t.disc_ptr < n
     && t.discovery.(t.disc_order.(t.disc_ptr)) <= t.req_count
@@ -260,16 +232,16 @@ let process_discoveries t =
     if t.mode.(f) = m_undiscovered then begin
       let mf = t.app.MA.funcs.(f) in
       let size = float_of_int mf.MA.size in
-      overhead := !overhead +. (size *. t.cfg.unit_load_cycles_per_byte);
+      overhead := !overhead +. (size *. unit_load_cycles_per_byte);
       if t.window_open then begin
         overhead := !overhead +. (size *. Jit.Tiers.compile_cycles_per_byte Jit.Tiers.Profiling);
-        t.code_bytes <- t.code_bytes +. (size *. prof_expansion);
+        t.code_bytes <- t.code_bytes +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Profiling);
         move_agg t f ~from:m_undiscovered ~into:m_profiling
       end
       else if
         (not t.jit_ceased)
         && t.code_bytes +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Live)
-           < float_of_int t.cfg.code_capacity_bytes
+           < float_of_int code_capacity_bytes
       then begin
         overhead := !overhead +. (size *. Jit.Tiers.compile_cycles_per_byte Jit.Tiers.Live);
         t.code_bytes <- t.code_bytes +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Live);
@@ -285,15 +257,13 @@ let process_discoveries t =
 
 let close_window t =
   t.window_open <- false;
-  let instrumented = match t.role with Seeder -> true | No_jumpstart | Consumer _ -> false in
-  let compile_scale = if instrumented then 1.05 else 1.0 in
   Array.iteri
     (fun f m ->
       if m = m_profiling then begin
         let size = float_of_int t.app.MA.funcs.(f).MA.size in
         t.opt_queue_cycles <-
           t.opt_queue_cycles
-          +. (size *. Jit.Tiers.compile_cycles_per_byte Jit.Tiers.Optimized *. compile_scale);
+          +. (size *. Jit.Tiers.compile_cycles_per_byte Jit.Tiers.Optimized);
         t.opt_total_bytes <-
           t.opt_total_bytes +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Optimized);
         move_agg t f ~from:m_profiling ~into:m_opt_pending
@@ -301,11 +271,7 @@ let close_window t =
     t.mode
 
 let activate_optimized t =
-  t.relocated <- true;
-  Array.iteri (fun f m -> if m = m_opt_pending then move_agg t f ~from:m_opt_pending ~into:m_optimized) t.mode;
-  match t.role with
-  | Seeder -> t.phase <- Collecting (t.time +. t.cfg.seeder_collect_seconds)
-  | No_jumpstart | Consumer _ -> ()
+  Array.iteri (fun f m -> if m = m_opt_pending then move_agg t f ~from:m_opt_pending ~into:m_optimized) t.mode
 
 let request_cycles t =
   let acc = ref 0. in
@@ -321,47 +287,21 @@ let record t ~rps ~latency =
   Js_util.Stats.Series.add t.latency_series ~time:t.time ~value:latency;
   Js_util.Stats.Series.add t.code_series ~time:t.time ~value:t.code_bytes
 
-let make_seeder_package t =
-  let n = Array.length t.app.MA.funcs in
-  let covered = Array.make n false in
-  let opt_bytes = ref 0. and compile = ref 0. in
-  Array.iteri
-    (fun f m ->
-      if m = m_optimized || m = m_opt_pending then begin
-        covered.(f) <- true;
-        let size = float_of_int t.app.MA.funcs.(f).MA.size in
-        opt_bytes := !opt_bytes +. (size *. Jit.Tiers.code_expansion Jit.Tiers.Optimized);
-        compile := !compile +. (size *. Jit.Tiers.compile_cycles_per_byte Jit.Tiers.Optimized)
-      end)
-    t.mode;
-  (* package size: a calibrated fraction of the profiled bytecode *)
-  let bytecode_covered = ref 0 in
-  Array.iteri (fun f c -> if c then bytecode_covered := !bytecode_covered + t.app.MA.funcs.(f).MA.size) covered;
-  {
-    covered;
-    opt_bytes = int_of_float !opt_bytes;
-    compile_cycles = !compile;
-    package_bytes = !bytecode_covered / 3;
-    steady_speedup = 1.054;
-    quality = 1.0;
-    bad = false;
-  }
-
 (* Residual warmup beyond the JIT: cold data caches, backend connections,
    per-request state (paper §VII-A's "warming up some HHVM extensions that
    talk to backend services").  Decays with serving time. *)
 let cold_factor t =
   let serving_seconds = Float.max 0. (t.time -. t.serve_start) in
-  1. +. (t.cfg.cold_penalty *. exp (-.serving_seconds /. t.cfg.cold_decay_seconds))
+  1. +. (cold_penalty *. exp (-.serving_seconds /. t.cfg.cold_decay_seconds))
 
 let serve t ~dt =
   let cfg = t.cfg in
-  let budget = ref (float_of_int cfg.cores *. cfg.clock_hz *. dt) in
+  let budget = ref (float_of_int cores *. Jit.Tiers.clock_hz *. dt) in
   (* background optimized compilation (A -> B) *)
   if t.opt_queue_cycles > 0. then begin
     let jit_budget =
       Float.min t.opt_queue_cycles
-        (float_of_int cfg.jit_threads /. float_of_int cfg.cores *. !budget)
+        (float_of_int jit_threads /. float_of_int cores *. !budget)
     in
     t.opt_queue_cycles <- t.opt_queue_cycles -. jit_budget;
     budget := !budget -. jit_budget;
@@ -369,20 +309,20 @@ let serve t ~dt =
   end
   else if t.reloc_remaining > 0. then begin
     (* relocation into the code cache (B -> C) *)
-    let moved = Float.min t.reloc_remaining (cfg.relocation_bytes_per_sec *. dt) in
+    let moved = Float.min t.reloc_remaining (relocation_bytes_per_sec *. dt) in
     t.reloc_remaining <- t.reloc_remaining -. moved;
     t.code_bytes <- t.code_bytes +. moved;
     if t.reloc_remaining <= 0. then activate_optimized t
   end;
   let req_cycles = request_cycles t *. cold_factor t in
   let est_requests =
-    Float.min (cfg.offered_rps *. dt) (cfg.utilization_target *. !budget /. req_cycles)
+    Float.min (offered_rps *. dt) (utilization_target *. !budget /. req_cycles)
   in
   (* expected discoveries for this tick's requests *)
   t.req_count <- int_of_float (t.req_count_f +. est_requests);
   let overhead = process_discoveries t in
   if t.window_open && t.req_count >= cfg.profile_request_target then close_window t;
-  let serve_budget = Float.max 0. ((cfg.utilization_target *. !budget) -. overhead) in
+  let serve_budget = Float.max 0. ((utilization_target *. !budget) -. overhead) in
   let req_cycles = request_cycles t *. cold_factor t in
   (* load-balancer slow start: traffic to a restarted server ramps up *)
   let ramp =
@@ -390,61 +330,42 @@ let serve t ~dt =
     else Float.min 1. ((t.time -. t.serve_start) /. cfg.traffic_ramp_seconds)
   in
   let requests =
-    Float.min (cfg.offered_rps *. dt) (ramp *. serve_budget /. req_cycles)
+    Float.min (offered_rps *. dt) (ramp *. serve_budget /. req_cycles)
   in
   t.req_count_f <- t.req_count_f +. requests;
   t.req_count <- int_of_float t.req_count_f;
   let latency =
-    (req_cycles +. (overhead /. Float.max 1. est_requests)) /. cfg.clock_hz
+    (req_cycles +. (overhead /. Float.max 1. est_requests)) /. Jit.Tiers.clock_hz
   in
-  record t ~rps:(requests /. dt) ~latency;
-  (* seeder lifecycle *)
-  match t.phase with
-  | Collecting done_at when t.time >= done_at ->
-    t.seeder_pkg <- Some (make_seeder_package t);
-    t.phase <- Exited
-  | Collecting _ | Serving | Booting _ | Exited -> ()
+  record t ~rps:(requests /. dt) ~latency
 
 let step t ~dt =
   t.time <- t.time +. dt;
-  match t.phase with
-  | Exited -> record t ~rps:0. ~latency:0.
-  | Booting start ->
-    if t.time >= start then begin
-      t.phase <- Serving;
-      serve t ~dt
-    end
-    else record t ~rps:0. ~latency:0.
-  | Serving | Collecting _ -> serve t ~dt
+  if t.time >= t.serve_start then serve t ~dt else record t ~rps:0. ~latency:0.
 
 let run t ~until ~dt =
   while t.time < until do
     step t ~dt
   done
 
-let time t = t.time
 let boot_seconds t = t.serve_start
 let requests_served t = t.req_count_f
-let serving t = match t.phase with Serving | Collecting _ -> true | Booting _ | Exited -> false
+let serving t = t.time >= t.serve_start
 let current_rps t = t.last_rps
 let current_latency t = t.last_latency
 let code_bytes t = int_of_float t.code_bytes
 
 let peak_rps t =
-  Float.min t.cfg.offered_rps
-    (t.cfg.utilization_target *. float_of_int t.cfg.cores *. t.cfg.clock_hz
-    /. t.peak_request_cycles)
+  Float.min offered_rps
+    (utilization_target *. float_of_int cores *. Jit.Tiers.clock_hz /. t.peak_request_cycles)
 
 let rps_series t = t.rps_series
 let latency_series t = t.latency_series
 let code_series t = t.code_series
-let seeder_package t = t.seeder_pkg
 
-let make_package cfg (app : MA.t) ?(quality = 1.0) ?(bad = false) ?(steady_speedup = 1.054)
-    ~coverage_target () =
-  ignore cfg;
+let make_package cfg (app : MA.t) ?(quality = 1.0) ?(bad = false) () =
   let n = Array.length app.MA.funcs in
-  let effective_target = float_of_int coverage_target *. quality in
+  let effective_target = float_of_int cfg.profile_request_target *. quality in
   let threshold = log 2. /. Float.max 1. effective_target in
   let covered = Array.map (fun (f : MA.mfunc) -> f.MA.p_touch >= threshold) app.MA.funcs in
   let opt_bytes = ref 0. and compile = ref 0. and bytecode = ref 0 in

@@ -1,7 +1,7 @@
 (** Macro model of one HHVM web server over its lifetime.
 
-    Simulates, in one-second ticks, the full warmup pipeline of paper §II-B
-    and Fig. 3 over a statistical application ({!Workload.Macro_app}):
+    Simulates, in one-second ticks, the warmup pipeline of paper §II-B and
+    Fig. 3 over a statistical application ({!Workload.Macro_app}):
 
     - {b no Jump-Start} (Fig. 3a): initialization with sequential warmup
       requests; request-driven discovery of functions (unit loading +
@@ -10,21 +10,24 @@
       compilation on background JIT threads into temporary buffers (A->B);
       relocation into the code cache (B->C); live translations for
       later-discovered code until the JIT ceases (D);
-    - {b seeder} (Fig. 3b): as above, but the optimized code carries
-      instrumentation; after a collection period the profile is serialized
-      and the server exits, yielding a {!package};
     - {b consumer} (Fig. 3c): deserialize, JIT all package-covered functions
       in parallel on all cores, run warmup requests in parallel, then serve
       with optimized code active from the first request.
 
+    A seeder (Fig. 3b) is a no-Jump-Start server that collects for a while
+    once its optimized code is live; the fleet builds its packages directly
+    ({!make_package}).
+
     Execution cost per request is the expectation over the function
     population of per-mode instruction costs ({!Jit.Tiers}), so a tick is
     O(transitions), not O(functions) — fleets of thousands of servers remain
-    cheap to simulate. *)
+    cheap to simulate.  The machine (16 cores at {!Jit.Tiers.clock_hz}, 6
+    JIT threads, an 80% utilization target, at most 10k offered rps, a
+    560 MB code cache, a 30% cold-cache penalty) is fixed; {!config} holds
+    what callers vary. *)
 
 type js_role =
   | No_jumpstart
-  | Seeder
   | Consumer of package
 
 (** What a seeder ships, at macro granularity. *)
@@ -33,7 +36,7 @@ and package = {
   opt_bytes : int;  (** optimized code size *)
   compile_cycles : float;  (** total tier-2 compile work *)
   package_bytes : int;
-  steady_speedup : float;  (** §V optimizations' effect, e.g. 1.054 *)
+  steady_speedup : float;  (** §V optimizations' effect: {!steady_speedup} *)
   quality : float;  (** <1 for thin profiles (drained seeder, §VI-B) *)
   bad : bool;
       (** an escaped JIT bug (§VI-A): {!Js_sim.Region} crashes its consumers;
@@ -41,27 +44,15 @@ and package = {
 }
 
 type config = {
-  cores : int;
-  clock_hz : float;
-  offered_rps : float;  (** hard cap on load directed at this server *)
-  utilization_target : float;
-      (** load balancers keep servers at this CPU share, so a server's RPS
-          tracks its current capacity during warmup (paper Fig. 2) *)
-  jit_threads : int;  (** background optimized-compile threads *)
   profile_request_target : int;  (** requests before the window closes *)
   init_seconds_sequential : float;  (** no-Jump-Start warmup requests *)
   init_seconds_parallel : float;  (** Jump-Start warmup requests *)
-  deserialize_bytes_per_sec : float;
-  relocation_bytes_per_sec : float;
-  unit_load_cycles_per_byte : float;
-  seeder_collect_seconds : float;  (** instrumented-run duration *)
   crash_delay_seconds : float;
       (** serving time until {!Js_sim.Region} crashes a bad package's consumer *)
-  code_capacity_bytes : int;  (** JITing ceases beyond this (point "D") *)
-  cold_penalty : float;
-      (** extra per-request cost factor while data caches / backend
-          connections are still cold, independent of the JIT *)
-  cold_decay_seconds : float;  (** decay time constant of [cold_penalty] *)
+  cold_decay_seconds : float;
+      (** decay time constant of the cold-cache penalty: extra per-request
+          cost while data caches and backend connections are still cold,
+          independent of the JIT *)
   traffic_ramp_seconds : float;
       (** load-balancer slow start: seconds over which routed traffic ramps
           back to full share after a restart *)
@@ -69,27 +60,21 @@ type config = {
 
 val default_config : config
 
+(** The §V optimizations' steady-state gain a package carries (1.054, the
+    paper's +5.4%). *)
+val steady_speedup : float
+
 type t
 
 (** [create ?discovery_seed config app role] — a freshly restarted server at
-    time 0.  [extra_boot_seconds] (default 0) is added to the boot span for
-    time spent outside this model, e.g. the distribution network's package
-    fetch ladder. *)
-val create :
-  ?discovery_seed:int ->
-  ?extra_boot_seconds:float ->
-  config ->
-  Workload.Macro_app.t ->
-  js_role ->
-  t
+    time 0. *)
+val create : ?discovery_seed:int -> config -> Workload.Macro_app.t -> js_role -> t
 
 (** [step t ~dt] advances the simulation. *)
 val step : t -> dt:float -> unit
 
 (** [run t ~until ~dt] steps until simulated [until] seconds. *)
 val run : t -> until:float -> dt:float -> unit
-
-val time : t -> float
 
 (** Time from restart until the server starts serving (the boot span). *)
 val boot_seconds : t -> float
@@ -120,17 +105,10 @@ val rps_series : t -> Js_util.Stats.Series.t
 val latency_series : t -> Js_util.Stats.Series.t
 val code_series : t -> Js_util.Stats.Series.t
 
-(** For a seeder that has finished collecting: its package. *)
-val seeder_package : t -> package option
-
-(** [make_package ...] — build a package directly (tests, fault
-    injection). *)
+(** [make_package config app ?quality ?bad ()] — a seeder's package: the
+    functions likely touched within [config.profile_request_target]
+    requests (scaled by [quality], default 1; a thin profile covers less),
+    carrying {!steady_speedup}.  [bad] (default false) marks an escaped JIT
+    bug. *)
 val make_package :
-  config ->
-  Workload.Macro_app.t ->
-  ?quality:float ->
-  ?bad:bool ->
-  ?steady_speedup:float ->
-  coverage_target:int ->
-  unit ->
-  package
+  config -> Workload.Macro_app.t -> ?quality:float -> ?bad:bool -> unit -> package

@@ -17,16 +17,15 @@ let network_active n =
 (* The fault record comes from outside input (CLI flags, bench configs).
    NaN fails every ordered comparison, so each check is written to be false
    for it. *)
-let validate net (b : Backoff.config) ~publish_latency_mean =
+let validate net (b : Backoff.config) =
   let check ok what = if not ok then invalid_arg ("Dist_store: " ^ what) in
   let rate (name, p) = check (p >= 0. && p <= 1.) (name ^ " must be in [0, 1]") in
   let time (name, x) = check (Float.is_finite x && x >= 0.) (name ^ " must be finite and >= 0") in
   List.iter rate [ ("fetch_fail_rate", net.fetch_fail_rate); ("stale_rate", net.stale_rate) ];
   List.iter time
     [ ("fetch_timeout", net.fetch_timeout); ("latency_mean", net.latency_mean);
-      ("publish_latency_mean", publish_latency_mean); ("backoff.base_delay", b.base_delay);
-      ("backoff.multiplier", b.multiplier); ("backoff.max_delay", b.max_delay);
-      ("backoff.jitter", b.jitter) ];
+      ("backoff.base_delay", b.base_delay); ("backoff.multiplier", b.multiplier);
+      ("backoff.max_delay", b.max_delay); ("backoff.jitter", b.jitter) ];
   check (b.max_attempts >= 1) "backoff.max_attempts must be >= 1"
 
 type counters = {
@@ -58,8 +57,7 @@ type ('p, 'r) delivery =
   | Gave_up of { failures : int; timeouts : int }
   | Absent
 
-let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~retry_empty ~pick
-    ~gate =
+let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~pick ~gate =
   let tel f =
     match telemetry with
     | Some s -> f s
@@ -74,8 +72,8 @@ let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~retry_em
      is one selection draw plus the gate.  No counters, no attempt count and
      no latency sample, so every seeded run without faults stays
      byte-identical to a direct pick. *)
-  if not (network_active net || foreign <> [] || retry_empty || Option.is_some reachable) then
-    match pick ~region:home ~at:now with
+  if not (network_active net || foreign <> [] || Option.is_some reachable) then
+    match pick ~region:home with
     | None -> (Absent, 0.)
     | Some p -> (
       match gate ~stale:false p with
@@ -106,7 +104,7 @@ let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~retry_em
           if cross then Js_telemetry.incr s "dist.cross_region");
       if cross then c.cross_region_fetches <- c.cross_region_fetches + 1;
       (* time already spent waiting in this ladder counts: a disaster window
-         may open or close, and a late replica may become visible *)
+         may open or close *)
       let at = now +. !delay in
       let unreachable =
         match reachable with
@@ -125,7 +123,7 @@ let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~retry_em
           `Retry
         end
         else
-          match pick ~region ~at with
+          match pick ~region with
           | None ->
             c.empty_probes <- c.empty_probes + 1;
             `Empty
@@ -156,8 +154,8 @@ let ladder ?telemetry net backoff c rng ~now ~home ~foreign ~reachable ~retry_em
       else
         match attempt ~region:home ~cross:false with
         | `Final d -> Some d
-        | `Empty when not retry_empty -> None (* a static replica set cannot fill up *)
-        | `Empty | `Retry ->
+        | `Empty -> None (* a replica set cannot fill up while a fetch waits *)
+        | `Retry ->
           if k + 1 < backoff.Backoff.max_attempts then
             delay := !delay +. Backoff.delay backoff rng ~attempt:k;
           home_attempts (k + 1)
@@ -194,7 +192,7 @@ type t = {
 
 let create ?(network = default_network) ?(backoff = Backoff.default) ?(ttl_seconds = 0.)
     ?(regions = [||]) ?repo store =
-  validate network backoff ~publish_latency_mean:0.;
+  validate network backoff;
   {
     store;
     net = network;
@@ -257,8 +255,8 @@ let fetch ?telemetry t rng ~now ~region:home ~bucket =
   let delivery, delay =
     ladder ?telemetry t.net t.backoff t.counters rng ~now ~home
       ~foreign:(List.filter (fun r -> r <> home) (Array.to_list t.regions))
-      ~reachable:None ~retry_empty:false
-      ~pick:(fun ~region ~at:_ -> Store.pick_random ?telemetry t.store rng ~region ~bucket)
+      ~reachable:None
+      ~pick:(fun ~region -> Store.pick_random ?telemetry t.store rng ~region ~bucket)
       ~gate:(fun ~stale (_, meta) -> gate t ~now ~stale meta)
   in
   Option.iter

@@ -15,8 +15,8 @@
     replica is stale.  [Cluster.Dist_net] runs it over the fleet's replicas.
 
     {b Neutrality}: the ladder runs only when something can fail, delay or
-    redirect a fetch — a positive rate, timeout or latency, publish latency,
-    a disaster window, or a foreign region.  Otherwise a fetch is one
+    redirect a fetch — a positive rate, timeout or latency, a disaster
+    window, or a foreign region.  Otherwise a fetch is one
     selection draw plus the gate, touching no {!counters} and recording
     neither [dist.fetch_attempts] nor [dist.fetch_seconds].
 
@@ -43,11 +43,10 @@ val default_network : network
 (** Does this network model any fault or latency at all? *)
 val network_active : network -> bool
 
-(** [validate network backoff ~publish_latency_mean] requires rates in
-    [\[0, 1\]], finite non-negative times and backoff fields, and
-    [backoff.max_attempts >= 1].  @raise Invalid_argument naming the first
-    bad field. *)
-val validate : network -> Js_util.Backoff.config -> publish_latency_mean:float -> unit
+(** [validate network backoff] requires rates in [\[0, 1\]], finite
+    non-negative times and backoff fields, and [backoff.max_attempts >= 1].
+    @raise Invalid_argument naming the first bad field. *)
+val validate : network -> Js_util.Backoff.config -> unit
 
 (** Ladder counters.  The invariant: [attempts = deliveries + failures +
     timeouts + stale_rejects + empty_probes]. *)
@@ -73,14 +72,14 @@ type ('p, 'r) delivery =
   | Gave_up of { failures : int; timeouts : int }  (** attempts exhausted *)
   | Absent  (** nothing was seen, failed or timed out *)
 
-(** [ladder net backoff counters rng ~now ~home ~foreign ~reachable
-    ~retry_empty ~pick ~gate] — one fetch, and the seconds it waited.  Each
-    attempt runs, in order: [reachable ~region ~at] (no draw; [None] means
-    always reachable), the failure draw, the latency draw and timeout
-    check, [pick ~region ~at], the stale draw, [gate ~stale].  [at] is [now]
-    plus the wait so far.  Up to [backoff.max_attempts] home attempts with
-    a backoff wait between them (an empty probe ends them unless
-    [retry_empty]), then one attempt per [foreign] region. *)
+(** [ladder net backoff counters rng ~now ~home ~foreign ~reachable ~pick
+    ~gate] — one fetch, and the seconds it waited.  Each attempt runs, in
+    order: [reachable ~region ~at] (no draw; [None] means always
+    reachable), the failure draw, the latency draw and timeout check,
+    [pick ~region], the stale draw, [gate ~stale].  [at] is [now] plus the
+    wait so far.  Up to [backoff.max_attempts] home attempts with a backoff
+    wait between them (an empty probe ends them), then one attempt per
+    [foreign] region. *)
 val ladder :
   ?telemetry:Js_telemetry.t ->
   network ->
@@ -91,8 +90,7 @@ val ladder :
   home:int ->
   foreign:int list ->
   reachable:(region:int -> at:float -> bool) option ->
-  retry_empty:bool ->
-  pick:(region:int -> at:float -> 'p option) ->
+  pick:(region:int -> 'p option) ->
   gate:(stale:bool -> 'p -> 'r verdict) ->
   ('p, 'r) delivery * float
 

@@ -194,8 +194,6 @@ let check_coverage t (options : Options.t) =
          options.Options.min_coverage_entries)
   else Ok ()
 
-let payload_size t = String.length (to_bytes t)
-
 let pp_meta fmt m =
   Format.fprintf fmt "package[region=%d bucket=%d seeder=%d funcs=%d entries=%d fp=%x t=%d]"
     m.region m.bucket m.seeder_id m.n_profiled_funcs m.total_entries

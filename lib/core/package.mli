@@ -61,5 +61,4 @@ val of_bytes_stale :
     functions and enough total requests behind them. *)
 val check_coverage : t -> Options.t -> (unit, string) result
 
-val payload_size : t -> int
 val pp_meta : Format.formatter -> meta -> unit

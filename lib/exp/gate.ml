@@ -1,13 +1,5 @@
 module Stats = Js_util.Stats
 
-let threshold name ~default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "Gate: %s must be a float, got %S" name s))
-
 type verdict = Improved | Indistinguishable | Regressed
 
 let verdict_to_string = function
@@ -26,17 +18,12 @@ type comparison = {
   verdict : verdict;
 }
 
-let compare_paired ?(replicates = 1000) ?(confidence = 0.95) ?min_effect
+let compare_paired ?(replicates = 1000) ?(confidence = 0.95) ?(min_effect = 0.01)
     ?(seed = 0xAB) ~metric ~baseline ~candidate () =
   let n = Array.length baseline in
   if n = 0 then invalid_arg "Gate.compare_paired: empty";
   if Array.length candidate <> n then
     invalid_arg "Gate.compare_paired: baseline/candidate length mismatch";
-  let min_effect =
-    match min_effect with
-    | Some e -> e
-    | None -> threshold "JS_BENCH_MIN_EFFECT" ~default:0.01
-  in
   if min_effect < 0. then invalid_arg "Gate.compare_paired: min_effect";
   (* Paired per-seed relative effects: positive means the candidate is
      larger.  For the lower-is-better metrics every gate uses (capacity

@@ -1,20 +1,14 @@
 (** Significance-gated bench criteria: paired same-seed A/B comparisons
-    with bootstrap confidence intervals and env-tunable thresholds, after
-    the hxhx bench-gate discipline (explicit pass rules, recorded baselines,
-    [JS_BENCH_*] overrides) — the antidote to asserting a point estimate
-    from one seed.
+    with bootstrap confidence intervals, after the hxhx bench-gate
+    discipline (explicit pass rules, recorded baselines) — the antidote to
+    asserting a point estimate from one seed.  Thresholds are constants at
+    each call site; no environment variable loosens a gate.
 
     A gate built on {!compare_paired} + {!pass} fails {e only on a
     statistically significant regression}: the whole effect CI must clear
     the practical-significance band.  Benches that claim a win instead
     require {!verdict} = [Improved] — the CI must clear the band on the
     other side. *)
-
-(** [threshold name ~default] reads a float threshold from the environment
-    variable [name] ([JS_BENCH_*] by convention), falling back to
-    [default].  @raise Invalid_argument if the variable is set but not a
-    float. *)
-val threshold : string -> default:float -> float
 
 type verdict =
   | Improved  (** CI entirely below [-min_effect]: significantly better *)
@@ -39,8 +33,7 @@ type comparison = {
 
 (** [compare_paired ~metric ~baseline ~candidate ()] — index [i] of both
     arrays must come from the {e same} replicate seed (pairing removes the
-    between-seed variance).  [min_effect] defaults to
-    [threshold "JS_BENCH_MIN_EFFECT" ~default:0.01] (1%); [replicates]
+    between-seed variance).  [min_effect] defaults to 0.01 (1%); [replicates]
     1000, [confidence] 0.95, bootstrap [seed] fixed — the comparison is
     deterministic.  A single pair degenerates to a point CI (its verdict is
     then just a thresholded point estimate).

@@ -30,8 +30,6 @@ let tag_to_string = function
   | TDict -> "dict"
   | TObj -> "object"
 
-let tag_count = 8
-
 let tag_index = function
   | TNull -> 0
   | TBool -> 1

@@ -23,9 +23,6 @@ type tag = TNull | TBool | TInt | TFloat | TStr | TVec | TDict | TObj
 val tag : t -> tag
 val tag_to_string : tag -> string
 
-(** Number of distinct tags (for counter arrays). *)
-val tag_count : int
-
 val tag_index : tag -> int
 
 (** Truthiness under minihack semantics: [Null], [false], [0], [0.], [""] and

@@ -103,4 +103,3 @@ let reset t =
   Hashtbl.reset t.by_fid
 
 let block_addr p block_id = p.offsets.(block_id)
-let entry_addr p = p.offsets.(p.vfunc.VF.entry)

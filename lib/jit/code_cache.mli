@@ -45,6 +45,3 @@ val reset : t -> unit
 
 (** [block_addr placed block_id] — absolute address of a block. *)
 val block_addr : placed -> int -> int
-
-(** Address of the translation entry block. *)
-val entry_addr : placed -> int

@@ -2,7 +2,7 @@ module C = Jit_profile.Counters
 module VF = Vasm.Vfunc
 
 type bb_layout = Exttsp | Source_order | Pettis_hansen
-type func_order = C3_tier2 | C3_tier1 | By_hotness | By_id
+type func_order = C3_tier2 | C3_tier1
 
 type config = {
   inline_params : Inliner.params;
@@ -89,7 +89,6 @@ let function_order counters config ~measured vfuncs =
     match (config.func_order, measured) with
     | C3_tier2, Some m -> Vasm_profile.call_graph m
     | C3_tier2, None | C3_tier1, _ -> C.call_graph counters
-    | (By_hotness | By_id), _ -> []
   in
   let arcs =
     Array.of_list
@@ -100,13 +99,7 @@ let function_order counters config ~measured vfuncs =
            | _, _ -> None)
          graph)
   in
-  let idx_order =
-    match config.func_order with
-    | C3_tier2 | C3_tier1 -> Layout.C3.order ~nodes ~arcs ()
-    | By_hotness -> Layout.Baselines.by_hotness ~nodes
-    | By_id -> Layout.Baselines.by_id ~nodes
-  in
-  Array.map (fun i -> fids.(i)) idx_order
+  Array.map (fun i -> fids.(i)) (Layout.C3.order ~nodes ~arcs ())
 
 let finish repo counters config ~measured ?order vfuncs =
   let order =

@@ -4,8 +4,8 @@
     Jump-Start seeder collected — this module plans inlining, lowers every
     hot function, lays out basic blocks (Ext-TSP with hot/cold splitting, or
     ablation baselines), sorts functions (C3 on the accurate tier-2 call
-    graph, or on the inaccurate tier-1 graph, or baselines) and places
-    everything in a code cache.
+    graph, or on the inaccurate tier-1 graph) and places everything in a
+    code cache.
 
     The three optimization toggles correspond one-to-one to the bars of
     paper Fig. 6 (property reordering lives in {!Mh_runtime.Class_layout}
@@ -16,8 +16,6 @@ type bb_layout = Exttsp | Source_order | Pettis_hansen
 type func_order =
   | C3_tier2  (** C3 on the measured translation-level call graph (§V-B) *)
   | C3_tier1  (** C3 on the tier-1 call graph (pre-Jump-Start behaviour) *)
-  | By_hotness
-  | By_id
 
 type config = {
   inline_params : Inliner.params;

@@ -1,13 +1,5 @@
 type mode = Interp | Live | Profiling | Optimized
 
-let all_modes = [ Interp; Live; Profiling; Optimized ]
-
-let mode_to_string = function
-  | Interp -> "interp"
-  | Live -> "live"
-  | Profiling -> "profiling"
-  | Optimized -> "optimized"
-
 let cycles_per_instr = function
   | Interp -> 42.
   | Live -> 11.
@@ -27,4 +19,3 @@ let compile_cycles_per_byte = function
   | Optimized -> 45_000.
 
 let clock_hz = 1.8e9
-let optimized_peak_fraction = 0.90

@@ -10,9 +10,6 @@
 
 type mode = Interp | Live | Profiling | Optimized
 
-val all_modes : mode list
-val mode_to_string : mode -> string
-
 (** Simulated CPU cycles to execute one bytecode instruction under a mode.
     The Interp/Optimized ratio (~10x) matches dynamic-language VM folklore
     and drives the warmup latency curves. *)
@@ -31,7 +28,3 @@ val compile_cycles_per_byte : mode -> float
 
 (** Simulated clock of the evaluation servers (1.8 GHz Xeon D-1581). *)
 val clock_hz : float
-
-(** Fraction of peak performance achieved when all optimized (but not yet
-    all live) code is in place — the paper's "about 90%" at point "C". *)
-val optimized_peak_fraction : float

@@ -30,7 +30,6 @@ let blocks t = t.blocks
 let arcs t = t.arcs
 let entry t = t.entry
 let n_blocks t = Array.length t.blocks
-let total_weight t = Array.fold_left (fun acc (b : block) -> acc +. b.weight) 0. t.blocks
 let succs t id = t.succ_index.(id)
 
 let pp fmt t =

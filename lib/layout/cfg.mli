@@ -29,9 +29,6 @@ val entry : t -> int
 
 val n_blocks : t -> int
 
-(** Total block weight. *)
-val total_weight : t -> float
-
 (** Successor arcs of a block, grouped once at creation. *)
 val succs : t -> int -> arc list
 

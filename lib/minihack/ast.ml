@@ -69,7 +69,3 @@ type class_decl = {
 
 type decl = DFunc of func_decl | DClass of class_decl
 type program = decl list
-
-let is_intrinsic = function
-  | "len" | "str" | "int" | "float" | "boolval" | "has" -> true
-  | _ -> false

@@ -80,7 +80,3 @@ type class_decl = {
 type decl = DFunc of func_decl | DClass of class_decl
 
 type program = decl list
-
-(** Intrinsic (builtin) function names recognized by the compiler:
-    [len], [str], [int], [float], [boolval], [has]. *)
-val is_intrinsic : string -> bool

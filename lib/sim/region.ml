@@ -461,7 +461,7 @@ let restart g reg srv ~push =
           Js_telemetry.incr t "sim.fallbacks";
           Js_telemetry.record t (Js_telemetry.Fallback { source; reason }))
     end
-  | Server.No_jumpstart | Server.Seeder -> ()
+  | Server.No_jumpstart -> ()
   | Server.Consumer _ ->
     if srv.attempts = 0 then begin
       reg.r_jump_started <- reg.r_jump_started + 1;
@@ -483,7 +483,7 @@ let restart g reg srv ~push =
     let crash_delay = boot +. g.cfg.fleet.Fleet.server.Server.crash_delay_seconds in
     Engine.after reg.eng ~delay:crash_delay
       (Ev_crash { r = reg.rix; six = srv.six; gen = srv.gen })
-  | Server.Consumer _ | Server.No_jumpstart | Server.Seeder -> ()
+  | Server.Consumer _ | Server.No_jumpstart -> ()
 
 let launch_restarts g reg =
   let continue = ref true in
@@ -551,7 +551,7 @@ let start_push g reg =
       g.seeding <- Some seeding;
       for bucket = 0 to g.cfg.fleet.Fleet.n_buckets - 1 do
         List.iter
-          (fun pkg -> Dist_net.publish g.net reg.rng_net ~now ~bucket pkg)
+          (fun pkg -> Dist_net.publish g.net ~now ~bucket pkg)
           seeding.Fleet.per_bucket.(bucket)
       done
     end;

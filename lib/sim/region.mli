@@ -15,8 +15,8 @@
     should be, and recovers faster when it boots as a Jump-Start consumer.
 
     At [push_at] the push orchestrator runs the C2 seeding gates
-    ({!Cluster.Fleet.run_seeders}: fault injection, validation, coverage and
-    verifier checks; or {!Cluster.Fleet.forced_seeding} under
+    ({!Cluster.Fleet.run_seeders}: fault injection, validation and coverage
+    checks; or {!Cluster.Fleet.forced_seeding} under
     [bad_per_bucket]), publishes the surviving packages through the
     distribution network ({!Cluster.Dist_net}), and rolls the fleet in
     batches of at most [drain_cap] concurrently drained servers.  Restarted

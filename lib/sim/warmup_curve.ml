@@ -72,7 +72,7 @@ let create_cache ?(horizon = 1800.) cfg app =
 
 let get cache role =
   match role with
-  | Server.No_jumpstart | Server.Seeder -> (
+  | Server.No_jumpstart -> (
     match cache.nojs with
     | Some c -> c
     | None ->

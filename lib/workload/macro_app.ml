@@ -62,7 +62,6 @@ let generate params =
   in
   { params; funcs }
 
-let expected_touched t = Array.fold_left (fun acc f -> acc +. f.p_touch) 0. t.funcs
 let total_size t = Array.fold_left (fun acc f -> acc + f.size) 0 t.funcs
 
 let sample_discovery t rng =

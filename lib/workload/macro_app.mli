@@ -46,9 +46,6 @@ type t = { params : params; funcs : mfunc array }
 
 val generate : params -> t
 
-(** Expected distinct functions touched per request (sum of probabilities). *)
-val expected_touched : t -> float
-
 (** Total bytecode bytes. *)
 val total_size : t -> int
 

@@ -251,16 +251,14 @@ let test_boot_dist_stale_burns_attempts () =
 let macro_app = lazy (Workload.Macro_app.generate Workload.Macro_app.default_params)
 
 let mk_server_pkg () =
-  let cfg = Cluster.Server.default_config in
-  Cluster.Server.make_package cfg (Lazy.force macro_app)
-    ~coverage_target:cfg.Cluster.Server.profile_request_target ()
+  Cluster.Server.make_package Cluster.Server.default_config (Lazy.force macro_app) ()
 
 let test_net_neutral_draw_identity () =
   let net = DN.create DN.default_config in
   Alcotest.(check bool) "default inactive" false (DN.active DN.default_config);
   let rng = R.create 6 in
   let p0 = mk_server_pkg () and p1 = mk_server_pkg () and p2 = mk_server_pkg () in
-  List.iter (fun p -> DN.publish net rng ~now:0. ~bucket:0 p) [ p0; p1; p2 ];
+  List.iter (fun p -> DN.publish net ~now:0. ~bucket:0 p) [ p0; p1; p2 ];
   (* publish prepends, so the replica order is newest-first *)
   let reference = [| p2; p1; p0 |] in
   let witness = R.copy rng in
@@ -283,7 +281,7 @@ let test_net_counters_invariant () =
   in
   let net = DN.create cfg in
   let rng = R.create 8 in
-  DN.publish net rng ~now:0. ~bucket:0 (mk_server_pkg ());
+  DN.publish net ~now:0. ~bucket:0 (mk_server_pkg ());
   for _ = 1 to 200 do
     ignore (DN.fetch net rng ~now:0. ~region:0 ~bucket:0)
   done;
@@ -292,25 +290,6 @@ let test_net_counters_invariant () =
   Alcotest.(check int) "attempts = deliveries + failures + timeouts + stale + empty"
     c.DN.attempts
     (c.DN.deliveries + c.DN.failures + c.DN.timeouts + c.DN.stale_rejects + c.DN.empty_probes)
-
-let test_net_publish_latency_backoff () =
-  (* replicas are invisible right after the push; the ladder's backoff waits
-     long enough for replication (mean 0.1 s) to complete *)
-  let cfg =
-    { DN.default_config with
-      DN.publish_latency_mean = 0.1;
-      backoff = { Js_util.Backoff.default with Js_util.Backoff.jitter = 0. }
-    }
-  in
-  let net = DN.create cfg in
-  let rng = R.create 3 in
-  DN.publish net rng ~now:0. ~bucket:0 (mk_server_pkg ());
-  match DN.fetch net rng ~now:0. ~region:0 ~bucket:0 with
-  | DN.Delivered (_, delay) ->
-    Alcotest.(check bool) "waited at least one backoff step" true (delay >= 0.5);
-    let c = DN.counters net in
-    Alcotest.(check bool) "first probe found nothing" true (c.DN.empty_probes >= 1)
-  | _ -> Alcotest.fail "expected Delivered after replication"
 
 let test_net_not_found () =
   let cfg =
@@ -325,19 +304,17 @@ let test_net_not_found () =
 (* --- the one ladder against the two it replaced --- *)
 
 (* Random inputs for both sides: the fault record, a backoff with or without
-   jitter, 1-3 regions, publish latency, disaster windows, the fingerprint
-   and TTL gates, what is published where and when, and a fetch sequence
-   over random home regions.  Every fetch comes after every publish, as in
-   the simulator: the fleet ladder's neutral path picked among all replicas
-   while the one ladder picks among those visible at the fetch, which only a
-   fetch from before the publish could tell apart.  Publish latency still
-   makes replicas visible after the fetches that look for them. *)
+   jitter, 1-3 regions, disaster windows, the fingerprint and TTL gates, what
+   is published where and when, and a fetch sequence over random home
+   regions.  Every fetch comes after every publish, as in the simulator: the
+   old fleet ladder picked among the replicas visible at the fetch, which
+   with no publish latency (the oracle's [publish_latency_mean = 0]) is every
+   replica published before it. *)
 type case = {
   seed : int;
   net : DS.network;
   backoff : Js_util.Backoff.config;
   n_regions : int;
-  publish_latency : float;
   down : (int * float) option;
   partition : (int * float * float) option;
   fingerprint_gate : bool;
@@ -363,7 +340,6 @@ let gen_case =
   let* jitter = secs 0.5 in
   let* n_regions = int_range 1 3 in
   let region = int_bound (n_regions - 1) and time = float_bound_inclusive 160. in
-  let* publish_latency = secs 3. in
   let* down = opt ~ratio:0.3 (pair region time) in
   let* partition =
     opt ~ratio:0.3 (triple region time (float_bound_inclusive 50.))
@@ -383,7 +359,6 @@ let gen_case =
       net;
       backoff = { Js_util.Backoff.max_attempts; base_delay; multiplier; max_delay; jitter };
       n_regions;
-      publish_latency;
       down;
       partition;
       fingerprint_gate;
@@ -395,11 +370,11 @@ let gen_case =
 let print_case c =
   Printf.sprintf
     "seed %d fail %g timeout %g latency %g stale %g attempts %d base %g mult %g max %g jitter %g \
-     regions %d publish %g down %s partition %s fingerprint %b ttl %g publishes %d fetches %d"
+     regions %d down %s partition %s fingerprint %b ttl %g publishes %d fetches %d"
     c.seed c.net.DS.fetch_fail_rate c.net.DS.fetch_timeout c.net.DS.latency_mean
     c.net.DS.stale_rate c.backoff.Js_util.Backoff.max_attempts c.backoff.Js_util.Backoff.base_delay
     c.backoff.Js_util.Backoff.multiplier c.backoff.Js_util.Backoff.max_delay
-    c.backoff.Js_util.Backoff.jitter c.n_regions c.publish_latency
+    c.backoff.Js_util.Backoff.jitter c.n_regions
     (match c.down with Some (r, t) -> Printf.sprintf "%d@%g" r t | None -> "-")
     (match c.partition with Some (r, a, b) -> Printf.sprintf "%d@[%g,%g)" r a b | None -> "-")
     c.fingerprint_gate c.ttl (List.length c.publishes) (List.length c.fetches)
@@ -491,14 +466,7 @@ let store_ladders_agree c =
 let server_pkgs = lazy (Array.init 3 (fun _ -> mk_server_pkg ()))
 
 let net_ladders_agree c =
-  let net =
-    DN.create
-      { DN.regions = c.n_regions;
-        network = c.net;
-        backoff = c.backoff;
-        publish_latency_mean = c.publish_latency
-      }
-  in
+  let net = DN.create { DN.regions = c.n_regions; network = c.net; backoff = c.backoff } in
   let old =
     Dist_ref.create_net
       { Dist_ref.regions = c.n_regions;
@@ -508,7 +476,7 @@ let net_ladders_agree c =
         stale_rate = c.net.DS.stale_rate;
         cross_region = c.n_regions > 1;
         backoff = c.backoff;
-        publish_latency_mean = c.publish_latency
+        publish_latency_mean = 0.
       }
   in
   Option.iter
@@ -526,7 +494,7 @@ let net_ladders_agree c =
   List.iteri
     (fun i (_, bucket, _, at) ->
       let pkg = pkgs.(i mod Array.length pkgs) and now = float_of_int at in
-      DN.publish net rng ~now ~bucket pkg;
+      DN.publish net ~now ~bucket pkg;
       Dist_ref.publish old old_rng ~now ~bucket pkg)
     c.publishes;
   List.for_all
@@ -566,7 +534,6 @@ let () =
       ( "dist_net",
         [ Alcotest.test_case "neutral draw identity" `Quick test_net_neutral_draw_identity;
           Alcotest.test_case "counters invariant" `Quick test_net_counters_invariant;
-          Alcotest.test_case "publish latency + backoff" `Quick test_net_publish_latency_backoff;
           Alcotest.test_case "not found" `Quick test_net_not_found
         ] );
       ("ladder", [ QCheck_alcotest.to_alcotest prop_one_ladder ])

@@ -169,13 +169,6 @@ let test_classify_rejects_empty () =
 
 (* --- gate --- *)
 
-let test_gate_threshold_env () =
-  let name = "JS_BENCH_TEST_THRESHOLD_XYZ" in
-  Unix.putenv name "0.25";
-  check_float "env read" 0.25 (G.threshold name ~default:0.1);
-  Unix.putenv name "";
-  ()
-
 let test_gate_verdicts () =
   let base = [| 100.; 110.; 90.; 105. |] in
   let better = Array.map (fun x -> 0.5 *. x) base in
@@ -293,8 +286,7 @@ let () =
           Alcotest.test_case "rejects empty" `Quick test_classify_rejects_empty
         ] );
       ( "gate",
-        [ Alcotest.test_case "env threshold" `Quick test_gate_threshold_env;
-          Alcotest.test_case "verdicts" `Quick test_gate_verdicts;
+        [ Alcotest.test_case "verdicts" `Quick test_gate_verdicts;
           Alcotest.test_case "pairing kills between-seed variance" `Quick
             test_gate_paired_removes_between_seed_variance;
           Alcotest.test_case "errors" `Quick test_gate_errors

@@ -399,7 +399,6 @@ let des_push_cfg ~fail10 ~stale10 ~cross ~policy ~jumpstart =
       Cluster.Server.profile_request_target = 400;
       init_seconds_sequential = 20.;
       init_seconds_parallel = 8.;
-      seeder_collect_seconds = 60.;
       traffic_ramp_seconds = 60.;
       cold_decay_seconds = 30.
     }

@@ -26,7 +26,6 @@ let small_cfg =
       S.profile_request_target = 400;
       init_seconds_sequential = 20.;
       init_seconds_parallel = 8.;
-      seeder_collect_seconds = 60.;
       traffic_ramp_seconds = 60.;
       cold_decay_seconds = 30.
     }
@@ -261,7 +260,7 @@ let test_balancer_policy_names_roundtrip () =
 let test_warmup_curve_shapes () =
   let app = Lazy.force small_app and cfg = Lazy.force small_cfg in
   let nojs = Warmup_curve.build ~horizon:1200. cfg app S.No_jumpstart in
-  let pkg = S.make_package cfg app ~coverage_target:cfg.S.profile_request_target () in
+  let pkg = S.make_package cfg app () in
   let consumer = Warmup_curve.build ~horizon:1200. cfg app (S.Consumer pkg) in
   (* cold servers are slower than warm ones, and the curve decays *)
   let cold = Warmup_curve.multiplier nojs ~served:0. in
@@ -289,7 +288,7 @@ let test_warmup_curve_cache_reuses () =
   let a = Warmup_curve.get cache S.No_jumpstart in
   let b = Warmup_curve.get cache S.No_jumpstart in
   Alcotest.(check bool) "no-js slot memoized" true (a == b);
-  let pkg = S.make_package cfg app ~coverage_target:cfg.S.profile_request_target () in
+  let pkg = S.make_package cfg app () in
   let c1 = Warmup_curve.get cache (S.Consumer pkg) in
   let c2 = Warmup_curve.get cache (S.Consumer pkg) in
   Alcotest.(check bool) "per-package slot memoized" true (c1 == c2);
