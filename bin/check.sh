@@ -166,16 +166,31 @@ if [ "$epoch_digest" != "$merged_digest" ]; then
 fi
 
 # A config the simulator rejects (a non-finite duration, no buckets, no
-# replicate seeds, no regions, a bad fault record) is a usage error: exit
-# status 2, never a hang, a silently fault-free run or an uncaught
-# exception.  The = form keeps cmdliner from reading -1 as an option.
+# replicate seeds, no regions, a bad fault record, a non-finite region
+# phase or arrival setting) is a usage error: exit status 2, never a hang,
+# a silently fault-free run or an uncaught exception.  The = form keeps
+# cmdliner from reading -1 as an option.
 for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
   "--classify --seeds 0" "--regions 0" "--fetch-fail-rate=nan" \
-  "--fetch-latency=-1" "--stale-rate=1.5" "--fetch-timeout=inf"; do
+  "--fetch-latency=-1" "--stale-rate=1.5" "--fetch-timeout=inf" \
+  "--regions 2 --epoch 15 --region-phase=inf" "--diurnal-amp nan" \
+  "--utilization inf"; do
   status=0
-  dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
+  timeout 60 dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
     echo "push_sim $args: exited $status, expected 2" >&2
+    exit 1
+  fi
+done
+# Extreme but finite diurnal settings must run to completion: a 1e-306 s
+# period, or a 1e308 s region phase, once overflowed the sinusoid's
+# argument and stalled the arrival process forever.
+for args in "--diurnal-period 1e-306" "--regions 2 --epoch 15 --region-phase 1e308"; do
+  status=0
+  timeout 60 dune exec bin/push_sim.exe -- --servers 8 --duration 200 --push-at 60 \
+    --diurnal-amp 0.5 $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "push_sim --diurnal-amp 0.5 $args: exited $status, expected 0" >&2
     exit 1
   fi
 done

@@ -29,69 +29,3 @@ let disabled = { default with enabled = false }
 
 let no_steady_state_opts =
   { default with bb_layout_opt = false; func_sort_opt = false; prop_reorder_opt = false }
-
-let to_string t =
-  String.concat "\n"
-    [ Printf.sprintf "jumpstart.enabled=%b" t.enabled;
-      Printf.sprintf "jumpstart.bb_layout_opt=%b" t.bb_layout_opt;
-      Printf.sprintf "jumpstart.func_sort_opt=%b" t.func_sort_opt;
-      Printf.sprintf "jumpstart.prop_reorder_opt=%b" t.prop_reorder_opt;
-      Printf.sprintf "jumpstart.validate_packages=%b" t.validate_packages;
-      Printf.sprintf "jumpstart.min_coverage_funcs=%d" t.min_coverage_funcs;
-      Printf.sprintf "jumpstart.min_coverage_entries=%d" t.min_coverage_entries;
-      Printf.sprintf "jumpstart.max_boot_attempts=%d" t.max_boot_attempts;
-      Printf.sprintf "jumpstart.salvage_stale=%b" t.salvage_stale;
-      Printf.sprintf "jumpstart.salvage_min_match=%g" t.salvage_min_match
-    ]
-
-let of_string s =
-  let parse_bool key v =
-    match bool_of_string_opt (String.trim v) with
-    | Some b -> Ok b
-    | None -> Error (Printf.sprintf "option %s: expected bool, got %S" key v)
-  in
-  let parse_int key v =
-    match int_of_string_opt (String.trim v) with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "option %s: expected int, got %S" key v)
-  in
-  let parse_float key v =
-    match float_of_string_opt (String.trim v) with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "option %s: expected float, got %S" key v)
-  in
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  in
-  List.fold_left
-    (fun acc line ->
-      Result.bind acc (fun t ->
-          match String.index_opt line '=' with
-          | None -> Error (Printf.sprintf "malformed option line %S" line)
-          | Some i -> (
-            let key = String.trim (String.sub line 0 i) in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            match key with
-            | "jumpstart.enabled" -> Result.map (fun b -> { t with enabled = b }) (parse_bool key v)
-            | "jumpstart.bb_layout_opt" ->
-              Result.map (fun b -> { t with bb_layout_opt = b }) (parse_bool key v)
-            | "jumpstart.func_sort_opt" ->
-              Result.map (fun b -> { t with func_sort_opt = b }) (parse_bool key v)
-            | "jumpstart.prop_reorder_opt" ->
-              Result.map (fun b -> { t with prop_reorder_opt = b }) (parse_bool key v)
-            | "jumpstart.validate_packages" ->
-              Result.map (fun b -> { t with validate_packages = b }) (parse_bool key v)
-            | "jumpstart.min_coverage_funcs" ->
-              Result.map (fun n -> { t with min_coverage_funcs = n }) (parse_int key v)
-            | "jumpstart.min_coverage_entries" ->
-              Result.map (fun n -> { t with min_coverage_entries = n }) (parse_int key v)
-            | "jumpstart.max_boot_attempts" ->
-              Result.map (fun n -> { t with max_boot_attempts = n }) (parse_int key v)
-            | "jumpstart.salvage_stale" ->
-              Result.map (fun b -> { t with salvage_stale = b }) (parse_bool key v)
-            | "jumpstart.salvage_min_match" ->
-              Result.map (fun f -> { t with salvage_min_match = f }) (parse_float key v)
-            | _ -> Error (Printf.sprintf "unknown option %S" key))))
-    (Ok default) lines

@@ -1,11 +1,9 @@
 (** Jump-Start runtime options.
 
-    HHVM exposes every Jump-Start behaviour through runtime options
-    overridable via configuration files (paper §III item 2, §VI); this
-    module mirrors that: a typed record plus a key=value textual form so
-    configurations can be expressed per machine group in the fleet
-    simulator, including the "simple configuration option to disable
-    Jump-Start ... as a last resort" (§VI). *)
+    HHVM exposes every Jump-Start behaviour through runtime options (paper
+    §III item 2, §VI); this module mirrors them as a typed record, including
+    the "simple configuration option to disable Jump-Start ... as a last
+    resort" (§VI). *)
 
 type t = {
   enabled : bool;  (** master switch *)
@@ -33,8 +31,3 @@ val disabled : t
 (** Jump-Start on but all three steady-state optimizations off — the
     baseline of paper Fig. 6. *)
 val no_steady_state_opts : t
-
-(** Textual round trip, ["key=value"] lines.  Unknown keys are rejected. *)
-val to_string : t -> string
-
-val of_string : string -> (t, string) result

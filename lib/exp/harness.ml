@@ -50,16 +50,14 @@ type run_result = {
   result : Classify.result;
 }
 
-let run ?(domains = 1) ?(bin = 5.) ?classify ~configs ~seeds () =
+let run ?(bin = 5.) ?classify ~configs ~seeds () =
   if Array.length seeds = 0 then invalid_arg "Harness.run: no seeds";
   if configs = [] then invalid_arg "Harness.run: no configs";
   let configs = Array.of_list configs in
   let nc = Array.length configs and ns = Array.length seeds in
-  let cells = Array.make (nc * ns) [] in
-  let work i =
-    let ci = i / ns and si = i mod ns in
-    let name, runner = configs.(ci) in
-    let seed = seeds.(si) in
+  let cell i =
+    let name, runner = configs.(i / ns) in
+    let seed = seeds.(i mod ns) in
     let servers = runner ~seed in
     let acc = ref [] in
     for sv = Array.length servers - 1 downto 0 do
@@ -70,24 +68,9 @@ let run ?(domains = 1) ?(bin = 5.) ?classify ~configs ~seeds () =
           { config = name; seed; server = sv; result = Classify.classify ?config:classify binned }
           :: !acc
     done;
-    cells.(i) <- !acc
+    !acc
   in
-  let total = nc * ns in
-  if domains <= 1 then
-    for i = 0 to total - 1 do
-      work i
-    done
-  else
-    (* Each cell is independent and deterministic, and cell i is written by
-       exactly one domain (round-robin), so the result — hence every digest
-       and artifact downstream — is identical for any domain count. *)
-    Js_util.Par.fork_join ~domains:(min domains total) (fun d ->
-        let i = ref d in
-        while !i < total do
-          work !i;
-          i := !i + domains
-        done);
-  List.concat (Array.to_list cells)
+  List.concat (List.init (nc * ns) cell)
 
 type summary = {
   s_config : string;
@@ -101,7 +84,7 @@ type summary = {
   steady_ci : float * float;
 }
 
-let summarize ?(ci_seed = 0x5eed) ?(replicates = 300) results =
+let summarize results =
   let order = ref [] in
   let by_config = Hashtbl.create 8 in
   List.iter
@@ -130,7 +113,7 @@ let summarize ?(ci_seed = 0x5eed) ?(replicates = 300) results =
       let steady = Array.of_list (List.map (fun r -> r.result.Classify.steady_mean) rs) in
       let dist xs =
         if Array.length xs = 0 then (-1., (-1., -1.))
-        else (Stats.mean xs, Stats.ci_bootstrap ~replicates ~seed:ci_seed xs Stats.mean)
+        else (Stats.mean xs, Stats.ci_bootstrap ~replicates:300 ~seed:0x5eed xs Stats.mean)
       in
       let tts_mean, tts_ci = dist tts in
       let steady_mean, steady_ci = dist steady in

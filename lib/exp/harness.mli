@@ -9,8 +9,7 @@
     config in the matrix runs the {e same} replicate seeds (which is what
     makes {!Gate.compare_paired} comparisons paired), simulator runs are
     deterministic, and bootstrap CIs draw from a fixed-seed stream — so a
-    whole-matrix rerun is byte-identical, including across [?domains]
-    counts. *)
+    whole-matrix rerun is byte-identical. *)
 
 (** [derive_seeds ~seed ~n] derives [n] replicate seeds from a root seed,
     one {!Js_util.Rng.split} per replicate (child stream's first 62 bits).
@@ -42,14 +41,12 @@ type run_result = {
 }
 
 (** [run ~configs ~seeds ()] executes the full matrix — every named config
-    runner on every seed — and classifies every server series ([bin]-second
-    windows, default 5; servers with no completions are dropped).  With
-    [domains > 1] the cells fan out across OCaml domains via
-    {!Js_util.Par.fork_join}; results are identical for any domain count.
-    Results are ordered config-major, seed-minor, server-ascending.
+    runner on every seed, one cell after another on the calling domain —
+    and classifies every server series ([bin]-second windows, default 5;
+    servers with no completions are dropped).  Results are ordered
+    config-major, seed-minor, server-ascending.
     @raise Invalid_argument on an empty matrix. *)
 val run :
-  ?domains:int ->
   ?bin:float ->
   ?classify:Classify.config ->
   configs:(string * (seed:int -> (float * float) array array)) list ->
@@ -76,7 +73,6 @@ type summary = {
   steady_ci : float * float;
 }
 
-(** [summarize results] groups by config (first-appearance order).
-    [ci_seed] (default [0x5eed]) seeds the bootstrap stream; [replicates]
-    defaults to 300. *)
-val summarize : ?ci_seed:int -> ?replicates:int -> run_result list -> summary list
+(** [summarize results] groups by config (first-appearance order).  Each
+    CI is a 300-replicate bootstrap drawn from the fixed seed [0x5eed]. *)
+val summarize : run_result list -> summary list

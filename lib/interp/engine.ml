@@ -73,21 +73,16 @@ type tinstr =
   | TRet
   (* superinstructions (L = LoadLoc, V = literal value, B = BinOp,
      S = StoreLoc, Z = JmpZ); each counts as the w source instructions it
-     replaces *)
-  | TLLB of int * int * I.binop  (* local op local; w = 3 *)
+     replaces.  A form is kept only while a measured input (the benchmark
+     apps, the perf macro mix, fib) executes it; DESIGN §3 has the counts. *)
   | TLVB of int * V.t * I.binop  (* local op lit;   w = 3 *)
-  | TVLB of V.t * int * I.binop  (* lit op local;   w = 3 *)
-  | TLLBS of int * int * I.binop * int  (* c := a op b;   w = 4 *)
   | TLVBS of int * V.t * I.binop * int  (* c := a op lit; w = 4 *)
-  | TVLBS of V.t * int * I.binop * int  (* c := lit op b; w = 4 *)
-  | TLLBZ of int * int * I.binop * int  (* if !(a op b) jmp; w = 4 *)
   | TLVBZ of int * V.t * I.binop * int  (* if !(a op lit) jmp; w = 4 *)
   | TLRet of int  (* return local; w = 2 *)
   (* wide forms, charged per component; G = GetProp, T = GetThis, R = Ret *)
   | TVB of V.t * I.binop  (* stacktop op lit; w = 2 *)
   | TBS of I.binop * int  (* stack binop, store; w = 2 *)
   | TBR of I.binop  (* stack binop, return; w = 2 *)
-  | TGTGP of I.nid  (* this->prop; w = 2 *)
   | TVBS of V.t * I.binop * int  (* c := stacktop op lit; w = 3 *)
   | TVBZ of V.t * I.binop * int  (* if !(stacktop op lit) jmp; w = 3 *)
   | TLVBR of int * V.t * I.binop  (* return (a op lit); w = 4 *)
@@ -271,14 +266,8 @@ let translate t fid =
     in
     let fuse4 i =
       match (body.(i), body.(i + 1), body.(i + 2), body.(i + 3)) with
-      | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.StoreLoc c when loc a && loc b && loc c ->
-        Some (TLLBS (a, b, op, c))
       | I.LoadLoc a, l2, I.BinOp op, I.StoreLoc c when loc a && loc c && lit l2 <> None ->
         Some (TLVBS (a, Option.get (lit l2), op, c))
-      | l1, I.LoadLoc b, I.BinOp op, I.StoreLoc c when loc b && loc c && lit l1 <> None ->
-        Some (TVLBS (Option.get (lit l1), b, op, c))
-      | I.LoadLoc a, I.LoadLoc b, I.BinOp op, I.JmpZ target when loc a && loc b ->
-        Some (TLLBZ (a, b, op, target))
       | I.LoadLoc a, l2, I.BinOp op, I.JmpZ target when loc a && lit l2 <> None ->
         Some (TLVBZ (a, Option.get (lit l2), op, target))
       | I.LoadLoc a, l2, I.BinOp op, I.Ret when loc a && lit l2 <> None ->
@@ -287,11 +276,8 @@ let translate t fid =
     in
     let fuse3 i =
       match (body.(i), body.(i + 1), body.(i + 2)) with
-      | I.LoadLoc a, I.LoadLoc b, I.BinOp op when loc a && loc b -> Some (TLLB (a, b, op))
       | I.LoadLoc a, l2, I.BinOp op when loc a && lit l2 <> None ->
         Some (TLVB (a, Option.get (lit l2), op))
-      | l1, I.LoadLoc b, I.BinOp op when loc b && lit l1 <> None ->
-        Some (TVLB (Option.get (lit l1), b, op))
       | l1, I.BinOp op, I.StoreLoc d when loc d && lit l1 <> None ->
         Some (TVBS (Option.get (lit l1), op, d))
       | l1, I.BinOp op, I.JmpZ target when lit l1 <> None ->
@@ -301,7 +287,6 @@ let translate t fid =
     let fuse2 i =
       match (body.(i), body.(i + 1)) with
       | I.LoadLoc a, I.Ret when loc a -> Some (TLRet a)
-      | I.GetThis, I.GetProp p -> Some (TGTGP p)
       | l1, I.BinOp op when lit l1 <> None -> Some (TVB (Option.get (lit l1), op))
       | I.BinOp op, I.StoreLoc d when loc d -> Some (TBS (op, d))
       | I.BinOp op, I.Ret -> Some (TBR op)
@@ -1112,17 +1097,6 @@ let rec exec_fast t fid ~this args =
             the remaining fuel covers (running any binop that would have
             executed — and possibly raised — before the fuel ran out) and
             reports exhaustion, matching the uncached loop step for step. *)
-         | TLLB (a, b, op) ->
-           if !rem < 2 then begin
-             acc := !acc + !rem;
-             rem := 0;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 2;
-           acc := !acc + 2;
-           pc := i + 3;
-           push st (binop_fast op locals.(a) locals.(b))
          | TLVB (a, v, op) ->
            if !rem < 2 then begin
              acc := !acc + !rem;
@@ -1134,43 +1108,6 @@ let rec exec_fast t fid ~this args =
            acc := !acc + 2;
            pc := i + 3;
            push st (binop_fast op locals.(a) v)
-         | TVLB (v, b, op) ->
-           if !rem < 2 then begin
-             acc := !acc + !rem;
-             rem := 0;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 2;
-           acc := !acc + 2;
-           pc := i + 3;
-           push st (binop_fast op v locals.(b))
-         | TLLBS (a, b, op, c) ->
-           if !rem < 3 then begin
-             if !rem = 2 then begin
-               acc := !acc + 2;
-               rem := 0;
-               ignore (binop_fast op locals.(a) locals.(b))
-             end
-             else begin
-               acc := !acc + !rem;
-               rem := 0
-             end;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 3;
-           acc := !acc + 3;
-           pc := i + 4;
-           let r =
-             try binop_fast op locals.(a) locals.(b)
-             with e ->
-               (* the store after the raising binop never executed *)
-               acc := !acc - 1;
-               rem := !rem + 1;
-               raise e
-           in
-           locals.(c) <- r
          | TLVBS (a, v, op, c) ->
            if !rem < 3 then begin
              if !rem = 2 then begin
@@ -1191,66 +1128,12 @@ let rec exec_fast t fid ~this args =
            let r =
              try binop_fast op locals.(a) v
              with e ->
+               (* the store after the raising binop never executed *)
                acc := !acc - 1;
                rem := !rem + 1;
                raise e
            in
            locals.(c) <- r
-         | TVLBS (v, b, op, c) ->
-           if !rem < 3 then begin
-             if !rem = 2 then begin
-               acc := !acc + 2;
-               rem := 0;
-               ignore (binop_fast op v locals.(b))
-             end
-             else begin
-               acc := !acc + !rem;
-               rem := 0
-             end;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 3;
-           acc := !acc + 3;
-           pc := i + 4;
-           let r =
-             try binop_fast op v locals.(b)
-             with e ->
-               acc := !acc - 1;
-               rem := !rem + 1;
-               raise e
-           in
-           locals.(c) <- r
-         | TLLBZ (a, b, op, target) ->
-           if !rem < 3 then begin
-             if !rem = 2 then begin
-               acc := !acc + 2;
-               rem := 0;
-               ignore (binop_fast op locals.(a) locals.(b))
-             end
-             else begin
-               acc := !acc + !rem;
-               rem := 0
-             end;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 3;
-           acc := !acc + 3;
-           pc := i + 4;
-           let r =
-             try binop_fast op locals.(a) locals.(b)
-             with e ->
-               acc := !acc - 1;
-               rem := !rem + 1;
-               raise e
-           in
-           if not (V.truthy r) then begin
-             pc := target;
-             (* the JmpZ lives at i + 3 *)
-             if target < i + 3 then refire := true;
-             br := true
-           end
          | TLVBZ (a, v, op, target) ->
            if !rem < 3 then begin
              if !rem = 2 then begin
@@ -1277,6 +1160,7 @@ let rec exec_fast t fid ~this args =
            in
            if not (V.truthy r) then begin
              pc := target;
+             (* the JmpZ lives at i + 3 *)
              if target < i + 3 then refire := true;
              br := true
            end
@@ -1313,13 +1197,6 @@ let rec exec_fast t fid ~this args =
            charge1 ();
            result := r;
            running := false
-         | TGTGP nid -> (
-           match this with
-           | None -> error "$this used outside of a method call"
-           | Some handle ->
-             charge1 ();
-             pc := i + 2;
-             push st (getprop_obj handle (i + 1) nid))
          | TVBS (v, op, d) ->
            charge1 ();
            let a = pop st in

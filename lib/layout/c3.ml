@@ -11,7 +11,7 @@ type cluster = {
   mutable alive : bool;
 }
 
-let order ~nodes ~arcs ?(max_cluster_size = 2 * 1024 * 1024) ?(min_arc_ratio = 0.005) () =
+let order ~nodes ~arcs ?(max_cluster_size = 2 * 1024 * 1024) () =
   let n = Array.length nodes in
   Array.iteri (fun i nd -> if nd.id <> i then invalid_arg "C3.order: nodes must be indexed by id") nodes;
   let clusters =
@@ -41,7 +41,7 @@ let order ~nodes ~arcs ?(max_cluster_size = 2 * 1024 * 1024) ?(min_arc_ratio = 0
       | None -> ()
       | Some a ->
         let cu = clusters.(cluster_of.(a.caller)) and cv = clusters.(cluster_of.(callee)) in
-        let cold_arc = a.weight < min_arc_ratio *. nodes.(callee).samples in
+        let cold_arc = a.weight < 0.005 *. nodes.(callee).samples in
         if cu.repr <> cv.repr && (not cold_arc) && cu.csize + cv.csize <= max_cluster_size then begin
           (* append callee's cluster after caller's *)
           cu.members <- cv.members @ cu.members;

@@ -24,15 +24,14 @@ type call_arc = {
     cluster is appended to the cluster of its most likely caller (the
     predecessor with the highest incoming arc weight), unless the combined
     size exceeds [max_cluster_size] (default 2 MiB ~ a huge page) or the arc
-    is colder than [min_arc_ratio] of the callee's samples; finally clusters
-    are emitted by decreasing density.
+    carries less than 0.5 % of the callee's samples; finally clusters are
+    emitted by decreasing density.
 
     @raise Invalid_argument if node ids are not [0..n-1] exactly. *)
 val order :
   nodes:node array ->
   arcs:call_arc array ->
   ?max_cluster_size:int ->
-  ?min_arc_ratio:float ->
   unit ->
   int array
 

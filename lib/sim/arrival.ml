@@ -10,18 +10,25 @@ type config = {
 let default_config =
   { base_rps = 100.; diurnal_amplitude = 0.; diurnal_period = 86_400.; phase = 0. }
 
+(* A NaN fails every comparison, so each check is written to reject it:
+   a NaN or infinite rate would stall [next]'s thinning loop. *)
 let validate c =
-  if c.base_rps <= 0. then invalid_arg "Arrival: base_rps must be positive";
-  if c.diurnal_amplitude < 0. || c.diurnal_amplitude >= 1. then
+  if not (c.base_rps > 0.) then invalid_arg "Arrival: base_rps must be positive";
+  if c.base_rps = Float.infinity then invalid_arg "Arrival: base_rps must be finite";
+  if not (c.diurnal_amplitude >= 0. && c.diurnal_amplitude < 1.) then
     invalid_arg "Arrival: diurnal_amplitude must be in [0, 1)";
-  if c.diurnal_period <= 0. then invalid_arg "Arrival: diurnal_period must be positive";
-  if Float.is_nan c.phase then invalid_arg "Arrival: phase must not be NaN"
+  if not (Float.is_finite c.diurnal_period && c.diurnal_period > 0.) then
+    invalid_arg "Arrival: diurnal_period must be positive and finite";
+  if not (Float.is_finite c.phase) then invalid_arg "Arrival: phase must be finite"
 
+(* [t] and [phase] are each reduced to one period before scaling, so the
+   sinusoid's argument stays in (-4 pi, 4 pi) for every finite input;
+   [2 pi (t + phase) / period] overflows to infinity (and the rate to NaN)
+   for a phase near [max_float] or a period near the subnormals. *)
 let rate_at c t =
-  c.base_rps
-  *. (1.
-     +. (c.diurnal_amplitude *. sin (2. *. Float.pi *. (t +. c.phase) /. c.diurnal_period))
-     )
+  let p = c.diurnal_period in
+  let cycles = (Float.rem t p /. p) +. (Float.rem c.phase p /. p) in
+  c.base_rps *. (1. +. (c.diurnal_amplitude *. sin (2. *. Float.pi *. cycles)))
 
 let peak_rate c = c.base_rps *. (1. +. c.diurnal_amplitude)
 

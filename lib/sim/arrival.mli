@@ -2,7 +2,8 @@
 
     Arrivals are generated by thinning a homogeneous Poisson process at the
     peak rate, so the instantaneous rate follows
-    [base_rps * (1 + amplitude * sin (2*pi*t / period))] exactly.  Open-loop:
+    [base_rps * (1 + amplitude * sin (2*pi*(t + phase) / period))] exactly,
+    with [t + phase] reduced modulo the period.  Open-loop:
     the offered load does not react to server state, which is what makes
     capacity loss during a push visible as shed requests and latency
     (paper Fig. 1's area-above-the-curve). *)
@@ -29,8 +30,8 @@ val peak_rate : config -> float
 type t
 
 (** [create config rng] splits a private stream off [rng].
-    @raise Invalid_argument on non-positive rate/period or amplitude outside
-    [\[0, 1)]. *)
+    @raise Invalid_argument on a non-positive or non-finite rate or period,
+    a non-finite phase, or an amplitude outside [\[0, 1)]. *)
 val create : config -> Js_util.Rng.t -> t
 
 (** [next t ~after] samples the next arrival time strictly after [after]. *)

@@ -264,8 +264,8 @@ let validate_global gc =
   if gc.n_regions < 1 then invalid_arg "Region: n_regions must be >= 1";
   if gc.epoch <= 0. || Float.is_nan gc.epoch then
     invalid_arg "Region: epoch must be positive";
-  if gc.region_phase < 0. || Float.is_nan gc.region_phase then
-    invalid_arg "Region: region_phase must be >= 0";
+  if not (Float.is_finite gc.region_phase && gc.region_phase >= 0.) then
+    invalid_arg "Region: region_phase must be finite and >= 0";
   if gc.push_stagger < 0. || Float.is_nan gc.push_stagger then
     invalid_arg "Region: push_stagger must be >= 0";
   if gc.spill_threshold <= 0. || gc.spill_threshold > 1. then

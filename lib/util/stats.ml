@@ -28,18 +28,6 @@ let percentile xs p =
 
 let median xs = percentile xs 50.
 
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.geomean: empty";
-  let acc =
-    Array.fold_left
-      (fun acc x ->
-        if x <= 0. then invalid_arg "Stats.geomean: non-positive value";
-        acc +. log x)
-      0. xs
-  in
-  exp (acc /. float_of_int n)
-
 (* Percentile-bootstrap confidence interval of an arbitrary statistic:
    resample [xs] with replacement [replicates] times, evaluate [stat] on each
    resample, and return the (alpha/2, 1 - alpha/2) percentiles of the
@@ -237,11 +225,6 @@ module Quantile = struct
   let p50 t = quantile t 0.50
   let p95 t = quantile t 0.95
   let p99 t = quantile t 0.99
-
-  let of_series s =
-    let t = create () in
-    Array.iter (fun (_, v) -> add t (Float.max 0. v)) (Series.to_array s);
-    t
 end
 
 module Histogram = struct

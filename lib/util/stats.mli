@@ -20,9 +20,6 @@ val percentile : float array -> float -> float
 (** [median xs] is [percentile xs 50.]. *)
 val median : float array -> float
 
-(** [geomean xs] is the geometric mean (all values must be positive). *)
-val geomean : float array -> float
-
 (** [ci_bootstrap ?replicates ?confidence ~seed xs stat] is a percentile
     bootstrap confidence interval [(lo, hi)] for [stat] over [xs]: resample
     [xs] with replacement [replicates] times (default 1000), evaluate [stat]
@@ -109,10 +106,6 @@ module Quantile : sig
   val p50 : t -> float
   val p95 : t -> float
   val p99 : t -> float
-
-  (** Sketch of a series' values (times ignored; negatives clamped to 0),
-      for summarizing e.g. a fleet-RPS curve. *)
-  val of_series : Series.t -> t
 end
 
 (** Fixed-width histogram over [\[lo, hi)]. *)

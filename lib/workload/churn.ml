@@ -293,10 +293,3 @@ let generate config (spec : App_spec.t) =
   let program, hot = Codegen.build_ast spec in
   let program, stats = churn_ast config program in
   (Codegen.app_of_program spec ~hot program, stats)
-
-let pp_stats fmt st =
-  Format.fprintf fmt
-    "churn[touched %d/%d (edit %d, rename %d, remove %d, clone %d) retarget %d, thresholds %d, \
-     props %b, workers %b, distance %.3f]"
-    st.decls_touched st.decls_total st.edits st.renames st.removals st.clones st.retargets
-    st.threshold_tweaks st.props_rotated st.workers_rotated st.edit_distance

@@ -45,5 +45,3 @@ val churn_ast : config -> Minihack.Ast.program -> Minihack.Ast.program * stats
     @raise Failure if the mutated program fails repo validation (a churn
     bug, not an input condition). *)
 val generate : config -> App_spec.t -> Codegen.app * stats
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -259,12 +259,6 @@ let test_harness_matrix_and_summary () =
   let lo, hi = cold.H.tts_ci in
   Alcotest.(check bool) "tts CI brackets mean" true (lo <= cold.H.tts_mean && cold.H.tts_mean <= hi)
 
-let test_harness_domains_identical () =
-  let seeds = H.derive_seeds ~seed:9 ~n:4 in
-  let r1 = H.run ~domains:1 ~bin:1. ~configs:synthetic_configs ~seeds () in
-  let r3 = H.run ~domains:3 ~bin:1. ~configs:synthetic_configs ~seeds () in
-  Alcotest.(check bool) "any domain count, same results" true (r1 = r3)
-
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "exp"
@@ -294,7 +288,6 @@ let () =
       ( "harness",
         [ Alcotest.test_case "derive_seeds" `Quick test_derive_seeds;
           Alcotest.test_case "bin_series" `Quick test_bin_series;
-          Alcotest.test_case "matrix + summary" `Quick test_harness_matrix_and_summary;
-          Alcotest.test_case "domain-count invariant" `Quick test_harness_domains_identical
+          Alcotest.test_case "matrix + summary" `Quick test_harness_matrix_and_summary
         ] )
     ]

@@ -286,8 +286,8 @@ let test_undefined_method_after_cache_install () =
       function main() { $a = new A(); go($a); go($a); $b = new B(); return go($b); }|}
 
 (* Exercises the narrow and wide superinstruction patterns (including the
-   property-reading and return-fusing ones), a constant branch with a dead
-   else arm, dead stores and a cast. *)
+   return-fusing ones; [return $this->x] has no fused form and runs 1:1), a
+   constant branch with a dead else arm, dead stores and a cast. *)
 let typed_src =
   {|class A { prop $x = 2; method get() { return $this->x; } }
     function tag($n) { return boolval($n < 5); }
@@ -301,6 +301,24 @@ let typed_src =
       for ($i = 0; $i < 6; $i = $i + 1) { $s = $s + $a->get() + $k; }
       if (tag($s)) { $s = $s + 1; }
       return $s;
+    }|}
+
+(* Holds only shapes that have no fused form and run 1:1: local op local
+   (into a store, a branch or the stack), literal op local (into a store or
+   the stack) and a bare [$this->v] read. *)
+let defused_src =
+  {|class P { prop $v = 3; method get() { return $this->v; } }
+    function main() {
+      $a = 4; $b = 9; $s = 0; $t = 0;
+      for ($i = 0; $i < 5; $i = $i + 1) {
+        $s = $a + $b;
+        $t = 2 * $i;
+        if ($a < $b) { $s = $s - $t; }
+        echo $a - $i;
+        echo 7 - $i;
+      }
+      $p = new P();
+      return $s + $p->get();
     }|}
 
 let test_inline_cache_off_is_identical () =
@@ -339,8 +357,8 @@ let test_inline_cache_off_is_identical () =
 (* Fuel parity: the translated loop must charge step-for-step like the
    reference loop, so truncating execution at every possible fuel level
    observes the same boundary — same error/result, same partial output,
-   same steps.  Inputs: [typed_src]'s main, and a request sequence on a
-   generated tiny app. *)
+   same steps.  Inputs: [typed_src]'s main, [defused_src]'s main, and a
+   request sequence on a generated tiny app. *)
 let test_typed_fuel_parity () =
   let sweep name ~setup ~run =
     let observe ~inline_cache fuel =
@@ -366,6 +384,13 @@ let test_typed_fuel_parity () =
     done
   in
   sweep "typed_src" ~setup:(fun () -> setup typed_src) ~run:(fun e -> [ Interp.Engine.run_main e ]);
+  sweep "defused_src"
+    ~setup:(fun () -> setup defused_src)
+    ~run:(fun e -> [ Interp.Engine.run_main e ]);
+  let engine, result = run defused_src in
+  Alcotest.(check bool) "defused_src returns 8" true (result = V.Int 8);
+  Alcotest.(check string) "defused_src output" "4736251403" (Interp.Engine.output engine);
+  Alcotest.(check int) "defused_src steps" 194 (Interp.Engine.steps engine);
   let app = Workload.Codegen.generate Workload.App_spec.tiny in
   let repo = app.Workload.Codegen.repo in
   let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in

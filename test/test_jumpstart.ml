@@ -25,30 +25,6 @@ let make_package () =
   | Ok outcome -> outcome
   | Error msg -> Alcotest.failf "seeder failed: %s" msg
 
-(* --- options --- *)
-
-let test_options_roundtrip () =
-  let t = { JS.Options.default with JS.Options.bb_layout_opt = false; max_boot_attempts = 9 } in
-  match JS.Options.of_string (JS.Options.to_string t) with
-  | Ok back -> Alcotest.(check bool) "roundtrip" true (back = t)
-  | Error msg -> Alcotest.fail msg
-
-let test_options_parse_errors () =
-  Alcotest.(check bool) "unknown key" true (Result.is_error (JS.Options.of_string "nope=1"));
-  Alcotest.(check bool) "bad bool" true
-    (Result.is_error (JS.Options.of_string "jumpstart.enabled=maybe"));
-  Alcotest.(check bool) "bad int" true
-    (Result.is_error (JS.Options.of_string "jumpstart.max_boot_attempts=x"));
-  Alcotest.(check bool) "malformed line" true (Result.is_error (JS.Options.of_string "oops"))
-
-let test_options_comments_and_defaults () =
-  match JS.Options.of_string "# comment\n\njumpstart.enabled=false" with
-  | Ok t ->
-    Alcotest.(check bool) "flag applied" false t.JS.Options.enabled;
-    Alcotest.(check bool) "other defaults kept" true
-      (t.JS.Options.max_boot_attempts = JS.Options.default.JS.Options.max_boot_attempts)
-  | Error msg -> Alcotest.fail msg
-
 (* --- package serialization --- *)
 
 let test_package_roundtrip () =
@@ -459,12 +435,7 @@ let test_prop_hotness_rollup () =
 
 let () =
   Alcotest.run "jumpstart"
-    [ ( "options",
-        [ Alcotest.test_case "roundtrip" `Quick test_options_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_options_parse_errors;
-          Alcotest.test_case "comments + defaults" `Quick test_options_comments_and_defaults
-        ] );
-      ( "package",
+    [ ( "package",
         [ Alcotest.test_case "roundtrip" `Quick test_package_roundtrip;
           Alcotest.test_case "corruption detection" `Quick test_package_detects_corruption;
           Alcotest.test_case "coverage gate" `Quick test_package_coverage_gate

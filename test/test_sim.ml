@@ -171,13 +171,62 @@ let test_arrival_diurnal_peak_rate () =
     true
     (!count > 90_000 && !count < 110_000)
 
+(* 2 pi (t + phase) / period overflowed to infinity for a phase near
+   max_float or a period near the subnormals: the rate went NaN and [next]'s
+   thinning loop never accepted a candidate.  The rate must stay finite and
+   on its envelope for every finite input. *)
+let test_arrival_extreme_finite_settings () =
+  let extremes = [ 0.; 1.; 1e-306; 4.9e-324; 1e300; 2.9e307; 1e308; Float.max_float ] in
+  let grid = extremes @ List.map Float.neg extremes in
+  List.iter
+    (fun diurnal_period ->
+      List.iter
+        (fun phase ->
+          List.iter
+            (fun t ->
+              let cfg =
+                { Arrival.base_rps = 100.; diurnal_amplitude = 0.5; diurnal_period; phase }
+              in
+              let r = Arrival.rate_at cfg t in
+              if not (Float.is_finite r && r >= 50. && r <= 150.) then
+                Alcotest.failf "rate_at period %g phase %g t %g = %g" diurnal_period phase t r)
+            grid)
+        grid)
+    (List.filter (fun p -> p > 0.) extremes);
+  (* push_sim's two formerly hanging settings: a 1e-306 s period, and a
+     1e308 s phase on a 3600 s period *)
+  List.iter
+    (fun (diurnal_period, phase) ->
+      let cfg = { Arrival.base_rps = 50.; diurnal_amplitude = 0.5; diurnal_period; phase } in
+      let a = Arrival.create cfg (Js_util.Rng.create 7) in
+      let t = ref 60. in
+      for _ = 1 to 1000 do
+        let next = Arrival.next a ~after:!t in
+        if not (next > !t && Float.is_finite next) then
+          Alcotest.failf "period %g phase %g: next after %g = %g" diurnal_period phase !t next;
+        t := next
+      done)
+    [ (1e-306, 0.); (3600., 1e308) ]
+
 let test_arrival_validates () =
   Alcotest.check_raises "negative rate" (Invalid_argument "Arrival: base_rps must be positive")
     (fun () ->
       ignore
         (Arrival.create
            { Arrival.base_rps = -1.; diurnal_amplitude = 0.; diurnal_period = 1.; phase = 0. }
-           (Js_util.Rng.create 1)))
+           (Js_util.Rng.create 1)));
+  let create cfg () = ignore (Arrival.create cfg (Js_util.Rng.create 1)) in
+  let cfg = { Arrival.default_config with Arrival.diurnal_amplitude = 0.5 } in
+  Alcotest.check_raises "infinite phase" (Invalid_argument "Arrival: phase must be finite")
+    (create { cfg with Arrival.phase = Float.infinity });
+  Alcotest.check_raises "infinite period"
+    (Invalid_argument "Arrival: diurnal_period must be positive and finite")
+    (create { cfg with Arrival.diurnal_period = Float.infinity });
+  Alcotest.check_raises "NaN amplitude"
+    (Invalid_argument "Arrival: diurnal_amplitude must be in [0, 1)")
+    (create { cfg with Arrival.diurnal_amplitude = Float.nan });
+  Alcotest.check_raises "infinite rate" (Invalid_argument "Arrival: base_rps must be finite")
+    (create { cfg with Arrival.base_rps = Float.infinity })
 
 (* --- balancer --- *)
 
@@ -716,6 +765,14 @@ let global_cfg =
       epoch = 20.
     }
 
+(* region 0's phase is 0 * region_phase, NaN for an infinite offset: the
+   offset itself must be rejected, by name *)
+let test_arrival_rejects_infinite_region_phase () =
+  let gcfg = { (Lazy.force global_cfg) with Region.region_phase = Float.infinity } in
+  Alcotest.check_raises "infinite region_phase"
+    (Invalid_argument "Region: region_phase must be finite and >= 0") (fun () ->
+      ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1))
+
 let test_multiregion_region_loss () =
   let gcfg =
     { (Lazy.force global_cfg) with
@@ -895,7 +952,11 @@ let () =
       ( "arrival",
         [ Alcotest.test_case "monotone, correct rate" `Quick test_arrival_monotone_and_rate;
           Alcotest.test_case "diurnal curve" `Quick test_arrival_diurnal_peak_rate;
-          Alcotest.test_case "validation" `Quick test_arrival_validates
+          Alcotest.test_case "validation" `Quick test_arrival_validates;
+          Alcotest.test_case "extreme finite settings" `Quick
+            test_arrival_extreme_finite_settings;
+          Alcotest.test_case "infinite region phase" `Quick
+            test_arrival_rejects_infinite_region_phase
         ] );
       ( "balancer",
         [ Alcotest.test_case "least outstanding" `Quick test_balancer_least_outstanding;

@@ -128,9 +128,6 @@ let test_stats_percentile_nan_rejected () =
     (Invalid_argument "Stats.percentile: NaN sample") (fun () ->
       ignore (Stats.percentile [| 1.; Float.nan; 3. |] 50.))
 
-let test_stats_geomean () =
-  check_float "geomean" 2. (Stats.geomean [| 1.; 4. |])
-
 let test_stats_empty_and_singleton () =
   Alcotest.check_raises "mean of empty raises" (Invalid_argument "Stats.mean: empty")
     (fun () -> ignore (Stats.mean [||]));
@@ -332,16 +329,6 @@ let test_quantile_range_edges () =
   Alcotest.(check bool) "1e300 round-trips" true (near 1e300 (Stats.Quantile.quantile wide 1.));
   let words = Obj.reachable_words (Obj.repr wide) in
   Alcotest.(check bool) (Printf.sprintf "bounded window (%d words)" words) true (words < 80_000)
-
-let test_quantile_of_series () =
-  let s = Stats.Series.create () in
-  for i = 0 to 99 do
-    Stats.Series.add s ~time:(float_of_int i) ~value:(float_of_int (i mod 10))
-  done;
-  let q = Stats.Quantile.of_series s in
-  Alcotest.(check int) "count" 100 (Stats.Quantile.count q);
-  Alcotest.(check bool) "p50 about 4-5" true
-    (Stats.Quantile.p50 q >= 3.5 && Stats.Quantile.p50 q <= 5.5)
 
 (* --- binio --- *)
 
@@ -645,7 +632,6 @@ let () =
             test_stats_percentile_nan_rejected;
           Alcotest.test_case "series integral flat tail" `Quick
             test_series_integral_flat_tail;
-          Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "empty/singleton edges" `Quick test_stats_empty_and_singleton;
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "bootstrap CI" `Quick test_stats_ci_bootstrap;
@@ -661,8 +647,7 @@ let () =
           Alcotest.test_case "quantile merge is exact" `Quick test_quantile_merge_exact;
           Alcotest.test_case "quantile zero bucket" `Quick test_quantile_zero_bucket;
           Alcotest.test_case "quantile errors" `Quick test_quantile_errors;
-          Alcotest.test_case "quantile range edges" `Quick test_quantile_range_edges;
-          Alcotest.test_case "quantile of series" `Quick test_quantile_of_series
+          Alcotest.test_case "quantile range edges" `Quick test_quantile_range_edges
         ] );
       ( "binio",
         [ Alcotest.test_case "scalars" `Quick test_binio_scalars;
