@@ -26,6 +26,26 @@ for f in examples/*.mh; do
 done
 dune exec bin/minihack_run.exe -- analyze --codegen tiny > /dev/null
 
+# Package tool: collect a package, then inspect, verify and replay it (each
+# exits 0).  Verifying it against another program's repo, or verifying a
+# truncated copy, is a decode failure and must exit exactly 3 (an uncaught
+# exception exits 2).
+dune exec bin/jspkg.exe -- collect examples/wordcount.mh -o /tmp/jspkg_wc.jspkg > /dev/null
+for cmd in inspect verify replay; do
+  dune exec bin/jspkg.exe -- $cmd /tmp/jspkg_wc.jspkg examples/wordcount.mh > /dev/null
+done
+head -c 100 /tmp/jspkg_wc.jspkg > /tmp/jspkg_wc_cut.jspkg
+for args in "/tmp/jspkg_wc.jspkg examples/collatz.mh" \
+  "/tmp/jspkg_wc_cut.jspkg examples/wordcount.mh"; do
+  status=0
+  dune exec bin/jspkg.exe -- verify $args > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 3 ]; then
+    echo "jspkg verify $args: exited $status, expected 3" >&2
+    exit 1
+  fi
+done
+rm -f /tmp/jspkg_wc.jspkg /tmp/jspkg_wc_cut.jspkg
+
 dune exec bench/main.exe -- fig4b
 # §IV-A: exits 1 when the seeder pipeline does not fit the ~30 min C2 phase
 dune exec bench/main.exe -- lifespan

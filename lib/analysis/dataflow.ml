@@ -91,95 +91,6 @@ module Absval = struct
     | Const (V.Vec _ | V.Dict _ | V.Obj _) -> "any" (* unreachable by construction *)
 end
 
-(* ---------------- constant folding ---------------- *)
-
-(* Total mirrors of the engine's operator semantics: [Some v] only when the
-   engine is guaranteed to produce exactly [v] without raising; [None] on
-   any path that errors (division by zero, non-numeric arithmetic,
-   incomparable operands, unsupported casts). *)
-
-let fold_binop op a b =
-  let numeric = function V.Int _ | V.Float _ | V.Bool _ | V.Null -> true | _ -> false in
-  match op with
-  | I.Add | I.Sub | I.Mul | I.Div | I.Mod -> (
-    match (a, b) with
-    | V.Int x, V.Int y -> (
-      match op with
-      | I.Add -> Some (V.Int (x + y))
-      | I.Sub -> Some (V.Int (x - y))
-      | I.Mul -> Some (V.Int (x * y))
-      | I.Div -> if y = 0 then None else Some (V.Int (x / y))
-      | I.Mod -> if y = 0 then None else Some (V.Int (x mod y))
-      | _ -> None)
-    | _ when numeric a && numeric b -> (
-      let x = V.to_float a and y = V.to_float b in
-      match op with
-      | I.Add -> Some (V.Float (x +. y))
-      | I.Sub -> Some (V.Float (x -. y))
-      | I.Mul -> Some (V.Float (x *. y))
-      | I.Div -> if y = 0. then None else Some (V.Float (x /. y))
-      | _ -> None)
-    | _ -> None)
-  | I.BitAnd | I.BitOr | I.BitXor | I.Shl | I.Shr -> (
-    match (a, b) with
-    | V.Int x, V.Int y ->
-      Some
-        (V.Int
-           (match op with
-           | I.BitAnd -> x land y
-           | I.BitOr -> x lor y
-           | I.BitXor -> x lxor y
-           | I.Shl -> x lsl (y land 63)
-           | I.Shr -> x asr (y land 63)
-           | _ -> assert false))
-    | _ -> None)
-  | I.Concat -> Some (V.Str (V.to_string a ^ V.to_string b))
-  | I.Eq -> Some (V.Bool (V.equal a b))
-  | I.Ne -> Some (V.Bool (not (V.equal a b)))
-  | I.Lt | I.Le | I.Gt | I.Ge -> (
-    match (a, b) with
-    | V.Str _, V.Str _
-    | (V.Null | V.Bool _ | V.Int _ | V.Float _), (V.Null | V.Bool _ | V.Int _ | V.Float _)
-      ->
-      let c = V.compare_values a b in
-      Some
-        (V.Bool
-           (match op with
-           | I.Lt -> c < 0
-           | I.Le -> c <= 0
-           | I.Gt -> c > 0
-           | I.Ge -> c >= 0
-           | _ -> assert false))
-    | _ -> None)
-
-let fold_unop op v =
-  match (op, v) with
-  | I.Neg, V.Int n -> Some (V.Int (-n))
-  | I.Neg, V.Float f -> Some (V.Float (-.f))
-  | I.Neg, _ -> None
-  | I.Not, _ -> Some (V.Bool (not (V.truthy v)))
-  | I.BitNot, V.Int n -> Some (V.Int (lnot n))
-  | I.BitNot, _ -> None
-
-let fold_cast tag v =
-  match tag with
-  | V.TBool -> Some (V.Bool (V.truthy v))
-  | V.TStr -> Some (V.Str (V.to_string v))
-  | V.TInt -> (
-    match v with
-    | V.Str s ->
-      Some (V.Int (match int_of_string_opt (String.trim s) with Some n -> n | None -> 0))
-    | V.Int _ | V.Float _ | V.Bool _ | V.Null -> Some (V.Int (V.to_int v))
-    | V.Vec _ | V.Dict _ | V.Obj _ -> None)
-  | V.TFloat -> (
-    match v with
-    | V.Str s ->
-      Some
-        (V.Float (match float_of_string_opt (String.trim s) with Some f -> f | None -> 0.))
-    | V.Int _ | V.Float _ | V.Bool _ | V.Null -> Some (V.Float (V.to_float v))
-    | V.Vec _ | V.Dict _ | V.Obj _ -> None)
-  | V.TNull | V.TVec | V.TDict | V.TObj -> None
-
 (* How many values the instruction pushes (result-recording only; the
    exhaustive transfer table is [step] below). *)
 let pushes_of = function
@@ -189,13 +100,20 @@ let pushes_of = function
   | I.Dup -> 2
   | _ -> 1
 
+(* ---------------- constant folding ---------------- *)
+
+(* Constants fold through the interpreter's own operators ({!Hhbc.Ops}).
+   An operator that raises on its constant operands (division by zero,
+   non-numeric arithmetic, incomparable operands, an unsupported cast) does
+   not fold, and the abstract result falls back to the result tag. *)
+
 let numeric_tag = function
   | V.TInt | V.TFloat | V.TBool | V.TNull -> true
   | V.TStr | V.TVec | V.TDict | V.TObj -> false
 
-(* Abstract result of a binop: constants fold (when the fold is total);
-   otherwise comparisons/Concat/bit-ops have fixed result tags and
-   arithmetic follows the int/float promotion of the engine. *)
+(* Abstract result of a binop: constants fold; otherwise comparisons,
+   Concat and bit-ops have fixed result tags and arithmetic follows the
+   int/float promotion of the engine. *)
 let binop_result op a b =
   let tag_result () =
     match op with
@@ -210,9 +128,9 @@ let binop_result op a b =
   in
   match (a, b) with
   | Absval.Const x, Absval.Const y -> (
-    match fold_binop op x y with
-    | Some v -> Absval.of_value v
-    | None -> tag_result ())
+    match Hhbc.Ops.binop op x y with
+    | v -> Absval.of_value v
+    | exception Hhbc.Ops.Runtime_error _ -> tag_result ())
   | _ -> tag_result ()
 
 let unop_result op a =
@@ -228,7 +146,9 @@ let unop_result op a =
   in
   match a with
   | Absval.Const x -> (
-    match fold_unop op x with Some v -> Absval.of_value v | None -> tag_result ())
+    match Hhbc.Ops.unop op x with
+    | v -> Absval.of_value v
+    | exception Hhbc.Ops.Runtime_error _ -> tag_result ())
   | _ -> tag_result ()
 
 let cast_result tag a =
@@ -248,7 +168,9 @@ let cast_result tag a =
   in
   match a with
   | Absval.Const x -> (
-    match fold_cast tag x with Some v -> Absval.of_value v | None -> tag_result ())
+    match Hhbc.Ops.cast tag x with
+    | v -> Absval.of_value v
+    | exception Hhbc.Ops.Runtime_error _ -> tag_result ())
   | _ -> tag_result ()
 
 (* ---------------- generic worklist solver ---------------- *)

@@ -1,13 +1,16 @@
 (** Forward/backward dataflow over the per-function basic-block CFG.
 
-    One generic worklist solver ({!Solver}) drives three concrete analyses,
-    exposed together as a per-function {!summary}:
+    One generic worklist solver drives three concrete analyses, exposed
+    together as a per-function {!summary}:
 
     - type-state inference: an abstract value ({!Absval.t}) per operand-stack
       slot and per local, joined at block entries, with branch refinement on
       [JmpZ]/[JmpNZ] of values whose provenance is known (a local load, or an
       [InstanceOf] test of a local);
-    - constant propagation and folding with feasible-edge reachability;
+    - constant propagation and folding with feasible-edge reachability.
+      Constants fold through the interpreter's own operators
+      ({!Hhbc.Ops}): an operator that raises does not fold, so a folded
+      value is exactly what the interpreter computes;
     - backward liveness of locals over feasible edges (dead-store facts).
 
     Soundness contract: every fact over-approximates the interpreter.
@@ -19,80 +22,24 @@
       or arc a real run can take;
     - the verifier's V105 and the A4xx lints (built on [undef_read],
       [dead_store] and [pushed]) are warnings, so an imprecise fact costs
-      precision, never a rejection. *)
+      precision, never a rejection.
+
+    Which summaries a profile gate may trust (verifier-clean body, converged
+    analysis) is {!Verify.facts}. *)
 
 module Absval : sig
   (** [Const] holds immutable scalars only (Null/Bool/Int/Float/Str);
       [Tag TNull] is normalized to [Const Null]. *)
   type t = Any | Tag of Hhbc.Value.tag | Const of Hhbc.Value.t
 
-  val of_value : Hhbc.Value.t -> t
-  val of_tag : Hhbc.Value.tag -> t
-
-  (** Syntactic constant equality — stricter than [Value.equal] (floats by
-      bits, no int/float cross-equality). *)
-  val const_eq : Hhbc.Value.t -> Hhbc.Value.t -> bool
-
-  val tag_of : t -> Hhbc.Value.tag option
-
   (** Least upper bound: Const < Tag < Any. *)
   val join : t -> t -> t
 
+  (** Constants compare syntactically: floats by bits, and no int/float
+      cross-equality. *)
   val equal : t -> t -> bool
 
   val to_string : t -> string
-end
-
-(** Total mirrors of the engine's operator semantics: [Some v] only when the
-    engine produces exactly [v] without raising; [None] on any path that can
-    error (division by zero, non-numeric arithmetic, incomparable operands,
-    unsupported casts). *)
-
-val fold_binop : Hhbc.Instr.binop -> Hhbc.Value.t -> Hhbc.Value.t -> Hhbc.Value.t option
-
-val fold_unop : Hhbc.Instr.unop -> Hhbc.Value.t -> Hhbc.Value.t option
-
-val fold_cast : Hhbc.Value.tag -> Hhbc.Value.t -> Hhbc.Value.t option
-
-(** Abstract operator results (fold when constant, result tag otherwise). *)
-
-val binop_result : Hhbc.Instr.binop -> Absval.t -> Absval.t -> Absval.t
-
-val unop_result : Hhbc.Instr.unop -> Absval.t -> Absval.t
-
-val cast_result : Hhbc.Value.tag -> Absval.t -> Absval.t
-
-(** The generic worklist solver.  Facts are an arbitrary join-semilattice;
-    the caller bounds iterations from the lattice height and [converged]
-    reports whether the fixed point was reached within the bound. *)
-module Solver : sig
-  type stats = { iterations : int; converged : bool }
-
-  (** [forward ~n_blocks ~entry ~join ~equal ~transfer ~max_iters] — block 0
-      is the entry; [transfer b fact] returns edge-wise out-facts per
-      feasible successor.  [None] in the result marks blocks never reached
-      through feasible edges. *)
-  val forward :
-    n_blocks:int ->
-    entry:'f ->
-    join:('f -> 'f -> 'f) ->
-    equal:('f -> 'f -> bool) ->
-    transfer:(int -> 'f -> (int * 'f) list) ->
-    max_iters:int ->
-    'f option array * stats
-
-  (** [backward ~n_blocks ~succs ~init ~join ~equal ~transfer ~max_iters] —
-      out(b) = [init b] joined with in(s) over [succs b]; [transfer b out]
-      computes the in-fact.  Returns per-block in-facts. *)
-  val backward :
-    n_blocks:int ->
-    succs:(int -> int list) ->
-    init:(int -> 'f) ->
-    join:('f -> 'f -> 'f) ->
-    equal:('f -> 'f -> bool) ->
-    transfer:(int -> 'f -> 'f) ->
-    max_iters:int ->
-    'f array * stats
 end
 
 (** Per-function analysis results.  All per-pc arrays are indexed by body

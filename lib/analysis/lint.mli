@@ -10,11 +10,6 @@
       feasible-edge pruning proves dead (warning; CFG-unreachable blocks
       are {!Verify}'s V109) *)
 
-(** [lint_func f summary] — the A4xx diagnostics alone, in body order.
-    Meaningful only for verifier-clean bodies; empty when the summary did
-    not converge. *)
-val lint_func : Hhbc.Func.t -> Dataflow.summary -> Diag.t list
-
 (** [check_func repo f] — {!Verify.check_func} plus, when the body has no
     verifier errors, the A4xx lints; sorted. *)
 val check_func : Hhbc.Repo.t -> Hhbc.Func.t -> Diag.t list

@@ -223,6 +223,15 @@ let check_func repo (f : F.t) =
     D.sort !diags
   end
 
+(* The one rule for which dataflow facts may gate a profile: a summary
+   counts only for a verifier-clean body whose analysis converged, so an
+   imprecise or broken body never rejects or prunes an honest count. *)
+let facts repo f =
+  if D.errors (check_func repo f) <> [] then None
+  else
+    let s = Dataflow.analyze repo f in
+    if s.Dataflow.converged then Some s else None
+
 let check_repo repo =
   let diags = ref [] in
   let add d = diags := d :: !diags in

@@ -38,6 +38,12 @@
     body is safe to translate and execute. *)
 val check_func : Hhbc.Repo.t -> Hhbc.Func.t -> Diag.t list
 
+(** [facts repo f] is the dataflow summary a profile gate may trust: [Some]
+    only when [f] has no verifier errors and its analysis converged.  The
+    P320/P321 package gates and stale-profile transfer consult nothing
+    else, so neither rejects nor drops an honestly collected count. *)
+val facts : Hhbc.Repo.t -> Hhbc.Func.t -> Dataflow.summary option
+
 (** Verify class/function table links plus every function body. *)
 val check_repo : Hhbc.Repo.t -> Diag.t list
 

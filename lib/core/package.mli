@@ -13,8 +13,11 @@
       the seeder (C3 over the accurate tier-2 call graph).
 
     The wire format is framed (magic, version, CRC32) so consumers detect
-    truncation/corruption before trusting any content, and every id is
-    re-validated against the consumer's repo during decode. *)
+    truncation/corruption before trusting any content.  Both decodes start
+    from one parse of the payload into its sections, with no id checked:
+    {!of_bytes} then re-validates every id against the consumer's repo, and
+    {!of_bytes_stale} re-anchors them through the embedded match table.
+    Neither raises on any input. *)
 
 type meta = {
   region : int;
@@ -43,17 +46,20 @@ val version : int
 val to_bytes : t -> string
 
 (** [of_bytes repo data] decodes and validates.  Returns [Error _] on bad
-    magic/version/CRC or any id out of range for [repo]. *)
+    magic/version/CRC, a malformed section, a repo-shape mismatch or any id
+    out of range for [repo]. *)
 val of_bytes : Hhbc.Repo.t -> string -> (t, string) result
 
 (** [of_bytes_stale repo data] — the §VI-B salvage path for a package whose
     fingerprint does not match [repo] (profiled on a previous code push).
-    Decodes leniently, matches the embedded {!Jit_profile.Stale_match.shape}
-    against [repo], and rebuilds counters/order/preload/vasm with unmatched
-    or infeasible data dropped.  On a byte-identical build the result
-    re-serializes to exactly [data].  The caller decides, from the returned
-    match {!Jit_profile.Stale_match.stats}, whether quality clears
-    {!Options.t.salvage_min_match}. *)
+    Parses without checking ids, matches the embedded
+    {!Jit_profile.Stale_match.shape} against [repo], and rebuilds
+    counters/order/preload/vasm with unmatched or infeasible data dropped.
+    A malformed section, including a match table whose block starts do not
+    rise from 0 inside the body, is [Error _].  On a byte-identical build
+    the result re-serializes to exactly [data].  The caller decides, from
+    the returned match {!Jit_profile.Stale_match.stats}, whether quality
+    clears {!Options.t.salvage_min_match}. *)
 val of_bytes_stale :
   Hhbc.Repo.t -> string -> (t * Jit_profile.Stale_match.stats, string) result
 

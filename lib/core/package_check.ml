@@ -23,18 +23,11 @@ let check repo (pkg : Package.t) =
        the interpreter can do, so a profile claiming execution along a
        statically infeasible edge (P320) or inside a dataflow-dead block
        (P321) cannot have been honestly collected against this repo.  The
-       gate only consults converged analyses of verifier-clean bodies, so it
-       never rejects an honest profile. *)
+       gate only consults {!Js_analysis.Verify.facts}, so it never rejects
+       an honest profile. *)
     for fid = 0 to n_funcs - 1 do
       let blocks = lazy (blocks_of fid) in
-      let dfa =
-        lazy
-          (let f = Hhbc.Repo.func repo fid in
-           if Js_analysis.Diag.errors (Js_analysis.Verify.check_func repo f) <> [] then None
-           else
-             let s = Js_analysis.Dataflow.analyze repo f in
-             if s.Js_analysis.Dataflow.converged then Some s else None)
-      in
+      let dfa = lazy (Js_analysis.Verify.facts repo (Hhbc.Repo.func repo fid)) in
       (match C.block_counts pkg.counters fid with
       | None -> ()
       | Some counts ->

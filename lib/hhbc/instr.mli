@@ -121,5 +121,3 @@ val branch_targets : t -> int list
 val is_terminal : t -> bool
 
 val pp : Format.formatter -> t -> unit
-val binop_to_string : binop -> string
-val unop_to_string : unop -> string

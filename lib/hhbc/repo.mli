@@ -55,9 +55,6 @@ val ctor_of : t -> Instr.cid -> Instr.fid option
     function's own {!Func.validate} passes). *)
 val validate : t -> (unit, string) result
 
-(** Total bytecode bytes across all functions (for sizing experiments). *)
-val total_bytecode_size : t -> int
-
 (** [fingerprint t] — a deterministic, non-negative structural hash of the
     repo (entity counts, function names and bodies, interned strings/names).
     Stamped into every published package so consumers on a {e different}

@@ -1,4 +1,4 @@
-exception Runtime_error of string
+exception Runtime_error = Hhbc.Ops.Runtime_error
 
 let error fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
@@ -367,58 +367,8 @@ let sites t fid body_len =
     t.site_caches.(fid) <- Some s;
     s
 
-(* --- operator semantics --- *)
-
-let arith_binop op a b =
-  match (a, b) with
-  | V.Int x, V.Int y -> (
-    match op with
-    | I.Add -> V.Int (x + y)
-    | I.Sub -> V.Int (x - y)
-    | I.Mul -> V.Int (x * y)
-    | I.Div -> if y = 0 then error "division by zero" else V.Int (x / y)
-    | I.Mod -> if y = 0 then error "modulo by zero" else V.Int (x mod y)
-    | _ -> assert false)
-  | (V.Int _ | V.Float _ | V.Bool _ | V.Null), (V.Int _ | V.Float _ | V.Bool _ | V.Null) -> (
-    let x = V.to_float a and y = V.to_float b in
-    match op with
-    | I.Add -> V.Float (x +. y)
-    | I.Sub -> V.Float (x -. y)
-    | I.Mul -> V.Float (x *. y)
-    | I.Div -> if y = 0. then error "division by zero" else V.Float (x /. y)
-    | I.Mod -> error "modulo on non-integers"
-    | _ -> assert false)
-  | _ ->
-    error "arithmetic on non-numeric operands (%s, %s)" (V.tag_to_string (V.tag a))
-      (V.tag_to_string (V.tag b))
-
-let bit_binop op a b =
-  match (a, b) with
-  | V.Int x, V.Int y -> (
-    match op with
-    | I.BitAnd -> V.Int (x land y)
-    | I.BitOr -> V.Int (x lor y)
-    | I.BitXor -> V.Int (x lxor y)
-    | I.Shl -> V.Int (x lsl (y land 63))
-    | I.Shr -> V.Int (x asr (y land 63))
-    | _ -> assert false)
-  | _ -> error "bitwise operation on non-integers"
-
-let binop op a b =
-  match op with
-  | I.Add | I.Sub | I.Mul | I.Div | I.Mod -> arith_binop op a b
-  | I.BitAnd | I.BitOr | I.BitXor | I.Shl | I.Shr -> bit_binop op a b
-  | I.Concat -> V.Str (V.to_string a ^ V.to_string b)
-  | I.Eq -> V.Bool (V.equal a b)
-  | I.Ne -> V.Bool (not (V.equal a b))
-  | I.Lt | I.Le | I.Gt | I.Ge -> (
-    let c = try V.compare_values a b with Invalid_argument msg -> error "%s" msg in
-    match op with
-    | I.Lt -> V.Bool (c < 0)
-    | I.Le -> V.Bool (c <= 0)
-    | I.Gt -> V.Bool (c > 0)
-    | I.Ge -> V.Bool (c >= 0)
-    | _ -> assert false)
+(* --- operator fast paths (the semantics are {!Hhbc.Ops}, which dataflow
+   constant folding shares) --- *)
 
 (* Shared result values for the cached loop: Bool results of comparisons are
    immutable, so all sites can return the same two blocks instead of
@@ -428,7 +378,7 @@ let vfalse = V.Bool false
 let vbool b = if b then vtrue else vfalse
 
 (* int/int fast paths for the hottest operators; everything else (and every
-   error case) defers to {!binop}, so results are identical. *)
+   error case) defers to {!Hhbc.Ops.binop}, so results are identical. *)
 let binop_fast op a b =
   match (a, b) with
   | V.Int x, V.Int y -> (
@@ -442,34 +392,8 @@ let binop_fast op a b =
     | I.Ge -> vbool (x >= y)
     | I.Eq -> vbool (x = y)
     | I.Ne -> vbool (x <> y)
-    | _ -> binop op a b)
-  | _ -> binop op a b
-
-let unop op a =
-  match (op, a) with
-  | I.Neg, V.Int n -> V.Int (-n)
-  | I.Neg, V.Float f -> V.Float (-.f)
-  | I.Neg, _ -> error "negation of non-number"
-  | I.Not, v -> V.Bool (not (V.truthy v))
-  | I.BitNot, V.Int n -> V.Int (lnot n)
-  | I.BitNot, _ -> error "bitwise not of non-integer"
-
-let cast tag v =
-  match tag with
-  | V.TBool -> V.Bool (V.truthy v)
-  | V.TStr -> V.Str (V.to_string v)
-  | V.TInt -> (
-    match v with
-    | V.Str s -> V.Int (match int_of_string_opt (String.trim s) with Some n -> n | None -> 0)
-    | V.Int _ | V.Float _ | V.Bool _ | V.Null -> V.Int (V.to_int v)
-    | V.Vec _ | V.Dict _ | V.Obj _ -> error "cannot cast %s to int" (V.tag_to_string (V.tag v)))
-  | V.TFloat -> (
-    match v with
-    | V.Str s -> V.Float (match float_of_string_opt (String.trim s) with Some f -> f | None -> 0.)
-    | V.Int _ | V.Float _ | V.Bool _ | V.Null -> V.Float (V.to_float v)
-    | V.Vec _ | V.Dict _ | V.Obj _ -> error "cannot cast %s to float" (V.tag_to_string (V.tag v)))
-  | V.TNull | V.TVec | V.TDict | V.TObj ->
-    error "unsupported cast to %s" (V.tag_to_string tag)
+    | _ -> Hhbc.Ops.binop op a b)
+  | _ -> Hhbc.Ops.binop op a b
 
 let container_get t base key =
   match base with
@@ -692,8 +616,8 @@ let rec exec_func t fid ~this args =
        | I.BinOp op ->
          let b = pop st in
          let a = pop st in
-         push st (binop op a b)
-       | I.UnOp op -> push st (unop op (pop st))
+         push st (Hhbc.Ops.binop op a b)
+       | I.UnOp op -> push st (Hhbc.Ops.unop op (pop st))
        | I.Jmp target -> pc := target
        | I.JmpZ target -> if not (V.truthy (pop st)) then pc := target
        | I.JmpNZ target -> if V.truthy (pop st) then pc := target
@@ -807,7 +731,7 @@ let rec exec_func t fid ~this args =
            let actual = Mh_runtime.Heap.class_of t.heap handle in
            push st (V.Bool (Hhbc.Repo.is_ancestor t.repo ~ancestor:cid ~cls:actual))
          | _ -> push st (V.Bool false))
-       | I.Cast tag -> push st (cast tag (pop st))
+       | I.Cast tag -> push st (Hhbc.Ops.cast tag (pop st))
        | I.Print -> Buffer.add_string t.out (V.to_string (pop st))
        | I.Ret ->
          result := pop st;
@@ -945,7 +869,7 @@ let rec exec_fast t fid ~this args =
            let b = pop st in
            let a = pop st in
            push st (binop_fast op a b)
-         | TUnOp op -> push st (unop op (pop st))
+         | TUnOp op -> push st (Hhbc.Ops.unop op (pop st))
          | TJmp target ->
            pc := target;
            if target < i then refire := true;
@@ -1084,7 +1008,7 @@ let rec exec_fast t fid ~this args =
              let actual = Mh_runtime.Heap.class_of t.heap handle in
              push st (V.Bool (Hhbc.Repo.is_ancestor t.repo ~ancestor:cid ~cls:actual))
            | _ -> push st (V.Bool false))
-         | TCast tag -> push st (cast tag (pop st))
+         | TCast tag -> push st (Hhbc.Ops.cast tag (pop st))
          | TPrint -> Buffer.add_string t.out (V.to_string (pop st))
          | TRet ->
            result := pop st;

@@ -8,7 +8,9 @@
     each function. *)
 
 (** Raised on dynamic errors: undefined method, bad operand types,
-    out-of-bounds vec access, stack overflow, fuel exhaustion. *)
+    out-of-bounds vec access, stack overflow, fuel exhaustion.  It is
+    {!Hhbc.Ops.Runtime_error}, re-exported: the value operators ([BinOp],
+    [UnOp], [Cast]) are {!Hhbc.Ops}. *)
 exception Runtime_error of string
 
 type t

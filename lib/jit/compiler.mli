@@ -45,11 +45,6 @@ type compiled = {
     first. *)
 val select : Hhbc.Repo.t -> Jit_profile.Counters.t -> min_entries:int -> Hhbc.Instr.fid list
 
-(** [plan_and_lower repo counters config fid] — inline plan + lowering for a
-    single function. *)
-val plan_and_lower :
-  Hhbc.Repo.t -> Jit_profile.Counters.t -> config -> Hhbc.Instr.fid -> Vasm.Vfunc.t
-
 (** [lower_all repo counters config] — plan + lower every selected function
     (no layout yet).  This is the state in which a seeder instruments the
     optimized code. *)

@@ -167,6 +167,19 @@ let profiled_arcs t =
 let entry_counts t =
   Hashtbl.fold (fun fid c acc -> (fid, !c) :: acc) t.entries [] |> List.sort compare
 
+let max_fid t =
+  let m = ref (-1) in
+  let see fid _ = m := max !m fid in
+  Hashtbl.iter see t.blocks;
+  Hashtbl.iter see t.arcs;
+  Hashtbl.iter
+    (fun caller callees ->
+      see caller ();
+      Hashtbl.iter see callees)
+    t.cg;
+  Hashtbl.iter see t.entries;
+  !m
+
 (* Stale-profile salvage: re-key every per-root-function table through the
    old-fid -> new-fid map.  Entries whose root (or either call-graph
    endpoint) does not map are dropped; block/arc indices are kept verbatim —
@@ -224,25 +237,16 @@ let serialize t w =
       W.varint w c)
     (entry_counts t)
 
-let deserialize ?n_funcs r =
+let deserialize r =
   let t = create () in
-  let check_fid fid =
-    match n_funcs with
-    | Some n when fid < 0 || fid >= n ->
-      raise (Js_util.Binio.Corrupt "vasm profile: function id out of range")
-    | _ -> ()
-  in
   List.iter
-    (fun (fid, counts) ->
-      check_fid fid;
-      Hashtbl.replace t.blocks fid counts)
+    (fun (fid, counts) -> Hashtbl.replace t.blocks fid counts)
     (Rd.list r (fun r ->
          let fid = Rd.varint r in
          let counts = Rd.array r (fun r -> Rd.f64 r) in
          (fid, counts)));
   List.iter
     (fun (fid, entries) ->
-      check_fid fid;
       let table = Hashtbl.create 8 in
       List.iter
         (fun (s, d, c) ->
@@ -261,19 +265,14 @@ let deserialize ?n_funcs r =
          in
          (fid, entries)));
   List.iter
-    (fun (a, b, c) ->
-      check_fid a;
-      check_fid b;
-      Hashtbl.replace (find_or_add t.cg a (fun () -> Hashtbl.create 8)) b (ref c))
+    (fun (a, b, c) -> Hashtbl.replace (find_or_add t.cg a (fun () -> Hashtbl.create 8)) b (ref c))
     (Rd.list r (fun r ->
          let a = Rd.varint r in
          let b = Rd.varint r in
          let c = Rd.varint r in
          (a, b, c)));
   List.iter
-    (fun (fid, c) ->
-      check_fid fid;
-      Hashtbl.replace t.entries fid (ref c))
+    (fun (fid, c) -> Hashtbl.replace t.entries fid (ref c))
     (Rd.list r (fun r ->
          let fid = Rd.varint r in
          let c = Rd.varint r in

@@ -49,13 +49,18 @@ val profiled_arcs : t -> (int * (int * int * float) list) list
 val entry_counts : t -> (int * int) list
 
 (** Binary serialization (the §IV-B category-3 section of a Jump-Start
-    package).  [deserialize ~n_funcs] range-checks every function id against
-    the consumer repo and raises {!Js_util.Binio.Corrupt}; block indices are
-    only checkable against re-lowered translations, which is the
+    package).  [deserialize] checks no id and raises
+    {!Js_util.Binio.Corrupt} only on malformed bytes: the package decode
+    range-checks function ids against the consumer repo, and block indices
+    are only checkable against re-lowered translations, which is the
     {!Core.Package_check} consistency pass's job. *)
 val serialize : t -> Js_util.Binio.Writer.t -> unit
 
-val deserialize : ?n_funcs:int -> Js_util.Binio.Reader.t -> t
+val deserialize : Js_util.Binio.Reader.t -> t
+
+(** The largest function id any table names ([-1] when empty): the package
+    decode's range check against the consumer repo. *)
+val max_fid : t -> int
 
 (** [remap t ~f] re-keys every root function id through [f], dropping
     entries that map to [None] (stale-profile salvage: only strict-identical

@@ -5,8 +5,5 @@
     generated workloads and to write example programs to disk. *)
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_decl : Format.formatter -> Ast.decl -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val to_source : Ast.program -> string

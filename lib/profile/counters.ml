@@ -344,7 +344,51 @@ let serialize t w =
   (* section 7: touched units in first-touch order *)
   W.list w (fun uid -> W.varint w uid) (touched_units t)
 
-let deserialize repo r =
+(* The seven sections as the bytes give them, before any id is checked. *)
+type raw = {
+  rc_blocks : (int * int array) list;
+  rc_arcs : (int * (int * int * int) list) list;
+  rc_sites : ((int * int) * (int * int) list) list;
+  rc_entries : (int * int) list;
+  rc_cg : (int * int * int) list;
+  rc_props : (int * int * int) list;
+  rc_units : int list;
+}
+
+let read_raw r =
+  let triple r =
+    let a = Rd.varint r in
+    let b = Rd.varint r in
+    let c = Rd.varint r in
+    (a, b, c)
+  in
+  let pair r =
+    let a = Rd.varint r in
+    let b = Rd.varint r in
+    (a, b)
+  in
+  let rc_blocks =
+    Rd.list r (fun r ->
+        let fid = Rd.varint r in
+        (fid, Rd.array r Rd.varint))
+  in
+  let rc_arcs =
+    Rd.list r (fun r ->
+        let fid = Rd.varint r in
+        (fid, Rd.list r triple))
+  in
+  let rc_sites =
+    Rd.list r (fun r ->
+        let site = pair r in
+        (site, Rd.list r pair))
+  in
+  let rc_entries = Rd.list r pair in
+  let rc_cg = Rd.list r triple in
+  let rc_props = Rd.list r triple in
+  let rc_units = Rd.list r Rd.varint in
+  { rc_blocks; rc_arcs; rc_sites; rc_entries; rc_cg; rc_props; rc_units }
+
+let of_raw repo raw =
   let t = create repo in
   let corrupt msg = raise (Js_util.Binio.Corrupt msg) in
   let n_funcs = Hhbc.Repo.n_funcs repo in
@@ -353,80 +397,59 @@ let deserialize repo r =
     let f = Hhbc.Repo.func repo fid in
     Array.length (Hhbc.Func.basic_blocks f)
   in
-  List.iter ignore
-    (Rd.list r (fun r ->
-         let fid = Rd.varint r in
-         check_fid fid;
-         let counts = Rd.array r (fun r -> Rd.varint r) in
-         if Array.length counts <> blocks_of fid then corrupt "block counter arity mismatch";
-         t.blocks.(fid) <- Some counts));
-  List.iter ignore
-    (Rd.list r (fun r ->
-         let fid = Rd.varint r in
-         check_fid fid;
-         let n_blocks = blocks_of fid in
-         List.iter
-           (fun (s, d, c) ->
-             if s >= n_blocks || d >= n_blocks then corrupt "arc endpoint out of range";
-             Row.set (arc_row t fid s) d c)
-           (Rd.list r (fun r ->
-                let s = Rd.varint r in
-                let d = Rd.varint r in
-                let c = Rd.varint r in
-                (s, d, c)))));
-  List.iter ignore
-    (Rd.list r (fun r ->
-         let fid = Rd.varint r in
-         check_fid fid;
-         let site = Rd.varint r in
-         if site >= Array.length (Hhbc.Repo.func repo fid).Hhbc.Func.body then
-           corrupt "call site out of range";
-         let targets =
-           Rd.list r (fun r ->
-               let callee = Rd.varint r in
-               let c = Rd.varint r in
-               (callee, c))
-         in
-         (* a repeated site replaces the earlier one *)
-         let row = site_row t fid site in
-         Row.clear row;
-         List.iter
-           (fun (callee, c) ->
-             check_fid callee;
-             Row.set row callee c)
-           targets));
+  List.iter
+    (fun (fid, counts) ->
+      check_fid fid;
+      if Array.length counts <> blocks_of fid then corrupt "block counter arity mismatch";
+      t.blocks.(fid) <- Some counts)
+    raw.rc_blocks;
+  List.iter
+    (fun (fid, arcs) ->
+      check_fid fid;
+      let n_blocks = blocks_of fid in
+      List.iter
+        (fun (s, d, c) ->
+          if s >= n_blocks || d >= n_blocks then corrupt "arc endpoint out of range";
+          Row.set (arc_row t fid s) d c)
+        arcs)
+    raw.rc_arcs;
+  List.iter
+    (fun ((fid, site), targets) ->
+      check_fid fid;
+      if site >= Array.length (Hhbc.Repo.func repo fid).Hhbc.Func.body then
+        corrupt "call site out of range";
+      (* a repeated site replaces the earlier one *)
+      let row = site_row t fid site in
+      Row.clear row;
+      List.iter
+        (fun (callee, c) ->
+          check_fid callee;
+          Row.set row callee c)
+        targets)
+    raw.rc_sites;
   List.iter
     (fun (fid, e) ->
       check_fid fid;
       t.entries.(fid) <- e;
       t.total_entries <- t.total_entries + e)
-    (Rd.list r (fun r ->
-         let fid = Rd.varint r in
-         let e = Rd.varint r in
-         (fid, e)));
+    raw.rc_entries;
   List.iter
     (fun (a, b, c) ->
       check_fid a;
       check_fid b;
       Row.set t.cg.(a) b c)
-    (Rd.list r (fun r ->
-         let a = Rd.varint r in
-         let b = Rd.varint r in
-         let c = Rd.varint r in
-         (a, b, c)));
+    raw.rc_cg;
   List.iter
     (fun (cid, nid, c) ->
       if cid < 0 || cid >= Hhbc.Repo.n_classes repo then corrupt "class id out of range";
       if nid < 0 || nid >= Hhbc.Repo.n_names repo then corrupt "property name id out of range";
       Row.set t.props.(cid) nid c)
-    (Rd.list r (fun r ->
-         let cid = Rd.varint r in
-         let nid = Rd.varint r in
-         let c = Rd.varint r in
-         (cid, nid, c)));
+    raw.rc_props;
   List.iter
     (fun uid ->
       if uid < 0 || uid >= Hhbc.Repo.n_units repo then corrupt "unit id out of range";
       record_unit_load t uid)
-    (Rd.list r (fun r -> Rd.varint r));
+    raw.rc_units;
   t
+
+let deserialize repo r = of_raw repo (read_raw r)

@@ -10,7 +10,12 @@
     - function entry counters and tier-1 caller/callee arcs (the inaccurate
       call graph that §V-B improves upon),
     - the set of touched units/strings/arrays for consumer preloading
-      (category 1). *)
+      (category 1).
+
+    This module owns the counters' wire layout: {!serialize} writes it and
+    {!read_raw} is its only reader.  The exact package decode validates
+    the raw record against its repo ({!of_raw}); stale-profile salvage
+    re-anchors it onto a drifted build ({!Stale_match.transfer}). *)
 
 type t
 
@@ -119,9 +124,35 @@ val total_entries : t -> int
 val copy : t -> t
 
 (** Binary serialization (payload only; framing/CRC is the package layer's
-    job).  [deserialize] validates every id against the repo and raises
-    {!Js_util.Binio.Corrupt} on out-of-range data — a profile package must
-    never crash the consumer with an unchecked array access. *)
+    job): seven sections, block counters first and touched units last. *)
 val serialize : t -> Js_util.Binio.Writer.t -> unit
 
+(** The serialized sections as the bytes give them, with {e no} id checked:
+    [(fid, block counts)], [(fid, [(src, dst, count)])],
+    [((fid, site), [(callee, count)])], [(fid, entries)],
+    [(caller, callee, count)], [(cid, nid, count)] and the touched units
+    in first-touch order.  The exact decode checks the ids against its
+    repo ({!of_raw}); stale-profile salvage re-anchors them onto a drifted
+    build ({!Stale_match.transfer}). *)
+type raw = {
+  rc_blocks : (int * int array) list;
+  rc_arcs : (int * (int * int * int) list) list;
+  rc_sites : ((int * int) * (int * int) list) list;
+  rc_entries : (int * int) list;
+  rc_cg : (int * int * int) list;
+  rc_props : (int * int * int) list;
+  rc_units : int list;
+}
+
+(** The one reader of the {!serialize} layout.
+    @raise Js_util.Binio.Corrupt on malformed input. *)
+val read_raw : Js_util.Binio.Reader.t -> raw
+
+(** [of_raw repo raw] validates every id against [repo] and imports the
+    record.  It raises {!Js_util.Binio.Corrupt} naming the first
+    out-of-range field, section by section — a profile package must never
+    crash the consumer with an unchecked array access. *)
+val of_raw : Hhbc.Repo.t -> raw -> t
+
+(** [deserialize repo r] is [of_raw repo (read_raw r)]. *)
 val deserialize : Hhbc.Repo.t -> Js_util.Binio.Reader.t -> t

@@ -7,11 +7,11 @@
    cannot be imported directly.  Instead every package embeds a *match
    table* ({!shape}): per-function qualified names plus id-free structural
    hashes at function and block granularity, computed against the build the
-   seeder profiled.  The salvage path decodes the stale package leniently
-   ({!read_raw_counters}), matches old entities onto the live repo
-   ({!transfer}) and rebuilds a counter set that passes the consumer's
-   P300-P321 consistency gates — counters for unmatched or now-infeasible
-   regions are dropped, never imported blind.
+   seeder profiled.  The salvage path decodes the stale package's counters
+   without checking their ids ({!Counters.read_raw}), matches old entities
+   onto the live repo ({!transfer}) and rebuilds a counter set that passes
+   the consumer's P300-P321 consistency gates — counters for unmatched or
+   now-infeasible regions are dropped, never imported blind.
 
    Matching ladder (functions): qualified name first (strict-hash pairs
    within a name group, then positional), then strict structural hash over
@@ -190,6 +190,15 @@ let read_shape r =
           || Array.length sg_block_loose <> Array.length sg_block_starts
           || Array.length sg_block_lens <> Array.length sg_block_starts
         then raise (Js_util.Binio.Corrupt "match table: ragged block hash vectors");
+        (* [transfer] finds a call site's block by scanning these starts, so
+           they must be what [F.basic_blocks] gives: 0 first, strictly
+           increasing, inside the body *)
+        Array.iteri
+          (fun i st ->
+            let rises = if i = 0 then st = 0 else st > sg_block_starts.(i - 1) in
+            if not (rises && st < sg_body_len) then
+              raise (Js_util.Binio.Corrupt "match table: block starts out of order"))
+          sg_block_starts;
         {
           sg_name;
           sg_strict;
@@ -203,71 +212,6 @@ let read_shape r =
         })
   in
   { sh_funcs; sh_class_names; sh_names; sh_unit_paths }
-
-(* --- lenient counter decoding ----------------------------------------- *)
-
-(* Mirrors {!Counters.serialize}'s seven sections with *no* repo validation:
-   the ids refer to the profiled build, which the consumer does not have.
-   Every id is range-checked against the embedded shape during transfer
-   instead. *)
-type raw_counters = {
-  rc_blocks : (int * int array) list;
-  rc_arcs : (int * (int * int * int) list) list;
-  rc_sites : ((int * int) * (int * int) list) list;
-  rc_entries : (int * int) list;
-  rc_cg : (int * int * int) list;
-  rc_props : (int * int * int) list;
-  rc_units : int list;
-}
-
-let read_raw_counters r =
-  let rc_blocks =
-    Rd.list r (fun r ->
-        let fid = Rd.varint r in
-        (fid, Rd.array r (fun r -> Rd.varint r)))
-  in
-  let rc_arcs =
-    Rd.list r (fun r ->
-        let fid = Rd.varint r in
-        ( fid,
-          Rd.list r (fun r ->
-              let s = Rd.varint r in
-              let d = Rd.varint r in
-              let c = Rd.varint r in
-              (s, d, c)) ))
-  in
-  let rc_sites =
-    Rd.list r (fun r ->
-        let fid = Rd.varint r in
-        let site = Rd.varint r in
-        ( (fid, site),
-          Rd.list r (fun r ->
-              let callee = Rd.varint r in
-              let c = Rd.varint r in
-              (callee, c)) ))
-  in
-  let rc_entries =
-    Rd.list r (fun r ->
-        let fid = Rd.varint r in
-        let e = Rd.varint r in
-        (fid, e))
-  in
-  let rc_cg =
-    Rd.list r (fun r ->
-        let a = Rd.varint r in
-        let b = Rd.varint r in
-        let c = Rd.varint r in
-        (a, b, c))
-  in
-  let rc_props =
-    Rd.list r (fun r ->
-        let cid = Rd.varint r in
-        let nid = Rd.varint r in
-        let c = Rd.varint r in
-        (cid, nid, c))
-  in
-  let rc_units = Rd.list r (fun r -> Rd.varint r) in
-  { rc_blocks; rc_arcs; rc_sites; rc_entries; rc_cg; rc_props; rc_units }
 
 (* --- matching ---------------------------------------------------------- *)
 
@@ -422,7 +366,7 @@ let match_blocks (old_sig : func_sig) (new_sig : func_sig) =
     ~olds ~news ~old_done ~new_done ~assign;
   map
 
-let transfer repo (shape : shape) (raw : raw_counters) =
+let transfer repo (shape : shape) (raw : Counters.raw) =
   let n_old = Array.length shape.sh_funcs in
   let n_new = Repo.n_funcs repo in
   let fid_map, new_sigs, by_name, by_strict, by_loose = match_funcs repo shape in
@@ -435,35 +379,16 @@ let transfer repo (shape : shape) (raw : raw_counters) =
   let counters = Counters.create repo in
   let old_ok fid = fid >= 0 && fid < n_old in
   let mapped fid = if old_ok fid then fid_map.(fid) else None in
-  (* Feasibility gates, mirroring Package_check: only consulted for
-     converged analyses of verifier-clean bodies, so an honest transfer is
-     never over-pruned — but a transferred count can never land on a
+  (* Feasibility gates, the same rule as Package_check's
+     ({!Js_analysis.Verify.facts}), so an honest transfer is never
+     over-pruned — but a transferred count can never land on a
      dataflow-dead block (P321) or infeasible edge (P320). *)
-  let dfa = Array.make n_new `Todo in
-  let dfa_of nfid =
-    match dfa.(nfid) with
-    | `Some s -> Some s
-    | `None -> None
-    | `Todo ->
-      let f = Repo.func repo nfid in
-      let v =
-        if Js_analysis.Diag.errors (Js_analysis.Verify.check_func repo f) <> [] then `None
-        else
-          let s = Js_analysis.Dataflow.analyze repo f in
-          if s.Js_analysis.Dataflow.converged then `Some s else `None
-      in
-      dfa.(nfid) <- v;
-      (match v with `Some s -> Some s | `None -> None)
+  let dfa =
+    Array.init n_new (fun nfid -> lazy (Js_analysis.Verify.facts repo (Repo.func repo nfid)))
   in
-  let new_blocks = Hashtbl.create 64 in
-  let blocks_of nfid =
-    match Hashtbl.find_opt new_blocks nfid with
-    | Some b -> b
-    | None ->
-      let b = F.basic_blocks (Repo.func repo nfid) in
-      Hashtbl.add new_blocks nfid b;
-      b
-  in
+  let dfa_of nfid = Lazy.force dfa.(nfid) in
+  let new_blocks = Array.init n_new (fun nfid -> lazy (F.basic_blocks (Repo.func repo nfid))) in
+  let blocks_of nfid = Lazy.force new_blocks.(nfid) in
   let block_maps = Hashtbl.create 64 in
   let block_map_of ofid nfid =
     match Hashtbl.find_opt block_maps ofid with
@@ -580,8 +505,8 @@ let transfer repo (shape : shape) (raw : raw_counters) =
         if site < 0 || site >= osig.sg_body_len || Array.length osig.sg_block_starts = 0 then
           drop ()
         else begin
-          (* binary-search-free: linear scan over block starts (bodies are
-             small; the seeder-side shape is trusted to be sorted) *)
+          (* linear scan over block starts (bodies are small; [read_shape]
+             checked that they rise from 0, so [site] lies in block [ob]) *)
           let ob = ref 0 in
           Array.iteri (fun i st -> if st <= site then ob := i) osig.sg_block_starts;
           let bmap = block_map_of ofid nfid in

@@ -8,7 +8,8 @@
     cannot steal each other's counters.  Matched counters transfer onto a
     fresh {!Counters.t} for build B; unmatched or dataflow-infeasible
     counters are dropped so the result always clears the P300–P321 package
-    gates. *)
+    gates.  Feasibility is judged by the same rule the package gates use,
+    {!Js_analysis.Verify.facts}. *)
 
 (** Per-function match signature, computed against the profiled build. *)
 type func_sig = {
@@ -37,23 +38,10 @@ type shape = {
 val shape_of_repo : Hhbc.Repo.t -> shape
 val write_shape : Js_util.Binio.Writer.t -> shape -> unit
 
-(** @raise Js_util.Binio.Corrupt on malformed input. *)
+(** @raise Js_util.Binio.Corrupt on malformed input, including ragged
+    per-block vectors and block starts that do not rise strictly from 0
+    inside the body. *)
 val read_shape : Js_util.Binio.Reader.t -> shape
-
-(** {!Counters.serialize} payload decoded with {e no} repo validation — the
-    ids belong to the profiled build.  Range checks happen in {!transfer}. *)
-type raw_counters = {
-  rc_blocks : (int * int array) list;
-  rc_arcs : (int * (int * int * int) list) list;
-  rc_sites : ((int * int) * (int * int) list) list;
-  rc_entries : (int * int) list;
-  rc_cg : (int * int * int) list;
-  rc_props : (int * int * int) list;
-  rc_units : int list;
-}
-
-(** @raise Js_util.Binio.Corrupt on malformed input. *)
-val read_raw_counters : Js_util.Binio.Reader.t -> raw_counters
 
 type stats = {
   funcs_total : int;
@@ -89,11 +77,12 @@ type transfer = {
 }
 
 (** [transfer repo shape raw] matches the stale build described by [shape]
-    onto [repo] and rebuilds its counters.  For matched-but-edited functions
-    whose entry block has no CFG predecessors, block/arc counts are rescaled
-    so the entry block agrees with the (exactly transferred) entry counter;
-    strict-identical matches are left untouched, keeping a zero-churn
-    transfer byte-identical under {!Counters.serialize}. *)
-val transfer : Hhbc.Repo.t -> shape -> raw_counters -> transfer
+    onto [repo] and rebuilds its counters from [raw], whose ids belong to
+    the stale build and are range-checked here.  For matched-but-edited
+    functions whose entry block has no CFG predecessors, block/arc counts
+    are rescaled so the entry block agrees with the (exactly transferred)
+    entry counter; strict-identical matches are left untouched, keeping a
+    zero-churn transfer byte-identical under {!Counters.serialize}. *)
+val transfer : Hhbc.Repo.t -> shape -> Counters.raw -> transfer
 
 val pp_stats : Format.formatter -> stats -> unit

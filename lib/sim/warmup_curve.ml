@@ -58,13 +58,14 @@ let build ?(horizon = 1800.) cfg app role =
 (* The reference run is deterministic per (config, app, role shape), and a
    push reuses a handful of distinct packages across hundreds of restarts,
    so curves are memoized: one slot for no-Jump-Start boots plus one per
-   package (physical identity — packages are built once and shared). *)
+   package content.  The key is every field the server model reads, which
+   is all but [bad], so content-equal packages share one curve. *)
 type cache = {
   cfg : Server.config;
   app : Workload.Macro_app.t;
   horizon : float;
   mutable nojs : t option;
-  mutable consumers : (Server.package * t) list;
+  mutable consumers : (Server.package * t) list;  (* keyed with [bad = false] *)
 }
 
 let create_cache ?(horizon = 1800.) cfg app =
@@ -80,9 +81,10 @@ let get cache role =
       cache.nojs <- Some c;
       c)
   | Server.Consumer pkg -> (
-    match List.find_opt (fun (p, _) -> p == pkg) cache.consumers with
-    | Some (_, c) -> c
+    let key = { pkg with Server.bad = false } in
+    match List.assoc_opt key cache.consumers with
+    | Some c -> c
     | None ->
       let c = build ~horizon:cache.horizon cache.cfg cache.app role in
-      cache.consumers <- (pkg, c) :: cache.consumers;
+      cache.consumers <- (key, c) :: cache.consumers;
       c)

@@ -36,7 +36,8 @@ val warm_served : t -> float
 val multiplier : t -> served:float -> float
 
 (** Memoized curves over one (config, app): one no-Jump-Start slot plus one
-    per package (physical identity). *)
+    per package content.  Packages that differ only in [bad], which the
+    server model ignores, share a curve. *)
 type cache
 
 val create_cache : ?horizon:float -> Cluster.Server.config -> Workload.Macro_app.t -> cache

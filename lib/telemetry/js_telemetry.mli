@@ -139,8 +139,6 @@ val fallback_reasons : t -> (string * int) list
 
 (** {2 Exporters} *)
 
-val pp_event : Format.formatter -> event -> unit
-
 (** Human-readable dump: counters, gauges, histograms, fallback reasons,
     spans and the tail of the event buffer. *)
 val pp_text : Format.formatter -> t -> unit

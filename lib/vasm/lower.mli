@@ -21,9 +21,6 @@ type mode =
   | Optimized
   | Instrumented  (** optimized + per-block counters (seeder mode, §V-A) *)
 
-(** Lowered byte size of one bytecode instruction in optimized code. *)
-val instr_size : Hhbc.Instr.t -> int
-
 (** [dynamic_ops body ~start ~len] counts guarded dynamic operations in an
     instruction range (drives slow-path block sizes). *)
 val dynamic_ops : Hhbc.Instr.t array -> start:int -> len:int -> int

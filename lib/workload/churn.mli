@@ -35,13 +35,10 @@ type stats = {
   edit_distance : float;  (** touched declarations / total declarations *)
 }
 
-(** [churn_ast config program] — mutate the AST.  With [config.rate = 0.]
-    the program is returned untouched (physically equal declarations), so a
-    zero-churn build compiles byte-identically. *)
-val churn_ast : config -> Minihack.Ast.program -> Minihack.Ast.program * stats
-
-(** [generate config spec] = {!Codegen.build_ast} -> {!churn_ast} ->
-    {!Codegen.app_of_program}: the churned build of [spec]'s app.
+(** [generate config spec] = {!Codegen.build_ast}, then the AST mutation,
+    then {!Codegen.app_of_program}: the churned build of [spec]'s app.  With
+    [config.rate = 0.] the mutation leaves every declaration physically
+    untouched, so a zero-churn build compiles byte-identically.
     @raise Failure if the mutated program fails repo validation (a churn
     bug, not an input condition). *)
 val generate : config -> App_spec.t -> Codegen.app * stats

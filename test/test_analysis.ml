@@ -429,12 +429,72 @@ let test_dataflow_const_fold () =
     (AV.equal s.DF.pushed.(2) (AV.Const (Hhbc.Value.Int 5)));
   Alcotest.(check bool) "load sees the stored constant" true
     (AV.equal s.DF.pushed.(4) (AV.Const (Hhbc.Value.Int 5)));
-  Alcotest.(check bool) "converged" true s.DF.converged;
-  (* folding mirrors engine semantics: paths that can raise never fold *)
-  Alcotest.(check bool) "div by zero does not fold" true
-    (DF.fold_binop I.Div (Hhbc.Value.Int 1) (Hhbc.Value.Int 0) = None);
-  Alcotest.(check bool) "mod by zero does not fold" true
-    (DF.fold_binop I.Mod (Hhbc.Value.Int 1) (Hhbc.Value.Int 0) = None)
+  Alcotest.(check bool) "converged" true s.DF.converged
+
+(* Folding runs the interpreter's own operators: for every operator and
+   constant operands, the folded fact is [Const] of {!Hhbc.Ops}'s result
+   when it returns, and no constant when it raises. *)
+let test_dataflow_folds_shared_operators () =
+  let module Val = Hhbc.Value in
+  let values =
+    [ Val.Int 0; Val.Int 1; Val.Int (-3); Val.Int 70; Val.Float 0.; Val.Float 2.5;
+      Val.Float (-1.5); Val.Bool true; Val.Bool false; Val.Null ]
+  in
+  let lit = function
+    | Val.Int n -> I.LitInt n
+    | Val.Float f -> I.LitFloat f
+    | Val.Bool b -> I.LitBool b
+    | _ -> I.LitNull
+  in
+  let check what body ~pc op =
+    let fact = (summary_of body).DF.pushed.(pc) in
+    match op () with
+    | v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s folds to %s (got %s)" what (Val.to_string v) (AV.to_string fact))
+        true
+        (AV.equal fact (AV.Const v))
+    | exception Hhbc.Ops.Runtime_error _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s raises, so no constant (got %s)" what (AV.to_string fact))
+        false
+        (match fact with AV.Const _ -> true | AV.Any | AV.Tag _ -> false)
+  in
+  let name ins = Format.asprintf "%a" I.pp ins in
+  let binops =
+    I.[ Add; Sub; Mul; Div; Mod; Concat; Lt; Le; Gt; Ge; Eq; Ne; BitAnd; BitOr; BitXor; Shl; Shr ]
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              let body = [ lit a; lit b; I.BinOp op; I.Ret ] in
+              check
+                (Printf.sprintf "%s %s %s" (name (lit a)) (name (I.BinOp op)) (name (lit b)))
+                body ~pc:2
+                (fun () -> Hhbc.Ops.binop op a b))
+            values)
+        values)
+    binops;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun op ->
+          check
+            (Printf.sprintf "%s %s" (name (I.UnOp op)) (name (lit a)))
+            [ lit a; I.UnOp op; I.Ret ] ~pc:1
+            (fun () -> Hhbc.Ops.unop op a))
+        I.[ Neg; Not; BitNot ];
+      List.iter
+        (fun tag ->
+          check
+            (Printf.sprintf "%s %s" (name (I.Cast tag)) (name (lit a)))
+            [ lit a; I.Cast tag; I.Ret ] ~pc:1
+            (fun () -> Hhbc.Ops.cast tag a))
+        Val.[ TNull; TBool; TInt; TFloat; TStr; TVec; TDict; TObj ])
+    values
 
 let test_dataflow_feasible_edges () =
   (* blocks: b0=[0..1] b1=[2..3] b2=[4..5]; the branch condition is the
@@ -677,6 +737,8 @@ let () =
         ] );
       ( "dataflow",
         [ Alcotest.test_case "constant folding facts" `Quick test_dataflow_const_fold;
+          Alcotest.test_case "folds with the shared operators" `Quick
+            test_dataflow_folds_shared_operators;
           Alcotest.test_case "feasible edges" `Quick test_dataflow_feasible_edges;
           Alcotest.test_case "dead stores" `Quick test_dataflow_dead_store;
           Alcotest.test_case "lint codes pinned" `Quick test_lint_codes_pinned;

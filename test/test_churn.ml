@@ -92,7 +92,7 @@ let fid_of repo name =
 
 let raw_for fid counts entries =
   {
-    SM.rc_blocks = [ (fid, counts) ];
+    Jit_profile.Counters.rc_blocks = [ (fid, counts) ];
     rc_arcs = [];
     rc_sites = [];
     rc_entries = [ (fid, entries) ];
@@ -232,6 +232,73 @@ let test_boot_salvage_threshold_rejects () =
       = options.JS.Options.max_boot_attempts)
   | JS.Consumer.Jump_started _ -> Alcotest.fail "quality bar above 1.0 must not jump-start"
 
+(* A forged match table: one profiled function's first block start moves
+   past a call site in that block, and the payload is re-framed with a valid
+   CRC.  Salvage maps the call site through the block whose start it scans
+   for, which would land before the function's first instruction, so the
+   decode must reject the table and a consumer must fall back. *)
+let tampered_bytes () =
+  let a = Lazy.force app in
+  let bytes = Lazy.force bytes_of in
+  let module B = Js_util.Binio in
+  let payload = B.unframe ~magic:JS.Package.magic ~expected_version:JS.Package.version bytes in
+  let r = B.Reader.of_string payload in
+  (* 7 meta varints, then the 6 repo-shape sizes *)
+  for _ = 1 to 13 do
+    ignore (B.Reader.varint r)
+  done;
+  let at () = String.length payload - B.Reader.remaining r in
+  let head = String.sub payload 0 (at ()) in
+  let shape = SM.read_shape r in
+  let tail = String.sub payload (at ()) (B.Reader.remaining r) in
+  let pkg =
+    match JS.Package.of_bytes a.Workload.Codegen.repo bytes with
+    | Ok pkg -> pkg
+    | Error msg -> Alcotest.failf "pristine package must decode: %s" msg
+  in
+  let in_first_block (fid, site) =
+    let starts = shape.SM.sh_funcs.(fid).SM.sg_block_starts in
+    Array.length starts = 1 || site < starts.(1)
+  in
+  let sites = Jit_profile.Counters.call_site_list pkg.JS.Package.counters in
+  match List.find_opt in_first_block sites with
+  | None -> Alcotest.fail "no profiled call site in a first block"
+  | Some (fid, site) ->
+    let fs = shape.SM.sh_funcs.(fid) in
+    let starts = Array.copy fs.SM.sg_block_starts in
+    starts.(0) <- site + 1;
+    let funcs = Array.copy shape.SM.sh_funcs in
+    funcs.(fid) <- { fs with SM.sg_block_starts = starts };
+    let w = B.Writer.create () in
+    SM.write_shape w { shape with SM.sh_funcs = funcs };
+    ( B.frame ~magic:JS.Package.magic ~version:JS.Package.version
+        (head ^ B.Writer.contents w ^ tail),
+      pkg.JS.Package.meta )
+
+let test_tampered_match_table_rejected () =
+  let a = Lazy.force app in
+  let bytes, meta = tampered_bytes () in
+  let churned, _ = Workload.Churn.generate { Workload.Churn.seed = 3; rate = 0.3 } tiny in
+  List.iter
+    (fun (what, repo) ->
+      match JS.Package.of_bytes_stale repo bytes with
+      | Ok _ -> Alcotest.failf "tampered match table salvaged against the %s build" what
+      | Error _ -> ())
+    [ ("same", a.Workload.Codegen.repo); ("churned", churned.Workload.Codegen.repo) ];
+  let store = JS.Store.create () in
+  JS.Store.publish store ~region:0 ~bucket:3 bytes meta;
+  let ds = DS.create ~repo:churned.Workload.Codegen.repo store in
+  let tel = Js_telemetry.create () in
+  match
+    JS.Consumer.boot_dist ~telemetry:tel churned.Workload.Codegen.repo JS.Options.default ds
+      (R.create 2) ~region:0 ~bucket:3 ~fallback_traffic:(traffic churned ~seed:9 ()) ()
+  with
+  | JS.Consumer.Fell_back _ ->
+    Alcotest.(check int) "every attempt burned in salvage"
+      JS.Options.default.JS.Options.max_boot_attempts
+      (Js_telemetry.counter tel "consumer.salvage_failures")
+  | JS.Consumer.Jump_started _ -> Alcotest.fail "tampered match table must not jump-start"
+
 (* --- qcheck properties --- *)
 
 let prop_zero_churn_salvage_identity =
@@ -301,7 +368,9 @@ let () =
           Alcotest.test_case "boot salvages stale package" `Quick
             test_boot_salvages_stale_package;
           Alcotest.test_case "quality threshold rejects" `Quick
-            test_boot_salvage_threshold_rejects
+            test_boot_salvage_threshold_rejects;
+          Alcotest.test_case "tampered match table rejected" `Quick
+            test_tampered_match_table_rejected
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -373,6 +373,65 @@ let prop_all_corrupt_store_falls_back =
         && Js_telemetry.counter tel "consumer.verify_failures" = 0
       | Jumpstart.Consumer.Jump_started _ -> false)
 
+(* Decode totality past the frame check: the tiny app's package payload,
+   cut short or with one byte substituted inside the match table or outside
+   it, re-framed with a valid CRC so every section parser sees the damage.
+   Neither decode (the salvage one against the same and a churned build)
+   nor the P3xx pass over what decodes may raise.  Cutting the framed
+   bytes instead only ever reaches the frame check. *)
+let match_table_span =
+  lazy
+    (let module B = Js_util.Binio in
+     let bytes = (Lazy.force seeded_package).Jumpstart.Seeder.bytes in
+     let payload =
+       B.unframe ~magic:Jumpstart.Package.magic ~expected_version:Jumpstart.Package.version bytes
+     in
+     let r = B.Reader.of_string payload in
+     (* 7 meta varints, then the 6 repo-shape sizes *)
+     for _ = 1 to 13 do
+       ignore (B.Reader.varint r)
+     done;
+     let at () = String.length payload - B.Reader.remaining r in
+     let lo = at () in
+     ignore (Jit_profile.Stale_match.read_shape r);
+     (payload, lo, at ()))
+
+let churned_tiny =
+  lazy
+    (fst (Workload.Churn.generate { Workload.Churn.seed = 3; rate = 0.3 } Workload.App_spec.tiny))
+
+let prop_package_decode_total =
+  QCheck.Test.make ~name:"package decode is total past the frame check" ~count:400
+    QCheck.(triple (int_bound 2) (int_bound 1_000_000) (int_range 1 255))
+    (fun (kind, k, x) ->
+      let payload, lo, hi = Lazy.force match_table_span in
+      let n = String.length payload in
+      let subst pos =
+        String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor x) else c) payload
+      in
+      let mutated =
+        match kind with
+        | 0 -> String.sub payload 0 (k mod n)
+        | 1 -> subst (lo + (k mod (hi - lo)))
+        | _ ->
+          let p = k mod (n - (hi - lo)) in
+          subst (if p < lo then p else p + hi - lo)
+      in
+      let data =
+        Js_util.Binio.frame ~magic:Jumpstart.Package.magic ~version:Jumpstart.Package.version
+          mutated
+      in
+      let check repo = function
+        | Ok pkg -> ignore (Jumpstart.Package_check.check repo pkg)
+        | Error _ -> ()
+      in
+      let same = (Lazy.force tiny_app).Workload.Codegen.repo in
+      let churned = (Lazy.force churned_tiny).Workload.Codegen.repo in
+      check same (Jumpstart.Package.of_bytes same data);
+      check same (Result.map fst (Jumpstart.Package.of_bytes_stale same data));
+      check churned (Result.map fst (Jumpstart.Package.of_bytes_stale churned data));
+      true)
+
 (* The macro app of the discrete-event push properties below. *)
 let dist_fleet_app =
   lazy
@@ -990,7 +1049,11 @@ let () =
             prop_probe_paths_match_reference;
             prop_dataflow_fixed_point; prop_compiler_output_verifies
           ] );
-      ("reliability", q [ prop_all_corrupt_store_falls_back ]);
+      ( "reliability",
+        q [ prop_all_corrupt_store_falls_back ]
+        @ [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 22 |])
+              prop_package_decode_total
+          ] );
       ( "sim",
         q
           [ prop_push_sim_deterministic; prop_push_sim_dist_ladder; prop_rng_matches_reference;

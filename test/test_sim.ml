@@ -343,6 +343,17 @@ let test_warmup_curve_cache_reuses () =
   Alcotest.(check bool) "per-package slot memoized" true (c1 == c2);
   Alcotest.(check bool) "distinct from no-js" true (c1 != a)
 
+(* The memo key is the content the server model reads: [bad] is not part
+   of it, quality is. *)
+let test_warmup_curve_cache_keyed_by_content () =
+  let app = Lazy.force small_app and cfg = Lazy.force small_cfg in
+  let cache = Warmup_curve.create_cache ~horizon:400. cfg app in
+  let good = Warmup_curve.get cache (S.Consumer (S.make_package cfg app ())) in
+  let bad = Warmup_curve.get cache (S.Consumer (S.make_package cfg app ~bad:true ())) in
+  Alcotest.(check bool) "packages differing only in bad share a curve" true (good == bad);
+  let thin = Warmup_curve.get cache (S.Consumer (S.make_package cfg app ~quality:0.4 ())) in
+  Alcotest.(check bool) "a thinner package gets its own curve" true (thin != good)
+
 (* --- push --- *)
 
 let push_cfg =
@@ -968,7 +979,9 @@ let () =
         ] );
       ( "warmup curve",
         [ Alcotest.test_case "shapes" `Quick test_warmup_curve_shapes;
-          Alcotest.test_case "cache" `Quick test_warmup_curve_cache_reuses
+          Alcotest.test_case "cache" `Quick test_warmup_curve_cache_reuses;
+          Alcotest.test_case "cache keyed by content" `Quick
+            test_warmup_curve_cache_keyed_by_content
         ] );
       ( "push",
         [ Alcotest.test_case "conservation + smoke" `Quick test_push_conservation;
