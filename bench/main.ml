@@ -473,6 +473,15 @@ let write_artifact ~tag ~default json =
   close_out oc;
   Printf.printf "wrote %s (valid per the telemetry JSON parser)\n" out
 
+(* The checkout's commit, suffixed "-dirty" when the tree differs from it;
+   "unknown" outside a git work tree. *)
+let commit () =
+  let ic =
+    Unix.open_process_in "git describe --always --dirty --abbrev=40 --exclude='*' 2>/dev/null"
+  in
+  let line = try input_line ic with End_of_file -> "" in
+  match Unix.close_process_in ic with Unix.WEXITED 0 when line <> "" -> line | _ -> "unknown"
+
 let perf () =
   section "perf: interpreter throughput + core-algorithm micro-benches";
   let quick = !quick_mode in
@@ -621,7 +630,13 @@ let perf () =
         v)
   in
   let interp_sps = interp_ops *. float_of_int !fib_steps in
-  let exttsp_ops = time_ops (if quick then 20 else 200) (fun () -> Layout.Exttsp.layout cfg64) in
+  (* Ext-TSP: the median of [exttsp_reps] timed repetitions, with their range *)
+  let exttsp_reps = 5 and exttsp_ops_per_rep = if quick then 20 else 200 in
+  let exttsp =
+    Array.init exttsp_reps (fun _ -> time_ops exttsp_ops_per_rep (fun () -> Layout.Exttsp.layout cfg64))
+  in
+  Array.sort compare exttsp;
+  let exttsp_ops = exttsp.(exttsp_reps / 2) in
   let c3_ops =
     time_ops (if quick then 5 else 50) (fun () -> Layout.C3.order ~nodes ~arcs:call_arcs ())
   in
@@ -634,8 +649,10 @@ let perf () =
         Jit_profile.Counters.deserialize tiny.Workload.Codegen.repo
           (Js_util.Binio.Reader.of_string (Js_util.Binio.Writer.contents w)))
   in
-  Printf.printf "micro: interp-fib %.2fM steps/s | exttsp %.0f ops/s | c3 %.1f ops/s | binio %.0f ops/s\n"
-    (interp_sps /. 1e6) exttsp_ops c3_ops binio_ops;
+  Printf.printf
+    "micro: interp-fib %.2fM steps/s | exttsp %.0f ops/s (median of %d, %.0f-%.0f) | c3 %.1f ops/s \
+     | binio %.0f ops/s\n"
+    (interp_sps /. 1e6) exttsp_ops exttsp_reps exttsp.(0) exttsp.(exttsp_reps - 1) c3_ops binio_ops;
   (* emit BENCH_interp.json *)
   let b = Buffer.create 2048 in
   let fld ?(last = false) key fmt v =
@@ -644,8 +661,19 @@ let perf () =
     Buffer.add_string b (if last then "\n" else ",\n")
   in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/2\",\n";
+  let t = Unix.gmtime (Unix.time ()) in
+  let date =
+    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900) (t.tm_mon + 1) t.tm_mday
+      t.tm_hour t.tm_min t.tm_sec
+  in
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/3\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
+  Printf.bprintf b "  \"provenance\": {\n";
+  fld "commit" "%S" (commit ());
+  fld "date" "%S" date;
+  fld "nproc" "%d" (Domain.recommended_domain_count ());
+  fld ~last:true "ocaml" "%S" Sys.ocaml_version;
+  Printf.bprintf b "  },\n";
   Printf.bprintf b "  \"workload\": {\n";
   fld "requests" "%d" requests;
   fld "steps" "%d" steps_c;
@@ -662,6 +690,10 @@ let perf () =
   Printf.bprintf b "  \"micro\": {\n";
   fld "interp_fib_steps_per_sec" "%.0f" interp_sps;
   fld "exttsp_layout_ops_per_sec" "%.2f" exttsp_ops;
+  fld "exttsp_layout_ops_per_sec_min" "%.2f" exttsp.(0);
+  fld "exttsp_layout_ops_per_sec_max" "%.2f" exttsp.(exttsp_reps - 1);
+  fld "exttsp_layout_reps" "%d" exttsp_reps;
+  fld "exttsp_layout_ops_per_rep" "%d" exttsp_ops_per_rep;
   fld "c3_order_ops_per_sec" "%.2f" c3_ops;
   fld ~last:true "binio_roundtrip_ops_per_sec" "%.2f" binio_ops;
   Printf.bprintf b "  },\n";

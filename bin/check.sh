@@ -54,6 +54,8 @@ test -s BENCH_interp.quick.json
 # on the macro app the translated loop must match the reference loop on
 # results, echo output, step counts and the serialized tier-1 profile
 grep -q '"outputs_identical": true' BENCH_interp.quick.json
+# the artifact names the commit it measured (a full 40-digit hash)
+grep -Eq '"commit": "[0-9a-f]{40}' BENCH_interp.quick.json
 
 # Interpreter differential: every example program must print the same
 # output, result and step count on the translated loop as on the reference

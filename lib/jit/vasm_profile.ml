@@ -237,13 +237,19 @@ let serialize t w =
       W.varint w c)
     (entry_counts t)
 
+(* Layout takes only finite, non-negative counts ({!Layout.Cfg.create}). *)
+let read_count r =
+  let c = Rd.f64 r in
+  if Float.is_finite c && c >= 0. then c
+  else raise (Js_util.Binio.Corrupt "vasm profile: count not finite and non-negative")
+
 let deserialize r =
   let t = create () in
   List.iter
     (fun (fid, counts) -> Hashtbl.replace t.blocks fid counts)
     (Rd.list r (fun r ->
          let fid = Rd.varint r in
-         let counts = Rd.array r (fun r -> Rd.f64 r) in
+         let counts = Rd.array r read_count in
          (fid, counts)));
   List.iter
     (fun (fid, entries) ->
@@ -260,7 +266,7 @@ let deserialize r =
            Rd.list r (fun r ->
                let s = Rd.varint r in
                let d = Rd.varint r in
-               let c = Rd.f64 r in
+               let c = read_count r in
                (s, d, c))
          in
          (fid, entries)));

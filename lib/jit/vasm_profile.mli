@@ -50,7 +50,8 @@ val entry_counts : t -> (int * int) list
 
 (** Binary serialization (the §IV-B category-3 section of a Jump-Start
     package).  [deserialize] checks no id and raises
-    {!Js_util.Binio.Corrupt} only on malformed bytes: the package decode
+    {!Js_util.Binio.Corrupt} only on malformed bytes or on a count that is
+    not finite and non-negative, which layout cannot take: the package decode
     range-checks function ids against the consumer repo, and block indices
     are only checkable against re-lowered translations, which is the
     {!Core.Package_check} consistency pass's job. *)

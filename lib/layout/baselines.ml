@@ -9,7 +9,6 @@ let pettis_hansen cfg =
     let prev = Array.make n (-1) in
     (* chain representative = head block; find head by walking prev *)
     let rec head_of b = if prev.(b) = -1 then b else head_of prev.(b) in
-    let rec tail_of b = if next.(b) = -1 then b else tail_of next.(b) in
     let arcs = Array.copy (Cfg.arcs cfg) in
     Array.sort (fun (a : Cfg.arc) b -> compare b.weight a.weight) arcs;
     Array.iter
@@ -34,7 +33,6 @@ let pettis_hansen cfg =
         chains := collect b [] 0. :: !chains
       end
     done;
-    ignore tail_of;
     let entry_head = head_of entry in
     let entry_chain, rest = List.partition (fun (c, _) -> List.hd c = entry_head) !chains in
     let rest = List.sort (fun (_, wa) (_, wb) -> compare wb wa) rest in

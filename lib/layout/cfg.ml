@@ -8,17 +8,25 @@ type t = {
   succ_index : arc list array;
 }
 
+(* A count the layout can trust: finite and non-negative (NaN fails both). *)
+let count_ok w = Float.is_finite w && w >= 0.
+
 let create ~blocks ~arcs ~entry =
   let n = Array.length blocks in
   Array.iteri
-    (fun i b -> if b.id <> i then invalid_arg "Cfg.create: blocks must be indexed by id")
+    (fun i b ->
+      if b.id <> i then invalid_arg "Cfg.create: blocks must be indexed by id";
+      if b.size < 0 then invalid_arg "Cfg.create: negative block size";
+      if not (count_ok b.weight) then
+        invalid_arg "Cfg.create: block weight not finite and non-negative")
     blocks;
   if entry < 0 || entry >= n then invalid_arg "Cfg.create: entry out of range";
   Array.iter
     (fun a ->
       if a.src < 0 || a.src >= n || a.dst < 0 || a.dst >= n then
         invalid_arg "Cfg.create: arc endpoint out of range";
-      if a.weight < 0. then invalid_arg "Cfg.create: negative arc weight")
+      if not (count_ok a.weight) then
+        invalid_arg "Cfg.create: arc weight not finite and non-negative")
     arcs;
   let succ_index = Array.make n [] in
   Array.iter (fun a -> succ_index.(a.src) <- a :: succ_index.(a.src)) arcs;

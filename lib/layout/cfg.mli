@@ -18,9 +18,12 @@ type arc = {
 
 type t
 
-(** [create ~blocks ~arcs ~entry] validates ids and builds the graph.
-    [blocks] must be indexed by id ([blocks.(i).id = i]).
-    @raise Invalid_argument on dangling arc endpoints or misindexed blocks. *)
+(** [create ~blocks ~arcs ~entry] validates the graph and builds it.
+    [blocks] must be indexed by id ([blocks.(i).id = i]).  Sizes must be
+    non-negative and every block and arc weight finite and non-negative:
+    {!Exttsp}'s pruning is sound only on such counts.
+    @raise Invalid_argument on dangling arc endpoints, misindexed blocks, a
+    negative size, or a NaN, infinite or negative weight. *)
 val create : blocks:block array -> arcs:arc array -> entry:int -> t
 
 val blocks : t -> block array

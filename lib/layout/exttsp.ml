@@ -1,39 +1,29 @@
-type params = {
-  forward_window : int;
-  backward_window : int;
-  forward_scale : float;
-  backward_scale : float;
-  max_chain_split : int;
-}
-
-let default_params =
-  {
-    forward_window = 1024;
-    backward_window = 640;
-    forward_scale = 0.1;
-    backward_scale = 0.1;
-    max_chain_split = 128;
-  }
+(* The published constants: jump windows in bytes, and the partial credit of
+   a jump, both scales in [0, 1]. *)
+let forward_window = 1024
+let backward_window = 640
+let forward_scale = 0.1
+let backward_scale = 0.1
 
 (* Score contribution of one arc given the layout byte offsets of its
    endpoints.  [src_end] is the address just past the source block; [dst]
    the address of the target block. *)
-let[@inline] arc_score params ~weight ~src_end ~dst =
+let[@inline] arc_score ~weight ~src_end ~dst =
   if dst = src_end then weight
   else if dst > src_end then begin
     let gap = dst - src_end in
-    if gap <= params.forward_window then
-      params.forward_scale *. weight *. (1. -. (float_of_int gap /. float_of_int params.forward_window))
+    if gap <= forward_window then
+      forward_scale *. weight *. (1. -. (float_of_int gap /. float_of_int forward_window))
     else 0.
   end
   else begin
     let gap = src_end - dst in
-    if gap <= params.backward_window then
-      params.backward_scale *. weight *. (1. -. (float_of_int gap /. float_of_int params.backward_window))
+    if gap <= backward_window then
+      backward_scale *. weight *. (1. -. (float_of_int gap /. float_of_int backward_window))
     else 0.
   end
 
-let score ?(params = default_params) cfg order =
+let score cfg order =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
   if Array.length order <> n then invalid_arg "Exttsp.score: order length mismatch";
@@ -56,7 +46,7 @@ let score ?(params = default_params) cfg order =
   Array.fold_left
     (fun acc (a : Cfg.arc) ->
       if a.src = a.dst then acc (* self-loops score 0 under any order *)
-      else acc +. arc_score params ~weight:a.weight ~src_end:stop.(a.src) ~dst:start.(a.dst))
+      else acc +. arc_score ~weight:a.weight ~src_end:stop.(a.src) ~dst:start.(a.dst))
     0. (Cfg.arcs cfg)
 
 (* --- greedy chain merging --- *)
@@ -74,11 +64,38 @@ type chain = {
    the cuts in between split x.  [block_at xs ys cut k] is the block at
    position [k] of that sequence, so candidates are scored without being
    built. *)
-let block_at xs ys cut k =
+let[@inline] block_at (xs : int array) (ys : int array) cut k =
   if k < cut then xs.(k)
   else
     let ly = Array.length ys in
     if k < cut + ly then ys.(k - cut) else xs.(k - ly)
+
+(* Address of block [id] in a candidate of x and y, from its chain offset
+   [off.(id)]: x's prefix keeps its offsets, y starts at [y_at], and x's
+   suffix moves up by [y_size]. *)
+let[@inline] addr ~(chain_of : int array) ~(pos : int array) ~(off : int array) ~xc ~cut ~y_at
+    ~y_size id =
+  let o = off.(id) in
+  if chain_of.(id) <> xc then y_at + o else if pos.(id) < cut then o else o + y_size
+
+(* Arcs grouped by [key] (source or target block), each group in array
+   order; returns the group offsets, the other endpoints and the weights. *)
+let group n (arcs : Cfg.arc array) key other =
+  let first = Array.make (n + 1) 0 in
+  Array.iter (fun a -> first.(key a + 1) <- first.(key a + 1) + 1) arcs;
+  for i = 1 to n do
+    first.(i) <- first.(i) + first.(i - 1)
+  done;
+  let fill = Array.sub first 0 n in
+  let ends = Array.make (Array.length arcs) 0 and weights = Array.create_float (Array.length arcs) in
+  Array.iter
+    (fun (a : Cfg.arc) ->
+      let i = fill.(key a) in
+      ends.(i) <- other a;
+      weights.(i) <- a.weight;
+      fill.(key a) <- i + 1)
+    arcs;
+  (first, ends, weights)
 
 (* The cached [best_merge] of one connected chain pair; [cut < 0] when no
    candidate gains. *)
@@ -89,82 +106,164 @@ type pair = {
   mutable merged_score : float;  (** internal score of the winning sequence *)
 }
 
-let layout ?(params = default_params) cfg =
+(* Pruning.  Y stays contiguous in every candidate, so its internal arcs
+   score as in y alone.  Inserting y between x[cut-1] and x[cut] lengthens
+   some distances inside x by y's size, in the same direction, and keeps the
+   rest; with non-negative sizes and weights and scales in [0, 1], an arc's
+   score never rises with its distance, term by term in floats too, since
+   rounding is monotone.  So, summing the float terms exactly,
+
+     S(cut) <= S(x) + S(y) + cross(cut) - loss(cut)
+
+   where [cross] scores the arcs between x and y at their offsets in the
+   candidate and [loss] is what the fall-through arcs x[cut-1] -> x[cut]
+   lose at distance [size y].  Let u = 2^-53, m the CFG's non-self-loop
+   arcs and M = score x + score y + weight(x, y).  Every score, cached or
+   candidate, is a float sum of at most m non-negative terms, within
+   gamma_m = mu / (1 - mu) of its exact sum (Higham, Accuracy and Stability
+   of Numerical Algorithms, §4.2), and the bound takes at most 2m + 1
+   roundings of values at most M.  So a computed score exceeds its computed
+   bound by less than (4m + 1) u M (1 + 2mu), and with the comparison's own
+   rounding, (4m + 16) epsilon_float (1 + M) covers it (epsilon_float = 2u,
+   the 1 covers underflow, and a sum that overflows overflows the bound
+   too).  A candidate whose bound plus margin lies below a computed score
+   scores strictly less, so it is not the first maximum in scan order:
+   pruning it changes neither the winner nor its score. *)
+let layout ?(max_chain_split = 128) cfg =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
   if n = 0 then [||]
   else if n = 1 then [| 0 |]
   else begin
     let entry = Cfg.entry cfg in
-    let block_sizes = Array.map (fun b -> b.Cfg.size) blocks in
-    (* non-self-loop successor arcs of each block, in [Cfg.succs] order *)
-    let succ_arcs =
-      Array.init n (fun id ->
-          Array.of_list (List.filter (fun (a : Cfg.arc) -> a.src <> a.dst) (Cfg.succs cfg id)))
-    in
+    let size = Array.map (fun b -> b.Cfg.size) blocks in
+    (* non-self-loop arcs, flat: a block's successors in [Cfg.succs] order,
+       and its predecessors *)
+    let arcs = Cfg.arcs cfg |> Array.to_list |> List.filter (fun (a : Cfg.arc) -> a.src <> a.dst) in
+    let arcs = Array.of_list arcs in
+    let m = Array.length arcs in
+    let succ_first, succ_dst, succ_w = group n arcs (fun a -> a.src) (fun a -> a.dst) in
+    let pred_first, pred_src, pred_w = group n arcs (fun a -> a.dst) (fun a -> a.src) in
     let chains = Array.init n (fun i ->
-        { cid = i; blocks_seq = [| i |]; size = blocks.(i).Cfg.size; weight = blocks.(i).Cfg.weight; alive = true })
+        { cid = i; blocks_seq = [| i |]; size = size.(i); weight = blocks.(i).Cfg.weight; alive = true })
     in
+    (* each block's chain, position in it and byte offset from its start *)
     let chain_of = Array.init n (fun i -> i) in
-    let member = Array.make n false in
-    let start = Array.make n 0 in
+    let pos = Array.make n 0 and off = Array.make n 0 in
     (* score of a chain's internal arcs, cached; a singleton has none *)
     let chain_score = Array.make n 0. in
-    (* Ext-TSP score of the arcs internal to candidate [cut] of x and y, whose
-       blocks are marked in [member]: blocks in sequence order, arcs in
-       [Cfg.succs] order. *)
-    let candidate_score xs ys cut =
-      let len = Array.length xs + Array.length ys in
-      let off = ref 0 in
-      for k = 0 to len - 1 do
-        let id = block_at xs ys cut k in
-        start.(id) <- !off;
-        off := !off + block_sizes.(id)
-      done;
+    (* Ext-TSP score of the arcs internal to candidate [cut] of x and y:
+       sources in sequence order, each one's arcs in [Cfg.succs] order. *)
+    let candidate_score x y cut =
+      let xs = x.blocks_seq and ys = y.blocks_seq in
+      let xc = x.cid and yc = y.cid and y_size = y.size in
+      let y_at = if cut = Array.length xs then x.size else off.(xs.(cut)) in
       let acc = ref 0. in
-      for k = 0 to len - 1 do
+      for k = 0 to Array.length xs + Array.length ys - 1 do
         let id = block_at xs ys cut k in
-        let src_end = start.(id) + block_sizes.(id) in
-        let arcs = succ_arcs.(id) in
-        for j = 0 to Array.length arcs - 1 do
-          let a = arcs.(j) in
-          if member.(a.dst) then
-            acc := !acc +. arc_score params ~weight:a.weight ~src_end ~dst:start.(a.dst)
+        let src_end = addr ~chain_of ~pos ~off ~xc ~cut ~y_at ~y_size id + size.(id) in
+        for j = succ_first.(id) to succ_first.(id + 1) - 1 do
+          let d = succ_dst.(j) in
+          let c = chain_of.(d) in
+          if c = xc || c = yc then begin
+            let dst = addr ~chain_of ~pos ~off ~xc ~cut ~y_at ~y_size d in
+            acc := !acc +. arc_score ~weight:succ_w.(j) ~src_end ~dst
+          end
         done
       done;
       !acc
     in
-    (* Best candidate for the pair, in the order x·y, y·x, then cuts from
-       [len x - 1] down to 1; a later candidate wins only with a strictly
-       higher score.  The entry block must stay first: candidates placing
-       anything before it are skipped. *)
+    (* reused per pair evaluation: its cross arcs, and its candidates' bounds by cut *)
+    let cross_src = Array.make m 0 and cross_dst = Array.make m 0 and cross_w = Array.create_float m in
+    let bound = Array.create_float (n + 1) in
+    (* Collects the arcs between x and y from the shorter chain's blocks:
+       returns their number and total weight. *)
+    let gather x y =
+      let short, other = if Array.length x.blocks_seq <= Array.length y.blocks_seq then (x, y) else (y, x) in
+      let oc = other.cid in
+      let k = ref 0 and w = ref 0. in
+      let note s d wt =
+        cross_src.(!k) <- s;
+        cross_dst.(!k) <- d;
+        cross_w.(!k) <- wt;
+        w := !w +. wt;
+        incr k
+      in
+      Array.iter
+        (fun b ->
+          for j = succ_first.(b) to succ_first.(b + 1) - 1 do
+            if chain_of.(succ_dst.(j)) = oc then note b succ_dst.(j) succ_w.(j)
+          done;
+          for j = pred_first.(b) to pred_first.(b + 1) - 1 do
+            if chain_of.(pred_src.(j)) = oc then note pred_src.(j) b pred_w.(j)
+          done)
+        short.blocks_seq;
+      (!k, !w)
+    in
+    (* The bound of candidate [cut] (see "Pruning" above). *)
+    let bound_of x y ~n_cross cut =
+      let xs = x.blocks_seq in
+      let lx = Array.length xs and xc = x.cid and y_size = y.size in
+      let y_at = if cut = lx then x.size else off.(xs.(cut)) in
+      let b = ref (chain_score.(x.cid) +. chain_score.(y.cid)) in
+      for i = 0 to n_cross - 1 do
+        let s = cross_src.(i) in
+        let src_end = addr ~chain_of ~pos ~off ~xc ~cut ~y_at ~y_size s + size.(s) in
+        let dst = addr ~chain_of ~pos ~off ~xc ~cut ~y_at ~y_size cross_dst.(i) in
+        b := !b +. arc_score ~weight:cross_w.(i) ~src_end ~dst
+      done;
+      if cut > 0 && cut < lx then begin
+        let u = xs.(cut - 1) and v = xs.(cut) in
+        for j = succ_first.(u) to succ_first.(u + 1) - 1 do
+          if succ_dst.(j) = v then
+            b := !b -. (succ_w.(j) -. arc_score ~weight:succ_w.(j) ~src_end:0 ~dst:y_size)
+        done
+      end;
+      !b
+    in
+    (* Best candidate for the pair, in the scan order x·y, y·x, then cuts
+       from [len x - 1] down to 1; a later candidate wins only with a
+       strictly higher score.  The entry block must stay first: candidates
+       placing anything before it are skipped.  The candidate with the
+       highest bound is scored first; every other one is scored only if its
+       bound can still reach the best score computed so far. *)
     let best_merge x y p =
       let xs = x.blocks_seq and ys = y.blocks_seq in
       let lx = Array.length xs in
-      Array.iter (fun id -> member.(id) <- true) xs;
-      Array.iter (fun id -> member.(id) <- true) ys;
-      let has_entry = member.(entry) in
-      let best_cut = ref (-1) and best_score = ref 0. in
-      let consider cut =
-        if (not has_entry) || block_at xs ys cut 0 = entry then begin
-          let s = candidate_score xs ys cut in
-          if !best_cut < 0 || not (!best_score >= s) then begin
-            best_cut := cut;
-            best_score := s
-          end
-        end
+      let has_entry = chain_of.(entry) = x.cid || chain_of.(entry) = y.cid in
+      let n_cand = if lx <= max_chain_split && lx > 1 then lx + 1 else 2 in
+      let cut_at i = if i = 0 then lx else if i = 1 then 0 else lx + 1 - i in
+      let valid cut = (not has_entry) || (if cut = 0 then ys.(0) else xs.(0)) = entry in
+      let n_cross, w_cross = gather x y in
+      let margin =
+        float_of_int ((4 * m) + 16) *. epsilon_float
+        *. (1. +. chain_score.(x.cid) +. chain_score.(y.cid) +. w_cross)
       in
-      consider lx;
-      consider 0;
-      if lx <= params.max_chain_split && lx > 1 then
-        for cut = lx - 1 downto 1 do
-          consider cut
-        done;
-      Array.iter (fun id -> member.(id) <- false) xs;
-      Array.iter (fun id -> member.(id) <- false) ys;
+      let top = ref (-1) in
+      for i = 0 to n_cand - 1 do
+        let cut = cut_at i in
+        if valid cut then begin
+          bound.(cut) <- bound_of x y ~n_cross cut;
+          if !top < 0 || bound.(cut) > bound.(!top) then top := cut
+        end
+      done;
       p.fresh <- true;
       p.cut <- -1;
-      if !best_cut >= 0 then begin
+      if !top >= 0 then begin
+        let top_score = candidate_score x y !top in
+        let seen = ref top_score in
+        let best_cut = ref (-1) and best_score = ref 0. in
+        for i = 0 to n_cand - 1 do
+          let cut = cut_at i in
+          if valid cut && (cut = !top || not (bound.(cut) +. margin < !seen)) then begin
+            let s = if cut = !top then top_score else candidate_score x y cut in
+            if s > !seen then seen := s;
+            if !best_cut < 0 || not (!best_score >= s) then begin
+              best_cut := cut;
+              best_score := s
+            end
+          end
+        done;
         let gain = !best_score -. chain_score.(x.cid) -. chain_score.(y.cid) in
         if gain > 1e-9 then begin
           p.cut <- !best_cut;
@@ -206,7 +305,12 @@ let layout ?(params = default_params) cfg =
         x.size <- x.size + y.size;
         x.weight <- x.weight +. y.weight;
         y.alive <- false;
-        Array.iter (fun id -> chain_of.(id) <- x.cid) seq;
+        Array.iteri
+          (fun k id ->
+            chain_of.(id) <- x.cid;
+            pos.(id) <- k;
+            off.(id) <- (if k = 0 then 0 else off.(seq.(k - 1)) + size.(seq.(k - 1))))
+          seq;
         chain_score.(x.cid) <- p.merged_score;
         (* x changed, so its pairs are stale; re-point connectivity of y to x *)
         let to_add = ref [] in

@@ -20,26 +20,31 @@
     Ties are broken deterministically: among equal gains the first pair in
     the scan order of the connected-pair table wins, and within a pair the
     earlier candidate wins, in the order x·y, y·x, then y inserted into x at
-    cuts from [len x - 1] down to 1. *)
+    cuts from [len x - 1] down to 1.
 
-(** Scoring parameters; {!default_params} matches the published constants. *)
-type params = {
-  forward_window : int;
-  backward_window : int;
-  forward_scale : float;
-  backward_scale : float;
-  max_chain_split : int;
-      (** chains longer than this are not considered for splitting *)
-}
+    Not every candidate is scored.  Candidate [cut] scores at most
+    [score x + score y], plus each arc between x and y scored at its offset
+    in that candidate, minus what the fall-through arcs [x[cut-1] -> x[cut]]
+    lose once y's bytes sit between them: inserting y only widens gaps
+    inside x, and an arc's score never rises with its gap.  The candidate
+    with the highest bound is scored first, and one whose bound plus the
+    rounding margin [(4m + 16) epsilon_float (1 + M)] lies below a score
+    already computed is skipped ([m] non-self-loop arcs,
+    [M = score x + score y + weight(x, y)]; the margin follows from the
+    error bound of a float sum of non-negative terms).  This needs
+    non-negative sizes and finite non-negative weights, which {!Cfg.create}
+    checks, and scales in [0, 1].  A skipped candidate scores strictly less
+    than a scored one, so it is never the first maximum: the survivors are
+    scored as before, in the same float summation order, and the tie-breaks
+    above return the same order. *)
 
-val default_params : params
-
-(** [score ?params cfg order] evaluates the Ext-TSP objective of a layout.
+(** [score cfg order] evaluates the Ext-TSP objective of a layout.
     [order] is a permutation of all block ids.
     @raise Invalid_argument if [order] is not a permutation. *)
-val score : ?params:params -> Cfg.t -> int array -> float
+val score : Cfg.t -> int array -> float
 
-(** [layout ?params cfg] computes a block order with the entry block first.
-    Only the blocks of [cfg] are permuted; callers handle hot/cold splitting
-    separately (see {!Hotcold}). *)
-val layout : ?params:params -> Cfg.t -> int array
+(** [layout ?max_chain_split cfg] computes a block order with the entry
+    block first.  Chains longer than [max_chain_split] (default 128) are not
+    split.  Only the blocks of [cfg] are permuted; callers handle hot/cold
+    splitting separately (see {!Hotcold}). *)
+val layout : ?max_chain_split:int -> Cfg.t -> int array

@@ -6,7 +6,7 @@
 
 open Layout
 
-type params = Exttsp.params = {
+type params = {
   forward_window : int;
   backward_window : int;
   forward_scale : float;
@@ -14,7 +14,15 @@ type params = Exttsp.params = {
   max_chain_split : int;
 }
 
-let default_params = Exttsp.default_params
+(* the published constants, which [Layout.Exttsp] fixes *)
+let default_params =
+  {
+    forward_window = 1024;
+    backward_window = 640;
+    forward_scale = 0.1;
+    backward_scale = 0.1;
+    max_chain_split = 128;
+  }
 
 (* Score contribution of one arc given the layout byte offsets of its
    endpoints.  [src_end] is the address just past the source block; [dst]
@@ -71,7 +79,8 @@ let seq_score params cfg block_sizes in_seq seq =
     seq;
   !acc
 
-let layout ?(params = default_params) cfg =
+let layout ?(max_chain_split = default_params.max_chain_split) cfg =
+  let params = { default_params with max_chain_split } in
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
   if n = 0 then [||]

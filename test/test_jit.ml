@@ -308,6 +308,37 @@ let test_vasm_profile_roundtrip () =
   Alcotest.(check bool) "call graph survives" true
     (Jit.Vasm_profile.call_graph measured = Jit.Vasm_profile.call_graph back)
 
+(* Counts reach Ext-TSP unchecked after decode, and layout only takes finite,
+   non-negative ones: a package carrying any other block or arc count is
+   corrupt. *)
+let test_vasm_profile_rejects_bad_counts () =
+  let module W = Js_util.Binio.Writer in
+  let decode ~block ~arc =
+    let w = W.create () in
+    W.list w (fun c -> W.varint w 0; W.array w (W.f64 w) [| 1.; c |]) [ block ];
+    W.list w
+      (fun c ->
+        W.varint w 0;
+        W.list w (fun c -> W.varint w 0; W.varint w 1; W.f64 w c) [ c ])
+      [ arc ];
+    W.list w (fun () -> ()) [];
+    W.list w (fun () -> ()) [];
+    Jit.Vasm_profile.deserialize (Js_util.Binio.Reader.of_string (W.contents w))
+  in
+  ignore (decode ~block:2. ~arc:1.);
+  List.iter
+    (fun (what, block, arc) ->
+      Alcotest.check_raises what
+        (Js_util.Binio.Corrupt "vasm profile: count not finite and non-negative") (fun () ->
+          ignore (decode ~block ~arc)))
+    [ ("NaN block count", Float.nan, 1.);
+      ("infinite block count", Float.infinity, 1.);
+      ("negative block count", -1., 1.);
+      ("NaN arc count", 2., Float.nan);
+      ("infinite arc count", 2., Float.infinity);
+      ("negative arc count", 2., -1.)
+    ]
+
 (* --- probe allocation budget --- *)
 
 (* The tiny app, a tier-1 profile of it, and a request stream: [serve
@@ -431,7 +462,9 @@ let () =
           Alcotest.test_case "inline-cache misses" `Quick test_context_pic_slow_path;
           Alcotest.test_case "weight drift bounds" `Quick test_weights_drift_bounded;
           Alcotest.test_case "cold dilution" `Quick test_code_cache_cold_dilution;
-          Alcotest.test_case "profile roundtrip" `Quick test_vasm_profile_roundtrip
+          Alcotest.test_case "profile roundtrip" `Quick test_vasm_profile_roundtrip;
+          Alcotest.test_case "profile rejects bad counts" `Quick
+            test_vasm_profile_rejects_bad_counts
         ] );
       ( "probe budget",
         [ Alcotest.test_case "tier-1 collector" `Quick test_budget_collector;

@@ -23,6 +23,27 @@ let is_permutation n order =
          end)
        order
 
+(* --- CFG validation --- *)
+
+(* Ext-TSP's pruning is sound only on non-negative sizes and finite,
+   non-negative weights, so [Cfg.create] rejects everything else. *)
+let cfg_rejects (what, msg, size, block_weight, arc_weight) =
+  Alcotest.test_case what `Quick (fun () ->
+      Alcotest.check_raises what (Invalid_argument ("Cfg.create: " ^ msg)) (fun () ->
+          ignore (mk_cfg [ (10, 1.); (size, block_weight) ] [ (0, 1, arc_weight) ] 0)))
+
+let cfg_rejected_inputs =
+  let block = "block weight not finite and non-negative"
+  and arc = "arc weight not finite and non-negative" in
+  [ ("negative size", "negative block size", -1, 1., 1.);
+    ("NaN block weight", block, 10, Float.nan, 1.);
+    ("infinite block weight", block, 10, Float.infinity, 1.);
+    ("negative block weight", block, 10, -1., 1.);
+    ("NaN arc weight", arc, 10, 1., Float.nan);
+    ("infinite arc weight", arc, 10, 1., Float.infinity);
+    ("negative arc weight", arc, 10, 1., -1.)
+  ]
+
 (* --- Ext-TSP score --- *)
 
 let test_score_fallthrough () =
@@ -142,8 +163,61 @@ let prop_layout_matches_reference =
           (List.map (fun (s, d, w) -> (s, d, float_of_int w)) arcs)
           entry
       in
-      let params = { Exttsp.default_params with max_chain_split } in
-      Exttsp.layout ~params cfg = Exttsp_ref.layout ~params cfg)
+      Exttsp.layout ~max_chain_split cfg = Exttsp_ref.layout ~max_chain_split cfg)
+
+(* Near ties, where only the rounding margin keeps the pruned search equal
+   to the reference.  Weights from {0.3, 0.4, 0.5} are not dyadic, so two
+   candidates whose scores tie can get bounds an ulp apart; 1e6-scale
+   integer weights test the margin's relative term.  Sizes run 0-199, and
+   chain arcs k -> k+1 grow chains past the split limit, the default 128 or
+   1-20.  Pruning with a zero margin diverged from the reference on a few
+   of every thousand such CFGs. *)
+let near_tie_cfg =
+  let gen =
+    QCheck.Gen.(
+      frequency [ (100, int_range 2 40); (1, int_range 129 136) ] >>= fun n ->
+      pair bool bool >>= fun (tenths, eight) ->
+      let weight =
+        if tenths then oneofl [ 0.3; 0.4; 0.5 ] else map float_of_int (int_range 0 1_000_000)
+      in
+      let size = if eight then return 8 else int_range 0 199 in
+      let arc = triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) weight in
+      quad
+        (frequency [ (1, return 128); (1, int_range 1 20) ])
+        (array_repeat n (pair size weight))
+        (list_repeat (n - 1) weight)
+        (pair bool (list_size (int_range 0 n) arc))
+      >>= fun (split, blocks, chain, (chain_first, extra)) ->
+      let chain = List.mapi (fun k w -> (k, k + 1, w)) chain in
+      return (split, blocks, if chain_first then chain @ extra else extra @ chain))
+  in
+  QCheck.make gen ~print:(fun (split, blocks, arcs) ->
+      Printf.sprintf "n=%d max_chain_split=%d arcs=[%s]" (Array.length blocks) split
+        (String.concat "; " (List.map (fun (s, d, w) -> Printf.sprintf "%d->%d %h" s d w) arcs)))
+
+let prop_layout_near_ties =
+  QCheck.Test.make ~name:"layout equals the reference on near ties" ~count:800 near_tie_cfg
+    (fun (max_chain_split, blocks, arcs) ->
+      let cfg = mk_cfg (Array.to_list blocks) arcs 0 in
+      Exttsp.layout ~max_chain_split cfg = Exttsp_ref.layout ~max_chain_split cfg)
+
+(* A near tie the margin must resolve.  Chains [4 2] and [3] score exactly
+   1.114 as x·y and as y·x, but x·y's bound sums the same terms in another
+   order and rounds one ulp lower.  Y·x has the higher bound and is scored
+   first; without the margin it would prune x·y, the first maximum in scan
+   order, and end the layout [0 1 5 6 7 3 4 2]. *)
+let test_layout_pinned_near_tie () =
+  let cfg =
+    mk_cfg
+      [ (129, 0.5); (83, 0.3); (95, 0.3); (155, 0.5); (166, 0.3); (61, 0.5); (182, 0.4); (70, 0.3) ]
+      [ (0, 1, 0.5); (1, 2, 0.3); (2, 3, 0.4); (3, 4, 0.4); (4, 5, 0.3); (5, 6, 0.3); (6, 7, 0.4);
+        (4, 2, 0.3); (0, 5, 0.3); (7, 6, 0.3); (4, 2, 0.4)
+      ]
+      0
+  in
+  let reference = Exttsp_ref.layout ~max_chain_split:1 cfg in
+  Alcotest.(check (array int)) "reference order" [| 0; 1; 5; 6; 7; 4; 2; 3 |] reference;
+  Alcotest.(check (array int)) "layout" reference (Exttsp.layout ~max_chain_split:1 cfg)
 
 (* [n] requests of the tiny app's mix, drawn from [seed]. *)
 let tiny_traffic app ?(n = 200) seed engine =
@@ -155,27 +229,27 @@ let tiny_traffic app ?(n = 200) seed engine =
 
 let tiny_options = { Jumpstart.Options.default with Jumpstart.Options.validate_packages = false }
 
-(* A seeded package of the tiny app: 200 profiling and 200 instrumented
+(* A seeded package of [spec]'s app: [n] profiling and [n] instrumented
    requests, no self-validation. *)
-let tiny_seeded =
-  lazy
-    (let app = Workload.Codegen.generate Workload.App_spec.tiny in
-     match
-       Jumpstart.Seeder.run app.Workload.Codegen.repo tiny_options
-         ~profile_traffic:(tiny_traffic app 1) ~optimized_traffic:(tiny_traffic app 2) ~region:0
-         ~bucket:0 ~seeder_id:0 ()
-     with
-     | Ok outcome -> (app, outcome)
-     | Error msg -> Alcotest.fail ("seeder failed: " ^ msg))
+let seeded spec n =
+  let app = Workload.Codegen.generate spec in
+  match
+    Jumpstart.Seeder.run app.Workload.Codegen.repo tiny_options
+      ~profile_traffic:(tiny_traffic app ~n 1) ~optimized_traffic:(tiny_traffic app ~n 2) ~region:0
+      ~bucket:0 ~seeder_id:0 ()
+  with
+  | Ok outcome -> (app, outcome)
+  | Error msg -> Alcotest.fail ("seeder failed: " ^ msg)
+
+let tiny_seeded = lazy (seeded Workload.App_spec.tiny 200)
 
 (* Production-shaped CFGs: the hot/cold arranged block orders of every
-   translation of a seeded package of the tiny app, hashed and pinned to the
-   orders the reference optimizer produced. *)
-let test_golden_tiny_orders () =
-  let app, outcome = Lazy.force tiny_seeded in
+   translation of a seeded package, hashed.  Returns the hash, the number of
+   translations with more than two hot blocks and the largest hot count. *)
+let golden_orders (app, outcome) =
   let pkg = outcome.Jumpstart.Seeder.package in
   let config = Jit.Compiler.default_config in
-  let buf = Buffer.create 4096 and multi_block = ref 0 in
+  let buf = Buffer.create 4096 and multi_block = ref 0 and max_hot = ref 0 in
   List.iter
     (fun (fid, vf) ->
       let cfg = Jit.Vasm_profile.to_cfg pkg.Jumpstart.Package.vasm vf in
@@ -183,13 +257,29 @@ let test_golden_tiny_orders () =
         Hotcold.arrange cfg ~threshold:config.Jit.Compiler.hot_threshold ~order_hot:Exttsp.layout
       in
       if n_hot > 2 then incr multi_block;
+      max_hot := max !max_hot n_hot;
       Buffer.add_string buf (Printf.sprintf "%d/%d:" fid n_hot);
       Array.iter (fun b -> Buffer.add_string buf (Printf.sprintf " %d" b)) order;
       Buffer.add_char buf '\n')
     (Jit.Compiler.lower_all app.Workload.Codegen.repo pkg.Jumpstart.Package.counters config);
-  Alcotest.(check bool) "translations with real layout work" true (!multi_block >= 10);
-  Alcotest.(check string) "block orders md5" "38c2d7eed11a592fcc42968580d8074d"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), !multi_block, !max_hot)
+
+(* The tiny app's orders, pinned to the ones the reference optimizer
+   produced. *)
+let test_golden_tiny_orders () =
+  let md5, multi_block, _ = golden_orders (Lazy.force tiny_seeded) in
+  Alcotest.(check bool) "translations with real layout work" true (multi_block >= 10);
+  Alcotest.(check string) "block orders md5" "38c2d7eed11a592fcc42968580d8074d" md5
+
+(* The churn-boot benchmark's app (120 workers, 8 endpoints), seeded as that
+   benchmark seeds it: larger hot CFGs than the tiny app's, pinned to the
+   orders of the layout that scored every merge candidate. *)
+let test_golden_churn_orders () =
+  let spec = { Workload.App_spec.tiny with n_workers = 120; n_endpoints = 8 } in
+  let md5, multi_block, max_hot = golden_orders (seeded spec 400) in
+  Alcotest.(check bool) "translations with real layout work" true (multi_block >= 10);
+  Alcotest.(check bool) "hot CFGs past the split limit" true (max_hot > 128);
+  Alcotest.(check string) "block orders md5" "a9052eb25b19d568fa6e02359f59b6bb" md5
 
 (* The seeded package's bytes, and the machine counters of a short replay
    of its consumer boot, pinned: probe, layout and placement changes that
@@ -323,7 +413,8 @@ let test_by_hotness () =
 
 let () =
   Alcotest.run "layout"
-    [ ( "exttsp",
+    [ ("cfg", List.map cfg_rejects cfg_rejected_inputs);
+      ( "exttsp",
         [ Alcotest.test_case "fallthrough score" `Quick test_score_fallthrough;
           Alcotest.test_case "forward window" `Quick test_score_forward_window;
           Alcotest.test_case "bad order rejected" `Quick test_score_rejects_bad_order;
@@ -332,7 +423,10 @@ let () =
           Alcotest.test_case "loop bodies" `Quick test_layout_loop_rotation;
           Alcotest.test_case "random cfgs" `Quick test_layout_improves_on_random_cfgs;
           QCheck_alcotest.to_alcotest prop_layout_matches_reference;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_layout_near_ties;
+          Alcotest.test_case "pinned near tie" `Quick test_layout_pinned_near_tie;
           Alcotest.test_case "golden tiny-app orders" `Quick test_golden_tiny_orders;
+          Alcotest.test_case "golden churn-app orders" `Quick test_golden_churn_orders;
           Alcotest.test_case "golden tiny-app package and replay" `Quick
             test_golden_tiny_package_and_replay
         ] );
