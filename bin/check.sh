@@ -9,6 +9,15 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Block layout must not depend on the hash seed: the layout tests, golden
+# block orders included, pass with randomized hash tables, and the layout
+# ablation prints the same bytes with and without them.
+OCAMLRUNPARAM=R dune exec test/test_layout.exe > /dev/null
+dune exec bench/main.exe -- ablation-layout > /tmp/ablation_layout.out
+OCAMLRUNPARAM=R dune exec bench/main.exe -- ablation-layout > /tmp/ablation_layout_r.out
+cmp /tmp/ablation_layout.out /tmp/ablation_layout_r.out
+rm -f /tmp/ablation_layout.out /tmp/ablation_layout_r.out
+
 # Static verification gate: every example program and the synthetic
 # codegen app must pass the bytecode verifier with zero error-severity
 # diagnostics (the verify subcommand exits 3 otherwise).

@@ -44,10 +44,18 @@ let slot r dst =
     r.len - 1
   | i -> i
 
-let block_array t (vf : VF.t) =
+(* [vf]'s recorded block counts, when they fit its blocks. *)
+let recorded t (vf : VF.t) =
   match Hashtbl.find_opt t.blocks vf.VF.root_fid with
-  | Some a when Array.length a = VF.n_blocks vf -> a
-  | Some _ | None ->
+  | Some a when Array.length a = VF.n_blocks vf -> Some a
+  | Some _ | None -> None
+
+(* The recording sink's block counts: a translation with none, or with
+   counts of another shape, starts from zeros. *)
+let block_array t (vf : VF.t) =
+  match recorded t vf with
+  | Some a -> a
+  | None ->
     let a = Array.make (VF.n_blocks vf) 0. in
     Hashtbl.replace t.blocks vf.VF.root_fid a;
     a
@@ -122,7 +130,10 @@ let handler t =
     on_prop = (fun ~addr:_ ~write:_ -> ());
   }
 
-let block_weights t vf = Array.copy (block_array t vf)
+(* The readers below store nothing: a translation without fitting counts
+   reads as zeros. *)
+let block_weights t vf =
+  match recorded t vf with Some a -> Array.copy a | None -> Array.make (VF.n_blocks vf) 0.
 
 (* [(src, dst, count)] of one root's arcs, sorted *)
 let arc_list table =
@@ -140,9 +151,9 @@ let arc_weight t (vf : VF.t) (src, dst) =
     | Some r -> ( match find r dst with -1 -> 0. | i -> r.counts.(i)))
 
 let to_cfg t (vf : VF.t) =
-  let counts = block_array t vf in
+  let weight = match recorded t vf with Some a -> fun b -> a.(b) | None -> fun _ -> 0. in
   let blocks =
-    Array.map (fun (b : VF.block) -> { Layout.Cfg.id = b.VF.id; size = b.VF.size; weight = counts.(b.VF.id) }) vf.VF.blocks
+    Array.map (fun (b : VF.block) -> { Layout.Cfg.id = b.VF.id; size = b.VF.size; weight = weight b.VF.id }) vf.VF.blocks
   in
   let arcs =
     Array.map (fun (src, dst) -> { Layout.Cfg.src; dst; weight = arc_weight t vf (src, dst) }) (VF.arcs vf)

@@ -20,14 +20,16 @@ val create : unit -> t
 val handler : t -> Context.handler
 
 (** [block_weights t vfunc] — dense per-block measured counts (zeros for
-    never-executed blocks).  Like {!to_cfg}, it records a zero vector for a
-    translation with none. *)
+    never-executed blocks).  Like {!to_cfg}, it only reads: a translation
+    with no counts, or with counts of another shape, reads as zeros and
+    [t] is left as it was. *)
 val block_weights : t -> Vasm.Vfunc.t -> float array
 
 (** [arc_weight t vfunc (src, dst)]. *)
 val arc_weight : t -> Vasm.Vfunc.t -> int * int -> float
 
-(** [to_cfg t vfunc] — layout-ready CFG under measured weights. *)
+(** [to_cfg t vfunc] — layout-ready CFG under measured weights; reads only,
+    as {!block_weights} does. *)
 val to_cfg : t -> Vasm.Vfunc.t -> Layout.Cfg.t
 
 (** Measured tier-2 call graph: [(caller_root, callee_root, count)].

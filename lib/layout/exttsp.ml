@@ -97,14 +97,26 @@ let group n (arcs : Cfg.arc array) key other =
     arcs;
   (first, ends, weights)
 
-(* The cached [best_merge] of one connected chain pair; [cut < 0] when no
-   candidate gains. *)
+(* A connected chain pair, numbered [id] in the order its key (x, y), x < y,
+   first entered the pair table; x receives y on a merge.  Only a heap entry
+   stamped with the pair's current [version] is live.  [cut] is [pending]
+   while the live entry holds a bound, the winning cut once the pair is
+   evaluated, or -1 when the pair cannot gain. *)
 type pair = {
-  mutable fresh : bool;
+  id : int;
+  x : int;
+  y : int;
+  hash : int;  (** [Hashtbl.hash (x, y)] *)
+  mutable version : int;
   mutable cut : int;
+  mutable bounds : float array;  (** while pending: each valid candidate's bound *)
+  mutable top : int;  (** while pending: the candidate with the highest bound *)
+  mutable margin : float;  (** while pending: the bounds' rounding margin *)
   mutable gain : float;
   mutable merged_score : float;  (** internal score of the winning sequence *)
 }
+
+let pending = -2
 
 (* Pruning.  Y stays contiguous in every candidate, so its internal arcs
    score as in y alone.  Inserting y between x[cut-1] and x[cut] lengthens
@@ -128,7 +140,16 @@ type pair = {
    the 1 covers underflow, and a sum that overflows overflows the bound
    too).  A candidate whose bound plus margin lies below a computed score
    scores strictly less, so it is not the first maximum in scan order:
-   pruning it changes neither the winner nor its score. *)
+   pruning it changes neither the winner nor its score.
+
+   Merge selection (the contract is in the .mli).  The tie order replays
+   the stdlib's [Hashtbl] under a zero seed: [replace] puts a new key at
+   the head of its bucket and leaves an existing key in place, and once the
+   keys exceed twice the buckets a resize doubles them, splitting each
+   bucket in order.  Every pair that may gain holds one live heap entry,
+   keyed by its exact gain or by a bound at least as high, so when an exact
+   entry tops the heap, the pairs that could tie with it are the ones whose
+   entries sit at its key. *)
 let layout ?(max_chain_split = 128) cfg =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
@@ -173,7 +194,7 @@ let layout ?(max_chain_split = 128) cfg =
       done;
       !acc
     in
-    (* reused per pair evaluation: its cross arcs, and its candidates' bounds by cut *)
+    (* reused per pair evaluation: its cross arcs, and its candidates' bounds *)
     let cross_src = Array.make m 0 and cross_dst = Array.make m 0 and cross_w = Array.create_float m in
     let bound = Array.create_float (n + 1) in
     (* Collects the arcs between x and y from the shorter chain's blocks:
@@ -221,84 +242,176 @@ let layout ?(max_chain_split = 128) cfg =
       end;
       !b
     in
-    (* Best candidate for the pair, in the scan order x·y, y·x, then cuts
-       from [len x - 1] down to 1; a later candidate wins only with a
-       strictly higher score.  The entry block must stay first: candidates
-       placing anything before it are skipped.  The candidate with the
-       highest bound is scored first; every other one is scored only if its
-       bound can still reach the best score computed so far. *)
-    let best_merge x y p =
-      let xs = x.blocks_seq and ys = y.blocks_seq in
-      let lx = Array.length xs in
-      let has_entry = chain_of.(entry) = x.cid || chain_of.(entry) = y.cid in
-      let n_cand = if lx <= max_chain_split && lx > 1 then lx + 1 else 2 in
-      let cut_at i = if i = 0 then lx else if i = 1 then 0 else lx + 1 - i in
-      let valid cut = (not has_entry) || (if cut = 0 then ys.(0) else xs.(0)) = entry in
+    let n_cand lx = if lx <= max_chain_split && lx > 1 then lx + 1 else 2 in
+    let cut_at lx i = if i = 0 then lx else if i = 1 then 0 else lx + 1 - i in
+    (* The entry block must stay first: candidates placing anything before
+       it are skipped. *)
+    let valid x y cut =
+      let c = chain_of.(entry) in
+      (c <> x.cid && c <> y.cid) || (if cut = 0 then y.blocks_seq.(0) else x.blocks_seq.(0)) = entry
+    in
+    (* Best candidate for a pair that [restale] bounded, in the scan order
+       x·y, y·x, then cuts from [len x - 1] down to 1; a later candidate wins
+       only with a strictly higher score.  The candidate with the highest
+       bound is scored first; every other one is scored only if its bound
+       can still reach the best score computed so far. *)
+    let best_merge p =
+      let x = chains.(p.x) and y = chains.(p.y) in
+      let lx = Array.length x.blocks_seq in
+      let bounds = p.bounds and top = p.top and margin = p.margin in
+      p.bounds <- [||];
+      p.cut <- -1;
+      let top_score = candidate_score x y (cut_at lx top) in
+      let seen = ref top_score in
+      let best_cut = ref (-1) and best_score = ref 0. in
+      for i = 0 to n_cand lx - 1 do
+        let cut = cut_at lx i in
+        if valid x y cut && (i = top || not (bounds.(i) +. margin < !seen)) then begin
+          let s = if i = top then top_score else candidate_score x y cut in
+          if s > !seen then seen := s;
+          if !best_cut < 0 || not (!best_score >= s) then begin
+            best_cut := cut;
+            best_score := s
+          end
+        end
+      done;
+      let gain = !best_score -. chain_score.(x.cid) -. chain_score.(y.cid) in
+      if gain > 1e-9 then begin
+        p.cut <- !best_cut;
+        p.gain <- gain;
+        p.merged_score <- !best_score
+      end
+    in
+    (* The pair table: pairs by id, each chain's pairs, and the bucket count
+       [buckets] of the hash table whose scan order breaks ties. *)
+    let pairs = ref [||] and n_pairs = ref 0 and buckets = ref 64 in
+    let links = Array.make n [] in
+    let add_pair a b =
+      let x = min a b and y = max a b in
+      let p =
+        { id = !n_pairs; x; y; hash = Hashtbl.hash (x, y); version = 0; cut = -1; bounds = [||];
+          top = -1; margin = 0.; gain = 0.; merged_score = 0. }
+      in
+      if !n_pairs = Array.length !pairs then begin
+        let grown = Array.make (max 64 (2 * !n_pairs)) p in
+        Array.blit !pairs 0 grown 0 !n_pairs;
+        pairs := grown
+      end;
+      !pairs.(!n_pairs) <- p;
+      incr n_pairs;
+      if !n_pairs > 2 * !buckets then buckets := 2 * !buckets;
+      if chains.(x).alive then links.(x) <- p :: links.(x);
+      if chains.(y).alive then links.(y) <- p :: links.(y)
+    in
+    (* The table's scan order: buckets ascending, the newest key first
+       within a bucket. *)
+    let scan_compare p q =
+      let c = compare (p.hash land (!buckets - 1)) (q.hash land (!buckets - 1)) in
+      if c <> 0 then c else compare q.id p.id
+    in
+    let other p c = if p.x = c then p.y else p.x in
+    let live p = chains.(p.x).alive && chains.(p.y).alive in
+    (* Heap entries are [version lsl id_bits lor id], keyed by the negated
+       gain or gain bound; an entry is live while its version is the
+       pair's. *)
+    let id_bits = 31 in
+    let heap = Js_util.Pqueue.create ~dummy:(-1) () in
+    let push p key =
+      p.version <- p.version + 1;
+      Js_util.Pqueue.push heap ~priority:(-.key) ((p.version lsl id_bits) lor p.id)
+    in
+    (* The chains of [p] changed: its older entries die.  Bounds every valid
+       candidate and, when the pair's gain bound (see "Merge selection"
+       above) clears the gain floor, keeps the bounds for [best_merge] and
+       enters the heap at that bound. *)
+    let restale p =
+      let x = chains.(p.x) and y = chains.(p.y) in
+      let lx = Array.length x.blocks_seq in
       let n_cross, w_cross = gather x y in
       let margin =
         float_of_int ((4 * m) + 16) *. epsilon_float
         *. (1. +. chain_score.(x.cid) +. chain_score.(y.cid) +. w_cross)
       in
       let top = ref (-1) in
-      for i = 0 to n_cand - 1 do
-        let cut = cut_at i in
-        if valid cut then begin
-          bound.(cut) <- bound_of x y ~n_cross cut;
-          if !top < 0 || bound.(cut) > bound.(!top) then top := cut
+      for i = 0 to n_cand lx - 1 do
+        let cut = cut_at lx i in
+        if valid x y cut then begin
+          bound.(i) <- bound_of x y ~n_cross cut;
+          if !top < 0 || bound.(i) > bound.(!top) then top := i
         end
       done;
-      p.fresh <- true;
-      p.cut <- -1;
-      if !top >= 0 then begin
-        let top_score = candidate_score x y !top in
-        let seen = ref top_score in
-        let best_cut = ref (-1) and best_score = ref 0. in
-        for i = 0 to n_cand - 1 do
-          let cut = cut_at i in
-          if valid cut && (cut = !top || not (bound.(cut) +. margin < !seen)) then begin
-            let s = if cut = !top then top_score else candidate_score x y cut in
-            if s > !seen then seen := s;
-            if !best_cut < 0 || not (!best_score >= s) then begin
-              best_cut := cut;
-              best_score := s
-            end
-          end
-        done;
-        let gain = !best_score -. chain_score.(x.cid) -. chain_score.(y.cid) in
-        if gain > 1e-9 then begin
-          p.cut <- !best_cut;
-          p.gain <- gain;
-          p.merged_score <- !best_score
-        end
+      let key =
+        if !top < 0 then neg_infinity
+        else bound.(!top) +. margin -. chain_score.(x.cid) -. chain_score.(y.cid)
+      in
+      if key > 1e-9 then begin
+        p.cut <- pending;
+        p.bounds <- Array.sub bound 0 (n_cand lx);
+        p.top <- !top;
+        p.margin <- margin;
+        push p key
+      end
+      else begin
+        p.version <- p.version + 1;
+        p.cut <- -1
       end
     in
-    (* Only chain pairs connected by at least one arc are merge candidates.
-       Pairs are never removed: the scan order of this table decides ties. *)
-    let connected = Hashtbl.create 64 in
-    let note_pair a b =
-      if a <> b then
-        Hashtbl.replace connected (min a b, max a b) { fresh = false; cut = -1; gain = 0.; merged_score = 0. }
+    (* Pops the top entry: its pair when the entry is live, else [None].  A
+       live bound entry is evaluated exactly and re-enters at its gain. *)
+    let pop () =
+      let e = Js_util.Pqueue.pop_exn heap in
+      let p = !pairs.(e land ((1 lsl id_bits) - 1)) in
+      if e lsr id_bits <> p.version || not (live p) then None
+      else if p.cut = pending then begin
+        best_merge p;
+        if p.cut >= 0 then push p p.gain;
+        None
+      end
+      else Some p
     in
-    Array.iter (fun (a : Cfg.arc) -> note_pair chain_of.(a.src) chain_of.(a.dst)) (Cfg.arcs cfg);
+    (* The winning pair: the highest gain, ties to the pair scanned first.
+       Every entry at the winning key is resolved before the choice. *)
+    let rec pick () =
+      if Js_util.Pqueue.is_empty heap then None
+      else
+        match pop () with
+        | None -> pick ()
+        | Some p ->
+          let best = ref p and ties = ref [] in
+          while Js_util.Pqueue.min_priority heap = -.p.gain do
+            match pop () with
+            | None -> ()
+            | Some q ->
+              if scan_compare q !best < 0 then begin
+                ties := !best :: !ties;
+                best := q
+              end
+              else ties := q :: !ties
+          done;
+          List.iter (fun q -> push q q.gain) !ties;
+          Some !best
+    in
+    (* one key per connected block pair, in arc order *)
+    let keys = Hashtbl.create ~random:false 64 in
+    Array.iter
+      (fun (a : Cfg.arc) ->
+        let key = (min a.src a.dst * n) + max a.src a.dst in
+        if a.src <> a.dst && not (Hashtbl.mem keys key) then begin
+          Hashtbl.add keys key ();
+          add_pair a.src a.dst
+        end)
+      (Cfg.arcs cfg);
+    for i = 0 to !n_pairs - 1 do
+      restale !pairs.(i)
+    done;
+    (* while pair [p] merges, [mark.(o) = p.id] for each partner o of x *)
+    let mark = Array.make n (-1) in
     let rec iterate () =
-      (* find the best gain over all connected alive chain pairs; only pairs
-         whose chains changed since their last evaluation are re-evaluated *)
-      let best = ref None in
-      Hashtbl.iter
-        (fun (ca, cb) p ->
-          let x = chains.(ca) and y = chains.(cb) in
-          if x.alive && y.alive then begin
-            if not p.fresh then best_merge x y p;
-            if p.cut >= 0 then
-              match !best with
-              | Some (bg, _, _, _) when bg >= p.gain -> ()
-              | _ -> best := Some (p.gain, x, y, p)
-          end)
-        connected;
-      match !best with
+      match pick () with
       | None -> ()
-      | Some (_, x, y, p) ->
+      | Some p ->
         (* merge y into x with the winning sequence *)
+        let x = chains.(p.x) and y = chains.(p.y) in
         let xs = x.blocks_seq and ys = y.blocks_seq in
         let seq = Array.init (Array.length xs + Array.length ys) (block_at xs ys p.cut) in
         x.blocks_seq <- seq;
@@ -312,14 +425,19 @@ let layout ?(max_chain_split = 128) cfg =
             off.(id) <- (if k = 0 then 0 else off.(seq.(k - 1)) + size.(seq.(k - 1))))
           seq;
         chain_score.(x.cid) <- p.merged_score;
-        (* x changed, so its pairs are stale; re-point connectivity of y to x *)
-        let to_add = ref [] in
-        Hashtbl.iter
-          (fun (ca, cb) q ->
-            if ca = x.cid || cb = x.cid then q.fresh <- false
-            else if ca = y.cid || cb = y.cid then to_add := (if ca = y.cid then cb else ca) :: !to_add)
-          connected;
-        List.iter (fun other -> note_pair x.cid other) !to_add;
+        (* re-point y's pairs to x: the keys x lacks enter in reverse scan
+           order *)
+        List.iter (fun q -> mark.(other q x.cid) <- p.id) links.(x.cid);
+        let moved = Array.of_list (List.filter (fun q -> other q y.cid <> x.cid) links.(y.cid)) in
+        Array.sort (fun q r -> scan_compare r q) moved;
+        Array.iter
+          (fun q ->
+            let o = other q y.cid in
+            if mark.(o) <> p.id then add_pair x.cid o)
+          moved;
+        links.(y.cid) <- [];
+        (* x changed, so its pairs are stale *)
+        List.iter (fun q -> if live q then restale q) links.(x.cid);
         iterate ()
     in
     iterate ();

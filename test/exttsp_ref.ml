@@ -2,7 +2,9 @@
    before the optimizer cached merge gains, kept verbatim as a test oracle.
    Every merge iteration re-scores every connected chain pair and builds
    each candidate sequence; [Layout.Exttsp.layout] must return the same
-   order on every CFG. *)
+   order on every CFG.  The scan order of the connected-pair table breaks
+   ties, so the table is created with [~random:false]: the order it defines
+   is the zero-seed one, whatever OCAMLRUNPARAM says. *)
 
 open Layout
 
@@ -145,7 +147,7 @@ let layout ?(max_chain_split = default_params.max_chain_split) cfg =
     in
     Array.iter (fun c -> chain_score.(c.cid) <- compute_chain_score c) chains;
     (* Only chain pairs connected by at least one arc are merge candidates. *)
-    let connected = Hashtbl.create 64 in
+    let connected = Hashtbl.create ~random:false 64 in
     let note_pair a b = if a <> b then Hashtbl.replace connected (min a b, max a b) () in
     Array.iter (fun (a : Cfg.arc) -> note_pair chain_of.(a.src) chain_of.(a.dst)) (Cfg.arcs cfg);
     let rec iterate () =

@@ -236,6 +236,22 @@ let test_consumer_boot_and_serve () =
     (traffic ~seed:9 ~n:50 ()) engine;
     Alcotest.(check bool) "served" true (Interp.Engine.steps engine > 1000)
 
+(* A boot reads its package and changes nothing in it: layout reads vasm
+   block counts for translations that have none, and must not store zero
+   rows for them, or the package re-serializes to more bytes. *)
+let test_consumer_boot_leaves_package () =
+  let a = Lazy.force app in
+  let bytes = (make_package ()).JS.Seeder.bytes in
+  match JS.Package.of_bytes a.Workload.Codegen.repo bytes with
+  | Error msg -> Alcotest.fail msg
+  | Ok pkg -> (
+    match JS.Consumer.boot_with_package a.Workload.Codegen.repo JS.Options.default pkg with
+    | Error msg -> Alcotest.fail msg
+    | Ok _ ->
+      let after = JS.Package.to_bytes pkg in
+      Alcotest.(check int) "bytes after the boot" (String.length bytes) (String.length after);
+      Alcotest.(check bool) "same package bytes" true (after = bytes))
+
 let test_consumer_results_match_no_jumpstart () =
   (* semantics must be identical with and without Jump-Start *)
   let a = Lazy.force app in
@@ -457,6 +473,8 @@ let () =
         ] );
       ( "consumer",
         [ Alcotest.test_case "boot and serve" `Quick test_consumer_boot_and_serve;
+          Alcotest.test_case "boot leaves its package unchanged" `Quick
+            test_consumer_boot_leaves_package;
           Alcotest.test_case "semantics preserved" `Quick test_consumer_results_match_no_jumpstart;
           Alcotest.test_case "jump-start from store" `Quick test_boot_jump_starts;
           Alcotest.test_case "fallback: empty store" `Quick test_boot_fallback_no_packages;

@@ -219,6 +219,59 @@ let test_layout_pinned_near_tie () =
   Alcotest.(check (array int)) "reference order" [| 0; 1; 5; 6; 7; 4; 2; 3 |] reference;
   Alcotest.(check (array int)) "layout" reference (Exttsp.layout ~max_chain_split:1 cfg)
 
+(* Equal weights: every block and arc weighs 1, so most merges tie on gain
+   and the pair table's scan order picks the winner.  Blocks 0-3 are hubs
+   (a third of all arc ends), whose chains re-point many partners at once,
+   and 20-60 blocks with three arcs each take the table past 128 keys, so
+   its bucket count doubles mid-layout.  On this fixed seed, each of these
+   changes to the tie order diverges from the reference on some draw:
+   breaking ties in heap pop order, never doubling the buckets, scanning a
+   bucket oldest key first, re-pointing keys in scan order, and keying the
+   heap without the rounding margin. *)
+let equal_weight_cfg =
+  let gen =
+    QCheck.Gen.(
+      int_range 20 60 >>= fun n ->
+      let block = frequency [ (1, int_range 0 3); (2, int_range 0 (n - 1)) ] in
+      pair (array_repeat n (int_range 0 64)) (list_repeat (3 * n) (pair block block)))
+  in
+  QCheck.make gen ~print:(fun (sizes, arcs) ->
+      Printf.sprintf "sizes=[%s] arcs=[%s]"
+        (String.concat "; " (Array.to_list (Array.map string_of_int sizes)))
+        (String.concat "; " (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) arcs)))
+
+let prop_layout_equal_weights =
+  QCheck.Test.make ~name:"layout equals the reference on equal weights" ~count:30 equal_weight_cfg
+    (fun (sizes, arcs) ->
+      let cfg =
+        mk_cfg
+          (List.map (fun size -> (size, 1.)) (Array.to_list sizes))
+          (List.map (fun (s, d) -> (s, d, 1.)) arcs)
+          0
+      in
+      Exttsp.layout cfg = Exttsp_ref.layout cfg)
+
+(* A tie only the re-pointing order breaks.  Once 16 and then 22 have
+   merged into chain 7 ([16 7 22]), 22's partners 8 and 6 re-point to 7 as
+   new keys (7, 8) and (6, 7).  Both land in bucket 9 and gain exactly as
+   much, so the one inserted last, which scans first, wins: (7, 8), since
+   the old keys (8, 22) and (6, 22) scan in buckets 11 and 12 and re-point
+   in reverse.  Inserting in scan order or scanning a bucket oldest key
+   first lets (6, 7) win instead, and so does a heap key without the
+   rounding margin, which bounds both pairs two ulps under their gain. *)
+let test_layout_pinned_repoint () =
+  let cfg =
+    mk_cfg
+      (List.init 23 (fun _ -> (8, 1.)))
+      [ (22, 6, 1.); (7, 22, 1.); (16, 7, 1.); (22, 8, 1.); (22, 16, 1.); (8, 17, 1.); (16, 7, 1.) ]
+      0
+  in
+  let reference = Exttsp_ref.layout cfg in
+  Alcotest.(check (array int)) "reference order"
+    [| 0; 1; 2; 3; 4; 5; 16; 7; 22; 8; 17; 6; 9; 10; 11; 12; 13; 14; 15; 18; 19; 20; 21 |]
+    reference;
+  Alcotest.(check (array int)) "layout" reference (Exttsp.layout cfg)
+
 (* [n] requests of the tiny app's mix, drawn from [seed]. *)
 let tiny_traffic app ?(n = 200) seed engine =
   let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
@@ -425,6 +478,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_layout_matches_reference;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_layout_near_ties;
           Alcotest.test_case "pinned near tie" `Quick test_layout_pinned_near_tie;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1 |]) prop_layout_equal_weights;
+          Alcotest.test_case "pinned re-pointing order" `Quick test_layout_pinned_repoint;
           Alcotest.test_case "golden tiny-app orders" `Quick test_golden_tiny_orders;
           Alcotest.test_case "golden churn-app orders" `Quick test_golden_churn_orders;
           Alcotest.test_case "golden tiny-app package and replay" `Quick

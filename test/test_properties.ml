@@ -954,7 +954,6 @@ let prop_probe_paths_match_reference =
       let ref_measured = Probe_ref.Vasm_profile.create () in
       serve (Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler measured));
       serve (Probe_ref.Context.probes repo ~lookup (Probe_ref.Vasm_profile.handler ref_measured));
-      (* before layout reads it: [to_cfg] adds zero rows for idle translations *)
       let vasm_bytes = bytes (Jit.Vasm_profile.serialize measured) in
       let compiled = Jit.Compiler.compile repo counters config ~measured:(Some measured) in
       let lookup = Jit.Compiler.lookup compiled and cache = compiled.Jit.Compiler.cache in
