@@ -725,7 +725,7 @@ let ablation_dist () =
   let duration = if quick then 240. else 600. in
   let d = Cluster.Dist_net.default_config in
   let with_net network = { d with Cluster.Dist_net.network } in
-  let n = Jumpstart.Dist_store.default_network in
+  let n = Cluster.Dist_net.default_network in
   let scenarios =
     [ ("baseline", d);
       ("fail30", with_net { n with fetch_fail_rate = 0.3 });
@@ -749,7 +749,7 @@ let ablation_dist () =
         let stats = Js_sim.Region.run cfg (Lazy.force fleet_app) ~seed:(bench_seed 424) in
         let c =
           (* inactive network: the ladder never ran *)
-          Option.value stats.Js_sim.Region.dist ~default:(Jumpstart.Dist_store.fresh_counters ())
+          Option.value stats.Js_sim.Region.dist ~default:(Cluster.Dist_net.fresh_counters ())
         in
         Printf.printf "%22s %12d %10d %9d %9d %9d %7d %7d\n" name
           stats.Js_sim.Region.jump_started stats.Js_sim.Region.fallbacks

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
+# Every example runs to completion.  seeder_consumer drives the consumer
+# boot path end to end: publish, jump-start, an all-corrupt store and a
+# JIT-bug fallback.
+for f in examples/*.ml; do
+  dune exec "examples/$(basename "$f" .ml).exe" > /dev/null
+done
+
 # Block layout must not depend on the hash seed: the layout tests, golden
 # block orders included, pass with randomized hash tables, and the layout
 # ablation prints the same bytes with and without them.
@@ -198,14 +205,20 @@ fi
 
 # A config the simulator rejects (a non-finite duration, no buckets, no
 # replicate seeds, no regions, a bad fault record, a non-finite region
-# phase or arrival setting) is a usage error: exit status 2, never a hang,
-# a silently fault-free run or an uncaught exception.  The = form keeps
-# cmdliner from reading -1 as an option.
+# phase or arrival setting, a NaN timeout or abort window, a rate outside
+# [0, 1], a non-finite push stagger or spill latency) is a usage error: exit
+# status 2, never a hang, a silently fault-free run or an uncaught
+# exception.  The = form keeps cmdliner from reading -1 as an option.
 for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
   "--classify --seeds 0" "--regions 0" "--fetch-fail-rate=nan" \
   "--fetch-latency=-1" "--stale-rate=1.5" "--fetch-timeout=inf" \
   "--regions 2 --epoch 15 --region-phase=inf" "--diurnal-amp nan" \
-  "--utilization inf"; do
+  "--utilization inf" "--timeout nan" "--abort-window nan" "--bad-rate 2" \
+  "--thin-rate nan" "--validation nan" "--validation 2" \
+  "--regions 2 --epoch 15 --spill-threshold nan" \
+  "--regions 2 --epoch 15 --push-stagger inf" \
+  "--regions 2 --epoch 15 --spillover --spill-latency inf" \
+  "--regions 2 --epoch 15 --spillover --spill-latency nan"; do
   status=0
   timeout 60 dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then

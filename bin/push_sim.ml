@@ -152,7 +152,7 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     in
     { Cluster.Dist_net.default_config with
       Cluster.Dist_net.network =
-        { Jumpstart.Dist_store.fetch_fail_rate = fetch_fail;
+        { Cluster.Dist_net.fetch_fail_rate = fetch_fail;
           fetch_timeout;
           latency_mean;
           stale_rate

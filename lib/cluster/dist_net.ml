@@ -1,20 +1,46 @@
 module R = Js_util.Rng
 module Backoff = Js_util.Backoff
-module DS = Jumpstart.Dist_store
+
+type network = {
+  fetch_fail_rate : float;
+  fetch_timeout : float;
+  latency_mean : float;
+  stale_rate : float;
+}
+
+let default_network =
+  { fetch_fail_rate = 0.; fetch_timeout = 0.; latency_mean = 0.; stale_rate = 0. }
+
+(* The fault record comes from outside input (CLI flags, bench configs).
+   NaN fails every ordered comparison, so each check is written to be false
+   for it. *)
+let validate net (b : Backoff.config) =
+  let check ok what = if not ok then invalid_arg ("Dist_net: " ^ what) in
+  let rate (name, p) = check (p >= 0. && p <= 1.) (name ^ " must be in [0, 1]") in
+  let time (name, x) = check (Float.is_finite x && x >= 0.) (name ^ " must be finite and >= 0") in
+  List.iter rate [ ("fetch_fail_rate", net.fetch_fail_rate); ("stale_rate", net.stale_rate) ];
+  List.iter time
+    [ ("fetch_timeout", net.fetch_timeout); ("latency_mean", net.latency_mean);
+      ("backoff.base_delay", b.base_delay); ("backoff.multiplier", b.multiplier);
+      ("backoff.max_delay", b.max_delay); ("backoff.jitter", b.jitter) ];
+  check (b.max_attempts >= 1) "backoff.max_attempts must be >= 1"
 
 type config = {
   regions : int;
-  network : DS.network;
+  network : network;
   backoff : Backoff.config;
 }
 
-let default_config = { regions = 1; network = DS.default_network; backoff = Backoff.default }
+let default_config = { regions = 1; network = default_network; backoff = Backoff.default }
 
-(* Whether the config alone wakes the ladder (see Dist_store's neutrality
-   rule); disaster windows wake it too, per run. *)
-let active c = DS.network_active c.network || c.regions > 1
+(* Whether the config alone wakes the ladder; disaster windows wake it too,
+   per run. *)
+let active c =
+  let n = c.network in
+  n.fetch_fail_rate > 0. || n.fetch_timeout > 0. || n.latency_mean > 0. || n.stale_rate > 0.
+  || c.regions > 1
 
-type counters = DS.counters = {
+type counters = {
   mutable attempts : int;
   mutable failures : int;
   mutable timeouts : int;
@@ -23,6 +49,17 @@ type counters = DS.counters = {
   mutable deliveries : int;
   mutable empty_probes : int;
 }
+
+let fresh_counters () =
+  {
+    attempts = 0;
+    failures = 0;
+    timeouts = 0;
+    stale_rejects = 0;
+    cross_region_fetches = 0;
+    deliveries = 0;
+    empty_probes = 0;
+  }
 
 type t = {
   cfg : config;
@@ -44,11 +81,11 @@ type t = {
 
 let create cfg =
   if cfg.regions < 1 then invalid_arg "Dist_net.create: regions < 1";
-  DS.validate cfg.network cfg.backoff;
+  validate cfg.network cfg.backoff;
   {
     cfg;
     replicas = Hashtbl.create 16;
-    shards = Array.init cfg.regions (fun _ -> DS.fresh_counters ());
+    shards = Array.init cfg.regions (fun _ -> fresh_counters ());
     down_from = Array.make cfg.regions infinity;
     part_from = Array.make cfg.regions infinity;
     part_until = Array.make cfg.regions infinity;
@@ -56,7 +93,7 @@ let create cfg =
   }
 
 let counters t =
-  let acc = DS.fresh_counters () in
+  let acc = fresh_counters () in
   Array.iter
     (fun c ->
       acc.attempts <- acc.attempts + c.attempts;
@@ -117,26 +154,110 @@ type outcome =
 
 let fetch ?telemetry t rng ~now ~region:home ~bucket =
   check_region t home "Dist_net.fetch";
-  (* a down target store or a partitioned fetcher fails the attempt *)
-  let reachable ~region ~at =
-    not (region_down t ~region ~now:at || partitioned t ~region:home ~now:at)
-  in
   (* draw-identical to [Rng.pick rng (Array.of_list replicas)] *)
   let pick ~region =
     match Hashtbl.find_opt t.replicas (region, bucket) with
     | None | Some { contents = [] } -> None
     | Some { contents = l } -> Some (List.nth l (R.int rng (List.length l)))
   in
-  let delivery, delay =
-    DS.ladder ?telemetry t.cfg.network t.cfg.backoff t.shards.(home) rng ~now ~home
-      ~foreign:(List.filter (fun r -> r <> home) (List.init t.cfg.regions Fun.id))
-      ~reachable:(if t.has_faults then Some reachable else None)
-      ~pick
-        (* a stale replica still holds the previous release's package; the
-           consumer's fingerprint gate rejects it and the ladder retries *)
-      ~gate:(fun ~stale _ -> if stale then `Retry else `Accept)
-  in
-  match delivery with
-  | DS.Accepted (pkg, _) -> Delivered (pkg, delay)
-  | DS.Refused _ | DS.Gave_up _ -> Unavailable delay
-  | DS.Absent -> Not_found
+  (* The neutrality rule: when nothing can fail, delay or redirect a fetch, it
+     is one selection draw.  No counters, no attempt count and no latency
+     sample, so every seeded run without faults stays byte-identical to a
+     direct pick. *)
+  if not (active t.cfg || t.has_faults) then
+    match pick ~region:home with
+    | None -> Not_found
+    | Some pkg -> Delivered (pkg, 0.)
+  else begin
+    let net = t.cfg.network and backoff = t.cfg.backoff and c = t.shards.(home) in
+    let tel f =
+      match telemetry with
+      | Some s -> f s
+      | None -> ()
+    in
+    let delay = ref 0. in
+    (* stays true while every attempt found an empty replica set *)
+    let nothing_seen = ref true in
+    let fail () =
+      c.failures <- c.failures + 1;
+      nothing_seen := false;
+      tel (fun s -> Js_telemetry.incr s "dist.fetch_failures");
+      `Retry
+    in
+    (* One attempt against one region.  Randomness is consumed strictly in
+       this order, each draw guarded by its rate: reachability (no draw),
+       failure, latency, the pick, staleness. *)
+    let attempt ~region ~cross =
+      c.attempts <- c.attempts + 1;
+      tel (fun s ->
+          Js_telemetry.incr s "dist.fetch_attempts";
+          if cross then Js_telemetry.incr s "dist.cross_region");
+      if cross then c.cross_region_fetches <- c.cross_region_fetches + 1;
+      (* time already spent waiting in this fetch counts: a disaster window
+         may open or close; a down target store or a partitioned fetcher
+         fails the attempt *)
+      let at = now +. !delay in
+      if t.has_faults && (region_down t ~region ~now:at || partitioned t ~region:home ~now:at)
+      then fail ()
+      else if net.fetch_fail_rate > 0. && R.bool rng net.fetch_fail_rate then fail ()
+      else begin
+        let lat = if net.latency_mean <= 0. then 0. else R.exponential rng ~mean:net.latency_mean in
+        if net.fetch_timeout > 0. && lat > net.fetch_timeout then begin
+          c.timeouts <- c.timeouts + 1;
+          nothing_seen := false;
+          delay := !delay +. net.fetch_timeout;
+          tel (fun s -> Js_telemetry.incr s "dist.timeouts");
+          `Retry
+        end
+        else
+          match pick ~region with
+          | None ->
+            c.empty_probes <- c.empty_probes + 1;
+            `Empty
+          | Some pkg ->
+            nothing_seen := false;
+            delay := !delay +. lat;
+            (* a stale replica still holds the previous release's package;
+               the consumer's fingerprint gate rejects it and the fetch
+               retries *)
+            if net.stale_rate > 0. && R.bool rng net.stale_rate then begin
+              c.stale_rejects <- c.stale_rejects + 1;
+              tel (fun s -> Js_telemetry.incr s "dist.stale_rejects");
+              `Retry
+            end
+            else begin
+              c.deliveries <- c.deliveries + 1;
+              tel (fun s ->
+                  Js_telemetry.observe s ~lo:0. ~hi:120. ~buckets:24 "dist.fetch_seconds" lat);
+              `Delivered pkg
+            end
+      end
+    in
+    (* Bounded retries with backoff against the home region, then one
+       attempt per foreign region, then give up. *)
+    let rec home_attempts k =
+      if k >= backoff.Backoff.max_attempts then None
+      else
+        match attempt ~region:home ~cross:false with
+        | `Delivered pkg -> Some pkg
+        | `Empty -> None (* a replica set cannot fill up while a fetch waits *)
+        | `Retry ->
+          if k + 1 < backoff.Backoff.max_attempts then
+            delay := !delay +. Backoff.delay backoff rng ~attempt:k;
+          home_attempts (k + 1)
+    in
+    let rec foreign_regions region =
+      if region >= t.cfg.regions then None
+      else if region = home then foreign_regions (region + 1)
+      else
+        match attempt ~region ~cross:true with
+        | `Delivered pkg -> Some pkg
+        | `Empty | `Retry -> foreign_regions (region + 1)
+    in
+    match home_attempts 0 with
+    | Some pkg -> Delivered (pkg, !delay)
+    | None -> (
+      match foreign_regions 0 with
+      | Some pkg -> Delivered (pkg, !delay)
+      | None -> if !nothing_seen then Not_found else Unavailable !delay)
+  end

@@ -71,8 +71,8 @@ let health_check vm traffic =
     in
     (Interp.Engine.steps engine, verdict)
 
-let boot_dist ?telemetry repo (options : Options.t) dist rng ?(now = 0.) ~region ~bucket
-    ?jit_bug ?health_traffic ~fallback_traffic () =
+let boot_dist ?telemetry repo (options : Options.t) dist rng ~region ~bucket ?jit_bug
+    ?health_traffic ~fallback_traffic () =
   let tel f =
     match telemetry with
     | Some t -> f t
@@ -149,9 +149,8 @@ let boot_dist ?telemetry repo (options : Options.t) dist rng ?(now = 0.) ~region
                   Jump_started vm
                 | _, Error msg -> fail "health_check" msg)))
         in
-        match Dist_store.fetch ?telemetry dist rng ~now ~region ~bucket with
+        match Dist_store.fetch ?telemetry dist rng ~region ~bucket with
         | Dist_store.No_package -> fall_back "no profile package available"
-        | Dist_store.Unavailable { reason; _ } -> fall_back ("package fetch failed: " ^ reason)
         | Dist_store.Delivered { bytes; _ } -> (
           match
             timed "consumer.decode"
@@ -160,8 +159,7 @@ let boot_dist ?telemetry repo (options : Options.t) dist rng ?(now = 0.) ~region
           with
           | Error msg -> fail "decode" msg
           | Ok package -> proceed package)
-        | Dist_store.Rejected
-            { kind = Dist_store.Fingerprint_mismatch; reason = gate_reason; bytes; _ }
+        | Dist_store.Rejected { reason = gate_reason; bytes; _ }
           when options.Options.salvage_stale -> (
           (* Stale-profile salvage (§VI-B): the gate refused the package
              because it was profiled on a different build — match it against

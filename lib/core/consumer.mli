@@ -3,9 +3,9 @@
     A consumer boots by deserializing a profile package, applying the
     steady-state optimizations it enables, and JITing all optimized code
     before serving.  The one full boot path, {!boot_dist}, implements the
-    reliability machinery: random package selection through the
-    distribution network, health checking, bounded retries, and automatic
-    no-Jump-Start fallback. *)
+    reliability machinery: random package selection behind the fingerprint
+    gate, stale-profile salvage, health checking, bounded retries, and
+    automatic no-Jump-Start fallback. *)
 
 (** A batch of requests driven against an engine (the test/experiment layer
     decides what traffic means). *)
@@ -48,13 +48,13 @@ type outcome =
 
 (** [boot_dist repo options dist rng ~region ~bucket ...] — the §VI-A boot
     protocol, and the only consumer boot: up to [options.max_boot_attempts]
-    times, fetch a random package through the distribution network
-    ({!Dist_store}), decode, verify and coverage-check it, compile, and
-    health-check with [health_traffic] (a crash or [Runtime_error] counts as
-    unhealthy); on exhaustion or when no package exists, fall back to local
-    profiling with [fallback_traffic].  When [options.enabled] is false,
-    goes straight to the fallback path.  Over [Dist_store.create store] (a
-    perfect network, no gates) each fetch is one {!Store.pick_random}.
+    times, pick a random package from the store behind the fingerprint
+    gate ({!Dist_store.fetch}, one {!Store.pick_random}), decode, verify
+    and coverage-check it, compile, and health-check with [health_traffic]
+    (a crash or [Runtime_error] counts as unhealthy); on exhaustion or when
+    no package exists, fall back to local profiling with
+    [fallback_traffic].  When [options.enabled] is false, goes straight to
+    the fallback path.
 
     - a {e delivered} package proceeds through decode → verify → coverage →
       compile → health-check;
@@ -69,14 +69,10 @@ type outcome =
       [match.blocks_matched] / [match.counters_transferred] counters); a
       failed or below-threshold salvage burns the attempt as stage
       [consumer.salvage];
-    - any other staleness-gate reject (TTL expiry, stale replica — or a
-      fingerprint mismatch with salvage disabled) burns a boot attempt via
-      the [Validation_failed] machinery as the stage [consumer.fetch]
-      (counter [consumer.fetch_failures]) — a fresh attempt re-runs the
-      whole fetch ladder and usually draws a different replica;
-    - an exhausted network (retries + cross-region fallback all failed)
-      degrades gracefully to the no-Jump-Start fallback, like a store with
-      no packages.
+    - with salvage disabled, a fingerprint mismatch burns a boot attempt
+      via the [Validation_failed] machinery as the stage [consumer.fetch]
+      (counter [consumer.fetch_failures]) — a fresh attempt picks again and
+      may draw a different package.
 
     With [telemetry], each attempt bumps [consumer.boot_attempts] and logs a
     [Boot_attempt] event; per-stage failures bump
@@ -84,17 +80,13 @@ type outcome =
     compile, and health-check stages run under spans whose durations come
     from deterministic work proxies (bytes decoded, translations emitted,
     interpreter steps) on the simulated clock; a fallback bumps
-    [consumer.fallbacks] and logs a [Fallback] event with the reason.
-
-    [now] (default 0) is the boot's position on the simulated clock,
-    driving the TTL gate. *)
+    [consumer.fallbacks] and logs a [Fallback] event with the reason. *)
 val boot_dist :
   ?telemetry:Js_telemetry.t ->
   Hhbc.Repo.t ->
   Options.t ->
   Dist_store.t ->
   Js_util.Rng.t ->
-  ?now:float ->
   region:int ->
   bucket:int ->
   ?jit_bug:(Package.t -> bool) ->

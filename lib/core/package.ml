@@ -45,7 +45,7 @@ let to_bytes t =
   W.varint w t.meta.seeder_id;
   W.varint w t.meta.n_profiled_funcs;
   W.varint w t.meta.total_entries;
-  (* version 3: provenance for the distribution layer's staleness gate *)
+  (* version 3: provenance for the consumer's fingerprint gate *)
   W.varint w t.meta.repo_fingerprint;
   W.varint w t.meta.published_at;
   let repo = Jit_profile.Counters.repo t.counters in

@@ -27,9 +27,11 @@ type meta = {
   total_entries : int;
   repo_fingerprint : int;
       (** {!Hhbc.Repo.fingerprint} of the build the seeder profiled; the
-          distribution layer rejects packages whose fingerprint disagrees
-          with the consumer's repo (stale profile from a previous release) *)
-  published_at : int;  (** publish time in whole simulated seconds *)
+          consumer's fingerprint gate rejects packages whose fingerprint
+          disagrees with its repo (stale profile from a previous release) *)
+  published_at : int;
+      (** publish time in whole simulated seconds; the seeder writes 0 and
+          no reader consults it, but it stays on the v4 wire *)
 }
 
 type t = {

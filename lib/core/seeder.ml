@@ -4,7 +4,7 @@ type outcome = {
   profile_requests_steps : int;
 }
 
-let run ?telemetry ?(now = 0.) repo (options : Options.t) ~profile_traffic ~optimized_traffic
+let run ?telemetry repo (options : Options.t) ~profile_traffic ~optimized_traffic
     ?validation_traffic ?jit_bug ~region ~bucket ~seeder_id () =
   let tel f =
     match telemetry with
@@ -69,7 +69,7 @@ let run ?telemetry ?(now = 0.) repo (options : Options.t) ~profile_traffic ~opti
           n_profiled_funcs = List.length profiled;
           total_entries = Jit_profile.Counters.total_entries counters;
           repo_fingerprint = Hhbc.Repo.fingerprint repo;
-          published_at = int_of_float now;
+          published_at = 0;
         };
       counters = Jit_profile.Counters.copy counters;
       vasm = measured;
@@ -142,10 +142,10 @@ let run ?telemetry ?(now = 0.) repo (options : Options.t) ~profile_traffic ~opti
                 | Failure msg -> invalid ("unhealthy: " ^ msg))))))
     end
 
-let run_and_publish ?telemetry ?now repo options store ~profile_traffic ~optimized_traffic
+let run_and_publish ?telemetry repo options store ~profile_traffic ~optimized_traffic
     ?validation_traffic ?jit_bug ~region ~bucket ~seeder_id () =
   match
-    run ?telemetry ?now repo options ~profile_traffic ~optimized_traffic ?validation_traffic
+    run ?telemetry repo options ~profile_traffic ~optimized_traffic ?validation_traffic
       ?jit_bug ~region ~bucket ~seeder_id ()
   with
   | Error _ as e -> e

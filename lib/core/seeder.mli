@@ -20,10 +20,10 @@ type outcome = {
       code (Vasm profile collection);
     - [validation_traffic]: health-check load for self-validation (defaults
       to skipping the run-traffic part of validation);
-    - [jit_bug]: fault injection passed through to validation (§VI-A.1);
-    - [now]: simulated publish time (default 0); stamped into the package
-      meta together with the repo fingerprint for the distribution layer's
-      staleness gate.
+    - [jit_bug]: fault injection passed through to validation (§VI-A.1).
+
+    The package meta carries the repo fingerprint for the consumer's
+    fingerprint gate, and [published_at = 0].
 
     Returns [Error reason] when the §VI-B coverage gate or §VI-A.1
     validation rejects the package — a real seeder would then restart in
@@ -37,7 +37,6 @@ type outcome = {
     [seeder.packages_built]. *)
 val run :
   ?telemetry:Js_telemetry.t ->
-  ?now:float ->
   Hhbc.Repo.t ->
   Options.t ->
   profile_traffic:Consumer.traffic ->
@@ -56,7 +55,6 @@ val run :
     event carrying the package size. *)
 val run_and_publish :
   ?telemetry:Js_telemetry.t ->
-  ?now:float ->
   Hhbc.Repo.t ->
   Options.t ->
   Store.t ->

@@ -64,32 +64,6 @@ let block_of_instr blocks idx =
 
 let bytecode_size f = Array.fold_left (fun acc i -> acc + Instr.byte_size i) 0 f.body
 
-(* Structural hash of one block: FNV-1a over the instructions with jump
-   targets rewritten relative to the block start, so the same code hashed at a
-   different body offset (after insertions elsewhere in the function) still
-   matches.  This is the matching key for BOLT-style stale-profile transfer:
-   counters follow blocks whose hashes survive a code push. *)
-let block_hash f (blk : block) =
-  let h = ref (Instr.fnv_mix Instr.fnv_basis blk.len) in
-  for pc = blk.start to blk.start + blk.len - 1 do
-    h := Instr.fnv_fold ~jump_base:blk.start !h f.body.(pc)
-  done;
-  !h land max_int
-
-let block_hashes f = Array.map (block_hash f) (basic_blocks f)
-
-(* Whole-body structural hash: every instruction with absolute jump targets,
-   plus the arity/locals shape.  Deliberately name-blind — it is the rename
-   detector for stale-profile matching (a renamed-but-unchanged function
-   keeps its struct_hash). *)
-let struct_hash f =
-  let h = ref Instr.fnv_basis in
-  h := Instr.fnv_mix !h f.n_params;
-  h := Instr.fnv_mix !h f.n_locals;
-  h := Instr.fnv_mix !h (Array.length f.body);
-  Array.iter (fun instr -> h := Instr.fnv_fold !h instr) f.body;
-  !h land max_int
-
 let validate f =
   let n = Array.length f.body in
   if n = 0 then Error (Printf.sprintf "function %s: empty body" f.name)

@@ -34,22 +34,6 @@ val block_of_instr : block array -> int -> int
 (** Simulated bytecode size in bytes (sum of instruction encodings). *)
 val bytecode_size : t -> int
 
-(** [block_hash f blk] is a structural FNV-1a hash of the block's
-    instructions with jump targets normalized relative to the block start:
-    identical code at a different body offset hashes identically.  The
-    intended key for stale-profile matching across code pushes. *)
-val block_hash : t -> block -> int
-
-(** [block_hashes f] is [block_hash] over [basic_blocks f], indexed by
-    block id. *)
-val block_hashes : t -> int array
-
-(** [struct_hash f] is a stable FNV-1a hash of the whole body (absolute jump
-    targets) plus the arity/locals shape, deliberately blind to [name]: a
-    renamed-but-otherwise-unchanged function keeps its [struct_hash], which
-    is how the stale-profile matcher survives renames. *)
-val struct_hash : t -> int
-
 (** [validate f] checks structural invariants: jump targets in range, body
     non-empty, final instruction terminal, parameter/local counts coherent.
     Returns [Error msg] describing the first violation. *)

@@ -122,7 +122,7 @@ let is_terminal = function
    explicitly NOT used anywhere in the hashing path: it caps traversal
    depth/breadth (large payloads collide) and its value is not guaranteed
    stable across OCaml versions, which would silently defeat both the
-   package staleness gate and stale-profile matching across builds. *)
+   package fingerprint gate and stale-profile matching across builds. *)
 
 let fnv_basis = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
@@ -183,7 +183,7 @@ let fnv_float h f =
 
 (* [fnv_fold ?jump_base h i] mixes instruction [i] into [h], field by field.
    With [jump_base] the jump targets are rewritten relative to it, which is
-   what makes {!Func.block_hash} offset-invariant. *)
+   what makes the stale-profile matcher's block hashes offset-invariant. *)
 let fnv_fold ?(jump_base = 0) h instr =
   let h = fnv_mix h (opcode instr) in
   match instr with

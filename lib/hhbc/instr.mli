@@ -85,7 +85,7 @@ val byte_size : t -> int
 (** {2 Stable structural hashing}
 
     FNV-1a 64-bit primitives (truncated to OCaml's 63-bit [int]) used by
-    {!Func.block_hash}, {!Repo.fingerprint} and the stale-profile matcher.
+    {!Repo.fingerprint} and the stale-profile matcher.
     Deliberately independent of [Hashtbl.hash], which caps traversal
     depth/breadth and is not stable across OCaml versions. *)
 
@@ -110,7 +110,7 @@ val binop_index : binop -> int
 (** [fnv_fold ?jump_base h i] mixes [i] into [h] field by field: constructor
     opcode then every immediate.  With [jump_base] the jump targets of
     [Jmp]/[JmpZ]/[JmpNZ] are rewritten relative to it (block-offset
-    invariance for {!Func.block_hash}). *)
+    invariance for the stale-profile matcher's block hashes). *)
 val fnv_fold : ?jump_base:int -> int -> t -> int
 
 (** [branch_targets i] lists jump targets if [i] is a control transfer. *)

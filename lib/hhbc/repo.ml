@@ -94,7 +94,7 @@ let total_bytecode_size t = Array.fold_left (fun acc f -> acc + Func.bytecode_si
 (* FNV-1a over the repo's structure: entity counts, function names/bodies,
    interned strings and names.  Two different application builds virtually
    never collide, while re-loading the same build always agrees — which is
-   all the package staleness gate needs (it is not a cryptographic hash). *)
+   all the package fingerprint gate needs (it is not a cryptographic hash). *)
 let fingerprint t =
   (* Explicit per-field FNV-1a: every entity count, function name + body
      (field-by-field via Instr.fnv_fold, never Hashtbl.hash — which caps

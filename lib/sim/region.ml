@@ -243,13 +243,22 @@ type g = {
 
 let tel reg f = match reg.r_tel with Some t -> f t | None -> ()
 
+(* A probability from outside input; the check is false for NaN. *)
+let check_rate name p =
+  if not (p >= 0. && p <= 1.) then invalid_arg ("Region: " ^ name ^ " must be in [0, 1]")
+
 let validate cfg =
   (* servers index their bucket's counters and replica lists *)
   if cfg.fleet.Fleet.n_buckets < 1 then invalid_arg "Region: fleet.n_buckets must be >= 1";
   if cfg.warm_rps <= 0. then invalid_arg "Region: warm_rps must be positive";
   if cfg.concurrency <= 0 then invalid_arg "Region: concurrency must be positive";
   if cfg.queue_capacity < 0 then invalid_arg "Region: queue_capacity must be >= 0";
-  if cfg.request_timeout <= 0. then invalid_arg "Region: request_timeout must be positive";
+  (* these comparisons are false for NaN; an infinite timeout sheds nothing *)
+  if not (cfg.request_timeout > 0.) then invalid_arg "Region: request_timeout must be positive";
+  if not (cfg.abort_window >= 0.) then invalid_arg "Region: abort_window must be >= 0";
+  check_rate "bad_package_rate" cfg.bad_package_rate;
+  check_rate "thin_profile_rate" cfg.thin_profile_rate;
+  check_rate "fleet.validation_catch_rate" cfg.fleet.Fleet.validation_catch_rate;
   if cfg.drain_cap <= 0 then invalid_arg "Region: drain_cap must be positive";
   (* NaN fails every comparison and infinity never reaches a barrier, so the
      three times are checked for finiteness before they are compared *)
@@ -266,14 +275,20 @@ let validate_global gc =
     invalid_arg "Region: epoch must be positive";
   if not (Float.is_finite gc.region_phase && gc.region_phase >= 0.) then
     invalid_arg "Region: region_phase must be finite and >= 0";
-  if gc.push_stagger < 0. || Float.is_nan gc.push_stagger then
-    invalid_arg "Region: push_stagger must be >= 0";
-  if gc.spill_threshold <= 0. || gc.spill_threshold > 1. then
+  (* region r's push starts at push_at + r * push_stagger *)
+  if not (Float.is_finite gc.push_stagger && gc.push_stagger >= 0.) then
+    invalid_arg "Region: push_stagger must be finite and >= 0";
+  if not (gc.spill_threshold > 0. && gc.spill_threshold <= 1.) then
     invalid_arg "Region: spill_threshold must be in (0, 1]";
-  if gc.spillover && gc.n_regions > 1 && gc.spill_latency < gc.epoch then
-    (* cross-region lookahead: a spill sent in epoch k must land at or after
-       the next barrier, or epoch-mode and merged-mode runs could diverge *)
-    invalid_arg "Region: spill_latency must be >= epoch";
+  if gc.spillover && gc.n_regions > 1 then begin
+    (* an infinite latency loses every spill; a NaN one stops the engine *)
+    if not (Float.is_finite gc.spill_latency) then
+      invalid_arg "Region: spill_latency must be finite";
+    if gc.spill_latency < gc.epoch then
+      (* cross-region lookahead: a spill sent in epoch k must land at or after
+         the next barrier, or epoch-mode and merged-mode runs could diverge *)
+      invalid_arg "Region: spill_latency must be >= epoch"
+  end;
   List.iter
     (fun d ->
       let check_region r =

@@ -219,8 +219,13 @@ type global_stats = {
     spans per restart, push start/abort and region-loss marks; each sink's
     clock tracks simulation time.  @raise Invalid_argument on invalid
     configs: fewer than one bucket, non-positive capacities or caps, a
-    non-finite [tick], [push_at] or [duration], a duration not past
-    [push_at], or [spillover] with [spill_latency < epoch]. *)
+    request timeout that is not positive (infinity is allowed), a negative
+    abort window, a seeding rate or validation catch rate outside
+    [\[0, 1\]], a non-finite [tick], [push_at] or [duration], a duration
+    not past [push_at], a [push_stagger] that is not finite and >= 0, a
+    [spill_threshold] outside [(0, 1\]], or [spillover] across regions with
+    a non-finite [spill_latency] or one below [epoch].  NaN fails every
+    check. *)
 val run_global :
   ?telemetry:Js_telemetry.t ->
   ?mode:[ `Epoch | `Merged | `Parallel of int ] ->

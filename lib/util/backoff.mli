@@ -1,8 +1,7 @@
 (** Bounded-retry schedule with exponential backoff and deterministic jitter.
 
-    Used by the one delivery ladder ([Jumpstart.Dist_store.ladder], which
-    both the store and the fleet's network run): a fetch that fails
-    transiently is retried up to [max_attempts] times, sleeping
+    Used by the fleet's delivery ladder ([Cluster.Dist_net.fetch]): a fetch
+    that fails transiently is retried up to [max_attempts] times, sleeping
     [base_delay * multiplier^k] (capped at [max_delay]) between attempts.
     Jitter is {e deterministic}: it is drawn from the caller's seeded {!Rng},
     so the same seed yields the same schedule, and a [jitter = 0] schedule

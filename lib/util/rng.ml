@@ -35,10 +35,6 @@ let int t bound =
   let v = Int64.to_int (Int64.logand (bits64 t) mask) in
   v mod bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let[@inline] unit_float t =
   (* 53 random bits mapped to [0,1). *)
   let v = Int64.shift_right_logical (bits64 t) 11 in
@@ -62,24 +58,6 @@ let gaussian t ~mu ~sigma =
   done;
   let u2 = unit_float t in
   mu +. (sigma *. sqrt (-2. *. log !u1) *. cos (2. *. Float.pi *. u2))
-
-let zipf t ~n ~s =
-  if n <= 0 then invalid_arg "Rng.zipf: n must be positive";
-  (* Inverse-CDF sampling over the harmonic weights; O(log n) via a cached
-     prefix table would be faster, but n is small enough in practice and the
-     rejection-free approach keeps the generator allocation-free. *)
-  let h = ref 0. in
-  for k = 1 to n do
-    h := !h +. (1. /. (float_of_int k ** s))
-  done;
-  let target = unit_float t *. !h in
-  let rec scan k acc =
-    if k > n then n - 1
-    else
-      let acc = acc +. (1. /. (float_of_int k ** s)) in
-      if acc >= target then k - 1 else scan (k + 1) acc
-  in
-  scan 1 0.
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

@@ -42,10 +42,6 @@ val bits64 : t -> int64
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int
 
-(** [int_in t lo hi] returns a uniform integer in [\[lo, hi\]] (inclusive).
-    @raise Invalid_argument if [hi < lo]. *)
-val int_in : t -> int -> int -> int
-
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 val float : t -> float -> float
 
@@ -57,10 +53,6 @@ val exponential : t -> mean:float -> float
 
 (** [gaussian t ~mu ~sigma] samples a normal distribution (Box-Muller). *)
 val gaussian : t -> mu:float -> sigma:float -> float
-
-(** [zipf t ~n ~s] samples a rank in [\[0, n)] under a Zipf distribution with
-    exponent [s].  Rank 0 is the most likely. *)
-val zipf : t -> n:int -> s:float -> int
 
 (** [pick t arr] returns a uniformly random element of [arr].
     @raise Invalid_argument on an empty array. *)

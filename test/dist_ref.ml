@@ -1,157 +1,13 @@
-(* The two fetch ladders the delivery layer had before it ran one ladder for
-   both payloads: the store ladder (Jumpstart.Dist_store.fetch over a Store)
-   and the fleet ladder (Cluster.Dist_net.fetch over Server.package
-   replicas), kept verbatim as the test-only oracle for
-   [Jumpstart.Dist_store.ladder].  Only the Pareto latency tail is gone: no
-   config ever enabled it.  The property in test_dist.ml drives both ladders
-   and the one ladder side by side and compares verdicts, delays, RNG
-   positions, counters and telemetry after every fetch. *)
+(* The fleet's fetch ladder as it stood before package delivery ran one
+   ladder (Cluster.Dist_net.fetch over Server.package replicas), kept
+   verbatim as the test-only oracle for [Cluster.Dist_net.fetch].  Only the
+   Pareto latency tail is gone: no config ever enabled it.  The property in
+   test_dist.ml drives both ladders side by side and compares verdicts,
+   delays, RNG positions, counters and telemetry after every fetch. *)
 
 module R = Js_util.Rng
 module Backoff = Js_util.Backoff
-module DS = Jumpstart.Dist_store
-module Store = Jumpstart.Store
-module Package = Jumpstart.Package
-
-(* ------------------------------------------------------ store ladder -- *)
-
-type store = {
-  store : Store.t;
-  net : DS.network;
-  backoff : Backoff.config;
-  ttl_seconds : float;
-  regions : int array;
-  cross_region : bool;
-  expected_fingerprint : int option;
-}
-
-let create_store ~network ~backoff ~ttl_seconds ~cross_region ~regions ?repo store =
-  {
-    store;
-    net = network;
-    backoff;
-    ttl_seconds;
-    regions;
-    cross_region;
-    expected_fingerprint = Option.map Hhbc.Repo.fingerprint repo;
-  }
-
-let reject_counter = function
-  | DS.Stale_replica -> "dist.stale_replica"
-  | DS.Fingerprint_mismatch -> "dist.fingerprint_mismatch"
-  | DS.Ttl_expired -> "dist.ttl_expired"
-
-let gate t ~now ~forced_stale (meta : Package.meta) =
-  if forced_stale then Error (DS.Stale_replica, "stale replica: package from a previous release")
-  else
-    match t.expected_fingerprint with
-    | Some fp when meta.Package.repo_fingerprint <> fp ->
-      Error
-        ( DS.Fingerprint_mismatch,
-          Printf.sprintf "repo fingerprint mismatch: package %x <> repo %x (stale release)"
-            (meta.Package.repo_fingerprint land 0xffffff)
-            (fp land 0xffffff) )
-    | Some _ | None ->
-      let age = now -. float_of_int meta.Package.published_at in
-      if t.ttl_seconds > 0. && age > t.ttl_seconds then
-        Error
-          ( DS.Ttl_expired,
-            Printf.sprintf "package expired: age %.0fs > ttl %.0fs" age t.ttl_seconds )
-      else Ok ()
-
-let store_fetch ?telemetry t rng ~now ~region:home ~bucket =
-  let tel f =
-    match telemetry with
-    | Some s -> f s
-    | None -> ()
-  in
-  let delay = ref 0. in
-  let failures = ref 0 and timeouts = ref 0 and saw_package = ref false in
-  let try_once ~region ~cross =
-    tel (fun s ->
-        Js_telemetry.incr s "dist.fetch_attempts";
-        if cross then Js_telemetry.incr s "dist.cross_region");
-    if t.net.DS.fetch_fail_rate > 0. && R.bool rng t.net.DS.fetch_fail_rate then begin
-      incr failures;
-      tel (fun s -> Js_telemetry.incr s "dist.fetch_failures");
-      `Retry
-    end
-    else begin
-      let lat =
-        if t.net.DS.latency_mean <= 0. then 0. else R.exponential rng ~mean:t.net.DS.latency_mean
-      in
-      if t.net.DS.fetch_timeout > 0. && lat > t.net.DS.fetch_timeout then begin
-        incr timeouts;
-        delay := !delay +. t.net.DS.fetch_timeout;
-        tel (fun s -> Js_telemetry.incr s "dist.timeouts");
-        `Retry
-      end
-      else
-        match Store.pick_random ?telemetry t.store rng ~region ~bucket with
-        | None -> `Empty
-        | Some (bytes, meta) -> (
-          saw_package := true;
-          delay := !delay +. lat;
-          let forced_stale = t.net.DS.stale_rate > 0. && R.bool rng t.net.DS.stale_rate in
-          match gate t ~now ~forced_stale meta with
-          | Ok () ->
-            tel (fun s ->
-                Js_telemetry.observe s ~lo:0. ~hi:120. ~buckets:24 "dist.fetch_seconds" lat);
-            `Delivered (bytes, meta, region)
-          | Error (kind, reason) ->
-            tel (fun s ->
-                Js_telemetry.incr s "dist.stale_rejects";
-                Js_telemetry.incr s (reject_counter kind));
-            `Stale (kind, reason, bytes, meta))
-    end
-  in
-  let rec home_attempts k =
-    if k >= t.backoff.Backoff.max_attempts then `Exhausted
-    else
-      match try_once ~region:home ~cross:false with
-      | (`Delivered _ | `Stale _) as final -> final
-      | `Empty -> `Exhausted
-      | `Retry ->
-        if k + 1 < t.backoff.Backoff.max_attempts then
-          delay := !delay +. Backoff.delay t.backoff rng ~attempt:k;
-        home_attempts (k + 1)
-  in
-  let rec foreign_regions = function
-    | [] -> `Exhausted
-    | r :: rest -> (
-      match try_once ~region:r ~cross:true with
-      | (`Delivered _ | `Stale _) as final -> final
-      | `Empty | `Retry -> foreign_regions rest)
-  in
-  let verdict =
-    match home_attempts 0 with
-    | `Exhausted when t.cross_region ->
-      foreign_regions (List.filter (fun r -> r <> home) (Array.to_list t.regions))
-    | v -> v
-  in
-  tel (fun s ->
-      if !delay > 0. then begin
-        let clock = Js_telemetry.clock s in
-        Js_telemetry.add_span s "dist.fetch_wait" ~start:(Js_telemetry.Clock.now clock)
-          ~dur:!delay;
-        Js_telemetry.Clock.advance clock !delay
-      end);
-  match verdict with
-  | `Delivered (bytes, meta, region) -> DS.Delivered { bytes; meta; region; delay = !delay }
-  | `Stale (kind, reason, bytes, meta) ->
-    DS.Rejected { kind; reason; bytes; meta; delay = !delay }
-  | `Exhausted ->
-    if (not !saw_package) && !failures = 0 && !timeouts = 0 then DS.No_package
-    else
-      DS.Unavailable
-        {
-          reason =
-            Printf.sprintf "network unavailable after %d failures and %d timeouts" !failures
-              !timeouts;
-          delay = !delay;
-        }
-
-(* ------------------------------------------------------ fleet ladder -- *)
+module DN = Cluster.Dist_net
 
 type net_config = {
   regions : int;
@@ -173,7 +29,7 @@ type replica = { pkg : Cluster.Server.package; visible_from : float }
 type net = {
   cfg : net_config;
   replicas : (int * int, replica list ref) Hashtbl.t;
-  shards : DS.counters array;
+  shards : DN.counters array;
   down_from : float array;
   part_from : float array;
   part_until : float array;
@@ -184,7 +40,7 @@ let create_net cfg =
   {
     cfg;
     replicas = Hashtbl.create 16;
-    shards = Array.init cfg.regions (fun _ -> DS.fresh_counters ());
+    shards = Array.init cfg.regions (fun _ -> DN.fresh_counters ());
     down_from = Array.make cfg.regions infinity;
     part_from = Array.make cfg.regions infinity;
     part_until = Array.make cfg.regions infinity;
@@ -192,9 +48,9 @@ let create_net cfg =
   }
 
 let net_counters t =
-  let acc = DS.fresh_counters () in
+  let acc = DN.fresh_counters () in
   Array.iter
-    (fun (c : DS.counters) ->
+    (fun (c : DN.counters) ->
       acc.attempts <- acc.attempts + c.attempts;
       acc.failures <- acc.failures + c.failures;
       acc.timeouts <- acc.timeouts + c.timeouts;
@@ -248,8 +104,8 @@ let net_fetch ?telemetry t rng ~now ~region:home ~bucket =
   let all = bucket_replicas t ~region:home ~bucket in
   if not (active t.cfg || t.has_faults) then
     match all with
-    | [] -> Cluster.Dist_net.Not_found
-    | l -> Cluster.Dist_net.Delivered ((List.nth l (R.int rng (List.length l))).pkg, 0.)
+    | [] -> DN.Not_found
+    | l -> DN.Delivered ((List.nth l (R.int rng (List.length l))).pkg, 0.)
   else begin
     let tel f =
       match telemetry with
@@ -351,8 +207,8 @@ let net_fetch ?telemetry t rng ~now ~region:home ~bucket =
       | v -> v
     in
     match verdict with
-    | `Delivered pkg -> Cluster.Dist_net.Delivered (pkg, !delay)
+    | `Delivered pkg -> DN.Delivered (pkg, !delay)
     | `Exhausted ->
-      if (not !saw_package) && !failed = 0 && !timed_out = 0 then Cluster.Dist_net.Not_found
-      else Cluster.Dist_net.Unavailable !delay
+      if (not !saw_package) && !failed = 0 && !timed_out = 0 then DN.Not_found
+      else DN.Unavailable !delay
   end

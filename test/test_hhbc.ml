@@ -102,25 +102,6 @@ let test_block_of_instr () =
   Alcotest.(check int) "instr 1" 1 (F.block_of_instr blocks 1);
   Alcotest.(check int) "instr 2" 2 (F.block_of_instr blocks 2)
 
-let test_block_hash_offset_invariant () =
-  (* the same loop shifted by a Nop prologue: every block hashes
-     identically because jump targets are normalized to the block start *)
-  let a = mk_func [| I.JmpZ 3; I.Nop; I.Jmp 0; I.Ret |] in
-  let b = mk_func [| I.Nop; I.JmpZ 4; I.Nop; I.Jmp 1; I.Ret |] in
-  let ha = F.block_hashes a and hb = F.block_hashes b in
-  (* a: [0] [1-2] [3]; b: [0] [1] [2-3] [4] — b's block 0 is the prologue *)
-  Alcotest.(check int) "loop body hash survives the shift" ha.(1) hb.(2);
-  Alcotest.(check int) "exit block hash survives the shift" ha.(2) hb.(3)
-
-let test_block_hash_sensitivity () =
-  let base = mk_func [| I.LitInt 1; I.StoreLoc 0; I.LitNull; I.Ret |] in
-  let changed_op = mk_func [| I.LitInt 2; I.StoreLoc 0; I.LitNull; I.Ret |] in
-  let changed_local = mk_func ~n_locals:2 [| I.LitInt 1; I.StoreLoc 1; I.LitNull; I.Ret |] in
-  let h f = (F.block_hashes f).(0) in
-  Alcotest.(check bool) "operand change changes the hash" false (h base = h changed_op);
-  Alcotest.(check bool) "local change changes the hash" false (h base = h changed_local);
-  Alcotest.(check int) "hash is deterministic" (h base) (h base)
-
 let test_func_validate () =
   let ok = mk_func [| I.LitNull; I.Ret |] in
   Alcotest.(check bool) "valid" true (F.validate ok = Ok ());
@@ -218,22 +199,17 @@ let test_hash_goldens () =
      published package fingerprint and every stale-profile matching key.
      (The old Hashtbl.hash-based mixing had exactly that failure mode.) *)
   let loop = mk_func [| I.JmpZ 3; I.Nop; I.Jmp 0; I.Ret |] in
-  let straight = mk_func [| I.LitInt 1; I.StoreLoc 0; I.LitNull; I.Ret |] in
-  Alcotest.(check (list int)) "block_hashes golden"
-    [ 0x10819a18670a4fbf; 0x33115e6fb5ebfa4b; 0x082f0407b4e859ca ]
-    (Array.to_list (F.block_hashes loop));
-  Alcotest.(check int) "straight-line golden" 0x12219125b0384e43 (F.block_hashes straight).(0);
-  Alcotest.(check int) "struct_hash golden" 0x2c1e44a5834c31d2 (F.struct_hash straight);
+  let b = Repo.Builder.create () in
+  ignore (Repo.Builder.add_func b loop);
+  let shape = Jit_profile.Stale_match.shape_of_repo (Repo.Builder.finish b) in
+  let sg = shape.Jit_profile.Stale_match.sh_funcs.(0) in
+  let golden = [ 0x10819a18670a4fbf; 0x33115e6fb5ebfa4b; 0x082f0407b4e859ca ] in
+  Alcotest.(check (list int)) "strict block hashes golden" golden
+    (Array.to_list sg.Jit_profile.Stale_match.sg_block_strict);
+  Alcotest.(check (list int)) "loose block hashes golden" golden
+    (Array.to_list sg.Jit_profile.Stale_match.sg_block_loose);
   let repo, _, _, _ = build_two_class_repo () in
   Alcotest.(check int) "fingerprint golden" 0x32c61f3afec3fe1a (Repo.fingerprint repo)
-
-let test_struct_hash_name_blind () =
-  let f = mk_func [| I.LitInt 7; I.Ret |] in
-  let renamed = { f with F.name = "renamed" } in
-  Alcotest.(check int) "rename keeps struct_hash" (F.struct_hash f) (F.struct_hash renamed);
-  let edited = mk_func [| I.LitInt 8; I.Ret |] in
-  Alcotest.(check bool) "body edit moves struct_hash" false
-    (F.struct_hash f = F.struct_hash edited)
 
 let test_find_by_name () =
   let repo, _, _, _ = build_two_class_repo () in
@@ -260,10 +236,7 @@ let () =
           Alcotest.test_case "diamond" `Quick test_basic_blocks_diamond;
           Alcotest.test_case "loop" `Quick test_basic_blocks_loop;
           Alcotest.test_case "block_of_instr" `Quick test_block_of_instr;
-          Alcotest.test_case "block hash offset-invariant" `Quick test_block_hash_offset_invariant;
-          Alcotest.test_case "block hash sensitivity" `Quick test_block_hash_sensitivity;
           Alcotest.test_case "hash goldens pinned" `Quick test_hash_goldens;
-          Alcotest.test_case "struct_hash is name-blind" `Quick test_struct_hash_name_blind;
           Alcotest.test_case "validation" `Quick test_func_validate;
           Alcotest.test_case "bytecode size" `Quick test_bytecode_size
         ] );

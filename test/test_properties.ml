@@ -445,7 +445,7 @@ let des_push_cfg ~fail10 ~stale10 ~cross ~policy ~jumpstart =
   let dist =
     { Cluster.Dist_net.default_config with
       Cluster.Dist_net.network =
-        { Jumpstart.Dist_store.fetch_fail_rate = float_of_int fail10 /. 10.;
+        { Cluster.Dist_net.fetch_fail_rate = float_of_int fail10 /. 10.;
           fetch_timeout = 1.0;
           latency_mean = 0.5;
           stale_rate = float_of_int stale10 /. 10.

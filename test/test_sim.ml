@@ -686,7 +686,7 @@ let test_fleet_dist_faults_absorbed () =
     dist_fleet
       { Cluster.Dist_net.default_config with
         Cluster.Dist_net.network =
-          { Jumpstart.Dist_store.fetch_fail_rate = 0.3;
+          { Cluster.Dist_net.fetch_fail_rate = 0.3;
             fetch_timeout = 1.0;
             latency_mean = 0.5;
             stale_rate = 0.
@@ -712,7 +712,7 @@ let test_fleet_dist_outage_degrades () =
     dist_fleet
       { Cluster.Dist_net.default_config with
         Cluster.Dist_net.network =
-          { Jumpstart.Dist_store.default_network with Jumpstart.Dist_store.fetch_fail_rate = 1.0 }
+          { Cluster.Dist_net.default_network with Cluster.Dist_net.fetch_fail_rate = 1.0 }
       }
   in
   let stats = Region.run (restart_all fleet) (Lazy.force small_app) ~seed:22 in
@@ -886,13 +886,13 @@ let test_multiregion_validates () =
   (* the fault record comes from CLI flags: NaN, a rate outside [0, 1] or a
      negative or infinite time must be a config error, not a silently
      fault-free run or infinite fetch delays in the event engine *)
-  let n = Jumpstart.Dist_store.default_network in
+  let n = Cluster.Dist_net.default_network in
   List.iter
     (fun (network, msg) ->
       let base = Lazy.force push_cfg in
       let dist = { base.Region.fleet.Cluster.Fleet.dist with Cluster.Dist_net.network } in
       let base = { base with Region.fleet = { base.Region.fleet with Cluster.Fleet.dist } } in
-      Alcotest.check_raises msg (Invalid_argument ("Dist_store: " ^ msg)) (fun () ->
+      Alcotest.check_raises msg (Invalid_argument ("Dist_net: " ^ msg)) (fun () ->
           ignore
             (Region.run_global { (Lazy.force global_cfg) with Region.base } (Lazy.force small_app)
                ~seed:1)))
@@ -905,7 +905,55 @@ let test_multiregion_validates () =
       ({ n with stale_rate = 1.5 }, "stale_rate must be in [0, 1]");
       ({ n with latency_mean = Float.infinity }, "latency_mean must be finite and >= 0");
       ({ n with fetch_timeout = Float.infinity }, "fetch_timeout must be finite and >= 0")
-    ]
+    ];
+  (* the simulator's own settings come from CLI flags too: NaN once slipped
+     past every ordered comparison (a NaN timeout shed nothing, a NaN abort
+     window kept the guardrail from counting), an infinite stagger or spill
+     latency stopped or starved the run, and rates above 1 ran silently *)
+  let g = Lazy.force global_cfg in
+  let base = g.Region.base in
+  let with_base b = { g with Region.base = b } in
+  let with_fleet f = with_base { base with Region.fleet = f base.Region.fleet } in
+  List.iter
+    (fun (name, gcfg, msg) ->
+      Alcotest.check_raises name (Invalid_argument ("Region: " ^ msg)) (fun () ->
+          ignore (Region.run_global gcfg (Lazy.force small_app) ~seed:1)))
+    [ ( "nan timeout",
+        with_base { base with Region.request_timeout = Float.nan },
+        "request_timeout must be positive" );
+      ( "nan abort window",
+        with_base { base with Region.abort_window = Float.nan },
+        "abort_window must be >= 0" );
+      ( "bad rate 2",
+        with_base { base with Region.bad_package_rate = 2. },
+        "bad_package_rate must be in [0, 1]" );
+      ( "nan thin rate",
+        with_base { base with Region.thin_profile_rate = Float.nan },
+        "thin_profile_rate must be in [0, 1]" );
+      ( "nan validation",
+        with_fleet (fun f -> { f with Cluster.Fleet.validation_catch_rate = Float.nan }),
+        "fleet.validation_catch_rate must be in [0, 1]" );
+      ( "validation 2",
+        with_fleet (fun f -> { f with Cluster.Fleet.validation_catch_rate = 2. }),
+        "fleet.validation_catch_rate must be in [0, 1]" );
+      ( "nan spill threshold",
+        { g with Region.spill_threshold = Float.nan },
+        "spill_threshold must be in (0, 1]" );
+      ( "infinite push stagger",
+        { g with Region.push_stagger = Float.infinity },
+        "push_stagger must be finite and >= 0" );
+      ( "nan push stagger",
+        { g with Region.push_stagger = Float.nan },
+        "push_stagger must be finite and >= 0" );
+      ( "infinite spill latency",
+        { g with Region.spill_latency = Float.infinity },
+        "spill_latency must be finite" );
+      ("nan spill latency", { g with Region.spill_latency = Float.nan }, "spill_latency must be finite")
+    ];
+  (* an infinite timeout stays valid: it never sheds a request by timeout *)
+  ignore
+    (Region.run { base with Region.request_timeout = Float.infinity } (Lazy.force small_app)
+       ~seed:1)
 
 (* Non-finite times slip past ordered comparisons (NaN fails all of them), so
    without an explicit finiteness check a NaN duration ran to all-NaN stats,

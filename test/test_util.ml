@@ -42,13 +42,6 @@ let test_rng_int_bounds () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
-let test_rng_int_in () =
-  let rng = Rng.create 2 in
-  for _ = 1 to 500 do
-    let v = Rng.int_in rng (-3) 5 in
-    Alcotest.(check bool) "in closed range" true (v >= -3 && v <= 5)
-  done
-
 let test_rng_bool_extremes () =
   let rng = Rng.create 3 in
   Alcotest.(check bool) "p=0" false (Rng.bool rng 0.);
@@ -73,15 +66,6 @@ let test_rng_exponential_mean () =
   done;
   let mean = !acc /. float_of_int n in
   Alcotest.(check bool) "exp mean near 3" true (abs_float (mean -. 3.) < 0.2)
-
-let test_rng_zipf_rank0_most_likely () =
-  let rng = Rng.create 6 in
-  let counts = Array.make 10 0 in
-  for _ = 1 to 5_000 do
-    let r = Rng.zipf rng ~n:10 ~s:1.0 in
-    counts.(r) <- counts.(r) + 1
-  done;
-  Alcotest.(check bool) "rank 0 beats rank 9" true (counts.(0) > counts.(9))
 
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 8 in
@@ -615,11 +599,9 @@ let () =
           Alcotest.test_case "golden draws" `Quick test_rng_golden;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
-          Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "bool extremes" `Quick test_rng_bool_extremes;
           Alcotest.test_case "uniform mean" `Quick test_rng_float_mean;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
-          Alcotest.test_case "zipf skew" `Quick test_rng_zipf_rank0_most_likely;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "weighted sampling" `Quick test_rng_sample_weighted
         ] );
