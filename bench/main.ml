@@ -444,9 +444,10 @@ let ablation_fallback () =
    throughput on the macro-app workload on the translated loop ("cached")
    vs the reference loop ("uncached"); same seed, so the two runs must agree
    byte-for-byte on results, echo output, step counts and the tier-1
-   profile.  Plus fixed-iteration micro-benches of the core algorithms, all
-   written to BENCH_interp.json.  [--quick] shrinks every loop to
-   smoke-test size for CI. *)
+   profile.  Plus fixed-iteration micro-benches of the core algorithms and
+   each product probe path's overhead over the plain loop, all written to
+   BENCH_interp.json.  [--quick] shrinks every loop to smoke-test size for
+   CI. *)
 
 let quick_mode = ref false
 
@@ -481,6 +482,82 @@ let commit () =
   in
   let line = try input_line ic with End_of_file -> "" in
   match Unix.close_process_in ic with Unix.WEXITED 0 when line <> "" -> line | _ -> "unknown"
+
+(* Profiling overhead on the seeder's harness: [requests] requests of the
+   default app's seeder mix (region 0, bucket 0), served plain and under
+   each product probe path.  A round serves the same request stream on a
+   fresh engine per path (fresh counters too, as a seeding starts) in
+   lockstep: each request runs on every engine in turn, so a slow stretch
+   of the host hits every path alike.  A round's ratio is a path's summed
+   request time over the plain engine's.  The translations come from the
+   app's own tier-1 profile, lowered as the seeder lowers them
+   (instrumented) and compiled as the consumer compiles them. *)
+(* ROADMAP "Instrumented translations": every probe path within 1.5x of the
+   plain run *)
+let overhead_bound = 1.5
+
+let probe_overhead ~requests ~rounds =
+  let module JS = Jumpstart in
+  let app = Workload.Codegen.generate Workload.App_spec.default in
+  let repo = app.Workload.Codegen.repo in
+  let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
+  let mix = Workload.Request.mix app ~region:0 ~bucket:0 in
+  let engine probes = Interp.Engine.create ?probes repo (Mh_runtime.Heap.create repo layouts) in
+  let serve e =
+    let rng = Js_util.Rng.create (bench_seed 11) in
+    for _ = 1 to requests do
+      ignore (Workload.Request.invoke e app (Workload.Request.sample rng mix))
+    done
+  in
+  let counters = Jit_profile.Counters.create repo in
+  serve (engine (Some (Jit_profile.Collector.probes counters)));
+  let config = JS.Consumer.compile_config JS.Options.default in
+  let vfuncs =
+    Jit.Compiler.lower_all repo counters { config with Jit.Compiler.mode = Vasm.Lower.Instrumented }
+  in
+  let lookup fid = List.assoc_opt fid vfuncs in
+  let measured = Jit.Vasm_profile.create () in
+  serve (engine (Some (Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler measured))));
+  let compiled = Jit.Compiler.compile repo counters config ~measured:(Some measured) in
+  let calls = ref 0 in
+  let sink =
+    {
+      Jit.Trace_adapter.fetch = (fun ~addr:_ ~size:_ -> incr calls);
+      branch = (fun ~pc:_ ~target:_ ~taken:_ -> incr calls);
+      load = (fun ~addr:_ -> incr calls);
+      store = (fun ~addr:_ -> incr calls);
+    }
+  in
+  let paths =
+    [ ("collector", fun () -> Jit_profile.Collector.probes (Jit_profile.Counters.create repo));
+      ( "context_vasm_profile",
+        fun () ->
+          Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler (Jit.Vasm_profile.create ())) );
+      ( "context_trace_adapter",
+        fun () ->
+          Jit.Context.probes repo ~lookup:(Jit.Compiler.lookup compiled)
+            (Jit.Trace_adapter.handler ~cache:compiled.Jit.Compiler.cache sink) )
+    ]
+  in
+  let ratios = List.map (fun (name, _) -> (name, Array.make rounds 0.)) paths in
+  for r = 0 to rounds - 1 do
+    (* plain first, then the paths in order *)
+    let engines = Array.of_list (engine None :: List.map (fun (_, probes) -> engine (Some (probes ()))) paths) in
+    let rngs = Array.map (fun _ -> Js_util.Rng.create (bench_seed 11)) engines in
+    let spent = Array.make (Array.length engines) 0. in
+    Gc.full_major ();
+    for _ = 1 to requests do
+      Array.iteri
+        (fun i e ->
+          let req = Workload.Request.sample rngs.(i) mix in
+          let t0 = Unix.gettimeofday () in
+          ignore (Workload.Request.invoke e app req);
+          spent.(i) <- spent.(i) +. (Unix.gettimeofday () -. t0))
+        engines
+    done;
+    List.iteri (fun i (_, a) -> a.(r) <- spent.(i + 1) /. spent.(0)) ratios
+  done;
+  ratios
 
 let perf () =
   section "perf: interpreter throughput + core-algorithm micro-benches";
@@ -653,6 +730,20 @@ let perf () =
     "micro: interp-fib %.2fM steps/s | exttsp %.0f ops/s (median of %d, %.0f-%.0f) | c3 %.1f ops/s \
      | binio %.0f ops/s\n"
     (interp_sps /. 1e6) exttsp_ops exttsp_reps exttsp.(0) exttsp.(exttsp_reps - 1) c3_ops binio_ops;
+  let overhead_requests = if quick then 60 else 600 and overhead_rounds = if quick then 3 else 5 in
+  let overhead =
+    List.map
+      (fun (name, a) ->
+        let a = Array.copy a in
+        Array.sort compare a;
+        (name, Js_util.Stats.median a, a.(0), a.(Array.length a - 1)))
+      (probe_overhead ~requests:overhead_requests ~rounds:overhead_rounds)
+  in
+  List.iter
+    (fun (name, med, lo, hi) ->
+      Printf.printf "probe overhead %-22s %.3fx plain (median of %d, %.3f-%.3f)\n" name med
+        overhead_rounds lo hi)
+    overhead;
   (* emit BENCH_interp.json *)
   let b = Buffer.create 2048 in
   let fld ?(last = false) key fmt v =
@@ -666,7 +757,7 @@ let perf () =
     Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900) (t.tm_mon + 1) t.tm_mday
       t.tm_hour t.tm_min t.tm_sec
   in
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/3\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/4\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b "  \"provenance\": {\n";
   fld "commit" "%S" (commit ());
@@ -697,6 +788,17 @@ let perf () =
   fld "c3_order_ops_per_sec" "%.2f" c3_ops;
   fld ~last:true "binio_roundtrip_ops_per_sec" "%.2f" binio_ops;
   Printf.bprintf b "  },\n";
+  Printf.bprintf b "  \"probe_overhead\": {\n";
+  fld "requests" "%d" overhead_requests;
+  fld "rounds" "%d" overhead_rounds;
+  fld "bound" "%.2f" overhead_bound;
+  List.iteri
+    (fun i (name, med, lo, hi) ->
+      Printf.bprintf b "    %S: { \"median\": %.4f, \"min\": %.4f, \"max\": %.4f }%s\n" name med
+        lo hi
+        (if i = List.length overhead - 1 then "" else ","))
+    overhead;
+  Printf.bprintf b "  },\n";
   Printf.bprintf b "  \"telemetry_counters\": {\n";
   let cs = Js_telemetry.counters tel in
   List.iteri
@@ -709,7 +811,12 @@ let perf () =
      full-run BENCH_interp.json *)
   write_artifact ~tag:"perf"
     ~default:(if quick then "BENCH_interp.quick.json" else "BENCH_interp.json")
-    (Buffer.contents b)
+    (Buffer.contents b);
+  (* the quick run is too short to time a ratio; it only checks the fields *)
+  if (not quick) && List.exists (fun (_, med, _, _) -> med > overhead_bound) overhead then begin
+    Printf.eprintf "bench perf: a probe path's median overhead exceeds %.2fx plain\n" overhead_bound;
+    exit 1
+  end
 
 (* -------------------------------------------- distribution ablation -- *)
 

@@ -72,17 +72,27 @@ test -s BENCH_interp.quick.json
 grep -q '"outputs_identical": true' BENCH_interp.quick.json
 # the artifact names the commit it measured (a full 40-digit hash)
 grep -Eq '"commit": "[0-9a-f]{40}' BENCH_interp.quick.json
+# it records each product probe path's overhead over the plain run (the
+# quick run is too short to gate the ratios; a full run exits 1 past 1.5x)
+grep -q '"schema": "jumpstart-bench-interp/4"' BENCH_interp.quick.json
+for path in collector context_vasm_profile context_trace_adapter; do
+  grep -Eq "\"$path\": \{ \"median\": [0-9.]+, \"min\": [0-9.]+, \"max\": [0-9.]+ \}" \
+    BENCH_interp.quick.json
+done
 
 # Interpreter differential: every example program must print the same
 # output, result and step count on the translated loop as on the reference
-# loop (--no-inline-cache).
+# loop (--no-inline-cache), and, profiled (--profile), the same tier-1
+# profile summary: both loops bump the same resolved counters.
 for f in examples/*.mh; do
-  dune exec bin/minihack_run.exe -- run "$f" > /tmp/interp_product.out
-  dune exec bin/minihack_run.exe -- run --no-inline-cache "$f" > /tmp/interp_reference.out
-  if ! diff /tmp/interp_product.out /tmp/interp_reference.out; then
-    echo "interp differential: $f: translated loop differs from the reference loop" >&2
-    exit 1
-  fi
+  for profile in "" "--profile"; do
+    dune exec bin/minihack_run.exe -- run $profile "$f" > /tmp/interp_product.out
+    dune exec bin/minihack_run.exe -- run $profile --no-inline-cache "$f" > /tmp/interp_reference.out
+    if ! diff /tmp/interp_product.out /tmp/interp_reference.out; then
+      echo "interp differential: $f $profile: translated loop differs from the reference loop" >&2
+      exit 1
+    fi
+  done
 done
 rm -f /tmp/interp_product.out /tmp/interp_reference.out
 
@@ -206,9 +216,11 @@ fi
 # A config the simulator rejects (a non-finite duration, no buckets, no
 # replicate seeds, no regions, a bad fault record, a non-finite region
 # phase or arrival setting, a NaN timeout or abort window, a rate outside
-# [0, 1], a non-finite push stagger or spill latency) is a usage error: exit
-# status 2, never a hang, a silently fault-free run or an uncaught
-# exception.  The = form keeps cmdliner from reading -1 as an option.
+# [0, 1], a non-finite push stagger or spill latency, a spill threshold
+# outside (0, 1] or a disaster in a region that does not exist, even where
+# one region ignores the flag) is a usage error: exit status 2, never a
+# hang, a silently fault-free run or an uncaught exception.  The = form
+# keeps cmdliner from reading -1 as an option.
 for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
   "--classify --seeds 0" "--regions 0" "--fetch-fail-rate=nan" \
   "--fetch-latency=-1" "--stale-rate=1.5" "--fetch-timeout=inf" \
@@ -218,7 +230,9 @@ for args in "--duration nan --regions 2 --epoch 15" "--buckets 0" \
   "--regions 2 --epoch 15 --spill-threshold nan" \
   "--regions 2 --epoch 15 --push-stagger inf" \
   "--regions 2 --epoch 15 --spillover --spill-latency inf" \
-  "--regions 2 --epoch 15 --spillover --spill-latency nan"; do
+  "--regions 2 --epoch 15 --spillover --spill-latency nan" \
+  "--duration 200 --push-at 60 --spill-threshold nan" \
+  "--duration 200 --push-at 60 --lose-region 2"; do
   status=0
   timeout 60 dune exec bin/push_sim.exe -- --servers 8 $args > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then

@@ -195,6 +195,37 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     }
   in
   let tel = match telemetry_fmt with None -> None | Some _ -> Some (Js_telemetry.create ()) in
+  let disasters =
+    (match lose_region with
+    | Some r -> [ Js_sim.Region.Region_loss { region = r; at = lose_at } ]
+    | None -> [])
+    @ (match partition_region with
+      | Some r ->
+        [ Js_sim.Region.Dist_partition
+            { region = r; at = partition_at; duration = partition_duration }
+        ]
+      | None -> [])
+    @
+    match seeder_outage with
+    | Some at -> [ Js_sim.Region.Seeder_outage { at } ]
+    | None -> []
+  in
+  let gcfg =
+    { Js_sim.Region.base = cfg;
+      n_regions = regions;
+      region_phase;
+      push_stagger;
+      spillover;
+      spill_latency;
+      spill_threshold;
+      epoch;
+      disasters;
+      batch = not no_batch
+    }
+  in
+  (* one region reads none of the multi-region flags, but a bad one is
+     still a usage error *)
+  or_usage_error (fun () -> Js_sim.Region.validate_global gcfg);
   if classify then begin
     if regions <> 1 then begin
       prerr_endline "push_sim: --classify is single-region only (drop --regions)";
@@ -217,34 +248,6 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       | _ -> ())
   end
   else begin
-    let disasters =
-      (match lose_region with
-      | Some r -> [ Js_sim.Region.Region_loss { region = r; at = lose_at } ]
-      | None -> [])
-      @ (match partition_region with
-        | Some r ->
-          [ Js_sim.Region.Dist_partition
-              { region = r; at = partition_at; duration = partition_duration }
-          ]
-        | None -> [])
-      @
-      match seeder_outage with
-      | Some at -> [ Js_sim.Region.Seeder_outage { at } ]
-      | None -> []
-    in
-    let gcfg =
-      { Js_sim.Region.base = cfg;
-        n_regions = regions;
-        region_phase;
-        push_stagger;
-        spillover;
-        spill_latency;
-        spill_threshold;
-        epoch;
-        disasters;
-        batch = not no_batch
-      }
-    in
     let mode =
       match mode with
       | `Parallel ->

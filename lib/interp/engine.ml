@@ -112,10 +112,91 @@ type stack = { mutable data : V.t array; mutable sp : int }
    exec_func does not allocate per invocation. *)
 type frame = { mutable locals : V.t array; stack : stack }
 
+(* --- profiling state: the recorders' resolved slots ---
+
+   Each counter a recorder owns is resolved once (per function, arc, call
+   site and callee, class property, or translation) and cached here; the
+   loops then bump it in place.  Sentinels stand for "not resolved yet". *)
+
+let no_cell = ref 0
+
+(* A function's tier-1 slots. *)
+type slots1 = {
+  blocks : int array;  (* per basic block *)
+  entries : int ref;
+  arc_dst : int array;  (* two per source block: a destination, -1 free *)
+  arc_cell : int ref array;
+  calls : Probes.call_counts array array;  (* per call site, the callees seen *)
+}
+
+(* A function's tier-2 state.  [pics] is the replay's model of the
+   translation's polymorphic inline caches: per call site, the first
+   [pic_entries] distinct callees dispatch on the fast path (-1: free);
+   any other callee runs the site's slow-path block. *)
+type slots2 = {
+  own : Probes.translation;  (* [untranslated] when the function has none *)
+  pics : int array;
+  mutable entry : int ref;  (* out-of-line entries *)
+  mutable callers : int array;  (* the callers seen, each with its call-graph cell *)
+  mutable edges : int ref array;
+}
+
+(* One activation's profiling state, pooled by call depth.  [site] and
+   [msite] describe the activation's latest call: its bytecode offset, and
+   whether it dispatches dynamically ([CallMethod], [New]).  Tier 2: the
+   translation the activation runs in, its inline node and that node's
+   main blocks, whether it shares the caller's translation (inlined), the
+   caller's last vasm block when it was entered, and the activation's own
+   last vasm block. *)
+type act = {
+  mutable afid : int;
+  mutable site : int;
+  mutable msite : bool;
+  mutable s1 : slots1;
+  mutable tr : Probes.translation;
+  mutable main : int array;
+  mutable node : int;
+  mutable inlined : bool;
+  mutable parent_last : int;
+  mutable last : int;
+}
+
+let no_slots1 = { blocks = [||]; entries = no_cell; arc_dst = [||]; arc_cell = [||]; calls = [||] }
+
+let untranslated =
+  Probes.translation ~root:(-1) ~node_fid:[||] ~main:[||] ~child:[||] ~slow:[||]
+    (Probes.Emit { on_vblock = (fun _ -> ()); on_varc = (fun ~src:_ ~dst:_ -> ()) })
+
+let no_slots2 = { own = untranslated; pics = [||]; entry = no_cell; callers = [||]; edges = [||] }
+
+let new_act () =
+  {
+    afid = -1;
+    site = -1;
+    msite = false;
+    s1 = no_slots1;
+    tr = untranslated;
+    main = [||];
+    node = 0;
+    inlined = false;
+    parent_last = -1;
+    last = -1;
+  }
+
+let no_act = new_act ()
+
 type t = {
   repo : Hhbc.Repo.t;
   heap : Mh_runtime.Heap.t;
   probes : Probes.t;
+  profiled : bool;  (* [probes] is not [Off] *)
+  exact : bool;  (* raw events: fuel and steps are flushed before each *)
+  prop_probes : bool;  (* a probe counts or reads property accesses *)
+  prop_addrs : bool;  (* a probe reads property addresses *)
+  slots1 : slots1 array;  (* per function *)
+  slots2 : slots2 array;
+  mutable prop_cells : int ref array array;  (* tier 1: per class, by physical slot *)
+  mutable acts : act array;  (* pool indexed by call depth *)
   out : Buffer.t;
   mutable fuel : int;
   mutable steps : int;
@@ -139,6 +220,10 @@ type t = {
 }
 
 let max_depth = 2000
+let pic_entries = 2
+
+(* (destination, slot) pairs cached per source vasm block *)
+let arc_ways = 4
 
 let stack_make () = { data = Array.make 16 V.Null; sp = 0 }
 
@@ -305,11 +390,26 @@ let translate t fid =
 let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?(inline_cache = true) ?(typed = true)
     repo heap =
   let translated = inline_cache && typed in
+  let n_funcs = Hhbc.Repo.n_funcs repo in
   let t =
     {
       repo;
       heap;
       probes;
+      profiled = (match probes with Probes.Off -> false | _ -> true);
+      exact = (match probes with Probes.Events _ -> true | _ -> false);
+      prop_probes =
+        (match probes with
+        | Probes.Events _ | Probes.Tier1 _ | Probes.Tier2 { on_prop = Some _; _ } -> true
+        | Probes.Off | Probes.Tier2 _ -> false);
+      prop_addrs =
+        (match probes with
+        | Probes.Events _ | Probes.Tier2 { on_prop = Some _; _ } -> true
+        | Probes.Off | Probes.Tier1 _ | Probes.Tier2 _ -> false);
+      slots1 = (match probes with Probes.Tier1 _ -> Array.make n_funcs no_slots1 | _ -> [||]);
+      slots2 = (match probes with Probes.Tier2 _ -> Array.make n_funcs no_slots2 | _ -> [||]);
+      prop_cells = [||];
+      acts = [||];
       out = Buffer.create 256;
       fuel;
       steps = 0;
@@ -559,6 +659,331 @@ let acquire_frame t n_locals =
   fr.stack.sp <- 0;
   fr
 
+(* --- profiling: the loops' probe points ---
+
+   [probe_enter] runs once an activation has passed the arity and depth
+   checks, [probe_exit] on its normal or error exit; the others where the
+   loops cross a block boundary, make a call or touch a property.  Tier 1
+   bumps the counters resolved in [slots1]; tier 2 replays the activation
+   in its translation, so the loop itself knows which vasm block runs.
+   The common case of each probe is inline; a counter's first event
+   (resolution) is out of line. *)
+
+let grow_acts t idx =
+  let len = Array.length t.acts in
+  t.acts <- Array.init (max 16 (2 * (idx + 1))) (fun i -> if i < len then t.acts.(i) else new_act ())
+
+let[@inline] acquire_act t =
+  let idx = t.depth - 1 in
+  if idx >= Array.length t.acts then grow_acts t idx;
+  t.acts.(idx)
+
+let resolve_slots1 t (r : Probes.tier1) fid =
+  let fc = r.func fid in
+  let n_blocks = Array.length fc.blocks in
+  let s =
+    {
+      blocks = fc.blocks;
+      entries = fc.entries;
+      arc_dst = Array.make (2 * n_blocks) (-1);
+      arc_cell = Array.make (2 * n_blocks) no_cell;
+      calls = Array.make (Array.length (Hhbc.Repo.func t.repo fid).Hhbc.Func.body) [||];
+    }
+  in
+  t.slots1.(fid) <- s;
+  s
+
+let[@inline] slots1 t r fid =
+  let s = t.slots1.(fid) in
+  if s != no_slots1 then s else resolve_slots1 t r fid
+
+(* an arc seen for the first time from this engine: resolve its counter,
+   and cache it in a free slot of the source block *)
+let t1_arc_miss (r : Probes.tier1) act ~prev bb =
+  let s = act.s1 in
+  let j = 2 * prev in
+  let c = r.arc act.afid ~src:prev ~dst:bb in
+  incr c;
+  let k = if s.arc_dst.(j) < 0 then j else if s.arc_dst.(j + 1) < 0 then j + 1 else -1 in
+  if k >= 0 then begin
+    s.arc_dst.(k) <- bb;
+    s.arc_cell.(k) <- c
+  end
+
+let t1_call_miss (r : Probes.tier1) act ~site ~callee =
+  let s = act.s1 in
+  let c = r.call ~caller:act.afid ~site ~callee in
+  s.calls.(site) <- Array.append s.calls.(site) [| c |];
+  incr c.at_site;
+  incr c.in_graph
+
+let t1_prop_miss t (r : Probes.tier1) cid nid ~slot =
+  if cid >= Array.length t.prop_cells then begin
+    let n = Array.length t.prop_cells in
+    t.prop_cells <-
+      Array.init (max (cid + 1) (Hhbc.Repo.n_classes t.repo)) (fun i -> if i < n then t.prop_cells.(i) else [||])
+  end;
+  let c = r.prop cid nid in
+  incr c;
+  let cells = t.prop_cells.(cid) in
+  if slot >= Array.length cells then begin
+    let grown = Array.make (slot + 1) no_cell in
+    Array.blit cells 0 grown 0 (Array.length cells);
+    t.prop_cells.(cid) <- grown
+  end;
+  t.prop_cells.(cid).(slot) <- c
+
+let resolve_slots2 t (r : Probes.tier2) fid =
+  let s =
+    {
+      own = (match r.lookup fid with Some tr -> tr | None -> untranslated);
+      pics = Array.make (pic_entries * Array.length (Hhbc.Repo.func t.repo fid).Hhbc.Func.body) (-1);
+      entry = no_cell;
+      callers = [||];
+      edges = [||];
+    }
+  in
+  t.slots2.(fid) <- s;
+  s
+
+let[@inline] slots2 t r fid =
+  let s = t.slots2.(fid) in
+  if s != no_slots2 then s else resolve_slots2 t r fid
+
+(* [a.(i)], or -1 outside [a] *)
+let cell (a : int array) i = if i >= 0 && i < Array.length a then Array.unsafe_get a i else -1
+
+(* A [Count] sink's block counts are resolved on the translation's first
+   block, its arc store on its first arc; an arc always follows a block of
+   its translation, since its source is the activation's last block. *)
+let count_resolve (tr : Probes.translation) counts =
+  tr.counts <- counts ();
+  tr.arc_cache <- Array.make (2 * arc_ways * Array.length tr.counts) (-1)
+
+(* an arc missing from its source block's cached (destination, slot)
+   pairs: find or add its slot, and cache it in a free pair *)
+let arc_miss (tr : Probes.translation) arcs ~src ~dst =
+  if tr.arcs == Probes.no_arcs then tr.arcs <- arcs ();
+  let slot = Probes.arc_slot tr.arcs ~src ~dst in
+  let c = tr.arc_cache and j = 2 * arc_ways * src in
+  let k = ref 0 in
+  while !k < arc_ways && c.(j + (2 * !k)) >= 0 do
+    incr k
+  done;
+  if !k < arc_ways then begin
+    c.(j + (2 * !k)) <- dst;
+    c.(j + (2 * !k) + 1) <- slot
+  end;
+  slot
+
+let[@inline] count_arc (tr : Probes.translation) arcs ~src ~dst =
+  let c = tr.arc_cache and j = 2 * arc_ways * src in
+  let slot =
+    if c.(j) = dst then c.(j + 1)
+    else begin
+      let k = ref 1 in
+      while !k < arc_ways && c.(j + (2 * !k)) <> dst do
+        incr k
+      done;
+      if !k < arc_ways then c.(j + (2 * !k) + 1) else arc_miss tr arcs ~src ~dst
+    end
+  in
+  let a = tr.arcs.count in
+  a.(slot) <- a.(slot) +. 1.
+
+(* vasm block [blk] of [tr] runs after [last] (-1: none); inlined into
+   the block probe *)
+let[@inline] vstep (tr : Probes.translation) ~last blk =
+  match tr.sink with
+  | Probes.Count c ->
+    if Array.length tr.counts = 0 then count_resolve tr c.counts;
+    if last >= 0 then count_arc tr c.arcs ~src:last ~dst:blk;
+    tr.counts.(blk) <- tr.counts.(blk) +. 1.
+  | Probes.Emit e ->
+    if last >= 0 then e.on_varc ~src:last ~dst:blk;
+    e.on_vblock blk
+
+(* [true] when [callee] misses the site's inline cache; a hit on a free
+   entry installs it. *)
+let pic_miss pics ~site ~callee =
+  let base = site * pic_entries in
+  let i = ref 0 in
+  while !i < pic_entries && pics.(base + !i) >= 0 && pics.(base + !i) <> callee do
+    incr i
+  done;
+  if !i = pic_entries then true
+  else begin
+    pics.(base + !i) <- callee;
+    false
+  end
+
+let xcall (x : Probes.xcalls) s2 ~caller ~callee =
+  if s2.entry == no_cell then s2.entry <- x.entry callee;
+  incr s2.entry;
+  if caller >= 0 then begin
+    let cs = s2.callers in
+    let i = ref 0 in
+    while !i < Array.length cs && cs.(!i) <> caller do
+      incr i
+    done;
+    if !i < Array.length cs then incr s2.edges.(!i)
+    else begin
+      let e = x.edge ~caller ~callee in
+      s2.callers <- Array.append cs [| caller |];
+      s2.edges <- Array.append s2.edges [| e |];
+      incr e
+    end
+  end
+
+(* An activation record is long-lived, so each write of a pointer field
+   is a GC write barrier; write only what changes. *)
+let[@inline] set_tr act tr main =
+  if act.tr != tr then act.tr <- tr;
+  if act.main != main then act.main <- main
+
+(* Out-of-line entry: the activation runs in the function's own
+   translation, if any.  [caller] is the calling translation's root, the
+   calling function when it runs untranslated, or -1 for a request. *)
+let t2_own (r : Probes.tier2) act s2 ~caller =
+  (match r.xcalls with Some x -> xcall x s2 ~caller ~callee:act.afid | None -> ());
+  let own = s2.own in
+  set_tr act own (if own == untranslated then [||] else own.main.(0));
+  act.node <- 0;
+  act.inlined <- false;
+  act.last <- -1
+
+(* A call from activation [c] enters [act]: inlined when [c]'s translation
+   inlined this callee at the site; otherwise out of line, after the
+   site's slow path when the inline guard fails or the callee misses the
+   site's inline cache. *)
+let t2_enter t (r : Probes.tier2) act =
+  let s2 = slots2 t r act.afid in
+  if t.depth < 2 then t2_own r act s2 ~caller:(-1)
+  else begin
+    let c = t.acts.(t.depth - 2) in
+    let tr = c.tr in
+    if tr == untranslated then t2_own r act s2 ~caller:c.afid
+    else begin
+      let child = cell tr.child.(c.node) c.site in
+      if child >= 0 && tr.node_fid.(child) = act.afid then begin
+        set_tr act tr tr.main.(child);
+        act.node <- child;
+        act.inlined <- true;
+        act.parent_last <- c.last;
+        act.last <- c.last
+      end
+      else begin
+        if child >= 0 || (c.msite && pic_miss t.slots2.(c.afid).pics ~site:c.site ~callee:act.afid)
+        then begin
+          let slow = cell tr.slow.(c.node) c.site in
+          if slow >= 0 then begin
+            vstep tr ~last:c.last slow;
+            c.last <- slow
+          end
+        end;
+        t2_own r act s2 ~caller:tr.root
+      end
+    end
+  end
+
+(* An inlined activation returns into its caller's current block. *)
+let t2_exit act =
+  if act.inlined && act.last >= 0 && act.parent_last >= 0 && act.parent_last <> act.last then
+    match act.tr.sink with
+    | Probes.Count c -> count_arc act.tr c.arcs ~src:act.last ~dst:act.parent_last
+    | Probes.Emit e -> e.on_varc ~src:act.last ~dst:act.parent_last
+
+let probe_enter t fid =
+  match t.probes with
+  | Probes.Off -> no_act
+  | probes ->
+    let act = acquire_act t in
+    act.afid <- fid;
+    (match probes with
+    | Probes.Off -> ()
+    | Probes.Events e -> e.on_func_entry fid
+    | Probes.Tier1 r ->
+      let s = slots1 t r fid in
+      if act.s1 != s then act.s1 <- s;
+      incr s.entries;
+      incr r.total_entries
+    | Probes.Tier2 r -> t2_enter t r act);
+    act
+
+(* inlined into both loops: it runs on every block entry *)
+let[@inline] probe_block t act ~prev bb =
+  match t.probes with
+  | Probes.Tier1 r ->
+    let s = act.s1 in
+    if prev >= 0 then begin
+      let j = 2 * prev in
+      if s.arc_dst.(j) = bb then incr s.arc_cell.(j)
+      else if s.arc_dst.(j + 1) = bb then incr s.arc_cell.(j + 1)
+      else t1_arc_miss r act ~prev bb
+    end;
+    s.blocks.(bb) <- s.blocks.(bb) + 1
+  | Probes.Tier2 _ ->
+    let blk = cell act.main bb in
+    if blk >= 0 then begin
+      vstep act.tr ~last:act.last blk;
+      act.last <- blk
+    end
+  | Probes.Events e ->
+    if prev >= 0 then e.on_arc act.afid ~src:prev ~dst:bb;
+    e.on_block act.afid bb
+  | Probes.Off -> ()
+
+let probe_call t act ~site ~msite ~callee =
+  match t.probes with
+  | Probes.Tier1 r ->
+    let cs = act.s1.calls.(site) in
+    let i = ref 0 in
+    while !i < Array.length cs && cs.(!i).Probes.callee <> callee do
+      incr i
+    done;
+    if !i < Array.length cs then begin
+      let c = cs.(!i) in
+      incr c.at_site;
+      incr c.in_graph
+    end
+    else t1_call_miss r act ~site ~callee
+  | Probes.Tier2 _ ->
+    act.site <- site;
+    act.msite <- msite
+  | Probes.Events e -> e.on_call ~caller:act.afid ~site ~callee
+  | Probes.Off -> ()
+
+(* [slot] is the property's physical slot, or -1 when the loop does not
+   know it (the reference loop), which resolves the counter every time;
+   [addr] is read only when [t.prop_addrs]. *)
+let probe_prop t cid nid ~slot ~addr ~write =
+  match t.probes with
+  | Probes.Tier1 r ->
+    if slot < 0 then incr (r.prop cid nid)
+    else begin
+      let c =
+        if cid < Array.length t.prop_cells && slot < Array.length t.prop_cells.(cid) then
+          t.prop_cells.(cid).(slot)
+        else no_cell
+      in
+      if c != no_cell then incr c else t1_prop_miss t r cid nid ~slot
+    end
+  | Probes.Tier2 { on_prop = Some f; _ } -> f ~addr ~write
+  | Probes.Tier2 { on_prop = None; _ } | Probes.Off -> ()
+  | Probes.Events e -> e.on_prop_access cid nid ~addr ~write
+
+(* an access to the property at physical [slot] of object [handle] *)
+let probe_slot t cid nid handle slot ~write =
+  probe_prop t cid nid ~slot
+    ~addr:(if t.prop_addrs then Mh_runtime.Heap.slot_addr t.heap handle slot else 0)
+    ~write
+
+let probe_exit t act =
+  match t.probes with
+  | Probes.Off | Probes.Tier1 _ -> ()
+  | Probes.Events e -> e.on_func_exit act.afid
+  | Probes.Tier2 _ -> t2_exit act
+
 let rec exec_func t fid ~this args =
   let f = Hhbc.Repo.func t.repo fid in
   if Array.length args <> f.Hhbc.Func.n_params then
@@ -569,7 +994,7 @@ let rec exec_func t fid ~this args =
     t.depth <- t.depth - 1;
     error "call stack overflow (depth > %d)" max_depth
   end;
-  t.probes.Probes.on_func_entry fid;
+  let act = probe_enter t fid in
   let locals = Array.make (max 1 f.Hhbc.Func.n_locals) V.Null in
   Array.blit args 0 locals 0 (Array.length args);
   let st = stack_make () in
@@ -588,8 +1013,7 @@ let rec exec_func t fid ~this args =
        (* fire the block probes on every block boundary crossing *)
        let bb = bmap.(i) in
        if bb <> !prev_block || !refire then begin
-         if !prev_block >= 0 then t.probes.Probes.on_arc fid ~src:!prev_block ~dst:bb;
-         t.probes.Probes.on_block fid bb;
+         probe_block t act ~prev:!prev_block bb;
          prev_block := bb;
          refire := false
        end;
@@ -623,7 +1047,7 @@ let rec exec_func t fid ~this args =
        | I.JmpNZ target -> if V.truthy (pop st) then pc := target
        | I.Call (callee, n) ->
          let args = pop_n st n in
-         t.probes.Probes.on_call ~caller:fid ~site:i ~callee;
+         probe_call t act ~site:i ~msite:false ~callee;
          push st (exec_func t callee ~this:None args)
        | I.CallMethod (nid, n) ->
          let args = pop_n st n in
@@ -636,7 +1060,7 @@ let rec exec_func t fid ~this args =
              error "call to undefined method %s::%s"
                (Hhbc.Repo.cls t.repo cid).Hhbc.Class_def.name (Hhbc.Repo.name t.repo nid)
            | Some callee ->
-             t.probes.Probes.on_call ~caller:fid ~site:i ~callee;
+             probe_call t act ~site:i ~msite:true ~callee;
              push st (exec_func t callee ~this:(Some handle) args))
          | v -> error "method call on non-object (%s)" (V.tag_to_string (V.tag v)))
        | I.New (cid, n) ->
@@ -646,7 +1070,7 @@ let rec exec_func t fid ~this args =
             per-allocation name lookup or hierarchy walk *)
          (match Hhbc.Repo.ctor_of t.repo cid with
          | Some ctor ->
-           t.probes.Probes.on_call ~caller:fid ~site:i ~callee:ctor;
+           probe_call t act ~site:i ~msite:true ~callee:ctor;
            ignore (exec_func t ctor ~this:(Some handle) args)
          | None ->
            if n > 0 then
@@ -660,22 +1084,18 @@ let rec exec_func t fid ~this args =
        | I.GetProp nid -> (
          match pop st with
          | V.Obj handle ->
-           t.probes.Probes.on_prop_access
-             (Mh_runtime.Heap.class_of t.heap handle)
-             nid
-             ~addr:(heap_op (fun () -> Mh_runtime.Heap.prop_addr t.heap handle nid))
-             ~write:false;
+           let addr = heap_op (fun () -> Mh_runtime.Heap.prop_addr t.heap handle nid) in
+           if t.prop_probes then
+             probe_prop t (Mh_runtime.Heap.class_of t.heap handle) nid ~slot:(-1) ~addr ~write:false;
            push st (heap_op (fun () -> Mh_runtime.Heap.get_prop t.heap handle nid))
          | v -> error "property access on non-object (%s)" (V.tag_to_string (V.tag v)))
        | I.SetProp nid -> (
          let v = pop st in
          match pop st with
          | V.Obj handle ->
-           t.probes.Probes.on_prop_access
-             (Mh_runtime.Heap.class_of t.heap handle)
-             nid
-             ~addr:(heap_op (fun () -> Mh_runtime.Heap.prop_addr t.heap handle nid))
-             ~write:true;
+           let addr = heap_op (fun () -> Mh_runtime.Heap.prop_addr t.heap handle nid) in
+           if t.prop_probes then
+             probe_prop t (Mh_runtime.Heap.class_of t.heap handle) nid ~slot:(-1) ~addr ~write:true;
            heap_op (fun () -> Mh_runtime.Heap.set_prop t.heap handle nid v)
          | r -> error "property write on non-object (%s)" (V.tag_to_string (V.tag r)))
        | I.NewVec n -> push st (V.Vec (ref (pop_n st n)))
@@ -741,10 +1161,10 @@ let rec exec_func t fid ~this args =
      done
    with e ->
      t.depth <- t.depth - 1;
-     t.probes.Probes.on_func_exit fid;
+     probe_exit t act;
      raise e);
   t.depth <- t.depth - 1;
-  t.probes.Probes.on_func_exit fid;
+  probe_exit t act;
   !result
 
 (* The cached execution loop.  Semantically identical to [exec_func] (same
@@ -756,17 +1176,17 @@ let rec exec_func t fid ~this args =
      entry instead of once per instruction;
    - batches fuel/step accounting in locals ([rem] = fuel snapshot, [acc] =
      instructions since last flush) and flushes to the engine fields before
-     anything that can observe them: probe callbacks, recursive calls, errors
-     and function exit.  The erroring instruction is counted (it decremented
+     anything that can observe them: raw probe-event callbacks, recursive
+     calls, errors and function exit.  The erroring instruction is counted (it decremented
      [rem] before executing), the fuel-exhausting one is not (checked before
      the decrement) — exactly the seed loop's accounting;
    - dispatches CallMethod through the per-site method cache, GetProp/SetProp
      through the per-site slot cache plus the heap's direct slot fast path;
    - reuses pooled call frames (locals + operand stack) per call depth.
 
-   When the engine has no probes attached, probe firing (a no-op stream) and
-   the flushes that exist only to keep probe-visible state exact are skipped
-   entirely. *)
+   When the engine has no probes attached, the probe points are skipped
+   entirely; the product recorders' slots observe no fuel or steps, so only
+   raw events flush before they fire. *)
 let rec exec_fast t fid ~this args =
   let f = Hhbc.Repo.func t.repo fid in
   if Array.length args <> f.Hhbc.Func.n_params then
@@ -777,8 +1197,8 @@ let rec exec_fast t fid ~this args =
     t.depth <- t.depth - 1;
     error "call stack overflow (depth > %d)" max_depth
   end;
-  let has_probes = t.probes != Probes.none in
-  if has_probes then t.probes.Probes.on_func_entry fid;
+  let has_probes = t.profiled in
+  let act = probe_enter t fid in
   let fr = acquire_frame t f.Hhbc.Func.n_locals in
   let locals = fr.locals in
   Array.blit args 0 locals 0 (Array.length args);
@@ -810,17 +1230,15 @@ let rec exec_fast t fid ~this args =
     acc := !acc + 1
   in
   (* property read off a known object, with the same site cache and
-     flush-before-probe ordering as the 1:1 TGetProp arm *)
+     probe as the 1:1 TGetProp arm *)
   let getprop_obj handle site nid =
     let cid = Mh_runtime.Heap.class_of t.heap handle in
     match resolve_slot_cached t site_arr site cid nid with
     | None -> undefined_prop t cid nid
     | Some slot ->
-      if has_probes then begin
-        flush ();
-        t.probes.Probes.on_prop_access cid nid
-          ~addr:(Mh_runtime.Heap.slot_addr t.heap handle slot)
-          ~write:false
+      if t.prop_probes then begin
+        if t.exact then flush ();
+        probe_slot t cid nid handle slot ~write:false
       end;
       Mh_runtime.Heap.get_slot t.heap handle slot
   in
@@ -834,9 +1252,8 @@ let rec exec_fast t fid ~this args =
        if has_probes then begin
          let bb = bmap.(bstart) in
          if bb <> !prev_block || !refire then begin
-           flush ();
-           if !prev_block >= 0 then t.probes.Probes.on_arc fid ~src:!prev_block ~dst:bb;
-           t.probes.Probes.on_block fid bb;
+           if t.exact then flush ();
+           probe_block t act ~prev:!prev_block bb;
            prev_block := bb;
            refire := false
          end
@@ -889,7 +1306,7 @@ let rec exec_fast t fid ~this args =
          | TCall (callee, n) ->
            let args = pop_n st n in
            flush ();
-           if has_probes then t.probes.Probes.on_call ~caller:fid ~site:i ~callee;
+           if has_probes then probe_call t act ~site:i ~msite:false ~callee;
            push st (exec_fast t callee ~this:None args);
            rem := t.fuel
          | TCallMethod (nid, n) ->
@@ -904,7 +1321,7 @@ let rec exec_fast t fid ~this args =
                  (Hhbc.Repo.cls t.repo cid).Hhbc.Class_def.name (Hhbc.Repo.name t.repo nid)
              | Some callee ->
                flush ();
-               if has_probes then t.probes.Probes.on_call ~caller:fid ~site:i ~callee;
+               if has_probes then probe_call t act ~site:i ~msite:true ~callee;
                push st (exec_fast t callee ~this:(Some handle) args);
                rem := t.fuel)
            | v -> error "method call on non-object (%s)" (V.tag_to_string (V.tag v)))
@@ -914,7 +1331,7 @@ let rec exec_fast t fid ~this args =
            (match Hhbc.Repo.ctor_of t.repo cid with
            | Some ctor ->
              flush ();
-             if has_probes then t.probes.Probes.on_call ~caller:fid ~site:i ~callee:ctor;
+             if has_probes then probe_call t act ~site:i ~msite:true ~callee:ctor;
              ignore (exec_fast t ctor ~this:(Some handle) args);
              rem := t.fuel
            | None ->
@@ -933,11 +1350,9 @@ let rec exec_fast t fid ~this args =
              match resolve_slot_cached t site_arr i cid nid with
              | None -> undefined_prop t cid nid
              | Some slot ->
-               if has_probes then begin
-                 flush ();
-                 t.probes.Probes.on_prop_access cid nid
-                   ~addr:(Mh_runtime.Heap.slot_addr t.heap handle slot)
-                   ~write:false
+               if t.prop_probes then begin
+                 if t.exact then flush ();
+                 probe_slot t cid nid handle slot ~write:false
                end;
                push st (Mh_runtime.Heap.get_slot t.heap handle slot))
            | v -> error "property access on non-object (%s)" (V.tag_to_string (V.tag v)))
@@ -949,11 +1364,9 @@ let rec exec_fast t fid ~this args =
              match resolve_slot_cached t site_arr i cid nid with
              | None -> undefined_prop t cid nid
              | Some slot ->
-               if has_probes then begin
-                 flush ();
-                 t.probes.Probes.on_prop_access cid nid
-                   ~addr:(Mh_runtime.Heap.slot_addr t.heap handle slot)
-                   ~write:true
+               if t.prop_probes then begin
+                 if t.exact then flush ();
+                 probe_slot t cid nid handle slot ~write:true
                end;
                Mh_runtime.Heap.set_slot t.heap handle slot v)
            | r -> error "property write on non-object (%s)" (V.tag_to_string (V.tag r)))
@@ -1209,11 +1622,11 @@ let rec exec_fast t fid ~this args =
    with e ->
      if !acc > 0 then flush ();
      t.depth <- t.depth - 1;
-     if has_probes then t.probes.Probes.on_func_exit fid;
+     if has_probes then probe_exit t act;
      raise e);
   flush ();
   t.depth <- t.depth - 1;
-  if has_probes then t.probes.Probes.on_func_exit fid;
+  if has_probes then probe_exit t act;
   !result
 
 let call t fid args =

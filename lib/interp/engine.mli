@@ -5,7 +5,19 @@
     always flows through here.  The interpreter counts executed instructions
     per function so the VM layer can convert work into simulated cycles under
     whichever execution mode (interp / live / profiling / optimized) covers
-    each function. *)
+    each function.
+
+    Profiling runs inside the loops, as HHVM makes counter bumps
+    instructions of its translations ({!Probes}).  On a function's first
+    entry the engine resolves the recorder's slots for it: tier-1 block,
+    arc, call-site and property counters, or the function's own tier-2
+    translation.  Every activation then bumps those slots itself; under
+    tier 2 it also carries the translation it runs in, its inline node and
+    its last vasm block, so a call decides in place whether the callee runs
+    inlined, after the site's slow path, or in its own translation, and an
+    inlined activation's return (normal or on error) is an arc back into
+    its caller's block.  Only raw {!Probes.Events} call closures, with fuel
+    and steps flushed before each. *)
 
 (** Raised on dynamic errors: undefined method, bad operand types,
     out-of-bounds vec access, stack overflow, fuel exhaustion.  It is
@@ -51,9 +63,10 @@ type cache_stats = {
       oracle the translated loop is tested against, and what
       [--no-inline-cache] runs.
 
-    Both loops give the same results, echo output, probe streams and
-    step/fuel accounting, at every fuel level.  [~typed:false] is a synonym
-    for [~inline_cache:false]. *)
+    Both loops give the same results, echo output, step/fuel accounting and
+    profiles (raw event streams, tier-1 counters, tier-2 counts and
+    machine-event streams), at every fuel level.  [~typed:false] is a
+    synonym for [~inline_cache:false]. *)
 val create :
   ?probes:Probes.t ->
   ?fuel:int ->

@@ -1,46 +1,44 @@
-(** Shadow-stack replay: maps interpreter execution events onto JIT
-    translations.
+(** Instrumented translations as the interpreter's loop walks them.
 
-    The interpreter is the semantic executor; this module reconstructs what
-    the machine would have been doing — which vasm block of which translation
-    each bytecode block corresponds to, honouring inlining:
+    The interpreter is the semantic executor; tier-2 profiling reconstructs
+    what the machine would have been doing: which vasm block of which
+    translation each executed bytecode block corresponds to, honouring
+    inlining.  [probes] resolves each function's own translation once, on
+    the function's first entry, into flat tables ({!Interp.Probes.translation}):
+    per inline node the vasm block of each bytecode block, and per call
+    site the inlined child node and the slow-path block.  The loop
+    ({!Interp.Engine}) then carries each activation's translation, inline
+    node and last vasm block itself:
 
     - entering a callee that the enclosing translation inlined at that call
       site continues {e inside} the same translation (the inlined body's
-      blocks);
+      blocks), and its return is an arc back into the caller's block;
     - entering anything else transfers to the callee's own translation (or to
       untranslated execution);
-    - a method call whose receiver defeats the inline guard (actual callee
-      differs from the speculated one) executes the slow-path block first —
-      a tier-2 side exit invisible to tier-1 profiling.
-
-    Everything an event needs is resolved once: per function its
-    translation, block map and inline-cache slots; per translation the
-    handler's callbacks and inlined-child table.  Frames live in a reused
-    array, so replaying an event allocates nothing.
+    - a call whose receiver defeats the inline guard (actual callee differs
+      from the speculated one), or whose callee misses the site's
+      polymorphic inline cache, executes the slow-path block first — a
+      tier-2 side exit invisible to tier-1 profiling.
 
     Consumers: {!Vasm_profile} (seeder instrumentation of optimized code,
-    §V-A/§V-B) and {!Trace_adapter} (machine-model replay for Fig. 5/6). *)
-
-(** Callbacks bound to one translation. *)
-type translation = {
-  on_vblock : int -> unit;  (** executed vasm block *)
-  on_varc : src:int -> dst:int -> unit;  (** control arc between two of its vasm blocks *)
-}
+    §V-A/§V-B), whose counts the loop bumps in place, and {!Trace_adapter}
+    (machine-model replay for Fig. 5/6), which receives each event in
+    order.  The reference replay these must match, a shadow stack fed by
+    raw interpreter events, is [test/probe_ref.ml]. *)
 
 type handler = {
-  translation : Vasm.Vfunc.t -> translation;
-      (** called once per function with a translation, on its first entry *)
-  on_xcall : caller:Hhbc.Instr.fid -> callee:Hhbc.Instr.fid -> unit;
-      (** out-of-line (not inlined) call; [caller] is the calling
-          translation's root, or the calling function when it runs
-          untranslated, or [-1] for request entry *)
-  on_prop : addr:int -> write:bool -> unit;  (** data access *)
+  translation : Vasm.Vfunc.t -> Interp.Probes.sink;
+      (** called once per translation, on its function's first entry *)
+  xcalls : Interp.Probes.xcalls option;
+      (** the counters of out-of-line (not inlined) calls; a call's caller
+          is the calling translation's root, or the calling function when
+          it runs untranslated, and request entries have none *)
+  on_prop : (addr:int -> write:bool -> unit) option;  (** data accesses *)
 }
 
-(** [probes repo ~lookup handler] builds interpreter probes implementing the
-    mapping.  [lookup fid] returns the translation covering [fid], if any;
-    it is consulted once per function, on its first entry, so the
-    translations must not change while the probes run. *)
+(** [probes repo ~lookup handler] builds the tier-2 probes.  [lookup fid]
+    returns the translation covering [fid], if any; it is consulted once
+    per function, on its first entry, so the translations must not change
+    while the probes run. *)
 val probes :
   Hhbc.Repo.t -> lookup:(Hhbc.Instr.fid -> Vasm.Vfunc.t option) -> handler -> Interp.Probes.t

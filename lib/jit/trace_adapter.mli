@@ -1,6 +1,7 @@
 (** Turns replayed translation execution into a machine-level access trace.
 
-    Consumes {!Context} events and, using the {!Code_cache} placement, emits
+    Receives, in execution order, the vasm blocks and arcs the interpreter's
+    loop walks ({!Context}) and, using the {!Code_cache} placement, emits
     instruction fetches, dynamic branches and data accesses into a [sink]
     (implemented by the experiment layer over {!Machine.Hierarchy}).  This
     is the bridge that lets the cache/TLB/branch models observe the effect

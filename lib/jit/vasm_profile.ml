@@ -1,48 +1,19 @@
 module VF = Vasm.Vfunc
+module P = Interp.Probes
 
-(* One source block's outgoing arcs: destinations in first-seen order with
-   unboxed counts.  Any destination is accepted: inline returns and
-   slow-path entries are arcs outside the successor lists, and a
-   deserialized row holds whatever the package says. *)
-type row = { mutable dsts : int array; mutable counts : float array; mutable len : int }
-
+(* A root's arcs are one {!Interp.Probes.arcs} store: any destination is
+   accepted, since inline returns and slow-path entries are arcs outside
+   the successor lists, and a deserialized store holds whatever the
+   package says. *)
 type t = {
   blocks : (int, float array) Hashtbl.t;  (* root fid -> per-block counts *)
-  arcs : (int, (int, row) Hashtbl.t) Hashtbl.t;  (* root fid -> source block -> row *)
+  arcs : (int, P.arcs) Hashtbl.t;  (* root fid -> arc counts *)
   cg : (int, (int, int ref) Hashtbl.t) Hashtbl.t;  (* caller root -> callee -> count *)
   entries : (int, int ref) Hashtbl.t;
 }
 
 let create () =
   { blocks = Hashtbl.create 64; arcs = Hashtbl.create 64; cg = Hashtbl.create 64; entries = Hashtbl.create 64 }
-
-let new_row () = { dsts = [||]; counts = [||]; len = 0 }
-
-(* index of [dst] in [r], or -1 *)
-let find r dst =
-  let i = ref 0 in
-  while !i < r.len && r.dsts.(!i) <> dst do
-    incr i
-  done;
-  if !i < r.len then !i else -1
-
-(* index of [dst] in [r], appended with count 0 when absent *)
-let slot r dst =
-  match find r dst with
-  | -1 ->
-    if r.len = Array.length r.dsts then begin
-      let cap = max 2 (2 * r.len) in
-      let dsts = Array.make cap 0 and counts = Array.make cap 0. in
-      Array.blit r.dsts 0 dsts 0 r.len;
-      Array.blit r.counts 0 counts 0 r.len;
-      r.dsts <- dsts;
-      r.counts <- counts
-    end;
-    r.dsts.(r.len) <- dst;
-    r.counts.(r.len) <- 0.;
-    r.len <- r.len + 1;
-    r.len - 1
-  | i -> i
 
 (* [vf]'s recorded block counts, when they fit its blocks. *)
 let recorded t (vf : VF.t) =
@@ -68,66 +39,29 @@ let find_or_add tbl key fresh =
     Hashtbl.add tbl key v;
     v
 
-let bump tbl key =
-  match Hashtbl.find tbl key with
-  | r -> incr r
-  | exception Not_found -> Hashtbl.add tbl key (ref 1)
+let counter () = ref 0
 
-(* A translation's sink: its block counts and source rows, each resolved on
-   its first event (a translation entered without running a main block
-   gains no [blocks] entry). *)
-type sink = {
-  vf : VF.t;
-  mutable counts : float array option;
-  mutable table : (int, row) Hashtbl.t option;
-  rows : row option array;  (* by source block *)
-}
-
-let row_of t s src =
-  match s.rows.(src) with
-  | Some r -> r
-  | None ->
-    let table =
-      match s.table with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = find_or_add t.arcs s.vf.VF.root_fid (fun () -> Hashtbl.create 32) in
-        s.table <- Some tbl;
-        tbl
-    in
-    let r = find_or_add table src new_row in
-    s.rows.(src) <- Some r;
-    r
-
-let translation t vf =
-  let s = { vf; counts = None; table = None; rows = Array.make (VF.n_blocks vf) None } in
-  {
-    Context.on_vblock =
-      (fun blk ->
-        let a =
-          match s.counts with
-          | Some a -> a
-          | None ->
-            let a = block_array t vf in
-            s.counts <- Some a;
-            a
-        in
-        a.(blk) <- a.(blk) +. 1.);
-    on_varc =
-      (fun ~src ~dst ->
-        let r = row_of t s src in
-        let i = slot r dst in
-        r.counts.(i) <- r.counts.(i) +. 1.);
-  }
-
+(* A translation's block counts and arc store are resolved on its first
+   block or arc event, so a translation entered without running a main
+   block gains no [blocks] entry, and one without an arc no [arcs] entry. *)
 let handler t =
   {
-    Context.translation = translation t;
-    on_xcall =
-      (fun ~caller ~callee ->
-        bump t.entries callee;
-        if caller >= 0 then bump (find_or_add t.cg caller (fun () -> Hashtbl.create 8)) callee);
-    on_prop = (fun ~addr:_ ~write:_ -> ());
+    Context.translation =
+      (fun vf ->
+        P.Count
+          {
+            counts = (fun () -> block_array t vf);
+            arcs = (fun () -> find_or_add t.arcs vf.VF.root_fid P.new_arcs);
+          });
+    xcalls =
+      Some
+        {
+          P.entry = (fun fid -> find_or_add t.entries fid counter);
+          edge =
+            (fun ~caller ~callee ->
+              find_or_add (find_or_add t.cg caller (fun () -> Hashtbl.create 8)) callee counter);
+        };
+    on_prop = None;
   }
 
 (* The readers below store nothing: a translation without fitting counts
@@ -136,19 +70,17 @@ let block_weights t vf =
   match recorded t vf with Some a -> Array.copy a | None -> Array.make (VF.n_blocks vf) 0.
 
 (* [(src, dst, count)] of one root's arcs, sorted *)
-let arc_list table =
+let arc_list (a : P.arcs) =
   Hashtbl.fold
-    (fun src r acc -> List.init r.len (fun i -> (src, r.dsts.(i), r.counts.(i))) @ acc)
-    table []
+    (fun src (r : P.arc_row) acc ->
+      List.init r.len (fun i -> (src, r.dsts.(i), a.count.(r.slots.(i)))) @ acc)
+    a.rows []
   |> List.sort compare
 
 let arc_weight t (vf : VF.t) (src, dst) =
   match Hashtbl.find_opt t.arcs vf.VF.root_fid with
   | None -> 0.
-  | Some table -> (
-    match Hashtbl.find_opt table src with
-    | None -> 0.
-    | Some r -> ( match find r dst with -1 -> 0. | i -> r.counts.(i)))
+  | Some a -> ( match P.arc_find a ~src ~dst with -1 -> 0. | slot -> a.count.(slot))
 
 let to_cfg t (vf : VF.t) =
   let weight = match recorded t vf with Some a -> fun b -> a.(b) | None -> fun _ -> 0. in
@@ -264,13 +196,9 @@ let deserialize r =
          (fid, counts)));
   List.iter
     (fun (fid, entries) ->
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun (s, d, c) ->
-          let r = find_or_add table s new_row in
-          r.counts.(slot r d) <- c)
-        entries;
-      Hashtbl.replace t.arcs fid table)
+      let a = P.new_arcs () in
+      List.iter (fun (s, d, c) -> a.count.(P.arc_slot a ~src:s ~dst:d) <- c) entries;
+      Hashtbl.replace t.arcs fid a)
     (Rd.list r (fun r ->
          let fid = Rd.varint r in
          let entries =

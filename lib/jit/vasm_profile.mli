@@ -1,8 +1,8 @@
 (** Measured Vasm-level profile: what the Jump-Start seeders collect by
     instrumenting the optimized code (paper §V-A and §V-B).
 
-    Accumulates, while instrumented optimized code "runs" (replay through
-    {!Context}):
+    Accumulates, while instrumented optimized code "runs" (the
+    interpreter's loop walking the translations, {!Context}):
     - true execution counts per vasm block, including slow paths and
       per-inline-context callee behaviour;
     - true arc counts between vasm blocks;
@@ -13,10 +13,12 @@ type t
 
 val create : unit -> t
 
-(** Handler to plug into {!Context.probes}.  Each translation's sink holds
-    its block counts and per-source arc rows (unboxed counts, any
-    destination), created on the translation's first block or arc event; a
-    translation entered without running a block gains no entry. *)
+(** Handler to plug into {!Context.probes}.  A translation's sink is its
+    block counts and its arc store (unboxed counts, any destination),
+    which the interpreter's loop bumps in place; each is created on the
+    translation's first block or arc event, so a translation entered
+    without running a block gains no entry.  Out-of-line calls bump the
+    callee's entry count and the caller's call-graph row. *)
 val handler : t -> Context.handler
 
 (** [block_weights t vfunc] — dense per-block measured counts (zeros for

@@ -5,6 +5,7 @@ type t = {
   cfg : config;
   tags : int array;  (** sets * ways, -1 = invalid *)
   lru : int array;  (** per-entry last-use stamp *)
+  mru : int array;  (** per set: the entry touched last *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
@@ -26,6 +27,7 @@ let create cfg =
     cfg;
     tags = Array.make (cfg.sets * cfg.ways) (-1);
     lru = Array.make (cfg.sets * cfg.ways) 0;
+    mru = Array.init cfg.sets (fun set -> set * cfg.ways);
     clock = 0;
     accesses = 0;
     misses = 0;
@@ -35,34 +37,44 @@ let create cfg =
 
 let config t = t.cfg
 
+(* A repeat access to the set's most recently touched line is a hit
+   without a scan: its stamp is already the set's newest, so refreshing it
+   changes no LRU order.  Otherwise the scan stops at a hit, and a miss
+   replaces the entry with the oldest stamp (the first such entry). *)
 let access t ~addr ~write:_ =
   let line = addr lsr t.line_shift in
   let set = line land t.set_mask in
-  let base = set * t.cfg.ways in
   t.clock <- t.clock + 1;
   t.accesses <- t.accesses + 1;
-  let hit = ref false in
-  let victim = ref base in
-  let oldest = ref max_int in
-  (try
-     for i = base to base + t.cfg.ways - 1 do
-       if t.tags.(i) = line then begin
-         t.lru.(i) <- t.clock;
-         hit := true;
-         raise Exit
-       end;
-       if t.lru.(i) < !oldest then begin
-         oldest := t.lru.(i);
-         victim := i
-       end
-     done
-   with Exit -> ());
-  if not !hit then begin
-    t.misses <- t.misses + 1;
-    t.tags.(!victim) <- line;
-    t.lru.(!victim) <- t.clock
-  end;
-  !hit
+  let m = t.mru.(set) in
+  if t.tags.(m) = line then begin
+    t.lru.(m) <- t.clock;
+    true
+  end
+  else begin
+    let base = set * t.cfg.ways in
+    let stop = base + t.cfg.ways in
+    let i = ref base and victim = ref base and oldest = ref max_int in
+    while !i < stop && t.tags.(!i) <> line do
+      if t.lru.(!i) < !oldest then begin
+        oldest := t.lru.(!i);
+        victim := !i
+      end;
+      incr i
+    done;
+    let hit = !i < stop in
+    let e =
+      if hit then !i
+      else begin
+        t.misses <- t.misses + 1;
+        t.tags.(!victim) <- line;
+        !victim
+      end
+    in
+    t.lru.(e) <- t.clock;
+    t.mru.(set) <- e;
+    hit
+  end
 
 let probe t ~addr =
   let line = addr lsr t.line_shift in

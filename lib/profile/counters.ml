@@ -1,13 +1,17 @@
-(* Small insertion-ordered maps from int keys to int counts: a source
+(* Small insertion-ordered maps from int keys to int counters: a source
    block's successors, a call site's callees, a caller's call-graph row, a
    class's properties.  Rows stay short (a handful of keys), so a lookup
-   is a scan.  A key is present once added, whatever its count: a
-   deserialized or imported zero count must survive [serialize]. *)
+   is a scan.  Each key owns one counter cell, which the interpreter's
+   loop bumps in place once it has resolved it.  A key is present once
+   added, whatever its count: a deserialized or imported zero count must
+   survive [serialize]. *)
 module Row = struct
-  type t = { mutable keys : int array; mutable counts : int array; mutable len : int }
+  type t = { mutable keys : int array; mutable cells : int ref array; mutable len : int }
 
-  let create () = { keys = [||]; counts = [||]; len = 0 }
-  let copy r = { keys = Array.copy r.keys; counts = Array.copy r.counts; len = r.len }
+  let create () = { keys = [||]; cells = [||]; len = 0 }
+
+  let copy r =
+    { keys = Array.copy r.keys; cells = Array.map (fun c -> ref !c) r.cells; len = r.len }
 
   (* index of [key], or -1 *)
   let find r key =
@@ -17,38 +21,38 @@ module Row = struct
     done;
     if !i < r.len then !i else -1
 
-  (* index of [key], appended with count 0 when absent *)
-  let slot r key =
+  (* [key]'s counter, appended at 0 when absent *)
+  let cell r key =
     let i = find r key in
-    if i >= 0 then i
+    if i >= 0 then r.cells.(i)
     else begin
       if r.len = Array.length r.keys then begin
         let cap = max 2 (2 * r.len) in
-        let keys = Array.make cap 0 and counts = Array.make cap 0 in
+        let keys = Array.make cap 0 and cells = Array.make cap (ref 0) in
         Array.blit r.keys 0 keys 0 r.len;
-        Array.blit r.counts 0 counts 0 r.len;
+        Array.blit r.cells 0 cells 0 r.len;
         r.keys <- keys;
-        r.counts <- counts
+        r.cells <- cells
       end;
+      let c = ref 0 in
       r.keys.(r.len) <- key;
+      r.cells.(r.len) <- c;
       r.len <- r.len + 1;
-      r.len - 1
+      c
     end
 
-  let bump r key =
-    let i = slot r key in
-    r.counts.(i) <- r.counts.(i) + 1
+  let bump r key = incr (cell r key)
 
   let add r key c =
-    let i = slot r key in
-    r.counts.(i) <- r.counts.(i) + c
+    let cell = cell r key in
+    cell := !cell + c
 
-  let set r key c = r.counts.(slot r key) <- c
+  let set r key c = cell r key := c
   let clear r = r.len <- 0
-  let count r key = match find r key with -1 -> 0 | i -> r.counts.(i)
+  let count r key = match find r key with -1 -> 0 | i -> !(r.cells.(i))
 
   (* [(key, count)] by ascending key *)
-  let to_list r = List.sort compare (List.init r.len (fun i -> (r.keys.(i), r.counts.(i))))
+  let to_list r = List.sort compare (List.init r.len (fun i -> (r.keys.(i), !(r.cells.(i)))))
 end
 
 type t = {
@@ -61,14 +65,14 @@ type t = {
   (* per function, per call site (instruction index): callee -> count; a
      site is present once recorded, even with no callee *)
   mutable sites : Row.t option array array;
-  entries : int array;
+  entries : int ref array;
   (* per caller: callee -> count, aggregated over sites *)
   mutable cg : Row.t array;
   (* per class: property name id -> count *)
   mutable props : Row.t array;
   mutable touched : bool array;  (* per unit *)
   mutable touched_units_rev : int list;
-  mutable total_entries : int;
+  total_entries : int ref;
 }
 
 let create repo =
@@ -78,12 +82,12 @@ let create repo =
     blocks = Array.make n None;
     arcs = Array.make n [||];
     sites = Array.make n [||];
-    entries = Array.make n 0;
+    entries = Array.init n (fun _ -> ref 0);
     cg = Array.init n (fun _ -> Row.create ());
     props = Array.init (Hhbc.Repo.n_classes repo) (fun _ -> Row.create ());
     touched = Array.make (Hhbc.Repo.n_units repo) false;
     touched_units_rev = [];
-    total_entries = 0;
+    total_entries = ref 0;
   }
 
 (* Recording is total on ids beyond the repo (a forged profile's, which
@@ -149,8 +153,8 @@ let record_unit_load t uid =
   end
 
 let record_func_entry t fid =
-  t.entries.(fid) <- t.entries.(fid) + 1;
-  t.total_entries <- t.total_entries + 1;
+  incr t.entries.(fid);
+  incr t.total_entries;
   record_unit_load t (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id
 
 let prop_row t cid =
@@ -158,6 +162,24 @@ let prop_row t cid =
   t.props.(cid)
 
 let record_prop_access t cid nid = Row.bump (prop_row t cid) nid
+
+let recorder t =
+  {
+    Interp.Probes.func =
+      (fun fid ->
+        record_unit_load t (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id;
+        { Interp.Probes.blocks = block_array t fid; entries = t.entries.(fid) });
+    total_entries = t.total_entries;
+    arc = (fun fid ~src ~dst -> Row.cell (arc_row t fid src) dst);
+    call =
+      (fun ~caller ~site ~callee ->
+        {
+          Interp.Probes.callee;
+          at_site = Row.cell (site_row t caller site) callee;
+          in_graph = Row.cell (cg_row t caller) callee;
+        });
+    prop = (fun cid nid -> Row.cell (prop_row t cid) nid);
+  }
 let repo t = t.repo
 let n_funcs t = Array.length t.entries
 
@@ -208,7 +230,7 @@ let dominant_target t fid site =
     let total = List.fold_left (fun acc (_, c) -> acc + c) 0 all in
     Some (callee, float_of_int count /. float_of_int total)
 
-let func_entries t fid = t.entries.(fid)
+let func_entries t fid = !(t.entries.(fid))
 
 let call_graph t =
   let acc = ref [] in
@@ -236,11 +258,11 @@ let prop_table t =
 
 let profiled_funcs t =
   let all = ref [] in
-  Array.iteri (fun fid e -> if e > 0 then all := fid :: !all) t.entries;
-  List.sort (fun a b -> compare t.entries.(b) t.entries.(a)) !all
+  Array.iteri (fun fid e -> if !e > 0 then all := fid :: !all) t.entries;
+  List.sort (fun a b -> compare !(t.entries.(b)) !(t.entries.(a))) !all
 
 let touched_units t = List.rev t.touched_units_rev
-let total_entries t = t.total_entries
+let total_entries t = !(t.total_entries)
 
 (* --- bulk import (stale-profile transfer) ---
    Absolute-count setters used by {!Stale_match.transfer} when rebuilding a
@@ -259,8 +281,8 @@ let import_call t ~caller ~site ~callee count = Row.add (site_row t caller site)
 let import_cg t ~caller ~callee count = Row.add (cg_row t caller) callee count
 
 let import_entries t fid e =
-  t.total_entries <- t.total_entries - t.entries.(fid) + e;
-  t.entries.(fid) <- e
+  t.total_entries := !(t.total_entries) - !(t.entries.(fid)) + e;
+  t.entries.(fid) := e
 
 let import_prop t cid nid count = Row.add (prop_row t cid) nid count
 
@@ -270,12 +292,12 @@ let copy t =
     blocks = Array.map (Option.map Array.copy) t.blocks;
     arcs = Array.map (Array.map Row.copy) t.arcs;
     sites = Array.map (Array.map (Option.map Row.copy)) t.sites;
-    entries = Array.copy t.entries;
+    entries = Array.map (fun e -> ref !e) t.entries;
     cg = Array.map Row.copy t.cg;
     props = Array.map Row.copy t.props;
     touched = Array.copy t.touched;
     touched_units_rev = t.touched_units_rev;
-    total_entries = t.total_entries;
+    total_entries = ref !(t.total_entries);
   }
 
 module W = Js_util.Binio.Writer
@@ -321,7 +343,7 @@ let serialize t w =
     (call_site_list t);
   (* section 4: entry counters (sparse) *)
   let entries = ref [] in
-  Array.iteri (fun fid e -> if e > 0 then entries := (fid, e) :: !entries) t.entries;
+  Array.iteri (fun fid e -> if !e > 0 then entries := (fid, !e) :: !entries) t.entries;
   W.list w
     (fun (fid, e) ->
       W.varint w fid;
@@ -430,8 +452,8 @@ let of_raw repo raw =
   List.iter
     (fun (fid, e) ->
       check_fid fid;
-      t.entries.(fid) <- e;
-      t.total_entries <- t.total_entries + e)
+      t.entries.(fid) := e;
+      t.total_entries := !(t.total_entries) + e)
     raw.rc_entries;
   List.iter
     (fun (a, b, c) ->

@@ -21,12 +21,21 @@ type t
 
 val create : Hhbc.Repo.t -> t
 
-(* --- recording (normally via {!Collector}) ---
+(* --- recording ---
    Every table is dense and indexed by function, source block, call site,
-   class or unit; once its row exists, a recorded event scans at most two
-   short rows and allocates nothing.  Arcs, calls, property accesses and unit loads are total on
+   class or unit, and every count is a cell.  The interpreter records
+   through {!recorder} (normally via {!Collector}): it resolves each cell
+   once and then bumps it itself.  The [record_*] functions make one event
+   by hand.  Arcs, calls, property accesses and unit loads are total on
    (non-negative) ids beyond the repo: they are kept, so that a forged
    profile serializes and {!deserialize} rejects it. *)
+
+(** The cells the interpreter's loop bumps: a function's block counters
+    and entry count (resolving them marks the function's unit touched),
+    and the counter of each arc, call site and callee, and class
+    property.  Recording through it gives the counters, and the bytes,
+    that the [record_*] calls of the same events would. *)
+val recorder : t -> Interp.Probes.tier1
 
 val record_block : t -> Hhbc.Instr.fid -> int -> unit
 val record_arc : t -> Hhbc.Instr.fid -> src:int -> dst:int -> unit

@@ -234,6 +234,10 @@ val run_global :
   seed:int ->
   global_stats
 
+(** [validate_global gc] raises [Invalid_argument] on every config
+    {!run_global} rejects, and runs nothing. *)
+val validate_global : global_config -> unit
+
 (** Single-region run: [run cfg app ~seed] is
     [run_global ~mode:`Merged { default_global_config with base = cfg }],
     returning region 0's stats. *)

@@ -1,10 +1,11 @@
 (* Reference probe paths: the tier-1 counters, the shadow-stack replay and
-   its two handlers exactly as they were before they resolved their state
-   once, kept as a test oracle.  Every event re-keys through tuple-keyed
-   Hashtbls, the replay keeps a list of freshly allocated frames and looks
-   the callee's translation up on every entry, and the handlers look up
-   their translation's tables (or placement) per event.  The dense paths
-   must serialize the same bytes and emit the same machine events. *)
+   its two handlers as closures over the interpreter's raw events
+   ({!Interp.Probes.Events}), kept as a test oracle.  Every event re-keys
+   through tuple-keyed Hashtbls, the replay keeps a list of freshly
+   allocated frames and looks the callee's translation up on every entry,
+   and the handlers look up their translation's tables (or placement) per
+   event.  The resolved slots the interpreter's loops bump must serialize
+   the same bytes and emit the same machine events. *)
 
 module VF = Vasm.Vfunc
 module IT = Vasm.Inline_tree
@@ -78,14 +79,15 @@ module Counters = struct
     record_unit_load t (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id
 
   let probes t =
-    {
-      Interp.Probes.on_block = (fun fid bb -> record_block t fid bb);
-      on_arc = (fun fid ~src ~dst -> bump t.arcs.(fid) (src, dst));
-      on_call = (fun ~caller ~site ~callee -> record_call t ~caller ~site ~callee);
-      on_func_entry = (fun fid -> record_func_entry t fid);
-      on_func_exit = (fun _ -> ());
-      on_prop_access = (fun cid nid ~addr:_ ~write:_ -> bump t.props (cid, nid));
-    }
+    Interp.Probes.Events
+      {
+        on_block = (fun fid bb -> record_block t fid bb);
+        on_arc = (fun fid ~src ~dst -> bump t.arcs.(fid) (src, dst));
+        on_call = (fun ~caller ~site ~callee -> record_call t ~caller ~site ~callee);
+        on_func_entry = (fun fid -> record_func_entry t fid);
+        on_func_exit = (fun _ -> ());
+        on_prop_access = (fun cid nid ~addr:_ ~write:_ -> bump t.props (cid, nid));
+      }
 
   let triples tbl = Hashtbl.fold (fun (a, b) c acc -> (a, b, !c) :: acc) tbl [] |> List.sort compare
 
@@ -269,14 +271,15 @@ module Context = struct
       { repo; lookup; h = handler; stack = []; pending = None; bb_maps = Hashtbl.create 64;
         pics = Hashtbl.create 256 }
     in
-    {
-      Interp.Probes.on_block = (fun fid bb -> block st fid bb);
-      on_arc = (fun _ ~src:_ ~dst:_ -> ());
-      on_call = (fun ~caller ~site ~callee -> st.pending <- Some (caller, site, callee));
-      on_func_entry = (fun fid -> enter st fid);
-      on_func_exit = (fun fid -> exit_frame st fid);
-      on_prop_access = (fun _ _ ~addr ~write -> handler.on_prop ~addr ~write);
-    }
+    Interp.Probes.Events
+      {
+        on_block = (fun fid bb -> block st fid bb);
+        on_arc = (fun _ ~src:_ ~dst:_ -> ());
+        on_call = (fun ~caller ~site ~callee -> st.pending <- Some (caller, site, callee));
+        on_func_entry = (fun fid -> enter st fid);
+        on_func_exit = (fun fid -> exit_frame st fid);
+        on_prop_access = (fun _ _ ~addr ~write -> handler.on_prop ~addr ~write);
+      }
 end
 
 (* --- measured vasm profile, re-keyed by root fid per event --- *)

@@ -183,11 +183,12 @@ let test_call_probes () =
 let test_func_exit_probe_balances () =
   let entries = ref 0 and exits = ref 0 in
   let probes =
-    {
-      Interp.Probes.none with
-      Interp.Probes.on_func_entry = (fun _ -> incr entries);
-      on_func_exit = (fun _ -> incr exits);
-    }
+    Interp.Probes.Events
+      {
+        Interp.Probes.no_events with
+        Interp.Probes.on_func_entry = (fun _ -> incr entries);
+        on_func_exit = (fun _ -> incr exits);
+      }
   in
   let _, result =
     run ~probes
@@ -201,10 +202,11 @@ let test_func_exit_probe_balances () =
 let test_prop_probe_addresses () =
   let addrs = ref [] in
   let probes =
-    {
-      Interp.Probes.none with
-      Interp.Probes.on_prop_access = (fun _ _ ~addr ~write -> addrs := (addr, write) :: !addrs);
-    }
+    Interp.Probes.Events
+      {
+        Interp.Probes.no_events with
+        Interp.Probes.on_prop_access = (fun _ _ ~addr ~write -> addrs := (addr, write) :: !addrs);
+      }
   in
   ignore
     (run ~probes

@@ -375,14 +375,15 @@ let second_pass_words probes =
 let words_per_event probes =
   let events = ref 0 in
   let counting =
-    {
-      Interp.Probes.on_block = (fun _ _ -> incr events);
-      on_arc = (fun _ ~src:_ ~dst:_ -> incr events);
-      on_call = (fun ~caller:_ ~site:_ ~callee:_ -> incr events);
-      on_func_entry = (fun _ -> incr events);
-      on_func_exit = (fun _ -> incr events);
-      on_prop_access = (fun _ _ ~addr:_ ~write:_ -> incr events);
-    }
+    Interp.Probes.Events
+      {
+        on_block = (fun _ _ -> incr events);
+        on_arc = (fun _ ~src:_ ~dst:_ -> incr events);
+        on_call = (fun ~caller:_ ~site:_ ~callee:_ -> incr events);
+        on_func_entry = (fun _ -> incr events);
+        on_func_exit = (fun _ -> incr events);
+        on_prop_access = (fun _ _ ~addr:_ ~write:_ -> incr events);
+      }
   in
   let _, _, serve, engine = Lazy.force budget_app in
   let e = engine (Some counting) in

@@ -208,6 +208,32 @@ let prop_bigger_cache_fewer_misses =
       (* LRU is a stack algorithm: capacity can only help *)
       run 8 <= run 2)
 
+(* The cache with its MRU fast path against the scan-only cache it
+   replaced ({!Cache_ref}): over random geometries and address streams,
+   with a flush between two passes, both give the same hit/miss sequence,
+   the same stats and the same contents. *)
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"MRU fast-path cache = the scan-only cache" ~count:300
+    QCheck.(
+      quad (int_range 0 4) (int_range 1 8) (int_range 2 6)
+        (list_of_size Gen.(int_range 1 300) (int_range 0 4095)))
+    (fun (log_sets, ways, log_line, addrs) ->
+      let cfg = { Machine.Cache.name = "q"; sets = 1 lsl log_sets; ways; line_bytes = 1 lsl log_line } in
+      let c = Machine.Cache.create cfg and r = Cache_ref.create cfg in
+      let same_contents () =
+        List.for_all (fun addr -> Machine.Cache.probe c ~addr = Cache_ref.probe r ~addr) addrs
+      in
+      let pass stream =
+        List.for_all (fun addr -> Machine.Cache.access c ~addr ~write:false = Cache_ref.access r ~addr) stream
+        && Machine.Cache.stats c = Cache_ref.stats r
+        && same_contents ()
+      in
+      pass addrs
+      && (Machine.Cache.flush c;
+          Cache_ref.flush r;
+          same_contents ())
+      && pass (List.rev addrs))
+
 let prop_branch_counts =
   QCheck.Test.make ~name:"branch mispredicts <= branches" ~count:100
     QCheck.(list (pair (int_range 0 1000) bool))
@@ -827,16 +853,17 @@ let trace_requests app ~layouts ~inline_cache ~seed ~n =
   let repo = app.Workload.Codegen.repo in
   let events = ref [] in
   let probes =
-    {
-      Interp.Probes.on_block = (fun fid bb -> events := Block (fid, bb) :: !events);
-      on_arc = (fun fid ~src ~dst -> events := Arc (fid, src, dst) :: !events);
-      on_call =
-        (fun ~caller ~site ~callee -> events := Call_site (caller, site, callee) :: !events);
-      on_func_entry = (fun fid -> events := Entry fid :: !events);
-      on_func_exit = (fun fid -> events := Exit fid :: !events);
-      on_prop_access =
-        (fun cid nid ~addr ~write -> events := Prop (cid, nid, addr, write) :: !events);
-    }
+    Interp.Probes.Events
+      {
+        on_block = (fun fid bb -> events := Block (fid, bb) :: !events);
+        on_arc = (fun fid ~src ~dst -> events := Arc (fid, src, dst) :: !events);
+        on_call =
+          (fun ~caller ~site ~callee -> events := Call_site (caller, site, callee) :: !events);
+        on_func_entry = (fun fid -> events := Entry fid :: !events);
+        on_func_exit = (fun fid -> events := Exit fid :: !events);
+        on_prop_access =
+          (fun cid nid ~addr ~write -> events := Prop (cid, nid, addr, write) :: !events);
+      }
   in
   let engine =
     Interp.Engine.create ~probes ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
@@ -906,11 +933,14 @@ let prop_executions_dataflow_feasible =
                   (Jit_profile.Counters.arc_counts counters fid))
            (Jit_profile.Counters.profiled_funcs counters))
 
-(* The dense probe paths against the closure paths they replaced
-   ({!Probe_ref}): on a random base or churned tiny app, the tier-1 counters
-   and the measured vasm profile serialize to the same bytes, and replay
-   through the trace adapter emits the same machine events in the same
-   order. *)
+(* The product probe paths against the closure paths they replaced
+   ({!Probe_ref}): on a random base or churned tiny app, on both loops,
+   the tier-1 counters and the measured vasm profile serialize to the same
+   bytes, and replay through the trace adapter emits the same machine
+   events in the same order.  A third of the cases pass some requests a
+   string argument, which raises a runtime error a few calls deep; another
+   third run out of fuel mid-request, after which every request fails on
+   entry.  Either way activations unwind through the error exit. *)
 type machine_event = Fetch of int * int | Branch of int * int * bool | Load of int | Store of int
 
 let recording_sink events =
@@ -923,17 +953,29 @@ let recording_sink events =
 
 let prop_probe_paths_match_reference =
   QCheck.Test.make ~name:"dense probe paths = the closure paths they replaced" ~count:25
-    QCheck.(triple (int_range 1 500) (int_range 0 5) small_nat)
-    (fun (app_seed, r10, seed) ->
+    QCheck.(quad (int_range 1 500) (int_range 0 5) small_nat (int_range 0 2))
+    (fun (app_seed, r10, seed, fault) ->
       let app = tiny_build ~app_seed ~rate:(float_of_int r10 /. 10.) in
       let repo = app.Workload.Codegen.repo in
       let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
       let mix = Workload.Request.uniform_mix app in
-      let serve probes =
-        let engine = Interp.Engine.create ~probes repo (Mh_runtime.Heap.create repo layouts) in
+      let fuel = if fault = 2 then 2_000 + (seed * 1_009) else 200_000_000 in
+      let serve ~inline_cache probes =
+        let engine =
+          Interp.Engine.create ~probes ~fuel ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
+        in
         let rng = Js_util.Rng.create seed in
-        for _ = 1 to 30 do
-          ignore (Workload.Request.invoke engine app (Workload.Request.sample rng mix))
+        for k = 1 to 30 do
+          let req = Workload.Request.sample rng mix in
+          let n = if fault = 1 && k mod 3 = 0 then Hhbc.Value.Str "x" else Hhbc.Value.Int req.n in
+          Mh_runtime.Heap.reset_arena (Interp.Engine.heap engine);
+          match
+            Interp.Engine.call engine
+              app.Workload.Codegen.endpoint_fids.(req.endpoint)
+              [ Hhbc.Value.Int req.sel; n ]
+          with
+          | _ -> ()
+          | exception Interp.Engine.Runtime_error _ -> ()
         done
       in
       let bytes serialize =
@@ -941,32 +983,38 @@ let prop_probe_paths_match_reference =
         serialize w;
         Js_util.Binio.Writer.contents w
       in
-      let counters = Jit_profile.Counters.create repo in
-      let ref_counters = Probe_ref.Counters.create repo in
-      serve (Jit_profile.Collector.probes counters);
-      serve (Probe_ref.Counters.probes ref_counters);
+      let profile = Jit_profile.Counters.create repo in
+      serve ~inline_cache:true (Jit_profile.Collector.probes profile);
       let config = { Jit.Compiler.default_config with Jit.Compiler.min_entries = 1 } in
       let vfuncs =
-        Jit.Compiler.lower_all repo counters { config with Jit.Compiler.mode = Vasm.Lower.Instrumented }
+        Jit.Compiler.lower_all repo profile { config with Jit.Compiler.mode = Vasm.Lower.Instrumented }
       in
       let lookup fid = List.assoc_opt fid vfuncs in
-      let measured = Jit.Vasm_profile.create () in
-      let ref_measured = Probe_ref.Vasm_profile.create () in
-      serve (Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler measured));
-      serve (Probe_ref.Context.probes repo ~lookup (Probe_ref.Vasm_profile.handler ref_measured));
-      let vasm_bytes = bytes (Jit.Vasm_profile.serialize measured) in
-      let compiled = Jit.Compiler.compile repo counters config ~measured:(Some measured) in
-      let lookup = Jit.Compiler.lookup compiled and cache = compiled.Jit.Compiler.cache in
-      let events = ref [] and ref_events = ref [] in
-      serve (Jit.Context.probes repo ~lookup (Jit.Trace_adapter.handler ~cache (recording_sink events)));
-      serve
-        (Probe_ref.Context.probes repo ~lookup
-           (Probe_ref.Trace_adapter.handler ~cache (recording_sink ref_events)));
-      !events <> []
-      && bytes (Jit_profile.Counters.serialize counters)
-         = bytes (Probe_ref.Counters.serialize ref_counters)
-      && vasm_bytes = bytes (Probe_ref.Vasm_profile.serialize ref_measured)
-      && !events = !ref_events)
+      let compiled = Jit.Compiler.compile repo profile config ~measured:None in
+      let same_on ~inline_cache =
+        let serve = serve ~inline_cache in
+        let counters = Jit_profile.Counters.create repo in
+        let ref_counters = Probe_ref.Counters.create repo in
+        serve (Jit_profile.Collector.probes counters);
+        serve (Probe_ref.Counters.probes ref_counters);
+        let measured = Jit.Vasm_profile.create () in
+        let ref_measured = Probe_ref.Vasm_profile.create () in
+        serve (Jit.Context.probes repo ~lookup (Jit.Vasm_profile.handler measured));
+        serve (Probe_ref.Context.probes repo ~lookup (Probe_ref.Vasm_profile.handler ref_measured));
+        let lookup = Jit.Compiler.lookup compiled and cache = compiled.Jit.Compiler.cache in
+        let events = ref [] and ref_events = ref [] in
+        serve (Jit.Context.probes repo ~lookup (Jit.Trace_adapter.handler ~cache (recording_sink events)));
+        serve
+          (Probe_ref.Context.probes repo ~lookup
+             (Probe_ref.Trace_adapter.handler ~cache (recording_sink ref_events)));
+        !events <> []
+        && bytes (Jit_profile.Counters.serialize counters)
+           = bytes (Probe_ref.Counters.serialize ref_counters)
+        && bytes (Jit.Vasm_profile.serialize measured)
+           = bytes (Probe_ref.Vasm_profile.serialize ref_measured)
+        && !events = !ref_events
+      in
+      same_on ~inline_cache:true && same_on ~inline_cache:false)
 
 (* Solver termination: on random stack-balanced CFGs (loops included, with
    type-unstable locals to force lattice climbing) the analysis reaches its
@@ -1038,7 +1086,11 @@ let () =
           [ prop_exttsp_permutation; prop_exttsp_score_nonneg; prop_pettis_hansen_permutation;
             prop_c3_permutation
           ] );
-      ("machine", q [ prop_cache_misses_bounded; prop_bigger_cache_fewer_misses; prop_branch_counts ]);
+      ( "machine",
+        q
+          [ prop_cache_misses_bounded; prop_bigger_cache_fewer_misses; prop_cache_matches_reference;
+            prop_branch_counts
+          ] );
       ("series", q [ prop_series_constant_integral ]);
       ( "vm invariants",
         q
