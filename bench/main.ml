@@ -451,11 +451,6 @@ let ablation_fallback () =
 
 let quick_mode = ref false
 
-(* --domains N sets the domain count for `bench scale`'s parallel-mode
-   section (clamped to the region count by the simulator).  Default 4: the
-   configuration the full-size speedup gate is specified against. *)
-let par_domains = ref 4
-
 (* --out PATH overrides the default artifact filename of whichever
    JSON-writing bench runs (perf, dist, push).  Meant for single-experiment
    invocations; with several JSON benches in one run the last write wins. *)
@@ -482,6 +477,19 @@ let commit () =
   in
   let line = try input_line ic with End_of_file -> "" in
   match Unix.close_process_in ic with Unix.WEXITED 0 when line <> "" -> line | _ -> "unknown"
+
+(* What a timed artifact records about its run, as (key, JSON value) pairs:
+   the commit, the UTC date, the CPUs the process may use and the
+   compiler. *)
+let provenance_fields () =
+  let t = Unix.gmtime (Unix.time ()) in
+  [ ("commit", Printf.sprintf "%S" (commit ()));
+    ( "date",
+      Printf.sprintf "\"%04d-%02d-%02dT%02d:%02d:%02dZ\"" (t.tm_year + 1900) (t.tm_mon + 1)
+        t.tm_mday t.tm_hour t.tm_min t.tm_sec );
+    ("nproc", string_of_int (Domain.recommended_domain_count ()));
+    ("ocaml", Printf.sprintf "%S" Sys.ocaml_version)
+  ]
 
 (* Profiling overhead on the seeder's harness: [requests] requests of the
    default app's seeder mix (region 0, bucket 0), served plain and under
@@ -752,18 +760,13 @@ let perf () =
     Buffer.add_string b (if last then "\n" else ",\n")
   in
   Printf.bprintf b "{\n";
-  let t = Unix.gmtime (Unix.time ()) in
-  let date =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.tm_year + 1900) (t.tm_mon + 1) t.tm_mday
-      t.tm_hour t.tm_min t.tm_sec
-  in
   Printf.bprintf b "  \"schema\": \"jumpstart-bench-interp/4\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b "  \"provenance\": {\n";
-  fld "commit" "%S" (commit ());
-  fld "date" "%S" date;
-  fld "nproc" "%d" (Domain.recommended_domain_count ());
-  fld ~last:true "ocaml" "%S" Sys.ocaml_version;
+  let provenance = provenance_fields () in
+  List.iteri
+    (fun i (k, v) -> fld ~last:(i = List.length provenance - 1) k "%s" v)
+    provenance;
   Printf.bprintf b "  },\n";
   Printf.bprintf b "  \"workload\": {\n";
   fld "requests" "%d" requests;
@@ -1079,14 +1082,48 @@ let bench_push () =
     exit 1
   end
 
+(* Runs [gcfg] on the barrier loop in a forked child and returns its stats
+   and wall seconds.  With [~pin] the child first pins itself to CPU 0, so
+   the loop sizes itself to one domain: the one-CPU side of the speedup gate
+   is the product with fewer CPUs, not another mode.  OCaml 5.1's
+   [Unix.fork] refuses once the process has created a domain, so every
+   child must be forked before the bench runs the loop itself. *)
+let run_in_child ~pin gcfg app ~seed =
+  flush_all ();
+  let r, w = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+    let pin_cmd = Printf.sprintf "taskset -p -c 0 %d > /dev/null" (Unix.getpid ()) in
+    if (not pin) || Sys.command pin_cmd = 0 then begin
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      let gs = Js_sim.Region.run_global gcfg app ~seed in
+      let oc = Unix.out_channel_of_descr w in
+      Marshal.to_channel oc (gs, Unix.gettimeofday () -. t0) [];
+      close_out oc
+    end;
+    Unix._exit 0
+  | pid -> (
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let res = try Some (Marshal.from_channel ic) with End_of_file -> None in
+    close_in ic;
+    ignore (Unix.waitpid [] pid);
+    match res with
+    | Some (res : Js_sim.Region.global_stats * float) -> res
+    | None ->
+      prerr_endline "bench scale: a timed child run failed (or taskset could not pin it)";
+      exit 1)
+
 (* A 100k-server multi-region global fleet run must complete with
-   reproducible digests: epoch barriers == merged queue == parallel domains,
-   batching digest-neutral, and the parallel run within 0.8x of its ideal
-   speedup on real cores, decided over alternating epoch/parallel pairs.
-   Writes BENCH_scale.json. *)
+   reproducible digests: on all CPUs and pinned to one, the barrier loop
+   matches the merged queue, batching is digest-neutral, and the all-CPU
+   run is within 0.8x of its ideal speedup over the one-CPU run, decided
+   over alternating pairs.  Writes BENCH_scale.json. *)
 let bench_scale () =
   section "scale: 100k-server multi-region fleet";
   let quick = !quick_mode in
+  let provenance = provenance_fields () in
   (* -- 100k-server multi-region global fleet ----------------------------- *)
   let n_regions = if quick then 3 else 5 in
   let servers_per_region = if quick then 2_000 else 20_000 in
@@ -1127,33 +1164,35 @@ let bench_scale () =
     }
   in
   let app = Lazy.force fleet_app in
-  let timed_run mode g =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let gs = Js_sim.Region.run_global ~mode g app ~seed:(bench_seed 42) in
-    (gs, Unix.gettimeofday () -. t0)
-  in
-  (* Epoch and parallel runs alternate in pairs, so host drift hits both
-     sides of a pair alike; the fleet figures below are the first epoch
-     run's digest and the median epoch wall. *)
-  let domains = !par_domains in
+  let seed = bench_seed 42 in
+  let host_cpus = Domain.recommended_domain_count () in
+  let taskset = Sys.command "command -v taskset > /dev/null 2>&1" = 0 in
+  (* One-CPU and all-CPU runs alternate in pairs, so host drift hits both
+     sides of a pair alike; the fleet figures below are the all-CPU
+     (product) runs'. *)
   let n_pairs = if quick then 2 else 5 in
   let pairs =
     Array.init n_pairs (fun _ ->
-        let e = timed_run `Epoch gcfg in
-        (e, timed_run (`Parallel domains) gcfg))
+        let one = run_in_child ~pin:taskset gcfg app ~seed in
+        (one, run_in_child ~pin:false gcfg app ~seed))
   in
-  let gs = fst (fst pairs.(0)) in
-  let epoch_digest = Js_sim.Region.global_digest gs in
-  let epoch_walls = Array.map (fun ((_, w), _) -> w) pairs in
-  let par_walls = Array.map (fun (_, (_, w)) -> w) pairs in
-  let wall = Js_util.Stats.median epoch_walls in
+  (* -- arrival batching A/B: same run with the heap round-trip restored --- *)
+  let gs_nb, wall_nb =
+    run_in_child ~pin:false { gcfg with Js_sim.Region.batch = false } app ~seed
+  in
+  let gs = fst (snd pairs.(0)) in
+  let one_cpu_domains = (fst (fst pairs.(0))).Js_sim.Region.g_domains in
+  let domains = gs.Js_sim.Region.g_domains in
+  let epoch_digest = Js_sim.Region.global_digest (fst (fst pairs.(0))) in
+  let one_walls = Array.map (fun ((_, w), _) -> w) pairs in
+  let walls = Array.map (fun (_, (_, w)) -> w) pairs in
+  let wall = Js_util.Stats.median walls in
   let total_servers = n_regions * servers_per_region in
   let g_eps = float_of_int gs.Js_sim.Region.g_events /. wall in
   let wall_per_hour = wall /. (duration /. 3600.) in
   Printf.printf
-    "\nglobal fleet: %d regions x %d servers = %d servers, %.0f sim-seconds\n"
-    n_regions servers_per_region total_servers duration;
+    "\nglobal fleet: %d regions x %d servers = %d servers, %.0f sim-seconds, %d domains\n"
+    n_regions servers_per_region total_servers duration domains;
   Printf.printf "  %d events in %.2fs wall (%.0f events/s, %.1fs wall per sim-hour)\n"
     gs.Js_sim.Region.g_events wall g_eps wall_per_hour;
   let jump_started =
@@ -1161,8 +1200,6 @@ let bench_scale () =
   in
   Printf.printf "  jump-started %d/%d, spilled %d\n" jump_started total_servers
     gs.Js_sim.Region.g_spilled;
-  (* -- arrival batching A/B: same run with the heap round-trip restored --- *)
-  let gs_nb, wall_nb = timed_run `Epoch { gcfg with Js_sim.Region.batch = false } in
   let nb_eps = float_of_int gs_nb.Js_sim.Region.g_events /. wall_nb in
   let batch_neutral = Js_sim.Region.global_digest gs_nb = epoch_digest in
   let batch_delta = (g_eps -. nb_eps) /. nb_eps *. 100. in
@@ -1170,54 +1207,43 @@ let bench_scale () =
     "\narrival batching A/B: batched %.0f events/s vs unbatched %.0f events/s (%+.1f%%), \
      digest-neutral %b\n"
     g_eps nb_eps batch_delta batch_neutral;
-  (* -- parallel mode: same barriers on [par_domains] domains --------------- *)
-  let host_cores = Domain.recommended_domain_count () in
-  let wall_par = Js_util.Stats.median par_walls in
-  let par_eps = float_of_int gs.Js_sim.Region.g_events /. wall_par in
-  let par_digest_eq =
+  (* -- speedup: the same run pinned to one CPU ---------------------------- *)
+  let one_wall = Js_util.Stats.median one_walls in
+  let fleet_digests_equal =
     Array.for_all
-      (fun ((e, _), (p, _)) ->
-        Js_sim.Region.global_digest e = epoch_digest
-        && Js_sim.Region.global_digest p = epoch_digest)
+      (fun ((one, _), (all, _)) ->
+        Js_sim.Region.global_digest one = epoch_digest
+        && Js_sim.Region.global_digest all = epoch_digest)
       pairs
   in
-  let par_speedup = wall /. wall_par in
-  (* The best a barrier round can do is finish when its busiest domain does:
-     with regions dealt round-robin that domain runs ceil(n_regions /
-     domains) of them, so the ideal speedup is n_regions / that, and the gate
-     asks for 0.8x of it (2.0x at 5 regions on 4 domains).  One pair of runs
-     cannot tell that from host noise, so the gate is a paired comparison of
-     wall seconds (Exp.Gate) with a practical-significance band of
-     1 - 1/gate: it passes only on an [Improved] verdict, i.e. when the whole
-     bootstrap CI of the parallel run's relative wall change lies below
-     -(1 - 1/gate).  The wall-clock gate needs real cores to be meaningful:
-     it is enforced on the full-size run when the host offers at least
-     [domains] cores; otherwise the measurement is recorded but the gate
-     reports itself as skipped.
-     The digest-equality gates above/below are unconditional. *)
-  let used_domains = max 1 (min domains n_regions) in
+  let speedup = one_wall /. wall in
+  (* A barrier round ends when its busiest domain does, and round-robin
+     gives that domain ceil(n_regions / domains) regions: the gate asks for
+     0.8x of the ideal n_regions / that.  It is a paired comparison of wall
+     seconds (Exp.Gate) with a practical-significance band of 1 - 1/gate and
+     passes only on an [Improved] verdict.  It needs more than one CPU and a
+     way to pin one, so it is recorded but skipped under --quick, on a
+     one-CPU host or without taskset; the digest gates are unconditional. *)
   let ideal_speedup =
-    float_of_int n_regions /. float_of_int ((n_regions + used_domains - 1) / used_domains)
+    float_of_int n_regions /. float_of_int ((n_regions + domains - 1) / domains)
   in
-  let par_gate = 0.8 *. ideal_speedup in
-  let par_cmp =
+  let gate = 0.8 *. ideal_speedup in
+  let cmp =
     Js_exp.Gate.compare_paired ~metric:"wall_seconds"
-      ~min_effect:(1. -. (1. /. par_gate))
-      ~baseline:epoch_walls ~candidate:par_walls ()
+      ~min_effect:(1. -. (1. /. gate))
+      ~baseline:one_walls ~candidate:walls ()
   in
-  let par_gate_enforced = (not quick) && host_cores >= domains in
-  let crit_par_speedup =
-    (not par_gate_enforced) || par_cmp.Js_exp.Gate.verdict = Js_exp.Gate.Improved
-  in
+  let gate_enforced = (not quick) && host_cpus > 1 && taskset in
+  let crit_speedup = (not gate_enforced) || cmp.Js_exp.Gate.verdict = Js_exp.Gate.Improved in
   Printf.printf
-    "parallel x%d (%d host cores): %.2fs median wall (%.0f events/s), speedup %.2fx vs epoch \
-     (ideal %.2fx), digests == epoch: %b\n  %s\n  speedup gate %s\n"
-    domains host_cores wall_par par_eps par_speedup ideal_speedup par_digest_eq
-    (Format.asprintf "%a" Js_exp.Gate.pp par_cmp)
-    (if par_gate_enforced then
-       Printf.sprintf "enforced (>= %.2fx, verdict improved): %b" par_gate crit_par_speedup
+    "one CPU (%d domain): %.2fs median wall, speedup on %d domains %.2fx (ideal %.2fx), \
+     digests == epoch: %b\n  %s\n  speedup gate %s\n"
+    one_cpu_domains one_wall domains speedup ideal_speedup fleet_digests_equal
+    (Format.asprintf "%a" Js_exp.Gate.pp cmp)
+    (if gate_enforced then
+       Printf.sprintf "enforced (>= %.2fx, verdict improved): %b" gate crit_speedup
      else "skipped (recorded only)");
-  (* -- determinism: epoch barriers == merged queue == parallel domains ---- *)
+  (* -- determinism: epoch barriers == merged queue, in-process ----------- *)
   let small =
     { gcfg with
       Js_sim.Region.base =
@@ -1237,56 +1263,56 @@ let bench_scale () =
   in
   let e7 = d `Epoch 7 in
   let epoch_eq_merged = e7 = d `Merged 7 in
-  let epoch_eq_parallel = e7 = d (`Parallel 2) 7 in
-  let three_way = epoch_eq_merged && epoch_eq_parallel in
   let deterministic = e7 = d `Epoch 7 in
   Printf.printf
-    "\ncriteria: epoch == merged == parallel digest (disaster run): %b | \
-     same-seed deterministic: %b |\n\
-    \          batching digest-neutral: %b | parallel digest == epoch (fleet run): %b | \
-     parallel speedup gate: %b\n"
-    three_way deterministic batch_neutral par_digest_eq crit_par_speedup;
+    "\ncriteria: epoch == merged digest (disaster run): %b | same-seed deterministic: %b |\n\
+    \          batching digest-neutral: %b | one-CPU digest == all-CPU (fleet run): %b | \
+     speedup gate: %b\n"
+    epoch_eq_merged deterministic batch_neutral fleet_digests_equal crit_speedup;
   let b = Buffer.create 2048 in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/3\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/4\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
+  Printf.bprintf b "  \"provenance\": { %s },\n"
+    (String.concat ", "
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%S: %s" k v)
+          (provenance @ [ ("pairs", string_of_int n_pairs) ])));
   Printf.bprintf b
     "  \"fleet\": { \"regions\": %d, \"servers_per_region\": %d, \"total_servers\": %d, \
-     \"sim_seconds\": %.0f, \"events\": %d, \"events_per_sec\": %.0f, \
+     \"sim_seconds\": %.0f, \"domains\": %d, \"events\": %d, \"events_per_sec\": %.0f, \
      \"wall_seconds\": %.3f, \"wall_seconds_per_sim_hour\": %.2f, \"jump_started\": %d, \
      \"spilled\": %d },\n"
-    n_regions servers_per_region total_servers duration gs.Js_sim.Region.g_events g_eps wall
-    wall_per_hour jump_started gs.Js_sim.Region.g_spilled;
+    n_regions servers_per_region total_servers duration domains gs.Js_sim.Region.g_events g_eps
+    wall wall_per_hour jump_started gs.Js_sim.Region.g_spilled;
   Printf.bprintf b
     "  \"batching\": { \"batched_events_per_sec\": %.0f, \"unbatched_events_per_sec\": %.0f, \
      \"events_per_sec_delta_pct\": %.2f, \"digest_neutral\": %b },\n"
     g_eps nb_eps batch_delta batch_neutral;
-  let walls a = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.3f") a)) in
-  let ci_lo, ci_hi = par_cmp.Js_exp.Gate.ci in
+  let walls_json a = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.3f") a)) in
+  let ci_lo, ci_hi = cmp.Js_exp.Gate.ci in
   Printf.bprintf b
-    "  \"parallel\": { \"domains\": %d, \"host_cores\": %d, \"wall_seconds\": %.3f, \
-     \"events_per_sec\": %.0f, \"speedup_vs_epoch\": %.3f, \"ideal_speedup\": %.3f, \
-     \"speedup_gate\": %.3f, \"digest_equals_epoch\": %b, \"speedup_gate_enforced\": %b,\n\
-    \    \"pairs\": { \"n\": %d, \"epoch_wall_seconds\": [%s], \"parallel_wall_seconds\": [%s], \
+    "  \"one_cpu\": { \"domains\": %d, \"wall_seconds\": %.3f, \"speedup_vs_one_cpu\": %.3f, \
+     \"ideal_speedup\": %.3f, \"speedup_gate\": %.3f, \"digests_equal\": %b, \
+     \"speedup_gate_enforced\": %b,\n\
+    \    \"pairs\": { \"n\": %d, \"one_cpu_wall_seconds\": [%s], \"all_cpus_wall_seconds\": [%s], \
      \"wall_effect\": %.4f, \"wall_effect_ci95\": [%.4f, %.4f], \"min_effect\": %.4f, \
      \"verdict\": \"%s\" } },\n"
-    domains host_cores wall_par par_eps par_speedup ideal_speedup par_gate par_digest_eq
-    par_gate_enforced par_cmp.Js_exp.Gate.n (walls epoch_walls) (walls par_walls)
-    par_cmp.Js_exp.Gate.effect ci_lo ci_hi par_cmp.Js_exp.Gate.min_effect
-    (Js_exp.Gate.verdict_to_string par_cmp.Js_exp.Gate.verdict);
+    one_cpu_domains one_wall speedup ideal_speedup gate fleet_digests_equal gate_enforced
+    cmp.Js_exp.Gate.n (walls_json one_walls) (walls_json walls) cmp.Js_exp.Gate.effect ci_lo
+    ci_hi cmp.Js_exp.Gate.min_effect
+    (Js_exp.Gate.verdict_to_string cmp.Js_exp.Gate.verdict);
   Printf.bprintf b
-    "  \"criteria\": { \"epoch_digest_equals_merged\": %b, \"epoch_digest_equals_parallel\": %b, \
-     \"same_seed_deterministic\": %b, \"batching_digest_neutral\": %b, \
-     \"parallel_fleet_digest_equals_epoch\": %b, \"parallel_speedup_gate\": %b }\n"
-    epoch_eq_merged epoch_eq_parallel deterministic batch_neutral par_digest_eq
-    crit_par_speedup;
+    "  \"criteria\": { \"epoch_digest_equals_merged\": %b, \"same_seed_deterministic\": %b, \
+     \"batching_digest_neutral\": %b, \"one_cpu_fleet_digest_equals_all_cpus\": %b, \
+     \"speedup_gate\": %b }\n"
+    epoch_eq_merged deterministic batch_neutral fleet_digests_equal crit_speedup;
   Printf.bprintf b "}\n";
   write_artifact ~tag:"scale"
     ~default:(if quick then "BENCH_scale.quick.json" else "BENCH_scale.json")
     (Buffer.contents b);
   if
-    not
-      (three_way && deterministic && batch_neutral && par_digest_eq && crit_par_speedup)
+    not (epoch_eq_merged && deterministic && batch_neutral && fleet_digests_equal && crit_speedup)
   then begin
     prerr_endline "bench scale: acceptance criteria failed";
     exit 1
@@ -1758,13 +1784,6 @@ let () =
     | "--out" :: path :: rest ->
       out_path := Some path;
       strip_flags acc rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some d when d >= 1 -> par_domains := d
-      | _ ->
-        Printf.eprintf "--domains expects a positive integer, got %S\n" n;
-        exit 1);
-      strip_flags acc rest
     | "--seed" :: s :: rest ->
       (match int_of_string_opt s with
       | Some v -> seed_override := Some v
@@ -1789,12 +1808,11 @@ let () =
   | [] ->
     Printf.printf "HHVM Jump-Start reproduction benches (all experiments)\n";
     List.iter (fun (_, f) -> f ()) experiments
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown experiment %S; try 'list'\n" name;
-          exit 1)
-      names
+  | names -> (
+    (* reject a bad name (or a removed flag) before any experiment runs and
+       rewrites its artifact *)
+    match List.find_opt (fun name -> not (List.mem_assoc name experiments)) names with
+    | Some name ->
+      Printf.eprintf "unknown experiment %S; try 'list'\n" name;
+      exit 1
+    | None -> List.iter (fun name -> List.assoc name experiments ()) names)

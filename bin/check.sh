@@ -174,42 +174,38 @@ if grep -q '"sim.crashes"' /tmp/region_smoke.json; then
 fi
 rm -f /tmp/region_smoke.json
 
-# Parallel-mode disaster smoke test: the same region-loss scenario on two
-# OCaml domains must survive (zero crashes, spill + loss telemetry present)
-# and produce the exact digest of the sequential epoch-barrier run.
-dune exec bin/push_sim.exe -- --servers 12 --duration 300 --push-at 60 \
-  --regions 3 --spillover --spill-latency 15 --epoch 15 \
-  --lose-region 1 --lose-at 120 \
-  --mode parallel --domains 2 \
-  --telemetry json > /tmp/par_smoke.json
-grep -q '"sim.spill_out"' /tmp/par_smoke.json
-grep -q '"sim.region_lost"' /tmp/par_smoke.json
-if grep -q '"sim.crashes"' /tmp/par_smoke.json; then
-  echo "parallel smoke: unexpected crashes" >&2
+# One-CPU disaster smoke test: the barrier loop sizes itself to the CPUs the
+# process may use, so pinned to one CPU (taskset -c 0) the same region-loss
+# scenario runs on one domain.  It must survive (zero crashes, spill + loss
+# telemetry present), say it ran on one domain, and print the digest of the
+# unpinned run and of the merged run (every region on one shared queue, the
+# reference the barrier loop is checked against).
+command -v taskset > /dev/null || { echo "one-CPU smoke: taskset not found" >&2; exit 1; }
+loss_scenario="--servers 12 --duration 300 --push-at 60 --regions 3 --spillover \
+  --spill-latency 15 --epoch 15 --lose-region 1 --lose-at 120"
+taskset -c 0 dune exec bin/push_sim.exe -- $loss_scenario --telemetry json > /tmp/one_cpu_smoke.json
+grep -q '"sim.spill_out"' /tmp/one_cpu_smoke.json
+grep -q '"sim.region_lost"' /tmp/one_cpu_smoke.json
+if grep -q '"sim.crashes"' /tmp/one_cpu_smoke.json; then
+  echo "one-CPU smoke: unexpected crashes" >&2
   exit 1
 fi
-rm -f /tmp/par_smoke.json
-epoch_digest=$(dune exec bin/push_sim.exe -- --servers 12 --duration 300 --push-at 60 \
-  --regions 3 --spillover --spill-latency 15 --epoch 15 \
-  --lose-region 1 --lose-at 120 --mode epoch --digest | grep 'global digest')
-par_digest=$(dune exec bin/push_sim.exe -- --servers 12 --duration 300 --push-at 60 \
-  --regions 3 --spillover --spill-latency 15 --epoch 15 \
-  --lose-region 1 --lose-at 120 --mode parallel --domains 2 --digest | grep 'global digest')
-if [ "$epoch_digest" != "$par_digest" ]; then
-  echo "parallel smoke: digest diverged from epoch mode" >&2
-  echo "  epoch:    $epoch_digest" >&2
-  echo "  parallel: $par_digest" >&2
+rm -f /tmp/one_cpu_smoke.json
+taskset -c 0 dune exec bin/push_sim.exe -- $loss_scenario --digest > /tmp/one_cpu_smoke.out
+if ! grep -q 'epoch mode on 1 domain,' /tmp/one_cpu_smoke.out; then
+  echo "one-CPU smoke: the pinned run did not report one domain" >&2
   exit 1
 fi
-# The merged run (every region on one shared queue) is the reference the
-# barrier loop is checked against: same scenario, same digest.
-merged_digest=$(dune exec bin/push_sim.exe -- --servers 12 --duration 300 --push-at 60 \
-  --regions 3 --spillover --spill-latency 15 --epoch 15 \
-  --lose-region 1 --lose-at 120 --mode merged --digest | grep 'global digest')
-if [ "$epoch_digest" != "$merged_digest" ]; then
-  echo "merged smoke: digest diverged from epoch mode" >&2
-  echo "  epoch:  $epoch_digest" >&2
-  echo "  merged: $merged_digest" >&2
+pinned_digest=$(grep 'global digest' /tmp/one_cpu_smoke.out)
+rm -f /tmp/one_cpu_smoke.out
+epoch_digest=$(dune exec bin/push_sim.exe -- $loss_scenario --digest | grep 'global digest')
+merged_digest=$(dune exec bin/push_sim.exe -- $loss_scenario --mode merged --digest \
+  | grep 'global digest')
+if [ "$pinned_digest" != "$epoch_digest" ] || [ "$merged_digest" != "$epoch_digest" ]; then
+  echo "one-CPU smoke: digests diverged" >&2
+  echo "  pinned:   $pinned_digest" >&2
+  echo "  unpinned: $epoch_digest" >&2
+  echo "  merged:   $merged_digest" >&2
   exit 1
 fi
 
@@ -269,10 +265,12 @@ cmp /tmp/bench_churn.json BENCH_churn.json
 rm -f /tmp/bench_churn.json
 
 # Quick scale bench: a global fleet run on the barrier loop must match the
-# merged queue and the parallel run byte-for-byte, and arrival batching must
-# be digest-neutral; validates its own JSON and must emit the parallel and
-# batching sections.
+# merged queue, pinned to one CPU and on all of them, byte-for-byte, and
+# arrival batching must be digest-neutral; validates its own JSON, must emit
+# the one-CPU and batching sections, and names the commit it measured.
 dune exec bench/main.exe -- scale --quick
 test -s BENCH_scale.quick.json
-grep -q '"parallel"' BENCH_scale.quick.json
+grep -q '"schema": "jumpstart-bench-scale/4"' BENCH_scale.quick.json
+grep -q '"one_cpu"' BENCH_scale.quick.json
 grep -q '"batching"' BENCH_scale.quick.json
+grep -Eq '"commit": "[0-9a-f]{40}' BENCH_scale.quick.json

@@ -142,7 +142,7 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     diurnal_period policy no_jumpstart push_at drain_cap duration bad_rate thin_rate validation
     abort_window abort_threshold fetch_fail fetch_timeout fetch_latency stale_rate
     cross_region regions region_phase push_stagger spillover spill_latency spill_threshold
-    epoch mode domains no_batch lose_region lose_at partition_region partition_at
+    epoch mode lose_region lose_at partition_region partition_at
     partition_duration seeder_outage seed n_seeds classify show_digest telemetry_fmt =
   let dist =
     let latency_mean =
@@ -211,7 +211,8 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
     | None -> []
   in
   let gcfg =
-    { Js_sim.Region.base = cfg;
+    { Js_sim.Region.default_global_config with
+      Js_sim.Region.base = cfg;
       n_regions = regions;
       region_phase;
       push_stagger;
@@ -219,8 +220,7 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       spill_latency;
       spill_threshold;
       epoch;
-      disasters;
-      batch = not no_batch
+      disasters
     }
   in
   (* one region reads none of the multi-region flags, but a bad one is
@@ -248,15 +248,6 @@ let main servers buckets seeders warm_rps concurrency queue timeout utilization 
       | _ -> ())
   end
   else begin
-    let mode =
-      match mode with
-      | `Parallel ->
-        let d =
-          match domains with Some d -> d | None -> Domain.recommended_domain_count ()
-        in
-        `Parallel d
-      | (`Epoch | `Merged) as m -> m
-    in
     let gs =
       or_usage_error (fun () ->
           Js_sim.Region.run_global ?telemetry:tel ~mode gcfg (Lazy.force app) ~seed)
@@ -371,25 +362,12 @@ let () =
   in
   let mode =
     value
-    & opt (Arg.enum [ ("epoch", `Epoch); ("merged", `Merged); ("parallel", `Parallel) ]) `Epoch
+    & opt (Arg.enum [ ("epoch", `Epoch); ("merged", `Merged) ]) `Epoch
     & info [ "mode" ] ~docv:"MODE"
         ~doc:
-          "multi-region execution: $(b,epoch) (lockstep barriers), $(b,merged) (one shared \
-           queue) or $(b,parallel) (epoch barriers, one OCaml domain per region slice; same \
-           digests)"
-  in
-  let domains =
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "domain count for $(b,--mode parallel) (clamped to the region count; default: the \
-           machine's recommended domain count)"
-  in
-  let no_batch =
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:"disable same-burst arrival batching (digest-neutral; for A/B benching)"
+          "multi-region execution: $(b,epoch) (lockstep barriers, on as many OCaml domains as \
+           the process has CPUs for, one per region at most) or $(b,merged) (one shared queue, \
+           the reference); same digests"
   in
   let lose_region =
     value & opt (some int) None
@@ -440,7 +418,7 @@ let () =
       $ drain_cap $ duration $ bad_rate $ thin_rate $ validation $ abort_window
       $ abort_threshold $ fetch_fail $ fetch_timeout $ fetch_latency $ stale_rate $ cross_region
       $ regions $ region_phase $ push_stagger $ spillover $ spill_latency $ spill_threshold
-      $ epoch $ mode $ domains $ no_batch $ lose_region $ lose_at $ partition_region
+      $ epoch $ mode $ lose_region $ lose_at $ partition_region
       $ partition_at $ partition_duration $ seeder_outage $ seed $ n_seeds $ classify
       $ show_digest $ telemetry_arg)
   in

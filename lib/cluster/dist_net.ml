@@ -65,10 +65,10 @@ type t = {
   cfg : config;
   replicas : (int * int, Server.package list ref) Hashtbl.t;
   (* One counter shard per fetcher home region.  [fetch ~region:home] only
-     touches [shards.(home)], so when the parallel simulator runs each region
-     on its own domain every shard has a single writer and the fold in
-     [counters] — pure integer addition, commutative — reconstructs the same
-     totals a sequential run accumulates. *)
+     touches [shards.(home)], so when the simulator's barrier loop runs
+     regions on several domains every shard has a single writer and the fold
+     in [counters] — pure integer addition, commutative — reconstructs the
+     same totals a one-domain run accumulates. *)
   shards : counters array;
   (* Disaster schedules, fixed before the run starts.  Reachability is a pure
      function of simulation time, never of run order, which is what keeps

@@ -51,8 +51,8 @@ val active : config -> bool
 
     Internally the network keeps one shard per fetcher {e home} region and
     [fetch ~region:home] touches only that shard — the single-writer
-    discipline the parallel simulator relies on when regions run on separate
-    domains.  {!counters} folds the shards (commutative integer addition)
+    discipline the multi-region simulator's barrier loop relies on when its
+    regions run on separate domains.  {!counters} folds the shards (commutative integer addition)
     into a fresh snapshot, so totals are independent of region execution
     order; the returned record is a snapshot, not a live view. *)
 type counters = {

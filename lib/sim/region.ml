@@ -118,11 +118,12 @@ type stats = {
 }
 
 type global_stats = {
-  g_mode : string;  (** "epoch", "merged" or "parallel"; excluded from {!global_digest} *)
+  g_mode : string;  (** "epoch" or "merged"; excluded from {!global_digest} *)
   g_regions : stats array;
   g_latency : Stats.Quantile.t;
   g_latency_push : Stats.Quantile.t;
   g_epochs : int;
+  g_domains : int;
   g_events : int;
   g_spilled : int;
   g_net : Dist_net.counters;
@@ -813,8 +814,8 @@ let stats_of_region g reg : stats =
 
 (* After the epoch that ran region 0's push, every package a consumer can
    ever fetch has been published; touching each one's curve here — on the
-   barrier thread, before any parallel epoch resumes — makes the memo cache
-   a cache-hit-only (hence read-only) structure for the rest of the run. *)
+   calling domain, before any later epoch runs — makes the memo cache a
+   cache-hit-only (hence read-only) structure for the rest of the run. *)
 let prewarm_curves g =
   match g.seeding with
   | None -> ()
@@ -854,7 +855,7 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   let merged_eng =
     match mode with
     | `Merged -> Some (Engine.create ?telemetry ~dummy:Ev_none ())
-    | `Epoch | `Parallel _ -> None
+    | `Epoch -> None
   in
   let curves = Warmup_curve.create_cache ~horizon:cfg.curve_horizon fc.Fleet.server app in
   let demand_mu, demand_sigma = demand_params app in
@@ -983,6 +984,11 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
     regions;
   let dispatch_ev = fun _eng ev -> dispatch g ev in
   let epochs = ref 0 in
+  let domains =
+    match mode with
+    | `Merged -> 1
+    | `Epoch -> max 1 (min n_regions (Domain.recommended_domain_count ()))
+  in
   (match merged_eng with
   | Some e ->
     Engine.run e ~until:cfg.duration ~dispatch:dispatch_ev;
@@ -990,15 +996,15 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
   | None ->
     (* Lockstep epoch barriers: every region is advanced to barrier k before
        any region advances past it.  Between barriers the regions run on
-       [domains] domains, round-robin (domain i owns regions i, i+domains,
-       ...); [`Epoch] is one domain, which runs them in index order, so it
-       and [`Parallel 1] are the same run.  Three rules keep the digest
-       byte-identical to the merged queue's:
-       - on more than one domain, the epoch in which region 0's push fires
-         runs on the calling domain — seeding writes shared state (the
-         replica store, [g.seeding]) and [prewarm_curves] then freezes the
-         curve cache, so all of it is read-only for every later epoch (one
-         domain runs every epoch that way already);
+       [domains] domains — one per CPU the process may use, at most one per
+       region — round-robin (domain i owns regions i, i+domains, ...).  The
+       count moves no digest; three rules keep every run byte-identical to
+       the merged queue's:
+       - at every domain count, the epoch in which region 0's push fires
+         runs on the calling domain, regions in index order — seeding writes
+         shared state (the replica store, [g.seeding]) and [prewarm_curves]
+         then freezes the curve cache, so all of it is read-only for every
+         later epoch, and a one-domain run takes the same steps;
        - spills cross regions through per-(src, dst) mailboxes drained at the
          barrier in index order; [spill_latency >= epoch] (validated) puts
          every spill beyond the next barrier, so barrier delivery is never
@@ -1008,16 +1014,13 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
        - everything else a handler writes is region-partitioned (engine,
          RNG streams, stats, telemetry shard, dist-net counter shard) and
          the fork/join edges publish those writes between rounds. *)
-    let domains =
-      match mode with `Parallel d -> max 1 (min d n_regions) | `Epoch | `Merged -> 1
-    in
     let k = ref 1 in
     let continue = ref true in
     while !continue do
       let lo = float_of_int (!k - 1) *. gcfg.epoch in
       let b = Float.min (float_of_int !k *. gcfg.epoch) cfg.duration in
       let push_epoch = cfg.push_at <= b && (cfg.push_at > lo || !k = 1) in
-      if push_epoch && domains > 1 then begin
+      if push_epoch then begin
         Array.iter (fun reg -> Engine.run reg.eng ~until:b ~dispatch:dispatch_ev) regions;
         prewarm_curves g
       end
@@ -1065,15 +1068,12 @@ let run_global ?telemetry ?(mode = `Epoch) gcfg app ~seed =
       Stats.Quantile.merge g_latency_push reg.r_latency_push)
     regions;
   {
-    g_mode =
-      (match mode with
-      | `Merged -> "merged"
-      | `Epoch -> "epoch"
-      | `Parallel _ -> "parallel");
+    g_mode = (match mode with `Merged -> "merged" | `Epoch -> "epoch");
     g_regions = Array.map (stats_of_region g) regions;
     g_latency;
     g_latency_push;
     g_epochs = !epochs;
+    g_domains = domains;
     g_events = Array.fold_left (fun a reg -> a + reg.events) 0 regions;
     g_spilled = Array.fold_left (fun a reg -> a + reg.r_spilled_out) 0 regions;
     g_net = Dist_net.counters net;
@@ -1144,10 +1144,10 @@ let digest s =
   | None -> Buffer.add_string b "nodist;");
   Buffer.contents b
 
-(* The global digest deliberately excludes [g_mode] and [g_epochs]: an
-   epoch-barrier run and a merged run of the same seed must digest
-   identically — that equality is the determinism contract `bench scale`
-   and the qcheck property enforce. *)
+(* The global digest deliberately excludes [g_mode], [g_epochs] and
+   [g_domains]: an epoch-barrier run on any number of domains and a merged
+   run of the same seed must digest identically — that equality is the
+   determinism contract `bench scale` and the qcheck property enforce. *)
 let global_digest gs =
   let b = Buffer.create 1024 in
   Array.iter
@@ -1202,11 +1202,12 @@ let pp_global_stats fmt gs =
   let completed = Array.fold_left (fun a s -> a + s.completed) 0 gs.g_regions in
   let loss = Array.fold_left (fun a s -> a +. s.capacity_loss_integral) 0. gs.g_regions in
   Format.fprintf fmt
-    "@[<v>global (%d regions, %s mode, %d epochs): arrived=%d completed=%d \
+    "@[<v>global (%d regions, %s mode on %d domain%s, %d epochs): arrived=%d completed=%d \
      spilled=%d events=%d@,\
      capacity loss=%.0f rps*s  latency p50/p95/p99 = %.3f/%.3f/%.3f s@,%a@]"
-    (Array.length gs.g_regions) gs.g_mode gs.g_epochs arrived completed gs.g_spilled
-    gs.g_events loss
+    (Array.length gs.g_regions) gs.g_mode gs.g_domains
+    (if gs.g_domains = 1 then "" else "s")
+    gs.g_epochs arrived completed gs.g_spilled gs.g_events loss
     (q_or gs.g_latency 0.5 nan)
     (q_or gs.g_latency 0.95 nan)
     (q_or gs.g_latency 0.99 nan)

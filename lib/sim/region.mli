@@ -33,16 +33,16 @@
     seconds apart — the global push train.  {!run} is the single-region
     case.
 
-    {b Execution modes.}  [`Merged] runs every region on one shared engine —
-    a plain single event queue, trivially correct, and the reference the
-    other modes are checked against.  The barrier modes give each region
-    its own {!Engine} and advance them in lockstep to barriers
-    [k * epoch]; between barriers [`Epoch] runs the regions in index order
-    on the calling domain and [`Parallel domains] runs them on [domains]
-    concurrent OCaml domains (round-robin region assignment, clamped to
-    [\[1, n_regions\]]) — one loop, so [`Parallel 1] {e is} [`Epoch].  All
-    modes produce byte-identical {!global_digest}s for the same seed
-    because:
+    {b Execution modes.}  [`Epoch] is the product: each region has its own
+    {!Engine}, and the regions advance in lockstep to barriers
+    [k * epoch].  Between barriers they run on
+    [max 1 (min n_regions (Domain.recommended_domain_count ()))] OCaml
+    domains (regions dealt round-robin), which follows the CPUs the process
+    may use: one under [taskset -c 0], one per region on a large host.
+    [`Merged] runs every region on one shared engine — a plain single
+    event queue, trivially correct, and the oracle the barrier loop is
+    checked against.  Both modes, at any domain count, produce
+    byte-identical {!global_digest}s for the same seed because:
     {ul
     {- every event belongs to exactly one region, and a region's events are
        dispatched in the same (time, insertion) order in every mode — the
@@ -57,8 +57,9 @@
        synchronization);}
     {- seeding happens in region 0's push event, which every mode orders
        before every logically-later fetch (barrier runs execute the push's
-       whole epoch sequentially and pre-warm the shared warmup-curve cache
-       at that barrier, after which shared state is read-only).}}
+       whole epoch on the calling domain at every domain count and pre-warm
+       the shared warmup-curve cache at that barrier, after which shared
+       state is read-only).}}
 
     In barrier runs each region also gets a private telemetry shard (own
     clock — no cross-domain clock writes) merged into the caller's registry
@@ -71,6 +72,8 @@
     event dispatches it inline instead of round-tripping the heap
     ({!Engine.step_to} keeps clock/dispatch accounting identical), which
     preserves the (time, insertion) order — and therefore digests — exactly.
+    [batch = false] keeps the heap round-trip as the oracle for the fast
+    path.
 
     {b Spillover.}  When a region has no accepting servers — or its accepting
     fraction drops below [spill_threshold] — the marginal share of its
@@ -141,7 +144,7 @@ type global_config = {
   spill_latency : float;  (** cross-region forwarding latency; >= [epoch] *)
   spill_threshold : float;
       (** accepting fraction below which marginal arrivals spill, in (0,1] *)
-  epoch : float;  (** barrier interval for [`Epoch]/[`Parallel] modes, s *)
+  epoch : float;  (** barrier interval of the [`Epoch] mode, s *)
   disasters : disaster list;
   batch : bool;  (** coalesce same-burst arrivals (digest-neutral); on by default *)
 }
@@ -200,20 +203,22 @@ type stats = {
 }
 
 type global_stats = {
-  g_mode : string;
-      (** "epoch", "merged" or "parallel"; excluded from {!global_digest} *)
+  g_mode : string;  (** "epoch" or "merged"; excluded from {!global_digest} *)
   g_regions : stats array;
   g_latency : Js_util.Stats.Quantile.t;  (** all regions merged *)
   g_latency_push : Js_util.Stats.Quantile.t;
   g_epochs : int;  (** barriers executed (1 in merged mode) *)
+  g_domains : int;
+      (** domains the barrier loop ran on (1 in merged mode); excluded from
+          {!global_digest} *)
   g_events : int;  (** events dispatched across all regions *)
   g_spilled : int;  (** total cross-region spills *)
   g_net : Cluster.Dist_net.counters;  (** the shared network's counters *)
 }
 
 (** [run_global ?telemetry ?mode gcfg app ~seed] — deterministic: same
-    inputs produce identical {!global_digest}s across [`Epoch] (the
-    default), [`Merged] and [`Parallel domains] (see above).  With
+    inputs produce identical {!global_digest}s under [`Epoch] (the
+    default), on any number of CPUs, and [`Merged] (see above).  With
     [n_regions > 1] the dist-net config is widened to cover every region,
     which turns on cross-region fallback.  With [telemetry]: [sim.*] counters, boot
     spans per restart, push start/abort and region-loss marks; each sink's
@@ -228,7 +233,7 @@ type global_stats = {
     check. *)
 val run_global :
   ?telemetry:Js_telemetry.t ->
-  ?mode:[ `Epoch | `Merged | `Parallel of int ] ->
+  ?mode:[ `Epoch | `Merged ] ->
   global_config ->
   Workload.Macro_app.t ->
   seed:int ->
@@ -250,8 +255,8 @@ val digest : stats -> string
 
 (** Canonical rendering of a whole global run: every region's {!digest} plus
     merged quantiles, totals and the shared network counters.  Excludes
-    [g_mode]/[g_epochs] so epoch and merged runs of the same seed are
-    byte-identical. *)
+    [g_mode], [g_epochs] and [g_domains] so epoch and merged runs of the
+    same seed are byte-identical. *)
 val global_digest : global_stats -> string
 
 val pp_stats : Format.formatter -> stats -> unit

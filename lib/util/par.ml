@@ -14,19 +14,13 @@ let fork_join ~domains f =
   end
 
 module Mailbox = struct
-  type 'a t = { mutable items : 'a list; mutable posted : int }
+  type 'a t = { mutable items : 'a list }
 
-  let create () = { items = []; posted = 0 }
-
-  let post t x =
-    t.items <- x :: t.items;
-    t.posted <- t.posted + 1
+  let create () = { items = [] }
+  let post t x = t.items <- x :: t.items
 
   let drain t =
     let xs = List.rev t.items in
     t.items <- [];
     xs
-
-  let is_empty t = t.items = []
-  let posted t = t.posted
 end

@@ -1,14 +1,14 @@
-(** Minimal fork-join parallelism helpers for the epoch-barrier simulators.
+(** Minimal fork-join parallelism helpers for the epoch-barrier simulator.
 
     The multi-region simulator advances every region to the same [k * epoch]
-    time barrier before any region passes it.  That protocol maps onto
-    domains as a sequence of fork-join rounds: one {!fork_join} per epoch is
-    both the parallel executor and the memory barrier — everything a worker
-    domain wrote before returning happens-before everything the caller (and
-    the next round's workers) read after the join.  No locks are needed as
-    long as data is partitioned per worker within a round; cross-partition
-    traffic goes through a {!Mailbox} written during the round and drained
-    after the join. *)
+    time barrier before any region passes it, on as many domains as the
+    process has CPUs for.  That protocol maps onto domains as a sequence of
+    fork-join rounds: one {!fork_join} per epoch is both the executor and
+    the memory barrier — everything a worker domain wrote before returning
+    happens-before everything the caller (and the next round's workers) read
+    after the join.  No locks are needed as long as data is partitioned per
+    worker within a round; cross-partition traffic goes through a {!Mailbox}
+    written during the round and drained after the join. *)
 
 (** [fork_join ~domains f] runs [f 0 .. f (domains - 1)] concurrently and
     returns when all have finished.  [f 0] runs on the calling domain (so
@@ -34,9 +34,4 @@ module Mailbox : sig
   (** [drain t] returns everything posted since the last drain, oldest first,
       and empties the mailbox.  Barrier phase only. *)
   val drain : 'a t -> 'a list
-
-  val is_empty : 'a t -> bool
-
-  (** Total messages ever posted (not reset by {!drain}). *)
-  val posted : 'a t -> int
 end

@@ -828,40 +828,37 @@ let test_multiregion_epoch_equals_merged () =
   Alcotest.(check bool) "different seed differs" true
     (Region.global_digest epoch <> Region.global_digest other)
 
-let test_multiregion_parallel_equals_epoch () =
-  (* the parallel tentpole under fire: a region loss mid-push on concurrent
-     domains must reproduce the sequential epoch-barrier digest exactly, for
-     any domain count (1 = sequential replay; 4 clamps to n_regions = 3) *)
+let test_multiregion_auto_sized_epoch_equals_merged () =
+  (* the barrier loop under fire: a region loss mid-push on as many domains
+     as the process has CPUs for must reproduce the merged queue's digest
+     exactly, with zero crashes, and report the domain count it chose *)
   let gcfg =
     { (Lazy.force global_cfg) with
       Region.disasters = [ Region.Region_loss { region = 1; at = 100. } ]
     }
   in
   let app = Lazy.force small_app in
-  let e = Region.global_digest (Region.run_global ~mode:`Epoch gcfg app ~seed:5) in
-  List.iter
-    (fun domains ->
-      let p = Region.run_global ~mode:(`Parallel domains) gcfg app ~seed:5 in
-      Alcotest.(check string)
-        (Printf.sprintf "parallel(%d) digest == epoch" domains)
-        e (Region.global_digest p);
-      Array.iter
-        (fun s -> Alcotest.(check int) "zero crashes" 0 s.Region.crashes)
-        p.Region.g_regions)
-    [ 1; 2; 4 ]
+  let merged = Region.run_global ~mode:`Merged gcfg app ~seed:5 in
+  let epoch = Region.run_global ~mode:`Epoch gcfg app ~seed:5 in
+  Alcotest.(check string) "auto-sized epoch digest == merged"
+    (Region.global_digest merged) (Region.global_digest epoch);
+  Array.iter
+    (fun s -> Alcotest.(check int) "zero crashes" 0 s.Region.crashes)
+    epoch.Region.g_regions;
+  Alcotest.(check int) "domains: one per CPU, at most one per region"
+    (max 1 (min gcfg.Region.n_regions (Domain.recommended_domain_count ())))
+    epoch.Region.g_domains;
+  Alcotest.(check int) "the merged run uses one domain" 1 merged.Region.g_domains
 
 let test_multiregion_batching_digest_neutral () =
   (* arrival batching is a pure fast path: turning it off must not move a
-     single byte of the digest, in either execution mode *)
+     single byte of the digest *)
   let gcfg = Lazy.force global_cfg in
   let app = Lazy.force small_app in
   let off = { gcfg with Region.batch = false } in
   Alcotest.(check string) "epoch: batch on == off"
     (Region.global_digest (Region.run_global ~mode:`Epoch off app ~seed:11))
-    (Region.global_digest (Region.run_global ~mode:`Epoch gcfg app ~seed:11));
-  Alcotest.(check string) "parallel: batch on == off"
-    (Region.global_digest (Region.run_global ~mode:(`Parallel 2) off app ~seed:11))
-    (Region.global_digest (Region.run_global ~mode:(`Parallel 2) gcfg app ~seed:11))
+    (Region.global_digest (Region.run_global ~mode:`Epoch gcfg app ~seed:11))
 
 let test_multiregion_validates () =
   let gcfg = { (Lazy.force global_cfg) with Region.spill_latency = 5.; epoch = 20. } in
@@ -1061,8 +1058,8 @@ let () =
             test_multiregion_region_loss;
           Alcotest.test_case "epoch == merged digest" `Quick
             test_multiregion_epoch_equals_merged;
-          Alcotest.test_case "parallel == epoch digest under region loss" `Quick
-            test_multiregion_parallel_equals_epoch;
+          Alcotest.test_case "auto-sized epoch == merged (loss)" `Quick
+            test_multiregion_auto_sized_epoch_equals_merged;
           Alcotest.test_case "arrival batching digest-neutral" `Quick
             test_multiregion_batching_digest_neutral;
           Alcotest.test_case "validation" `Quick test_multiregion_validates;

@@ -533,18 +533,15 @@ let test_fork_join_reraises_after_joining_all () =
   | exception Failure msg -> Alcotest.(check string) "worker error surfaces" "slice 1 boom" msg);
   Alcotest.(check bool) "other slices completed" true (done_.(0) && done_.(2))
 
-let test_mailbox_fifo_and_counters () =
+let test_mailbox_fifo () =
   let mb = Par.Mailbox.create () in
-  Alcotest.(check bool) "fresh is empty" true (Par.Mailbox.is_empty mb);
   Alcotest.(check (list int)) "fresh drains nothing" [] (Par.Mailbox.drain mb);
   List.iter (Par.Mailbox.post mb) [ 1; 2; 3 ];
-  Alcotest.(check bool) "non-empty" false (Par.Mailbox.is_empty mb);
   Alcotest.(check (list int)) "drains oldest first" [ 1; 2; 3 ] (Par.Mailbox.drain mb);
-  Alcotest.(check bool) "drained empty" true (Par.Mailbox.is_empty mb);
+  Alcotest.(check (list int)) "drained drains nothing" [] (Par.Mailbox.drain mb);
   List.iter (Par.Mailbox.post mb) [ 4; 5 ];
   Alcotest.(check (list int)) "second round drains only new posts" [ 4; 5 ]
-    (Par.Mailbox.drain mb);
-  Alcotest.(check int) "posted counts across drains" 5 (Par.Mailbox.posted mb)
+    (Par.Mailbox.drain mb)
 
 let test_mailbox_cross_domain_round () =
   (* the intended usage: worker domains post during a fork-join round, the
@@ -650,7 +647,7 @@ let () =
           Alcotest.test_case "join is a memory barrier" `Quick test_fork_join_is_a_barrier;
           Alcotest.test_case "re-raises after joining all" `Quick
             test_fork_join_reraises_after_joining_all;
-          Alcotest.test_case "mailbox fifo + counters" `Quick test_mailbox_fifo_and_counters;
+          Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "mailbox cross-domain round" `Quick
             test_mailbox_cross_domain_round
         ] );
