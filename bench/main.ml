@@ -1176,10 +1176,11 @@ let bench_scale () =
         let one = run_in_child ~pin:taskset gcfg app ~seed in
         (one, run_in_child ~pin:false gcfg app ~seed))
   in
-  (* -- arrival batching A/B: same run with the heap round-trip restored --- *)
-  let gs_nb, wall_nb =
-    run_in_child ~pin:false { gcfg with Js_sim.Region.batch = false } app ~seed
-  in
+  (* -- arrival batching: the same run with the heap round-trip restored
+     must give the same digest.  Its speed is not compared: one unbatched
+     run against the batched median does not resolve the sign of the
+     effect at this scale. *)
+  let gs_nb, _ = run_in_child ~pin:false { gcfg with Js_sim.Region.batch = false } app ~seed in
   let gs = fst (snd pairs.(0)) in
   let one_cpu_domains = (fst (fst pairs.(0))).Js_sim.Region.g_domains in
   let domains = gs.Js_sim.Region.g_domains in
@@ -1200,13 +1201,8 @@ let bench_scale () =
   in
   Printf.printf "  jump-started %d/%d, spilled %d\n" jump_started total_servers
     gs.Js_sim.Region.g_spilled;
-  let nb_eps = float_of_int gs_nb.Js_sim.Region.g_events /. wall_nb in
   let batch_neutral = Js_sim.Region.global_digest gs_nb = epoch_digest in
-  let batch_delta = (g_eps -. nb_eps) /. nb_eps *. 100. in
-  Printf.printf
-    "\narrival batching A/B: batched %.0f events/s vs unbatched %.0f events/s (%+.1f%%), \
-     digest-neutral %b\n"
-    g_eps nb_eps batch_delta batch_neutral;
+  Printf.printf "\narrival batching: unbatched run digest-neutral %b\n" batch_neutral;
   (* -- speedup: the same run pinned to one CPU ---------------------------- *)
   let one_wall = Js_util.Stats.median one_walls in
   let fleet_digests_equal =
@@ -1271,7 +1267,7 @@ let bench_scale () =
     epoch_eq_merged deterministic batch_neutral fleet_digests_equal crit_speedup;
   let b = Buffer.create 2048 in
   Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/4\",\n";
+  Printf.bprintf b "  \"schema\": \"jumpstart-bench-scale/5\",\n";
   Printf.bprintf b "  \"quick\": %b,\n" quick;
   Printf.bprintf b "  \"provenance\": { %s },\n"
     (String.concat ", "
@@ -1285,10 +1281,7 @@ let bench_scale () =
      \"spilled\": %d },\n"
     n_regions servers_per_region total_servers duration domains gs.Js_sim.Region.g_events g_eps
     wall wall_per_hour jump_started gs.Js_sim.Region.g_spilled;
-  Printf.bprintf b
-    "  \"batching\": { \"batched_events_per_sec\": %.0f, \"unbatched_events_per_sec\": %.0f, \
-     \"events_per_sec_delta_pct\": %.2f, \"digest_neutral\": %b },\n"
-    g_eps nb_eps batch_delta batch_neutral;
+  Printf.bprintf b "  \"batching\": { \"digest_neutral\": %b },\n" batch_neutral;
   let walls_json a = String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.3f") a)) in
   let ci_lo, ci_hi = cmp.Js_exp.Gate.ci in
   Printf.bprintf b

@@ -270,7 +270,7 @@ rm -f /tmp/bench_churn.json
 # the one-CPU and batching sections, and names the commit it measured.
 dune exec bench/main.exe -- scale --quick
 test -s BENCH_scale.quick.json
-grep -q '"schema": "jumpstart-bench-scale/4"' BENCH_scale.quick.json
+grep -q '"schema": "jumpstart-bench-scale/5"' BENCH_scale.quick.json
 grep -q '"one_cpu"' BENCH_scale.quick.json
 grep -q '"batching"' BENCH_scale.quick.json
 grep -Eq '"commit": "[0-9a-f]{40}' BENCH_scale.quick.json

@@ -36,7 +36,7 @@ type site = No_cache | Meth of meth_cache | Prop of prop_cache
    probe/call sites line up), but literals are materialized once at
    translation time ([TPush] shares one immutable value across executions),
    and hot straight-line sequences are fused into superinstructions that
-   dispatch once while charging the exact per-instruction step/fuel costs of
+   dispatch once while charging one unit of fuel per source instruction of
    the sequence they replace.  Fused operands are bounds-checked against the
    frame at translation time, so only their final component can fault. *)
 type tinstr =
@@ -72,14 +72,14 @@ type tinstr =
   | TPrint
   | TRet
   (* superinstructions (L = LoadLoc, V = literal value, B = BinOp,
-     S = StoreLoc, Z = JmpZ); each counts as the w source instructions it
-     replaces.  A form is kept only while a measured input (the benchmark
-     apps, the perf macro mix, fib) executes it; DESIGN §3 has the counts. *)
+     S = StoreLoc, Z = JmpZ, G = GetProp, T = GetThis, R = Ret); each
+     counts as the w source instructions it replaces.  A form is kept only
+     while a measured input (the benchmark apps, the perf macro mix, fib)
+     executes it; DESIGN §3 has the counts. *)
   | TLVB of int * V.t * I.binop  (* local op lit;   w = 3 *)
   | TLVBS of int * V.t * I.binop * int  (* c := a op lit; w = 4 *)
   | TLVBZ of int * V.t * I.binop * int  (* if !(a op lit) jmp; w = 4 *)
   | TLRet of int  (* return local; w = 2 *)
-  (* wide forms, charged per component; G = GetProp, T = GetThis, R = Ret *)
   | TVB of V.t * I.binop  (* stacktop op lit; w = 2 *)
   | TBS of I.binop * int  (* stack binop, store; w = 2 *)
   | TBR of I.binop  (* stack binop, return; w = 2 *)
@@ -190,7 +190,6 @@ type t = {
   heap : Mh_runtime.Heap.t;
   probes : Probes.t;
   profiled : bool;  (* [probes] is not [Off] *)
-  exact : bool;  (* raw events: fuel and steps are flushed before each *)
   prop_probes : bool;  (* a probe counts or reads property accesses *)
   prop_addrs : bool;  (* a probe reads property addresses *)
   slots1 : slots1 array;  (* per function *)
@@ -198,9 +197,10 @@ type t = {
   mutable prop_cells : int ref array array;  (* tier 1: per class, by physical slot *)
   mutable acts : act array;  (* pool indexed by call depth *)
   out : Buffer.t;
+  fuel0 : int;  (* the fuel [create] was given *)
+  (* the engine's one work counter: each executed source instruction
+     spends one unit, so [fuel0 - fuel] is the steps taken *)
   mutable fuel : int;
-  mutable steps : int;
-  func_steps : int array;
   mutable depth : int;
   (* instruction index -> basic block id, per function, computed on demand *)
   block_maps : int array option array;
@@ -397,7 +397,6 @@ let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?(inline_cache = true) 
       heap;
       probes;
       profiled = (match probes with Probes.Off -> false | _ -> true);
-      exact = (match probes with Probes.Events _ -> true | _ -> false);
       prop_probes =
         (match probes with
         | Probes.Events _ | Probes.Tier1 _ | Probes.Tier2 { on_prop = Some _; _ } -> true
@@ -411,9 +410,8 @@ let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?(inline_cache = true) 
       prop_cells = [||];
       acts = [||];
       out = Buffer.create 256;
+      fuel0 = fuel;
       fuel;
-      steps = 0;
-      func_steps = Array.make (Hhbc.Repo.n_funcs repo) 0;
       depth = 0;
       block_maps = Array.make (Hhbc.Repo.n_funcs repo) None;
       block_limits = Array.make (Hhbc.Repo.n_funcs repo) None;
@@ -445,8 +443,7 @@ let create ?(probes = Probes.none) ?(fuel = 200_000_000) ?(inline_cache = true) 
 
 let repo t = t.repo
 let heap t = t.heap
-let steps t = t.steps
-let func_steps t = t.func_steps
+let steps t = t.fuel0 - t.fuel
 let output t = Buffer.contents t.out
 let cache_stats t = t.stats
 
@@ -1019,8 +1016,6 @@ let rec exec_func t fid ~this args =
        end;
        if t.fuel <= 0 then error "interpreter fuel exhausted";
        t.fuel <- t.fuel - 1;
-       t.steps <- t.steps + 1;
-       t.func_steps.(fid) <- t.func_steps.(fid) + 1;
        pc := i + 1;
        (match body.(i) with
        | I.Nop -> ()
@@ -1167,26 +1162,38 @@ let rec exec_func t fid ~this args =
   probe_exit t act;
   !result
 
+(* One source instruction's fuel, spent before it runs: the instruction
+   that would exhaust the fuel does not run and is not counted, one that
+   errors after passing the check is.  The translated loop's header and
+   each further component of a fused form charge through this, in source
+   order, so every fuel level truncates execution where the reference
+   loop's own check does. *)
+let[@inline] charge t =
+  if t.fuel <= 0 then error "interpreter fuel exhausted";
+  t.fuel <- t.fuel - 1
+
+(* A property read off a known object, through the site cache at [pc]. *)
+let getprop_obj t site_arr pc handle nid =
+  let cid = Mh_runtime.Heap.class_of t.heap handle in
+  match resolve_slot_cached t site_arr pc cid nid with
+  | None -> undefined_prop t cid nid
+  | Some slot ->
+    if t.prop_probes then probe_slot t cid nid handle slot ~write:false;
+    Mh_runtime.Heap.get_slot t.heap handle slot
+
 (* The cached execution loop.  Semantically identical to [exec_func] (same
-   results, same probe streams, same step/fuel accounting at every observable
-   point), restructured for speed:
+   results, same probe streams, same fuel spent at every observable point),
+   restructured for speed:
 
    - runs each basic block as a straight line using the precomputed
      [block_limits] bound, so block-boundary probing happens once per block
      entry instead of once per instruction;
-   - batches fuel/step accounting in locals ([rem] = fuel snapshot, [acc] =
-     instructions since last flush) and flushes to the engine fields before
-     anything that can observe them: raw probe-event callbacks, recursive
-     calls, errors and function exit.  The erroring instruction is counted (it decremented
-     [rem] before executing), the fuel-exhausting one is not (checked before
-     the decrement) — exactly the seed loop's accounting;
    - dispatches CallMethod through the per-site method cache, GetProp/SetProp
      through the per-site slot cache plus the heap's direct slot fast path;
    - reuses pooled call frames (locals + operand stack) per call depth.
 
    When the engine has no probes attached, the probe points are skipped
-   entirely; the product recorders' slots observe no fuel or steps, so only
-   raw events flush before they fire. *)
+   entirely.  An activation allocates no closure. *)
 let rec exec_fast t fid ~this args =
   let f = Hhbc.Repo.func t.repo fid in
   if Array.length args <> f.Hhbc.Func.n_params then
@@ -1208,40 +1215,6 @@ let rec exec_fast t fid ~this args =
   let blim = block_limit t fid in
   let site_arr = sites t fid (Array.length tcode) in
   let result = ref V.Null in
-  let rem = ref t.fuel in
-  let acc = ref 0 in
-  let flush () =
-    t.fuel <- !rem;
-    t.steps <- t.steps + !acc;
-    t.func_steps.(fid) <- t.func_steps.(fid) + !acc;
-    acc := 0
-  in
-  (* one source instruction's worth of fuel/step accounting, exactly the
-     inner-loop header: the instruction that would exhaust the fuel is not
-     counted, an instruction that errors after passing the check is.  The
-     wide-form arms charge per component with this instead of the bulk
-     charge + rollback the narrow superinstructions use. *)
-  let charge1 () =
-    if !rem <= 0 then begin
-      flush ();
-      error "interpreter fuel exhausted"
-    end;
-    rem := !rem - 1;
-    acc := !acc + 1
-  in
-  (* property read off a known object, with the same site cache and
-     probe as the 1:1 TGetProp arm *)
-  let getprop_obj handle site nid =
-    let cid = Mh_runtime.Heap.class_of t.heap handle in
-    match resolve_slot_cached t site_arr site cid nid with
-    | None -> undefined_prop t cid nid
-    | Some slot ->
-      if t.prop_probes then begin
-        if t.exact then flush ();
-        probe_slot t cid nid handle slot ~write:false
-      end;
-      Mh_runtime.Heap.get_slot t.heap handle slot
-  in
   let pc = ref 0 in
   let prev_block = ref (-1) in
   let refire = ref false in
@@ -1252,7 +1225,6 @@ let rec exec_fast t fid ~this args =
        if has_probes then begin
          let bb = bmap.(bstart) in
          if bb <> !prev_block || !refire then begin
-           if t.exact then flush ();
            probe_block t act ~prev:!prev_block bb;
            prev_block := bb;
            refire := false
@@ -1264,12 +1236,7 @@ let rec exec_fast t fid ~this args =
        let br = ref false in
        while (not !br) && !running && !pc < limit do
          let i = !pc in
-         if !rem <= 0 then begin
-           flush ();
-           error "interpreter fuel exhausted"
-         end;
-         rem := !rem - 1;
-         acc := !acc + 1;
+         charge t;
          pc := i + 1;
          match tcode.(i) with
          | TNop -> ()
@@ -1305,10 +1272,8 @@ let rec exec_fast t fid ~this args =
            end
          | TCall (callee, n) ->
            let args = pop_n st n in
-           flush ();
            if has_probes then probe_call t act ~site:i ~msite:false ~callee;
-           push st (exec_fast t callee ~this:None args);
-           rem := t.fuel
+           push st (exec_fast t callee ~this:None args)
          | TCallMethod (nid, n) ->
            let args = pop_n st n in
            let recv = pop st in
@@ -1320,20 +1285,16 @@ let rec exec_fast t fid ~this args =
                error "call to undefined method %s::%s"
                  (Hhbc.Repo.cls t.repo cid).Hhbc.Class_def.name (Hhbc.Repo.name t.repo nid)
              | Some callee ->
-               flush ();
                if has_probes then probe_call t act ~site:i ~msite:true ~callee;
-               push st (exec_fast t callee ~this:(Some handle) args);
-               rem := t.fuel)
+               push st (exec_fast t callee ~this:(Some handle) args))
            | v -> error "method call on non-object (%s)" (V.tag_to_string (V.tag v)))
          | TNew (cid, n) ->
            let args = pop_n st n in
            let handle = Mh_runtime.Heap.alloc t.heap cid in
            (match Hhbc.Repo.ctor_of t.repo cid with
            | Some ctor ->
-             flush ();
              if has_probes then probe_call t act ~site:i ~msite:true ~callee:ctor;
-             ignore (exec_fast t ctor ~this:(Some handle) args);
-             rem := t.fuel
+             ignore (exec_fast t ctor ~this:(Some handle) args)
            | None ->
              if n > 0 then
                error "class %s has no constructor but %d arguments were given"
@@ -1345,16 +1306,7 @@ let rec exec_fast t fid ~this args =
            | None -> error "$this used outside of a method call")
          | TGetProp nid -> (
            match pop st with
-           | V.Obj handle -> (
-             let cid = Mh_runtime.Heap.class_of t.heap handle in
-             match resolve_slot_cached t site_arr i cid nid with
-             | None -> undefined_prop t cid nid
-             | Some slot ->
-               if t.prop_probes then begin
-                 if t.exact then flush ();
-                 probe_slot t cid nid handle slot ~write:false
-               end;
-               push st (Mh_runtime.Heap.get_slot t.heap handle slot))
+           | V.Obj handle -> push st (getprop_obj t site_arr i handle nid)
            | v -> error "property access on non-object (%s)" (V.tag_to_string (V.tag v)))
          | TSetProp nid -> (
            let v = pop st in
@@ -1364,10 +1316,7 @@ let rec exec_fast t fid ~this args =
              match resolve_slot_cached t site_arr i cid nid with
              | None -> undefined_prop t cid nid
              | Some slot ->
-               if t.prop_probes then begin
-                 if t.exact then flush ();
-                 probe_slot t cid nid handle slot ~write:true
-               end;
+               if t.prop_probes then probe_slot t cid nid handle slot ~write:true;
                Mh_runtime.Heap.set_slot t.heap handle slot v)
            | r -> error "property write on non-object (%s)" (V.tag_to_string (V.tag r)))
          | TNewVec n -> push st (V.Vec (ref (pop_n st n)))
@@ -1427,74 +1376,28 @@ let rec exec_fast t fid ~this args =
            result := pop st;
            running := false
          (* --- superinstructions ---
-            Each charges the exact step/fuel cost of the w source
-            instructions it replaces.  The loop header above already consumed
-            one unit for the first component, so an arm of width w needs
-            w - 1 more; when fewer remain, it counts exactly the components
-            the remaining fuel covers (running any binop that would have
-            executed — and possibly raised — before the fuel ran out) and
-            reports exhaustion, matching the uncached loop step for step. *)
+            The header above charged the first component; each arm charges
+            every further one just before it would run, so a component
+            that errors is counted and the one the fuel cannot cover is
+            not, step for step as in the reference loop. *)
          | TLVB (a, v, op) ->
-           if !rem < 2 then begin
-             acc := !acc + !rem;
-             rem := 0;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 2;
-           acc := !acc + 2;
+           charge t;
+           charge t;
            pc := i + 3;
            push st (binop_fast op locals.(a) v)
          | TLVBS (a, v, op, c) ->
-           if !rem < 3 then begin
-             if !rem = 2 then begin
-               acc := !acc + 2;
-               rem := 0;
-               ignore (binop_fast op locals.(a) v)
-             end
-             else begin
-               acc := !acc + !rem;
-               rem := 0
-             end;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 3;
-           acc := !acc + 3;
+           charge t;
+           charge t;
+           let r = binop_fast op locals.(a) v in
+           charge t;
            pc := i + 4;
-           let r =
-             try binop_fast op locals.(a) v
-             with e ->
-               (* the store after the raising binop never executed *)
-               acc := !acc - 1;
-               rem := !rem + 1;
-               raise e
-           in
            locals.(c) <- r
          | TLVBZ (a, v, op, target) ->
-           if !rem < 3 then begin
-             if !rem = 2 then begin
-               acc := !acc + 2;
-               rem := 0;
-               ignore (binop_fast op locals.(a) v)
-             end
-             else begin
-               acc := !acc + !rem;
-               rem := 0
-             end;
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 3;
-           acc := !acc + 3;
+           charge t;
+           charge t;
+           let r = binop_fast op locals.(a) v in
+           charge t;
            pc := i + 4;
-           let r =
-             try binop_fast op locals.(a) v
-             with e ->
-               acc := !acc - 1;
-               rem := !rem + 1;
-               raise e
-           in
            if not (V.truthy r) then begin
              pc := target;
              (* the JmpZ lives at i + 3 *)
@@ -1502,21 +1405,11 @@ let rec exec_fast t fid ~this args =
              br := true
            end
          | TLRet a ->
-           if !rem < 1 then begin
-             flush ();
-             error "interpreter fuel exhausted"
-           end;
-           rem := !rem - 1;
-           acc := !acc + 1;
+           charge t;
            result := locals.(a);
            running := false
-         (* --- wide-form arms ---
-            These charge per source component with [charge1], which is
-            exactly equivalent to the bulk-charge scheme above: a component
-            that errors is charged, the component that would exhaust the
-            fuel is not. *)
          | TVB (v, op) ->
-           charge1 ();
+           charge t;
            let a = pop st in
            pc := i + 2;
            push st (binop_fast op a v)
@@ -1524,28 +1417,28 @@ let rec exec_fast t fid ~this args =
            let b = pop st in
            let a = pop st in
            let r = binop_fast op a b in
-           charge1 ();
+           charge t;
            pc := i + 2;
            locals.(d) <- r
          | TBR op ->
            let b = pop st in
            let a = pop st in
            let r = binop_fast op a b in
-           charge1 ();
+           charge t;
            result := r;
            running := false
          | TVBS (v, op, d) ->
-           charge1 ();
+           charge t;
            let a = pop st in
            let r = binop_fast op a v in
-           charge1 ();
+           charge t;
            pc := i + 3;
            locals.(d) <- r
          | TVBZ (v, op, target) ->
-           charge1 ();
+           charge t;
            let a = pop st in
            let r = binop_fast op a v in
-           charge1 ();
+           charge t;
            pc := i + 3;
            if not (V.truthy r) then begin
              pc := target;
@@ -1554,36 +1447,36 @@ let rec exec_fast t fid ~this args =
              br := true
            end
          | TLVBR (a, v, op) ->
-           charge1 ();
-           charge1 ();
+           charge t;
+           charge t;
            let r = binop_fast op locals.(a) v in
-           charge1 ();
+           charge t;
            result := r;
            running := false
          | TLLGPBS (a, o, p, op, d) -> (
-           charge1 ();
-           charge1 ();
+           charge t;
+           charge t;
            match locals.(o) with
            | V.Obj handle ->
-             let pv = getprop_obj handle (i + 2) p in
-             charge1 ();
+             let pv = getprop_obj t site_arr (i + 2) handle p in
+             charge t;
              let r = binop_fast op locals.(a) pv in
-             charge1 ();
+             charge t;
              pc := i + 5;
              locals.(d) <- r
            | v -> error "property access on non-object (%s)" (V.tag_to_string (V.tag v)))
          | TLLGPBLBS (a, o, p, op1, c, op2, d) -> (
-           charge1 ();
-           charge1 ();
+           charge t;
+           charge t;
            match locals.(o) with
            | V.Obj handle ->
-             let pv = getprop_obj handle (i + 2) p in
-             charge1 ();
+             let pv = getprop_obj t site_arr (i + 2) handle p in
+             charge t;
              let r1 = binop_fast op1 locals.(a) pv in
-             charge1 ();
-             charge1 ();
+             charge t;
+             charge t;
              let r2 = binop_fast op2 r1 locals.(c) in
-             charge1 ();
+             charge t;
              pc := i + 7;
              locals.(d) <- r2
            | v -> error "property access on non-object (%s)" (V.tag_to_string (V.tag v)))
@@ -1591,40 +1484,38 @@ let rec exec_fast t fid ~this args =
            match this with
            | None -> error "$this used outside of a method call"
            | Some handle ->
-             charge1 ();
-             let pv = getprop_obj handle (i + 1) p in
-             charge1 ();
-             charge1 ();
-             charge1 ();
+             charge t;
+             let pv = getprop_obj t site_arr (i + 1) handle p in
+             charge t;
+             charge t;
+             charge t;
              let r1 = binop_fast op1 locals.(x) v in
-             charge1 ();
+             charge t;
              let r2 = binop_fast op2 pv r1 in
-             charge1 ();
+             charge t;
              pc := i + 7;
              locals.(d) <- r2)
          | TLGTGPVBBR (a, p, v, op1, op2) -> (
-           charge1 ();
+           charge t;
            match this with
            | None -> error "$this used outside of a method call"
            | Some handle ->
-             charge1 ();
-             let pv = getprop_obj handle (i + 2) p in
-             charge1 ();
-             charge1 ();
+             charge t;
+             let pv = getprop_obj t site_arr (i + 2) handle p in
+             charge t;
+             charge t;
              let r1 = binop_fast op1 pv v in
-             charge1 ();
+             charge t;
              let r2 = binop_fast op2 locals.(a) r1 in
-             charge1 ();
+             charge t;
              result := r2;
              running := false)
        done
      done
    with e ->
-     if !acc > 0 then flush ();
      t.depth <- t.depth - 1;
      if has_probes then probe_exit t act;
      raise e);
-  flush ();
   t.depth <- t.depth - 1;
   if has_probes then probe_exit t act;
   !result

@@ -2,10 +2,9 @@
 
     This is the VM's semantic ground truth: JIT translations in this
     reproduction are performance/layout artifacts, while actual execution
-    always flows through here.  The interpreter counts executed instructions
-    per function so the VM layer can convert work into simulated cycles under
-    whichever execution mode (interp / live / profiling / optimized) covers
-    each function.
+    always flows through here.  Its one work counter is its fuel: each
+    executed source instruction spends one unit, and {!steps} is the fuel
+    spent.
 
     Profiling runs inside the loops, as HHVM makes counter bumps
     instructions of its translations ({!Probes}).  On a function's first
@@ -16,8 +15,7 @@
     its last vasm block, so a call decides in place whether the callee runs
     inlined, after the site's slow path, or in its own translation, and an
     inlined activation's return (normal or on error) is an arc back into
-    its caller's block.  Only raw {!Probes.Events} call closures, with fuel
-    and steps flushed before each. *)
+    its caller's block.  Only raw {!Probes.Events} call closures. *)
 
 (** Raised on dynamic errors: undefined method, bad operand types,
     out-of-bounds vec access, stack overflow, fuel exhaustion.  It is
@@ -63,7 +61,7 @@ type cache_stats = {
       oracle the translated loop is tested against, and what
       [--no-inline-cache] runs.
 
-    Both loops give the same results, echo output, step/fuel accounting and
+    Both loops give the same results, echo output, fuel spent and
     profiles (raw event streams, tier-1 counters, tier-2 counts and
     machine-event streams), at every fuel level.  [~typed:false] is a
     synonym for [~inline_cache:false]. *)
@@ -79,12 +77,9 @@ val create :
 val repo : t -> Hhbc.Repo.t
 val heap : t -> Mh_runtime.Heap.t
 
-(** Total instructions executed so far. *)
+(** Total instructions executed so far: the fuel spent, live at every
+    point, probe callbacks included. *)
 val steps : t -> int
-
-(** Per-function executed-instruction counts (indexed by fid); shared array,
-    live-updated. *)
-val func_steps : t -> int array
 
 (** Everything printed by [echo] so far. *)
 val output : t -> string

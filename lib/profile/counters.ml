@@ -41,8 +41,6 @@ module Row = struct
       c
     end
 
-  let bump r key = incr (cell r key)
-
   let add r key c =
     let cell = cell r key in
     cell := !cell + c
@@ -90,9 +88,9 @@ let create repo =
     total_entries = ref 0;
   }
 
-(* Recording is total on ids beyond the repo (a forged profile's, which
-   [deserialize] then rejects): the per-index tables below grow to cover
-   them.  Ids are never negative. *)
+(* Recording and import are total on ids beyond the repo (a forged
+   profile's, which [deserialize] then rejects): the per-index tables below
+   grow to cover them.  Ids are never negative. *)
 let grown a i fresh =
   if i < 0 then invalid_arg "Counters: negative id";
   let n = Array.length a in
@@ -108,18 +106,12 @@ let block_array t fid =
     t.blocks.(fid) <- Some a;
     a
 
-let record_block t fid bb =
-  let a = block_array t fid in
-  a.(bb) <- a.(bb) + 1
-
 let arc_row t fid src =
   if src >= Array.length t.arcs.(fid) then begin
     let n_blocks = Array.length (Hhbc.Func.basic_blocks (Hhbc.Repo.func t.repo fid)) in
     t.arcs.(fid) <- grown t.arcs.(fid) (max src (n_blocks - 1)) Row.create
   end;
   t.arcs.(fid).(src)
-
-let record_arc t fid ~src ~dst = Row.bump (arc_row t fid src) dst
 
 let site_row t fid site =
   if fid >= Array.length t.sites then t.sites <- grown t.sites fid (fun () -> [||]);
@@ -141,10 +133,6 @@ let cg_row t caller =
   if caller >= Array.length t.cg then t.cg <- grown t.cg caller Row.create;
   t.cg.(caller)
 
-let record_call t ~caller ~site ~callee =
-  Row.bump (site_row t caller site) callee;
-  Row.bump (cg_row t caller) callee
-
 let record_unit_load t uid =
   if uid >= Array.length t.touched then t.touched <- grown t.touched uid (fun () -> false);
   if not t.touched.(uid) then begin
@@ -152,16 +140,9 @@ let record_unit_load t uid =
     t.touched_units_rev <- uid :: t.touched_units_rev
   end
 
-let record_func_entry t fid =
-  incr t.entries.(fid);
-  incr t.total_entries;
-  record_unit_load t (Hhbc.Repo.func t.repo fid).Hhbc.Func.unit_id
-
 let prop_row t cid =
   if cid >= Array.length t.props then t.props <- grown t.props cid Row.create;
   t.props.(cid)
-
-let record_prop_access t cid nid = Row.bump (prop_row t cid) nid
 
 let recorder t =
   {

@@ -25,23 +25,21 @@ val create : Hhbc.Repo.t -> t
    Every table is dense and indexed by function, source block, call site,
    class or unit, and every count is a cell.  The interpreter records
    through {!recorder} (normally via {!Collector}): it resolves each cell
-   once and then bumps it itself.  The [record_*] functions make one event
-   by hand.  Arcs, calls, property accesses and unit loads are total on
-   (non-negative) ids beyond the repo: they are kept, so that a forged
-   profile serializes and {!deserialize} rejects it. *)
+   once and then bumps it itself.  Arcs, calls, property accesses and unit
+   loads, recorded or imported, are total on (non-negative) ids beyond the
+   repo: they are kept, so that a forged profile serializes and
+   {!deserialize} rejects it. *)
 
 (** The cells the interpreter's loop bumps: a function's block counters
     and entry count (resolving them marks the function's unit touched),
     and the counter of each arc, call site and callee, and class
     property.  Recording through it gives the counters, and the bytes,
-    that the [record_*] calls of the same events would. *)
+    that the event-driven reference recorder in [test/probe_ref.ml] gives
+    for the same events. *)
 val recorder : t -> Interp.Probes.tier1
 
-val record_block : t -> Hhbc.Instr.fid -> int -> unit
-val record_arc : t -> Hhbc.Instr.fid -> src:int -> dst:int -> unit
-val record_call : t -> caller:Hhbc.Instr.fid -> site:int -> callee:Hhbc.Instr.fid -> unit
-val record_func_entry : t -> Hhbc.Instr.fid -> unit
-val record_prop_access : t -> Hhbc.Instr.cid -> Hhbc.Instr.nid -> unit
+(** [record_unit_load t uid] marks unit [uid] touched, in first-touch
+    order. *)
 val record_unit_load : t -> int -> unit
 
 (* --- bulk import (stale-profile transfer) ---
@@ -55,9 +53,9 @@ val import_block_counts : t -> Hhbc.Instr.fid -> int array -> unit
 
 val import_arc : t -> Hhbc.Instr.fid -> src:int -> dst:int -> int -> unit
 
-(** [import_call] adds to the per-site target table only; unlike
-    {!record_call} it does {e not} touch the call graph (the transfer moves
-    the call-graph section independently). *)
+(** [import_call] adds to the per-site target table only; it does {e not}
+    touch the call graph, which {!import_cg} writes (the transfer moves the
+    call-graph section independently). *)
 val import_call :
   t -> caller:Hhbc.Instr.fid -> site:int -> callee:Hhbc.Instr.fid -> int -> unit
 

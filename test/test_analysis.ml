@@ -255,7 +255,7 @@ let test_props_nid_checked () =
      die at decode, not alias another name at consumer time *)
   let repo = compile_example "shapes.mh" shapes_src in
   let counters = Jit_profile.Counters.create repo in
-  Jit_profile.Counters.record_prop_access counters 0 (Hhbc.Repo.n_names repo + 5);
+  Jit_profile.Counters.import_prop counters 0 (Hhbc.Repo.n_names repo + 5) 1;
   let w = B.Writer.create () in
   Jit_profile.Counters.serialize counters w;
   match
@@ -265,14 +265,20 @@ let test_props_nid_checked () =
   | exception B.Corrupt msg ->
     Alcotest.(check bool) "names the field" true (contains ~affix:"name id" msg)
 
-(* Recording stays total on ids beyond the repo, whichever table they land
-   in; the forged counters serialize, and decode names what is wrong. *)
+(* Import and recording stay total on ids beyond the repo, whichever table
+   they land in; the forged counters serialize, and decode names what is
+   wrong. *)
 let test_counters_total_on_forged_ids () =
   let repo = compile_example "shapes.mh" shapes_src in
   let n_funcs = Hhbc.Repo.n_funcs repo in
   let n_blocks = Array.length (F.basic_blocks (Hhbc.Repo.func repo 0)) in
   let body_len = Array.length (Hhbc.Repo.func repo 0).F.body in
   let module C = Jit_profile.Counters in
+  (* one call: the site's target row and the call-graph row *)
+  let call c ~caller ~site ~callee =
+    C.import_call c ~caller ~site ~callee 1;
+    C.import_cg c ~caller ~callee 1
+  in
   List.iter
     (fun (what, affix, forge) ->
       let counters = C.create repo in
@@ -283,14 +289,12 @@ let test_counters_total_on_forged_ids () =
       | _ -> Alcotest.failf "%s accepted" what
       | exception B.Corrupt msg ->
         Alcotest.(check bool) (what ^ " named") true (contains ~affix msg))
-    [ ("arc source", "arc endpoint", fun c -> C.record_arc c 0 ~src:(n_blocks + 3) ~dst:0);
-      ("arc destination", "arc endpoint", fun c -> C.record_arc c 0 ~src:0 ~dst:(n_blocks + 3));
-      ("call site", "call site", fun c -> C.record_call c ~caller:0 ~site:(body_len + 3) ~callee:0);
-      ("callee", "function id", fun c -> C.record_call c ~caller:0 ~site:0 ~callee:(n_funcs + 3));
-      ("caller", "function id", fun c -> C.record_call c ~caller:(n_funcs + 3) ~site:0 ~callee:0);
-      ( "class",
-        "class id",
-        fun c -> C.record_prop_access c (Hhbc.Repo.n_classes repo + 3) 0 );
+    [ ("arc source", "arc endpoint", fun c -> C.import_arc c 0 ~src:(n_blocks + 3) ~dst:0 1);
+      ("arc destination", "arc endpoint", fun c -> C.import_arc c 0 ~src:0 ~dst:(n_blocks + 3) 1);
+      ("call site", "call site", fun c -> call c ~caller:0 ~site:(body_len + 3) ~callee:0);
+      ("callee", "function id", fun c -> call c ~caller:0 ~site:0 ~callee:(n_funcs + 3));
+      ("caller", "function id", fun c -> call c ~caller:(n_funcs + 3) ~site:0 ~callee:0);
+      ("class", "class id", fun c -> C.import_prop c (Hhbc.Repo.n_classes repo + 3) 0 1);
       ("unit", "unit id", fun c -> C.record_unit_load c (Hhbc.Repo.n_units repo + 3))
     ]
 
@@ -315,7 +319,7 @@ let test_package_check_codes () =
   let fid = find_fid_with_blocks repo ~min_blocks:2 in
   let last = Array.length (F.basic_blocks (Hhbc.Repo.func repo fid)) - 1 in
   let bad = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_arc bad.JS.Package.counters fid ~src:last ~dst:last;
+  Jit_profile.Counters.import_arc bad.JS.Package.counters fid ~src:last ~dst:last 1;
   expect_error "phantom arc" "P303" (JS.Package_check.check repo bad);
   (* P306/P307: malformed placement and preload lists *)
   let dup = { pkg with JS.Package.func_order = [| 0; 0 |] } in
@@ -335,7 +339,7 @@ let test_consumer_rejects_inconsistent_package () =
   let fid = find_fid_with_blocks repo ~min_blocks:2 in
   let last = Array.length (F.basic_blocks (Hhbc.Repo.func repo fid)) - 1 in
   let bad = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_arc bad.JS.Package.counters fid ~src:last ~dst:last;
+  Jit_profile.Counters.import_arc bad.JS.Package.counters fid ~src:last ~dst:last 1;
   let bytes = JS.Package.to_bytes bad in
   (match JS.Package.of_bytes repo bytes with
   | Ok _ -> ()
@@ -380,7 +384,7 @@ let test_seeder_rejects_inconsistent_rebuild () =
   let fid = find_fid_with_blocks repo ~min_blocks:2 in
   let last = Array.length (F.basic_blocks (Hhbc.Repo.func repo fid)) - 1 in
   let bad = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_arc bad.JS.Package.counters fid ~src:last ~dst:last;
+  Jit_profile.Counters.import_arc bad.JS.Package.counters fid ~src:last ~dst:last 1;
   match JS.Package_check.result repo bad with
   | Ok () -> Alcotest.fail "consistency pass missed the phantom arc"
   | Error msg ->
@@ -638,7 +642,7 @@ let test_feasibility_gate_codes () =
   let fid = find_func repo "gate" in
   let src, dst = infeasible_edge repo fid in
   let bad = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_arc bad.JS.Package.counters fid ~src ~dst;
+  Jit_profile.Counters.import_arc bad.JS.Package.counters fid ~src ~dst 1;
   let diags = JS.Package_check.check repo bad in
   expect_error "arc on infeasible edge" "P320" diags;
   Alcotest.(check bool) "P320 names the infeasibility" true
@@ -647,7 +651,10 @@ let test_feasibility_gate_codes () =
        diags);
   let dead = unreachable_block repo fid in
   let bad2 = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_block bad2.JS.Package.counters fid dead;
+  let counters = bad2.JS.Package.counters in
+  let blocks = Option.get (Jit_profile.Counters.block_counts counters fid) in
+  blocks.(dead) <- blocks.(dead) + 1;
+  Jit_profile.Counters.import_block_counts counters fid blocks;
   expect_error "count in dataflow-dead block" "P321" (JS.Package_check.check repo bad2)
 
 (* Acceptance: a profile claiming an execution the analysis proves impossible
@@ -661,7 +668,7 @@ let test_consumer_rejects_infeasible_arc () =
   let fid = find_func repo "gate" in
   let src, dst = infeasible_edge repo fid in
   let bad = { pkg with JS.Package.counters = Jit_profile.Counters.copy pkg.JS.Package.counters } in
-  Jit_profile.Counters.record_arc bad.JS.Package.counters fid ~src ~dst;
+  Jit_profile.Counters.import_arc bad.JS.Package.counters fid ~src ~dst 1;
   (* the stable code reaches the seeder/consumer result message *)
   (match JS.Package_check.result repo bad with
   | Ok () -> Alcotest.fail "consistency pass missed the infeasible arc"

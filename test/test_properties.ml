@@ -836,9 +836,9 @@ let prop_interp_deterministic =
 (* The tentpole invariant of the inline-cache fast path: caching is pure
    memoization, so a cached run of ANY generated program must be
    observationally identical to the uncached reference loop — same request
-   results, same echo output, same global and per-function instruction
-   counts, and the same ordered stream of block/arc/call/entry/exit/prop
-   probe events. *)
+   results, same echo output, same instruction count, and the same ordered
+   stream of block/arc/call/entry/exit/prop probe events, each with the
+   instruction count it sees. *)
 type probe_event =
   | Block of int * int
   | Arc of int * int * int
@@ -849,22 +849,27 @@ type probe_event =
 
 let trace_requests app ~layouts ~inline_cache ~seed ~n =
   let repo = app.Workload.Codegen.repo in
+  let traced = ref None in
   let events = ref [] in
+  let record e =
+    let steps = match !traced with Some engine -> Interp.Engine.steps engine | None -> -1 in
+    events := (steps, e) :: !events
+  in
   let probes =
     Interp.Probes.Events
       {
-        on_block = (fun fid bb -> events := Block (fid, bb) :: !events);
-        on_arc = (fun fid ~src ~dst -> events := Arc (fid, src, dst) :: !events);
-        on_call =
-          (fun ~caller ~site ~callee -> events := Call_site (caller, site, callee) :: !events);
-        on_func_entry = (fun fid -> events := Entry fid :: !events);
-        on_func_exit = (fun fid -> events := Exit fid :: !events);
-        on_prop_access =
-          (fun cid nid ~addr ~write -> events := Prop (cid, nid, addr, write) :: !events);
+        on_block = (fun fid bb -> record (Block (fid, bb)));
+        on_arc = (fun fid ~src ~dst -> record (Arc (fid, src, dst)));
+        on_call = (fun ~caller ~site ~callee -> record (Call_site (caller, site, callee)));
+        on_func_entry = (fun fid -> record (Entry fid));
+        on_func_exit = (fun fid -> record (Exit fid));
+        on_prop_access = (fun cid nid ~addr ~write -> record (Prop (cid, nid, addr, write)));
       }
   in
   let engine =
-    Interp.Engine.create ~probes ~inline_cache repo (Mh_runtime.Heap.create repo layouts)
+    let e = Interp.Engine.create ~probes ~inline_cache repo (Mh_runtime.Heap.create repo layouts) in
+    traced := Some e;
+    e
   in
   let rng = Js_util.Rng.create seed in
   let mix = Workload.Request.uniform_mix app in
@@ -874,7 +879,6 @@ let trace_requests app ~layouts ~inline_cache ~seed ~n =
   ( results,
     Interp.Engine.output engine,
     Interp.Engine.steps engine,
-    Array.copy (Interp.Engine.func_steps engine),
     List.rev !events )
 
 (* A generated tiny app under [app_seed], churned at [rate] (0 leaves the
