@@ -25,22 +25,15 @@ OCAMLRUNPARAM=R dune exec bench/main.exe -- ablation-layout > /tmp/ablation_layo
 cmp /tmp/ablation_layout.out /tmp/ablation_layout_r.out
 rm -f /tmp/ablation_layout.out /tmp/ablation_layout_r.out
 
-# Static verification gate: every example program and the synthetic
-# codegen app must pass the bytecode verifier with zero error-severity
-# diagnostics (the verify subcommand exits 3 otherwise).
+# Static verification gate: every example program and both synthetic
+# codegen apps (the default one is what seed-boot, serve and push boot)
+# must pass the bytecode verifier with zero error-severity diagnostics (the
+# verify subcommand exits 3 otherwise).
 for f in examples/*.mh; do
   dune exec bin/minihack_run.exe -- verify "$f" > /dev/null
 done
 dune exec bin/minihack_run.exe -- verify --codegen tiny > /dev/null
-
-# Dataflow analysis gate: the same corpus must come through the full
-# analysis (type state, constant propagation, liveness) with zero
-# error-severity A4xx/V1xx diagnostics (the analyze subcommand exits 3
-# otherwise; warnings are allowed).
-for f in examples/*.mh; do
-  dune exec bin/minihack_run.exe -- analyze "$f" > /dev/null
-done
-dune exec bin/minihack_run.exe -- analyze --codegen tiny > /dev/null
+dune exec bin/minihack_run.exe -- verify --codegen default > /dev/null
 
 # Package tool: collect a package, then inspect, verify and replay it (each
 # exits 0).  Verifying it against another program's repo, or verifying a

@@ -137,37 +137,6 @@ let verify_cmd =
           against a program's repo (exit 4 on error diagnostics)")
     Term.(const action $ package_pos 0 $ source_pos 1)
 
-let analyze_cmd =
-  let as_json =
-    Arg.(value & flag & info [ "json" ] ~doc:"emit the facts and diagnostics as JSON")
-  in
-  let action pkg_path src_path as_json =
-    with_errors (fun () ->
-        let repo = load_repo src_path in
-        match JS.Package.of_bytes repo (read_file pkg_path) with
-        | Error msg ->
-          Printf.eprintf "invalid package: %s\n" msg;
-          exit 3
-        | Ok p ->
-          (* dataflow lints over the program plus the package-consistency
-             pass (including the P320/P321 feasibility gates), one report *)
-          let diags =
-            Js_analysis.Diag.sort (Js_analysis.Lint.check repo @ JS.Package_check.check repo p)
-          in
-          print_string
-            (if as_json then Js_analysis.Report.json repo ~diags
-             else Js_analysis.Report.text repo ~diags);
-          if Js_analysis.Diag.errors diags <> [] then exit 4)
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "run the dataflow analyses over the program and check the package against them: \
-          per-function facts, A4xx lints, and the P3xx profile-consistency diagnostics \
-          including the P320/P321 static-feasibility gates (exit 3 on decode damage, 4 on \
-          error diagnostics)")
-    Term.(const action $ package_pos 0 $ source_pos 1 $ as_json)
-
 let replay_cmd =
   let action pkg_path src_path =
     with_errors (fun () ->
@@ -207,4 +176,4 @@ let replay_cmd =
 
 let () =
   let info = Cmd.info "jspkg" ~doc:"save, inspect and replay Jump-Start profile packages" in
-  exit (Cmd.eval (Cmd.group info [ collect_cmd; inspect_cmd; verify_cmd; analyze_cmd; replay_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ collect_cmd; inspect_cmd; verify_cmd; replay_cmd ]))

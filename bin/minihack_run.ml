@@ -132,44 +132,6 @@ let verify_cmd =
           links); exits 3 on error diagnostics")
     Term.(const action $ file $ codegen)
 
-let analyze_cmd =
-  let file =
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"minihack source file")
-  in
-  let codegen =
-    Arg.(
-      value
-      & opt (some (enum [ ("tiny", Workload.App_spec.tiny); ("default", Workload.App_spec.default) ])) None
-      & info [ "codegen" ] ~docv:"SPEC"
-          ~doc:"analyze a generated synthetic app (tiny or default) instead of a source file")
-  in
-  let as_json =
-    Arg.(value & flag & info [ "json" ] ~doc:"emit the facts and diagnostics as JSON")
-  in
-  let action path codegen as_json =
-    with_errors (fun () ->
-        let repo =
-          match (codegen, path) with
-          | Some spec, _ -> (Workload.Codegen.generate spec).Workload.Codegen.repo
-          | None, Some path -> Minihack.Compile.compile_source ~path (read_file path)
-          | None, None ->
-            Printf.eprintf "error: analyze needs a FILE argument or --codegen\n";
-            exit 1
-        in
-        let diags = Js_analysis.Lint.check repo in
-        print_string
-          (if as_json then Js_analysis.Report.json repo ~diags
-           else Js_analysis.Report.text repo ~diags);
-        if Js_analysis.Diag.errors diags <> [] then exit 3)
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "run the dataflow analyses (type state, constant propagation, liveness) over every \
-          function and report per-function facts plus verifier (V1xx/V2xx) and lint (A4xx) \
-          diagnostics; exits 3 on error diagnostics")
-    Term.(const action $ file $ codegen $ as_json)
-
 let () =
   let info = Cmd.info "minihack" ~doc:"the minihack language tool of the Jump-Start reproduction" in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; dump_cmd; fmt_cmd; verify_cmd; analyze_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; dump_cmd; fmt_cmd; verify_cmd ]))

@@ -1,6 +1,6 @@
-(* Forward/backward dataflow over the per-function basic-block CFG.
+(* Forward dataflow over the per-function basic-block CFG.
 
-   Three concrete analyses share one worklist solver:
+   Two concrete analyses share one worklist solver:
 
    - type-state inference: an abstract value per operand-stack slot and per
      local (Const < Tag < Any), joined at block entries, with branch
@@ -8,17 +8,13 @@
      (a plain local load, or an [InstanceOf] test of a local);
    - constant propagation + folding with feasible-edge reachability: branch
      edges whose condition has a statically known truthiness are dead, and
-     blocks only reachable through dead edges are dead code;
-   - backward liveness of locals (over feasible edges), yielding per-pc
-     dead-store facts.
+     blocks only reachable through dead edges are dead code.
 
    Soundness contract: every fact is an over-approximation of what the
    interpreter can actually do.  Profiles are collected from real executions,
    so the P320/P321 package gates built on [feasible_succs]/[reach] must
    never reject an honestly collected profile, and [Stale_match] must never
-   drop a transferred count on a block or arc a real run can take.  The V105
-   and A4xx diagnostics built on [undef_read]/[dead_store]/[pushed] are
-   warnings: a fact there costs only precision, never a rejection.  Anything
+   drop a transferred count on a block or arc a real run can take.  Anything
    uncertain therefore widens to [Any] / "both edges feasible". *)
 
 module I = Hhbc.Instr
@@ -79,26 +75,7 @@ module Absval = struct
     | Const v -> Some (V.truthy v)
     | Tag V.TObj -> Some true
     | Tag _ | Any -> None
-
-  let to_string = function
-    | Any -> "any"
-    | Tag t -> V.tag_to_string t
-    | Const V.Null -> "=null"
-    | Const (V.Bool b) -> if b then "=true" else "=false"
-    | Const (V.Int n) -> Printf.sprintf "=%d" n
-    | Const (V.Float f) -> Printf.sprintf "=%g" f
-    | Const (V.Str s) -> Printf.sprintf "=%S" s
-    | Const (V.Vec _ | V.Dict _ | V.Obj _) -> "any" (* unreachable by construction *)
 end
-
-(* How many values the instruction pushes (result-recording only; the
-   exhaustive transfer table is [step] below). *)
-let pushes_of = function
-  | I.Nop | I.StoreLoc _ | I.Pop | I.Jmp _ | I.JmpZ _ | I.JmpNZ _ | I.SetProp _
-  | I.VecSet | I.VecPush | I.DictSet | I.Print | I.Ret ->
-    0
-  | I.Dup -> 2
-  | _ -> 1
 
 (* ---------------- constant folding ---------------- *)
 
@@ -231,56 +208,6 @@ module Solver = struct
       done;
       (inf, { iterations = !iters; converged = !converged })
     end
-
-  (* Backward solve: [succs b] lists the (feasible) successors, [init b] the
-     fact joined into every out-fact (e.g. bottom; exit blocks have no
-     successors so their out-fact is exactly [init b]), and [transfer b out]
-     computes the block's in-fact.  Returns per-block in-facts. *)
-  let backward (type f) ~n_blocks ~(succs : int -> int list) ~(init : int -> f)
-      ~(join : f -> f -> f) ~(equal : f -> f -> bool) ~(transfer : int -> f -> f)
-      ~max_iters =
-    let inb : f array = Array.init (max 1 n_blocks) (fun b -> init b) in
-    if n_blocks = 0 then (inb, { iterations = 0; converged = true })
-    else begin
-      let preds = Array.make n_blocks [] in
-      for b = 0 to n_blocks - 1 do
-        List.iter
-          (fun s -> if s >= 0 && s < n_blocks then preds.(s) <- b :: preds.(s))
-          (succs b)
-      done;
-      let queued = Array.make n_blocks false in
-      let queue = Queue.create () in
-      let enqueue b =
-        if not queued.(b) then begin
-          queued.(b) <- true;
-          Queue.add b queue
-        end
-      in
-      for b = n_blocks - 1 downto 0 do
-        inb.(b) <- transfer b (init b);
-        enqueue b
-      done;
-      let iters = ref 0 in
-      let converged = ref true in
-      while not (Queue.is_empty queue) do
-        let b = Queue.pop queue in
-        queued.(b) <- false;
-        if !iters >= max_iters then begin
-          converged := false;
-          Queue.clear queue
-        end
-        else begin
-          incr iters;
-          let out = List.fold_left (fun acc s -> join acc inb.(s)) (init b) (succs b) in
-          let inb' = transfer b out in
-          if not (equal inb' inb.(b)) then begin
-            inb.(b) <- inb';
-            List.iter enqueue preds.(b)
-          end
-        end
-      done;
-      (inb, { iterations = !iters; converged = !converged })
-    end
 end
 
 (* ---------------- type-state over stack + locals ---------------- *)
@@ -296,10 +223,9 @@ type slot = { av : Absval.t; src : src }
 type state = {
   mutable stk : slot list;  (* operand stack, top first *)
   locs : Absval.t array;
-  asg : bool array;  (* must-assigned (ANDed at joins over feasible edges) *)
 }
 
-let clone_state st = { stk = st.stk; locs = Array.copy st.locs; asg = Array.copy st.asg }
+let clone_state st = { stk = st.stk; locs = Array.copy st.locs }
 
 let join_slot a b =
   {
@@ -316,8 +242,7 @@ let rec join_stack xs ys =
 
 let join_state a b =
   let locs = Array.mapi (fun i v -> Absval.join v b.locs.(i)) a.locs in
-  let asg = Array.mapi (fun i v -> v && b.asg.(i)) a.asg in
-  { stk = join_stack a.stk b.stk; locs; asg }
+  { stk = join_stack a.stk b.stk; locs }
 
 let equal_state a b =
   let rec eq_stk xs ys =
@@ -328,7 +253,6 @@ let equal_state a b =
   in
   eq_stk a.stk b.stk
   && Array.for_all2 (fun x y -> Absval.equal x y) a.locs b.locs
-  && a.asg = b.asg
 
 let any_slot = { av = Absval.Any; src = Src_none }
 
@@ -351,7 +275,6 @@ let popn st n =
 let store_local st l av =
   if l >= 0 && l < Array.length st.locs then begin
     st.locs.(l) <- av;
-    st.asg.(l) <- true;
     (* the local changed: stack slots derived from its old value no longer
        speak for it *)
     st.stk <-
@@ -488,26 +411,18 @@ let refine_edge st (cond : slot) ~truthy =
   st
 
 (* Run one block from its in-state; returns the feasible successor edges
-   with their out-states.  [record_before pc st instr] fires with the state
-   at entry to each pc, [record_after pc st instr] right after its transfer. *)
-let walk_block repo (f : F.t) (blocks : F.block array) (bmap : int array) b st
-    ~record_before ~record_after =
+   with their out-states. *)
+let walk_block repo (f : F.t) (blocks : F.block array) (bmap : int array) b st =
   let n = Array.length f.F.body in
   let blk = blocks.(b) in
   let stop = blk.F.start + blk.F.len in
   let st = clone_state st in
   for pc = blk.F.start to stop - 2 do
-    let instr = f.F.body.(pc) in
-    record_before pc st instr;
-    step repo f st instr;
-    record_after pc st instr
+    step repo f st f.F.body.(pc)
   done;
-  let pc = stop - 1 in
-  let last = f.F.body.(pc) in
-  record_before pc st last;
+  let last = f.F.body.(stop - 1) in
   let cond = match st.stk with s :: _ -> s | [] -> any_slot in
   step repo f st last;
-  record_after pc st last;
   let fall_edge () = if stop < n then [ (bmap.(stop), st) ] else [] in
   let branch_edges target ~taken_when =
     (* [taken_when]: the truthiness of the condition that takes the jump *)
@@ -537,24 +452,15 @@ type summary = {
   feasible_succs : int list array;
       (* per block: CFG successors reachable along feasible edges; subset of
          [blocks.(b).succs] (empty for unreachable blocks) *)
-  pushed : Absval.t array;
-      (* per pc: abstract value pushed by the instruction (Any if it pushes
-         nothing or is unreachable) *)
-  undef_read : bool array;  (* per pc: LoadLoc of a possibly-unassigned local *)
-  dead_store : bool array;  (* per pc: StoreLoc whose local is dead after it *)
   iterations : int;
   converged : bool;
 }
 
-let trivial_summary (f : F.t) blocks =
-  let n = Array.length f.F.body in
+let trivial_summary blocks =
   {
     blocks;
     reach = Array.make (Array.length blocks) true;
     feasible_succs = Array.map (fun (b : F.block) -> b.F.succs) blocks;
-    pushed = Array.make (max 1 n) Absval.Any;
-    undef_read = Array.make (max 1 n) false;
-    dead_store = Array.make (max 1 n) false;
     iterations = 0;
     converged = false;
   }
@@ -566,10 +472,10 @@ let feasible_edge summary ~src ~dst =
 
 (* Iteration bound for the type-state solve.  A block re-runs only when its
    in-fact strictly grows; each slot's chain is Const -> Tag -> Any (2
-   steps) plus one provenance collapse, each local adds the same plus the
-   must-assigned bit, and the stack holds at most [2n] slots (every
-   instruction pushes at most 2).  The bound below is that worst case with
-   generous slack; the qcheck property pins random CFGs far under it. *)
+   steps) plus one provenance collapse, each local adds the same, and the
+   stack holds at most [2n] slots (every instruction pushes at most 2).
+   The bound below is that worst case with generous slack; the qcheck
+   property pins random CFGs far under it. *)
 let typestate_bound ~n_blocks ~body_len ~n_locals =
   64 + (n_blocks * ((8 * body_len) + (4 * n_locals) + 16))
 
@@ -577,7 +483,7 @@ let analyze_uncached repo (f : F.t) : summary =
   let n = Array.length f.F.body in
   let blocks = F.basic_blocks f in
   let nb = Array.length blocks in
-  if n = 0 || nb = 0 then trivial_summary f blocks
+  if n = 0 || nb = 0 then trivial_summary blocks
   else begin
     let n_locals = max 1 f.F.n_locals in
     let bmap = Array.make n 0 in
@@ -588,111 +494,46 @@ let analyze_uncached repo (f : F.t) : summary =
         done)
       blocks;
     let entry =
-      let locs = Array.make n_locals (Absval.Const V.Null) in
-      let asg = Array.make n_locals false in
       (* parameters arrive with caller-controlled values; the remaining
          locals start life as engine-zeroed null *)
-      for l = 0 to min f.F.n_params n_locals - 1 do
-        locs.(l) <- Absval.Any;
-        asg.(l) <- true
-      done;
-      { stk = []; locs; asg }
+      let locs =
+        Array.init n_locals (fun l -> if l < f.F.n_params then Absval.Any else Absval.Const V.Null)
+      in
+      { stk = []; locs }
     in
-    let nop3 _ _ _ = () in
     let max_iters = typestate_bound ~n_blocks:nb ~body_len:n ~n_locals in
     let inf, stats =
       Solver.forward ~n_blocks:nb ~entry ~join:join_state ~equal:equal_state
-        ~transfer:(fun b fact ->
-          walk_block repo f blocks bmap b fact ~record_before:nop3 ~record_after:nop3)
-        ~max_iters
+        ~transfer:(walk_block repo f blocks bmap) ~max_iters
     in
     if not stats.Solver.converged then
-      { (trivial_summary f blocks) with iterations = stats.Solver.iterations }
-    else begin
-      let pushed = Array.make n Absval.Any in
-      let undef_read = Array.make n false in
-      let dead_store = Array.make n false in
-      let reach = Array.map (fun o -> o <> None) inf in
-      let feasible_succs = Array.make nb [] in
-      for b = 0 to nb - 1 do
-        match inf.(b) with
-        | None -> ()
-        | Some fact ->
-          let edges =
-            walk_block repo f blocks bmap b fact
-              ~record_before:(fun pc st instr ->
-                match instr with
-                | I.LoadLoc l when l >= 0 && l < n_locals && not st.asg.(l) ->
-                  undef_read.(pc) <- true
-                | _ -> ())
-              ~record_after:(fun pc st instr ->
-                if pushes_of instr > 0 then
-                  match st.stk with top :: _ -> pushed.(pc) <- top.av | [] -> ())
-          in
-          let succs = List.map fst edges in
-          feasible_succs.(b) <-
-            List.filter (fun s -> List.mem s succs) blocks.(b).F.succs
-      done;
-      (* Backward liveness of locals over the feasible edges: a store to a
-         local that no feasible path reads again is dead. *)
-      let live_bound = 64 + (nb * ((2 * n_locals) + 4)) in
-      let live_in, _ =
-        Solver.backward ~n_blocks:nb
-          ~succs:(fun b -> feasible_succs.(b))
-          ~init:(fun _ -> Array.make n_locals false)
-          ~join:(fun a b -> Array.mapi (fun i v -> v || b.(i)) a)
-          ~equal:(fun a b -> a = b)
-          ~transfer:(fun b out ->
-            let live = Array.copy out in
-            let blk = blocks.(b) in
-            for pc = blk.F.start + blk.F.len - 1 downto blk.F.start do
-              match f.F.body.(pc) with
-              | I.StoreLoc l when l >= 0 && l < n_locals -> live.(l) <- false
-              | I.LoadLoc l when l >= 0 && l < n_locals -> live.(l) <- true
-              | _ -> ()
-            done;
-            live)
-          ~max_iters:live_bound
+      { (trivial_summary blocks) with iterations = stats.Solver.iterations }
+    else
+      let feasible_succs =
+        Array.mapi
+          (fun b fact ->
+            match fact with
+            | None -> []
+            | Some fact ->
+              let succs = List.map fst (walk_block repo f blocks bmap b fact) in
+              List.filter (fun s -> List.mem s succs) blocks.(b).F.succs)
+          inf
       in
-      for b = 0 to nb - 1 do
-        if reach.(b) then begin
-          let out =
-            List.fold_left
-              (fun acc s -> Array.mapi (fun i v -> v || live_in.(s).(i)) acc)
-              (Array.make n_locals false) feasible_succs.(b)
-          in
-          let live = out in
-          let blk = blocks.(b) in
-          for pc = blk.F.start + blk.F.len - 1 downto blk.F.start do
-            match f.F.body.(pc) with
-            | I.StoreLoc l when l >= 0 && l < n_locals ->
-              if not live.(l) then dead_store.(pc) <- true;
-              live.(l) <- false
-            | I.LoadLoc l when l >= 0 && l < n_locals -> live.(l) <- true
-            | _ -> ()
-          done
-        end
-      done;
       {
         blocks;
-        reach;
+        reach = Array.map Option.is_some inf;
         feasible_succs;
-        pushed;
-        undef_read;
-        dead_store;
         iterations = stats.Solver.iterations;
         converged = true;
       }
-    end
   end
 
-(* Memo: [analyze] is pure over immutable inputs, and several layers ask for
-   the same summaries (the verifier's V105 pass, which gates every engine
-   translation, lints, package gates, stale matching) — often once per
-   engine creation per function.  Summaries are shared per repo by physical
-   identity; bounded to the most recent few repos (sims and benches juggle
-   one or two at a time), so qcheck loops generating many repos cannot
-   accumulate memory. *)
+(* Memo: [analyze] is pure over immutable inputs, and the package gates
+   (at seeder validation and at every consumer boot) and stale matching ask
+   for the same summaries, often once per boot per function.  Summaries are
+   shared per repo by physical identity; bounded to the most recent few
+   repos (sims and benches juggle one or two at a time), so qcheck loops
+   generating many repos cannot accumulate memory. *)
 let memo : (Hhbc.Repo.t * summary option array) list ref = ref []
 
 let memo_cap = 8

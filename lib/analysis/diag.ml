@@ -45,5 +45,3 @@ let to_string d =
     | Some fid, Some pc -> Printf.sprintf " f%d@%d" fid pc
   in
   Printf.sprintf "%s[%s]%s: %s" (severity_to_string d.severity) d.code locus d.message
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)

@@ -40,5 +40,3 @@ val ok : t list -> bool
 
 (** ["error[V102] f3@7: stack underflow ..."] — stable, single-line. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

@@ -201,24 +201,7 @@ let check_func repo (f : F.t) =
                      (Printf.sprintf "function %s: stack depth %d at Ret (expected 1)" name d)
                  | _ -> ()))
         end
-      done;
-      (* V105 via the abstract interpreter (join- and feasibility-aware):
-         replaces the old path-insensitive must-defined heuristic, which
-         warned on locals defined on both arms of a branch and on
-         loop-carried definitions.  Only meaningful on error-free bodies. *)
-      if not (List.exists D.is_error !diags) then begin
-        let s = Dataflow.analyze repo f in
-        if s.Dataflow.converged then
-          Array.iteri
-            (fun pc flagged ->
-              if flagged then
-                match f.F.body.(pc) with
-                | I.LoadLoc l ->
-                  warn ~pc "V105"
-                    (Printf.sprintf "function %s: local %d may be read before definition" name l)
-                | _ -> ())
-            s.Dataflow.undef_read
-      end
+      done
     end;
     D.sort !diags
   end
@@ -325,12 +308,3 @@ let check_inline_tree repo (vf : Vasm.Vfunc.t) =
           end)
     nodes;
   D.sort !diags
-
-let result repo =
-  match D.errors (check_repo repo) with
-  | [] -> Ok ()
-  | first :: rest ->
-    Error
-      (Printf.sprintf "%s (%d error%s total)" (D.to_string first)
-         (List.length rest + 1)
-         (if rest = [] then "" else "s"))

@@ -12,8 +12,6 @@
     - {b V102} operand-stack underflow (error)
     - {b V103} must-equal stack-depth mismatch at a control-flow join (error)
     - {b V104} execution can fall off the end of the body (error)
-    - {b V105} local read before any definition on some path (warning — the
-      VM defines all locals as null, so this is lint, not a safety issue)
     - {b V106} local index out of range (error)
     - {b V107} empty body (error)
     - {b V108} [n_params] exceeds [n_locals] (error)
@@ -35,13 +33,16 @@
 
 (** Verify a single function body against [repo]'s tables.  Returns sorted
     diagnostics; an empty list (or warnings only, see {!Diag.ok}) means the
-    body is safe to translate and execute. *)
+    body is safe to translate and execute.  The checks are structural: no
+    {!Dataflow} solve runs here, so the engine's translation gate stays
+    cheap. *)
 val check_func : Hhbc.Repo.t -> Hhbc.Func.t -> Diag.t list
 
 (** [facts repo f] is the dataflow summary a profile gate may trust: [Some]
     only when [f] has no verifier errors and its analysis converged.  The
     P320/P321 package gates and stale-profile transfer consult nothing
-    else, so neither rejects nor drops an honestly collected count. *)
+    else, so neither rejects nor drops an honestly collected count.  This is
+    the only place the verifier asks {!Dataflow.analyze} for a summary. *)
 val facts : Hhbc.Repo.t -> Hhbc.Func.t -> Dataflow.summary option
 
 (** Verify class/function table links plus every function body. *)
@@ -51,8 +52,3 @@ val check_repo : Hhbc.Repo.t -> Diag.t list
     function, the root matches the translation, and parent/child links are
     mutually consistent with real call-site offsets (code P312). *)
 val check_inline_tree : Hhbc.Repo.t -> Vasm.Vfunc.t -> Diag.t list
-
-(** [result repo] is [Ok ()] when {!check_repo} yields no error-severity
-    diagnostic, otherwise [Error] with the first error and a total count —
-    the one-line form used by boot gates. *)
-val result : Hhbc.Repo.t -> (unit, string) result

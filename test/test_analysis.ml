@@ -22,7 +22,6 @@ let repo_of ?n_params ?n_locals body =
   Hhbc.Repo.Builder.finish b
 
 let codes diags = List.map (fun d -> d.D.code) diags
-let has_code c diags = List.mem c (codes diags)
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -69,12 +68,12 @@ let test_fall_off_end () =
   expect_error "fallthrough past end" "V104" (check_body [ I.LitBool true; I.JmpZ 0; I.LitNull ])
 
 let test_use_before_def () =
+  (* the VM defines every local as null, so reading one before any store is
+     well-formed bytecode: no diagnostic at all, for locals and params alike *)
   let diags = check_body ~n_params:0 ~n_locals:2 [ I.LoadLoc 1; I.Ret ] in
-  expect_warning "read of never-stored local" "V105" diags;
-  Alcotest.(check bool) "use-before-def is only a warning" true (D.ok diags);
-  (* params count as defined *)
+  Alcotest.(check (list string)) "read of never-stored local is clean" [] (codes diags);
   let ok = check_body ~n_params:1 ~n_locals:1 [ I.LoadLoc 0; I.Ret ] in
-  Alcotest.(check bool) "param read is clean" false (has_code "V105" ok)
+  Alcotest.(check (list string)) "param read is clean" [] (codes ok)
 
 let test_local_out_of_range () =
   expect_error "local index past frame" "V106" (check_body ~n_locals:2 [ I.LoadLoc 5; I.Ret ]);
@@ -416,28 +415,38 @@ let test_semantic_corruption_handled () =
 (* --- dataflow framework: per-function facts --- *)
 
 module DF = Js_analysis.Dataflow
-module AV = Js_analysis.Dataflow.Absval
 
 let summary_of ?n_params ?n_locals body =
   let repo = repo_of ?n_params ?n_locals body in
   DF.analyze repo (Hhbc.Repo.func repo 0)
 
-let lint_body ?n_params ?n_locals body =
-  let repo = repo_of ?n_params ?n_locals body in
-  Js_analysis.Lint.check_func repo (Hhbc.Repo.func repo 0)
+(* [branch_edges prefix] analyzes [prefix; JmpZ; LitInt 1; Ret; LitInt 2;
+   Ret] and says which edges out of the entry block survive pruning, as
+   (fall-through b0->b1, taken when the condition is truthy; jump b0->b2,
+   taken when it is falsy).  These are the facts P320/P321 read. *)
+let branch_edges prefix =
+  let k = List.length prefix in
+  let s = summary_of (prefix @ [ I.JmpZ (k + 3); I.LitInt 1; I.Ret; I.LitInt 2; I.Ret ]) in
+  Alcotest.(check bool) "converged" true s.DF.converged;
+  (DF.feasible_edge s ~src:0 ~dst:1, DF.feasible_edge s ~src:0 ~dst:2)
+
+let edges = Alcotest.(pair bool bool)
 
 let test_dataflow_const_fold () =
-  (* 2 + 3 folds; the fact propagates through the store/load *)
-  let s = summary_of [ I.LitInt 2; I.LitInt 3; I.BinOp I.Add; I.StoreLoc 0; I.LoadLoc 0; I.Ret ] in
-  Alcotest.(check bool) "binop folds to 5" true
-    (AV.equal s.DF.pushed.(2) (AV.Const (Hhbc.Value.Int 5)));
-  Alcotest.(check bool) "load sees the stored constant" true
-    (AV.equal s.DF.pushed.(4) (AV.Const (Hhbc.Value.Int 5)));
-  Alcotest.(check bool) "converged" true s.DF.converged
+  (* 2 + 3 folds to 5 and the fact propagates through the store/load: the
+     comparison with the literal 5 folds to true and with 6 to false, so
+     exactly one edge of the branch on it survives *)
+  let folded = [ I.LitInt 2; I.LitInt 3; I.BinOp I.Add; I.StoreLoc 0; I.LoadLoc 0 ] in
+  let eq n = branch_edges (folded @ [ I.LitInt n; I.BinOp I.Eq ]) in
+  Alcotest.check edges "5 = 5 keeps the fall-through only" (true, false) (eq 5);
+  Alcotest.check edges "5 = 6 keeps the jump only" (false, true) (eq 6)
 
-(* Folding runs the interpreter's own operators: for every operator and
-   constant operands, the folded fact is [Const] of {!Hhbc.Ops}'s result
-   when it returns, and no constant when it raises. *)
+(* Folding runs the interpreter's own operators.  For every operator and
+   constant operands, a branch on the result keeps exactly the edge
+   {!Hhbc.Value.truthy} of {!Hhbc.Ops}'s result picks, and both edges when
+   the operator raises (no fold) or the result is not a scalar.  Where the
+   result is an int, float, bool or null, comparing it with its own literal
+   keeps only the equal edge, which pins the folded value itself. *)
 let test_dataflow_folds_shared_operators () =
   let module Val = Hhbc.Value in
   let values =
@@ -445,24 +454,31 @@ let test_dataflow_folds_shared_operators () =
       Val.Float (-1.5); Val.Bool true; Val.Bool false; Val.Null ]
   in
   let lit = function
-    | Val.Int n -> I.LitInt n
-    | Val.Float f -> I.LitFloat f
-    | Val.Bool b -> I.LitBool b
-    | _ -> I.LitNull
+    | Val.Int n -> Some (I.LitInt n)
+    | Val.Float f -> Some (I.LitFloat f)
+    | Val.Bool b -> Some (I.LitBool b)
+    | Val.Null -> Some I.LitNull
+    | Val.Str _ | Val.Vec _ | Val.Dict _ | Val.Obj _ -> None
   in
-  let check what body ~pc op =
-    let fact = (summary_of body).DF.pushed.(pc) in
-    match op () with
-    | v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s folds to %s (got %s)" what (Val.to_string v) (AV.to_string fact))
-        true
-        (AV.equal fact (AV.Const v))
-    | exception Hhbc.Ops.Runtime_error _ ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s raises, so no constant (got %s)" what (AV.to_string fact))
-        false
-        (match fact with AV.Const _ -> true | AV.Any | AV.Tag _ -> false)
+  let lit_of v = Option.get (lit v) in
+  let check what prefix op =
+    let got = branch_edges prefix in
+    let expected, pinned =
+      match op () with
+      | (Val.Null | Val.Bool _ | Val.Int _ | Val.Float _ | Val.Str _) as v ->
+        let t = Val.truthy v in
+        ((t, not t), Option.map (fun l -> (v, l)) (lit v))
+      | Val.Vec _ | Val.Dict _ | Val.Obj _ -> ((true, true), None)
+      | exception Hhbc.Ops.Runtime_error _ -> ((true, true), None)
+    in
+    Alcotest.check edges (what ^ ": branch edges") expected got;
+    Option.iter
+      (fun (v, l) ->
+        Alcotest.check edges
+          (Printf.sprintf "%s folds to %s" what (Val.to_string v))
+          (true, false)
+          (branch_edges (prefix @ [ l; I.BinOp I.Eq ])))
+      pinned
   in
   let name ins = Format.asprintf "%a" I.pp ins in
   let binops =
@@ -474,10 +490,9 @@ let test_dataflow_folds_shared_operators () =
         (fun a ->
           List.iter
             (fun b ->
-              let body = [ lit a; lit b; I.BinOp op; I.Ret ] in
               check
-                (Printf.sprintf "%s %s %s" (name (lit a)) (name (I.BinOp op)) (name (lit b)))
-                body ~pc:2
+                (Printf.sprintf "%s %s %s" (name (lit_of a)) (name (I.BinOp op)) (name (lit_of b)))
+                [ lit_of a; lit_of b; I.BinOp op ]
                 (fun () -> Hhbc.Ops.binop op a b))
             values)
         values)
@@ -487,15 +502,15 @@ let test_dataflow_folds_shared_operators () =
       List.iter
         (fun op ->
           check
-            (Printf.sprintf "%s %s" (name (I.UnOp op)) (name (lit a)))
-            [ lit a; I.UnOp op; I.Ret ] ~pc:1
+            (Printf.sprintf "%s %s" (name (I.UnOp op)) (name (lit_of a)))
+            [ lit_of a; I.UnOp op ]
             (fun () -> Hhbc.Ops.unop op a))
         I.[ Neg; Not; BitNot ];
       List.iter
         (fun tag ->
           check
-            (Printf.sprintf "%s %s" (name (I.Cast tag)) (name (lit a)))
-            [ lit a; I.Cast tag; I.Ret ] ~pc:1
+            (Printf.sprintf "%s %s" (name (I.Cast tag)) (name (lit_of a)))
+            [ lit_of a; I.Cast tag ]
             (fun () -> Hhbc.Ops.cast tag a))
         Val.[ TNull; TBool; TInt; TFloat; TStr; TVec; TDict; TObj ])
     values
@@ -510,59 +525,29 @@ let test_dataflow_feasible_edges () =
   Alcotest.(check bool) "dead branch target unreachable" false s.DF.reach.(2);
   Alcotest.(check bool) "live branch target reachable" true s.DF.reach.(1)
 
-let test_dataflow_dead_store () =
-  let s = summary_of [ I.LitInt 1; I.StoreLoc 0; I.LitInt 2; I.StoreLoc 0; I.LoadLoc 0; I.Ret ] in
-  Alcotest.(check bool) "overwritten store is dead" true s.DF.dead_store.(1);
-  Alcotest.(check bool) "read store is live" false s.DF.dead_store.(3)
-
-let test_lint_codes_pinned () =
-  expect_warning "dead store" "A401"
-    (lint_body [ I.LitInt 1; I.StoreLoc 0; I.LitInt 2; I.StoreLoc 0; I.LoadLoc 0; I.Ret ]);
-  expect_warning "always-null read" "A402"
-    (lint_body [ I.LitNull; I.StoreLoc 0; I.LoadLoc 0; I.Ret ]);
-  expect_warning "constant-foldable expression" "A403"
-    (lint_body [ I.LitInt 2; I.LitInt 3; I.BinOp I.Add; I.Ret ]);
-  expect_warning "dataflow-unreachable block" "A404"
-    (lint_body [ I.LitBool true; I.JmpZ 4; I.LitInt 1; I.Ret; I.LitInt 2; I.Ret ]);
-  (* lints never fire on verifier-broken bodies, and the output is a fixed
-     point of sorting (deterministic golden order) *)
-  let broken = lint_body [ I.Pop; I.LitNull; I.Ret ] in
-  Alcotest.(check bool) "no A4xx on verifier-broken body" false
-    (List.exists (fun d -> String.length d.D.code > 0 && d.D.code.[0] = 'A') broken);
-  let repo = compile_example "shapes.mh" shapes_src in
-  let a = Js_analysis.Lint.check repo and b = Js_analysis.Lint.check repo in
-  Alcotest.(check bool) "lint output deterministic" true (a = b);
-  Alcotest.(check bool) "lint output sorted" true (D.sort a = a)
-
-(* V105 precision: the old single-pass def-scan flagged reads whose local is
-   assigned on every feasible path; the dataflow-backed check must not. *)
-
-let test_v105_both_arms_defined () =
-  let diags =
-    check_body ~n_params:1 ~n_locals:2
-      [ I.LoadLoc 0; I.JmpZ 5; I.LitInt 1; I.StoreLoc 1; I.Jmp 7; I.LitInt 2; I.StoreLoc 1;
-        I.LoadLoc 1; I.Ret ]
+(* A verifier error or a solve that hits its bound makes [Verify.facts]
+   [None], which silently turns off P320/P321 and salvage pruning for that
+   function; every function the code generator emits, base or churned,
+   must get facts. *)
+let test_facts_on_generated_apps () =
+  let module A = Workload.App_spec in
+  let check what (app : Workload.Codegen.app) =
+    let repo = app.Workload.Codegen.repo in
+    for fid = 0 to Hhbc.Repo.n_funcs repo - 1 do
+      let f = Hhbc.Repo.func repo fid in
+      if V.facts repo f = None then Alcotest.failf "%s: no facts for %s (f%d)" what f.F.name fid
+    done
   in
-  Alcotest.(check bool) "def on both arms is clean" false (has_code "V105" diags)
-
-let test_v105_one_arm_defined () =
-  expect_warning "def on one arm only" "V105"
-    (check_body ~n_params:1 ~n_locals:2
-       [ I.LoadLoc 0; I.JmpZ 4; I.LitInt 1; I.StoreLoc 1; I.LoadLoc 1; I.Ret ])
-
-let test_v105_loop_carried_def () =
-  (* the def only happens inside the loop body; the first trip through the
-     exit edge can read it unassigned *)
-  expect_warning "loop-carried def" "V105"
-    (check_body ~n_params:1 ~n_locals:2
-       [ I.LoadLoc 0; I.JmpZ 5; I.LitInt 1; I.StoreLoc 1; I.Jmp 0; I.LoadLoc 1; I.Ret ])
-
-let test_v105_constant_guard_pruned () =
-  (* the skipping edge folds away, so the store dominates the load *)
-  let diags =
-    check_body ~n_locals:1 [ I.LitBool true; I.JmpZ 4; I.LitInt 7; I.StoreLoc 0; I.LoadLoc 0; I.Ret ]
-  in
-  Alcotest.(check bool) "constant-guarded def is clean" false (has_code "V105" diags)
+  check "tiny" (Workload.Codegen.generate A.tiny);
+  check "default" (Workload.Codegen.generate A.default);
+  List.iter
+    (fun rate ->
+      for seed = 1 to 3 do
+        check
+          (Printf.sprintf "tiny churned at %.1f, seed %d" rate seed)
+          (fst (Workload.Churn.generate { Workload.Churn.seed; rate } A.tiny))
+      done)
+    [ 0.2; 0.4 ]
 
 let test_solver_convergence_bound () =
   (* a loop with a type-unstable local still converges within the bound *)
@@ -747,12 +732,8 @@ let () =
           Alcotest.test_case "folds with the shared operators" `Quick
             test_dataflow_folds_shared_operators;
           Alcotest.test_case "feasible edges" `Quick test_dataflow_feasible_edges;
-          Alcotest.test_case "dead stores" `Quick test_dataflow_dead_store;
-          Alcotest.test_case "lint codes pinned" `Quick test_lint_codes_pinned;
-          Alcotest.test_case "V105 both arms defined" `Quick test_v105_both_arms_defined;
-          Alcotest.test_case "V105 one arm defined" `Quick test_v105_one_arm_defined;
-          Alcotest.test_case "V105 loop-carried def" `Quick test_v105_loop_carried_def;
-          Alcotest.test_case "V105 constant guard pruned" `Quick test_v105_constant_guard_pruned;
+          Alcotest.test_case "facts on every generated function" `Quick
+            test_facts_on_generated_apps;
           Alcotest.test_case "solver convergence bound" `Quick test_solver_convergence_bound
         ] );
       ( "feasibility gates",

@@ -314,7 +314,7 @@ let prop_counters_roundtrip =
    minihack compiler emits — over randomly generated app shapes — must pass
    the FuncChecker-style verifier with zero error-severity diagnostics, and
    any warnings must come from the known-benign lint set. *)
-let benign_warnings = [ "V105"; "V109"; "V110" ]
+let benign_warnings = [ "V109"; "V110" ]
 
 let prop_compiler_output_verifies =
   QCheck.Test.make ~name:"compiled bytecode passes the verifier" ~count:10
