@@ -441,7 +441,7 @@ let ablation_fallback () =
 (* ------------------------------------------------------------------ perf -- *)
 
 (* Machine-readable perf tracking (see EXPERIMENTS.md): measures interpreter
-   throughput on the macro-app workload on the translated loop ("cached")
+   throughput on the macro-app workload on the compiled loop ("cached")
    vs the reference loop ("uncached"); same seed, so the two runs must agree
    byte-for-byte on results, echo output, step counts and the tier-1
    profile.  Plus fixed-iteration micro-benches of the core algorithms and

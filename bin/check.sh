@@ -60,7 +60,7 @@ dune exec bench/main.exe -- fig4b
 dune exec bench/main.exe -- lifespan
 dune exec bench/main.exe -- perf --quick
 test -s BENCH_interp.quick.json
-# on the macro app the translated loop must match the reference loop on
+# on the macro app the compiled loop must match the reference loop on
 # results, echo output, step counts and the serialized tier-1 profile
 grep -q '"outputs_identical": true' BENCH_interp.quick.json
 # the artifact names the commit it measured (a full 40-digit hash)
@@ -74,7 +74,7 @@ for path in collector context_vasm_profile context_trace_adapter; do
 done
 
 # Interpreter differential: every example program must print the same
-# output, result and step count on the translated loop as on the reference
+# output, result and step count on the compiled loop as on the reference
 # loop (--no-inline-cache), and, profiled (--profile), the same tier-1
 # profile summary: both loops bump the same resolved counters.
 for f in examples/*.mh; do
@@ -82,7 +82,7 @@ for f in examples/*.mh; do
     dune exec bin/minihack_run.exe -- run $profile "$f" > /tmp/interp_product.out
     dune exec bin/minihack_run.exe -- run $profile --no-inline-cache "$f" > /tmp/interp_reference.out
     if ! diff /tmp/interp_product.out /tmp/interp_reference.out; then
-      echo "interp differential: $f $profile: translated loop differs from the reference loop" >&2
+      echo "interp differential: $f $profile: compiled loop differs from the reference loop" >&2
       exit 1
     fi
   done

@@ -38,6 +38,11 @@
     cheap. *)
 val check_func : Hhbc.Repo.t -> Hhbc.Func.t -> Diag.t list
 
+(** [first_error repo f] is the first error {!check_func} reports for [f]
+    ([None]: verifier-clean).  Memoized per repo, so every caller runs
+    [check_func] at most once per function of a repo. *)
+val first_error : Hhbc.Repo.t -> Hhbc.Func.t -> Diag.t option
+
 (** [facts repo f] is the dataflow summary a profile gate may trust: [Some]
     only when [f] has no verifier errors and its analysis converged.  The
     P320/P321 package gates and stale-profile transfer consult nothing

@@ -15,7 +15,8 @@
     its last vasm block, so a call decides in place whether the callee runs
     inlined, after the site's slow path, or in its own translation, and an
     inlined activation's return (normal or on error) is an arc back into
-    its caller's block.  Only raw {!Probes.Events} call closures. *)
+    its caller's block.  Only raw {!Probes.Events}, tier-2 [Emit] sinks
+    and data sinks call closures. *)
 
 (** Raised on dynamic errors: undefined method, bad operand types,
     out-of-bounds vec access, stack overflow, fuel exhaustion.  It is
@@ -48,18 +49,22 @@ type cache_stats = {
     simulations against non-terminating generated programs.
 
     The engine runs one of two loops, fixed at creation:
-    - the translated loop, when [inline_cache] and [typed] are both [true]
+    - the compiled loop, when [inline_cache] and [typed] are both [true]
       (the default).  Every function body must pass {!Js_analysis.Verify}
-      ([create] raises {!Runtime_error} otherwise) and is translated once,
-      at creation: hot straight-line bytecode patterns
-      fuse into superinstructions, each [CallMethod] site carries a
+      ([create] raises {!Runtime_error} otherwise) and is compiled once, at
+      creation: each basic block becomes a chain of OCaml closures over
+      expression trees rebuilt from its stack code, so operands pass as
+      OCaml values and only values live across a block boundary go through
+      the frame's stack slots.  Each node charges its one unit of fuel in
+      post order, which is source order.  Each [CallMethod] site carries a
       monomorphic-with-polymorphic-fallback method cache, each
-      [GetProp]/[SetProp] site a [(class id -> physical slot)] cache, and
-      call frames and operand stacks are reused across invocations;
+      [GetProp]/[SetProp] site a [(class id -> physical slot)] cache; call
+      frames are pooled by depth, and calls with up to two arguments write
+      them straight into the callee's frame;
     - the reference loop, when either flag is [false]: one source
-      instruction per dispatch, no translation and no caches.  It is the
-      oracle the translated loop is tested against, and what
-      [--no-inline-cache] runs.
+      instruction per dispatch, an operand stack per activation, no
+      compilation and no caches.  It is the oracle the compiled loop is
+      tested against, and what [--no-inline-cache] runs.
 
     Both loops give the same results, echo output, fuel spent and
     profiles (raw event streams, tier-1 counters, tier-2 counts and
@@ -84,8 +89,8 @@ val steps : t -> int
 (** Everything printed by [echo] so far. *)
 val output : t -> string
 
-(** The engine's live inline-cache counters (all zero on the reference
-    loop). *)
+(** The engine's live inline-cache and frame-pool counters (all zero on
+    the reference loop). *)
 val cache_stats : t -> cache_stats
 
 (** The same counters as telemetry-ready [("interp.cache.*", value)] pairs,

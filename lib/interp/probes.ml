@@ -84,7 +84,7 @@ let arc_slot a ~src ~dst =
 
 type sink =
   | Count of { counts : unit -> float array; arcs : unit -> arcs }
-  | Emit of { on_vblock : int -> unit; on_varc : src:int -> dst:int -> unit }
+  | Emit of { on_vblock : src:int -> int -> unit; on_varc : src:int -> dst:int -> unit }
 
 type translation = {
   root : fid;
@@ -109,11 +109,9 @@ type xcalls = {
   edge : caller:fid -> callee:fid -> int ref;
 }
 
-type tier2 = {
-  lookup : fid -> translation option;
-  xcalls : xcalls option;
-  on_prop : (addr:int -> write:bool -> unit) option;
-}
+type data = { load : addr:int -> unit; store : addr:int -> unit }
+
+type tier2 = { lookup : fid -> translation option; xcalls : xcalls option; data : data option }
 
 type t = Off | Events of events | Tier1 of tier1 | Tier2 of tier2
 

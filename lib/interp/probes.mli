@@ -103,8 +103,10 @@ type sink =
           (** the per-block counts, resolved on the translation's first block *)
       arcs : unit -> arcs;  (** the arc counts, resolved on its first arc *)
     }  (** bumped in place by the loop *)
-  | Emit of { on_vblock : int -> unit; on_varc : src:int -> dst:int -> unit }
-      (** called per event, in execution order *)
+  | Emit of { on_vblock : src:int -> int -> unit; on_varc : src:int -> dst:int -> unit }
+      (** called in execution order: [on_vblock ~src blk] once per block
+          run, for the arc from [src] ([-1]: none) and then the block;
+          [on_varc] for an arc that no block follows (an inlined return) *)
 
 (** One translation as the loop walks it.  Rows are indexed by inline
     node; a cell outside its row reads as [-1] (none). *)
@@ -113,7 +115,9 @@ type translation = {
   node_fid : int array;  (** inline node -> its function *)
   main : int array array;  (** node -> bytecode block -> main vasm block *)
   child : int array array;  (** node -> call site -> inlined child node *)
-  slow : int array array;  (** node -> call site -> the site's slow-path vasm block *)
+  slow : int array array;
+      (** node -> bytecode block -> the slow-path vasm block of the call
+          site that ends the block *)
   sink : sink;
   mutable counts : float array;  (** [Count]'s block counts once resolved, [[||]] before *)
   mutable arcs : arcs;  (** [Count]'s arc counts once resolved *)
@@ -141,11 +145,14 @@ type xcalls = {
           [callee]; on the pair's first.  Request entries have no caller. *)
 }
 
+(** A data-access sink: property reads and writes, by simulated address. *)
+type data = { load : addr:int -> unit; store : addr:int -> unit }
+
 type tier2 = {
   lookup : fid -> translation option;
       (** a function's own translation, resolved on its first entry *)
   xcalls : xcalls option;
-  on_prop : (addr:int -> write:bool -> unit) option;  (** data accesses *)
+  data : data option;  (** property accesses, called directly by the loop *)
 }
 
 (** {1 Probes} *)

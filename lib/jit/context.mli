@@ -33,7 +33,7 @@ type handler = {
       (** the counters of out-of-line (not inlined) calls; a call's caller
           is the calling translation's root, or the calling function when
           it runs untranslated, and request entries have none *)
-  on_prop : (addr:int -> write:bool -> unit) option;  (** data accesses *)
+  data : Interp.Probes.data option;  (** property reads and writes *)
 }
 
 (** [probes repo ~lookup handler] builds the tier-2 probes.  [lookup fid]

@@ -61,7 +61,7 @@ let handler t =
             (fun ~caller ~callee ->
               find_or_add (find_or_add t.cg caller (fun () -> Hashtbl.create 8)) callee counter);
         };
-    on_prop = None;
+    data = None;
   }
 
 (* The readers below store nothing: a translation without fitting counts

@@ -161,12 +161,40 @@ let test_engine_refuses_bad_repo () =
   let repo = repo_of [ I.Pop; I.LitNull; I.Ret ] in
   let layouts = Mh_runtime.Class_layout.build repo ~reorder:false ~hotness:(fun _ _ -> 0) in
   match Interp.Engine.create repo (Mh_runtime.Heap.create repo layouts) with
-  | _ -> Alcotest.fail "translation gate accepted an underflowing body"
+  | _ -> Alcotest.fail "compile gate accepted an underflowing body"
   | exception Interp.Engine.Runtime_error msg ->
     Alcotest.(check bool)
       (Printf.sprintf "gate names the diagnostic (got: %s)" msg)
       true
       (contains ~affix:"verification failed" msg && contains ~affix:"V102" msg)
+
+(* The memoized verdict is [check_func]'s first error, asked once or many
+   times, for a clean or a broken body; and the engine's gate refuses a
+   broken body on every engine of its repo, not just the first. *)
+let test_verdict_memo () =
+  let first repo f =
+    match D.errors (V.check_func repo f) with [] -> None | d :: _ -> Some (D.to_string d)
+  in
+  let memo repo f = Option.map D.to_string (V.first_error repo f) in
+  let app = Workload.Codegen.generate Workload.App_spec.tiny in
+  let broken = repo_of [ I.Pop; I.LitNull; I.Ret ] in
+  List.iter
+    (fun repo ->
+      for _ = 1 to 2 do
+        for fid = 0 to Hhbc.Repo.n_funcs repo - 1 do
+          let f = Hhbc.Repo.func repo fid in
+          Alcotest.(check (option string)) f.Hhbc.Func.name (first repo f) (memo repo f)
+        done
+      done)
+    [ app.Workload.Codegen.repo; broken ];
+  Alcotest.(check bool) "broken body" true (memo broken (Hhbc.Repo.func broken 0) <> None);
+  let layouts = Mh_runtime.Class_layout.build broken ~reorder:false ~hotness:(fun _ _ -> 0) in
+  for _ = 1 to 2 do
+    match Interp.Engine.create broken (Mh_runtime.Heap.create broken layouts) with
+    | _ -> Alcotest.fail "compile gate accepted an underflowing body"
+    | exception Interp.Engine.Runtime_error msg ->
+      Alcotest.(check bool) "names V102" true (contains ~affix:"V102" msg)
+  done
 
 (* --- package decode gap: v2 repo-shape header --- *)
 
@@ -711,7 +739,8 @@ let () =
           Alcotest.test_case "call arity" `Quick test_call_arity;
           Alcotest.test_case "constructor checks" `Quick test_ctor_checks;
           Alcotest.test_case "deterministic sorted output" `Quick test_deterministic_and_sorted;
-          Alcotest.test_case "engine refuses bad repo" `Quick test_engine_refuses_bad_repo
+          Alcotest.test_case "engine refuses bad repo" `Quick test_engine_refuses_bad_repo;
+          Alcotest.test_case "verdict memo" `Quick test_verdict_memo
         ] );
       ( "package decode",
         [ Alcotest.test_case "repo shape fields checked" `Quick test_shape_fields_checked;
