@@ -528,35 +528,39 @@ let analyze_uncached repo (f : F.t) : summary =
       }
   end
 
-(* Memo: [analyze] is pure over immutable inputs, and the package gates
-   (at seeder validation and at every consumer boot) and stale matching ask
-   for the same summaries, often once per boot per function.  Summaries are
-   shared per repo by physical identity; bounded to the most recent few
-   repos (sims and benches juggle one or two at a time), so qcheck loops
-   generating many repos cannot accumulate memory. *)
-let memo : (Hhbc.Repo.t * summary option array) list ref = ref []
-
+(* [memoize compute] is [compute] memoized per function of a repo: results
+   are shared per repo by physical identity, bounded to the most recent
+   few repos (sims and benches juggle one or two at a time), so qcheck
+   loops generating many repos cannot accumulate memory.  A body that is
+   not its repo's own function [f.id] is computed afresh. *)
 let memo_cap = 8
 
-let analyze repo (f : F.t) : summary =
-  let fid = f.F.id in
-  if fid < 0 || fid >= Hhbc.Repo.n_funcs repo || not (Hhbc.Repo.func repo fid == f) then
-    analyze_uncached repo f
-  else begin
-    let slots =
-      match List.assq_opt repo !memo with
-      | Some slots -> slots
+let memoize compute =
+  let memo = ref [] in
+  fun repo (f : F.t) ->
+    let fid = f.F.id in
+    if fid < 0 || fid >= Hhbc.Repo.n_funcs repo || not (Hhbc.Repo.func repo fid == f) then
+      compute repo f
+    else begin
+      let slots =
+        match List.assq_opt repo !memo with
+        | Some slots -> slots
+        | None ->
+          let slots = Array.make (Hhbc.Repo.n_funcs repo) None in
+          memo := (repo, slots) :: !memo;
+          if List.length !memo > memo_cap then
+            memo := List.filteri (fun i _ -> i < memo_cap) !memo;
+          slots
+      in
+      match slots.(fid) with
+      | Some s -> s
       | None ->
-        let slots = Array.make (Hhbc.Repo.n_funcs repo) None in
-        memo := (repo, slots) :: !memo;
-        if List.length !memo > memo_cap then
-          memo := List.filteri (fun i _ -> i < memo_cap) !memo;
-        slots
-    in
-    match slots.(fid) with
-    | Some s -> s
-    | None ->
-      let s = analyze_uncached repo f in
-      slots.(fid) <- Some s;
-      s
-  end
+        let s = compute repo f in
+        slots.(fid) <- Some s;
+        s
+    end
+
+(* [analyze] is pure over immutable inputs, and the package gates (at
+   seeder validation and at every consumer boot) and stale matching ask
+   for the same summaries, often once per boot per function. *)
+let analyze = memoize analyze_uncached

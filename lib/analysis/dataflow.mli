@@ -48,3 +48,9 @@ val typestate_bound : n_blocks:int -> body_len:int -> n_locals:int -> int
     (clamped stack ops, range-guarded ids); results are only as meaningful
     as the body is verifiable. *)
 val analyze : Hhbc.Repo.t -> Hhbc.Func.t -> summary
+
+(** [memoize compute] is [compute], run at most once per function of a
+    repo (per repo by physical identity, for the most recent few repos; a
+    body that is not its repo's own function is computed every time).
+    {!analyze} and {!Verify.first_error} are memoized this way. *)
+val memoize : (Hhbc.Repo.t -> Hhbc.Func.t -> 'a) -> Hhbc.Repo.t -> Hhbc.Func.t -> 'a
